@@ -6,6 +6,11 @@ Gram kernel shares).  A decision vector is a certificate when every Gram
 matrix is positive semidefinite.  The solver minimizes a smooth penalty on
 the minimum eigenvalues over the sign-constrained decision box, restarting
 from several random initializations.
+
+The solver's eigendecompositions run on LAPACK (``np.linalg.eigh``).  The
+in-repo Jacobi eigensolver (:func:`jacobi_eigh_batch`) serves
+:func:`check_certificate`, so a certificate is re-checked by an eigensolver
+independent of the one that found it.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from .poly import VarId
@@ -167,143 +173,148 @@ class DecisionLayout:
         return out
 
 
-class CompiledGram:
-    """A Gram spec lowered to index arithmetic for fast numeric evaluation.
+class GramStack:
+    """Every case's Gram matrix lowered to one term table for numeric evaluation.
 
-    Each Gram entry polynomial becomes rows of flat numpy arrays: entry row,
-    entry column, coefficient, and a fixed-width matrix of decision-variable
-    factor indices (padded with an index pointing at a constant 1 slot).
+    Each monomial of an upper-triangle Gram entry is one term: a coefficient,
+    a fixed-width row of decision-variable factor indices (padded with an
+    index pointing at a constant 1 slot), and its position in one flat buffer
+    that holds all matrices row-major.  Cases of equal Gram size sit next to
+    each other in that buffer (ascending size, then case order), so each size
+    group reads as one ``(cases, n, n)`` stack.
     """
 
-    def __init__(self, spec: GramSpec, index_of: dict[VarId, int]):
-        self.size = spec.size
-        self.spec = spec
-        self.nvars = len(index_of)
-        rows, cols, coeffs, factors = [], [], [], []
-        width = 1
-        for i in range(self.size):
-            for j in range(i, self.size):
-                for mono, _ in spec.entries[i][j].terms.items():
-                    width = max(width, sum(e for _, e in mono))
-        self.width = width
-        pad = self.nvars  # index of the constant-1 slot
-        for i in range(self.size):
-            for j in range(i, self.size):
-                for mono, coeff in spec.entries[i][j].terms.items():
-                    idx = []
-                    for v, e in mono:
-                        idx.extend([index_of[v]] * e)
-                    idx += [pad] * (width - len(idx))
-                    rows.append(i)
-                    cols.append(j)
-                    coeffs.append(coeff)
-                    factors.append(idx)
-        self.rows = np.array(rows, dtype=np.intp)
-        self.cols = np.array(cols, dtype=np.intp)
-        self.coeffs = np.array(coeffs, dtype=float)
-        self.factors = np.array(factors, dtype=np.intp).reshape(len(rows), width)
-        self.sym_w = np.where(self.rows == self.cols, 1.0, 2.0)
+    def __init__(self, specs: Sequence[GramSpec], layout: DecisionLayout):
+        index_of = layout.index_of()
+        terms = [(c, i, j, coeff, [index_of[v] for v, e in mono for _ in range(e)])
+                 for c, spec in enumerate(specs)
+                 for i in range(spec.size) for j in range(i, spec.size)
+                 for mono, coeff in spec.entries[i][j].terms.items()]
+        width = max([1] + [len(t[4]) for t in terms])
+        self.nvars = layout.size   # also the index of the constant-1 slot
+        self.sizes = [spec.size for spec in specs]
+        self.coeffs = np.array([t[3] for t in terms], dtype=float)
+        self.factors = np.array([t[4] + [self.nvars] * (width - len(t[4])) for t in terms],
+                                dtype=np.intp).reshape(len(terms), width)
+        cases, rows, cols = (np.array([t[k] for t in terms], dtype=np.intp) for k in range(3))
 
-    def _extended(self, d: np.ndarray) -> np.ndarray:
-        return np.append(d, 1.0)
+        # (case indices, Gram size, offset into the flat buffer) per size group
+        self.groups: list[tuple[np.ndarray, int, int]] = []
+        self.case_offsets = np.empty(len(specs), dtype=np.intp)
+        off = 0
+        for n in sorted(set(self.sizes)):
+            members = np.array([c for c, m in enumerate(self.sizes) if m == n], dtype=np.intp)
+            self.groups.append((members, n, off))
+            self.case_offsets[members] = off + n * n * np.arange(len(members))
+            off += n * n * len(members)
+        self.length = off
+        n_of = np.array(self.sizes, dtype=np.intp)[cases]
+        self.positions = self.case_offsets[cases] + rows * n_of + cols
+        mirrored = self.case_offsets[cases] + cols * n_of + rows
+        off_diag = rows != cols
+        self.sym_w = np.where(off_diag, 2.0, 1.0)
+        # every term lands at its upper position, off-diagonal terms also at
+        # the mirrored one: buffer slot scatter[s] receives term source[s]
+        self.scatter = np.concatenate([self.positions, mirrored[off_diag]])
+        self.source = np.concatenate([np.arange(len(terms)), np.flatnonzero(off_diag)])
+        self._others = np.array([[o for o in range(width) if o != s] for s in range(width)],
+                                dtype=np.intp).reshape(width, width - 1)
 
-    def matrix(self, d: np.ndarray) -> np.ndarray:
-        de = self._extended(d)
-        vals = self.coeffs * np.prod(de[self.factors], axis=1)
-        Q = np.zeros((self.size, self.size))
-        np.add.at(Q, (self.rows, self.cols), vals)
-        np.add.at(Q, (self.cols, self.rows), np.where(self.rows == self.cols, 0.0, vals))
-        return Q
+    def flat(self, d: np.ndarray) -> np.ndarray:
+        """All Gram matrices at decision ``d``, packed into the flat buffer."""
+        vals = self.coeffs * np.prod(np.append(d, 1.0)[self.factors], axis=1)
+        return np.bincount(self.scatter, weights=vals[self.source], minlength=self.length)
+
+    def split(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(case indices, (cases, n, n) stack)`` per size group, as views of
+        a packed vector such as :meth:`flat` returns (entries past the
+        matrices are ignored)."""
+        return [(members, flat[off:off + len(members) * n * n].reshape(-1, n, n))
+                for members, n, off in self.groups]
+
+    def matrices(self, d: np.ndarray) -> list[np.ndarray]:
+        """Each case's Gram matrix at decision ``d``, in case order."""
+        flat = self.flat(d)
+        return [flat[o:o + n * n].reshape(n, n).copy()
+                for o, n in zip(self.case_offsets, self.sizes)]
 
     def weighted_gradient(self, d: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Gradient of ``sum_ij W[i,j] Q(d)[i,j]`` for a symmetric weight matrix."""
-        de = self._extended(d)
-        fvals = de[self.factors]                       # (T, width)
-        w = self.coeffs * self.sym_w * weights[self.rows, self.cols]
-        g = np.zeros(self.nvars + 1)
-        for s in range(self.width):
-            others = np.prod(np.delete(fvals, s, axis=1), axis=1) if self.width > 1 \
-                else np.ones(len(w))
-            np.add.at(g, self.factors[:, s], w * others)
+        """Gradient of ``sum(weights * flat(d))`` for a flat buffer of
+        symmetric weight matrices."""
+        fvals = np.append(d, 1.0)[self.factors]                 # (T, width)
+        others = np.prod(fvals[:, self._others], axis=2)        # product of the other slots
+        w = self.coeffs * self.sym_w * weights[self.positions]
+        g = np.bincount(self.factors.ravel(), weights=(w[:, None] * others).ravel(),
+                        minlength=self.nvars + 1)
         return g[:-1]
-
-    def quadform_gradient(self, d: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        """Gradient of ``vec^T Q(d) vec`` with respect to d."""
-        return self.weighted_gradient(d, np.outer(vec, vec))
-
-
-def eval_grams(compiled: Sequence[CompiledGram], d: np.ndarray) -> list[np.ndarray]:
-    return [cg.matrix(d) for cg in compiled]
 
 
 class AffineGramMap:
     """The Gram stack as an affine function of the non-index decision variables.
 
     For pinned index parameters every Gram entry is affine in the remaining
-    decision coordinates (multipliers and kernel shares), so the stacked
-    matrices are ``A y + b``.  Sign constraints on the gamma multipliers ride
-    along as extra scalar rows, which makes both feasibility projections
-    exact: eigenvalue clipping on the cone side, a pseudoinverse solve on the
-    affine side.
+    decision coordinates (multipliers and kernel shares), so the packed
+    matrices are ``A y + b``, in the layout of :meth:`GramStack.flat`.  Sign
+    constraints on the gamma multipliers ride along as extra scalar rows,
+    which makes both feasibility projections exact: eigenvalue clipping
+    (LAPACK ``eigh``) on the cone side, a least-squares solve through a
+    Cholesky factor of ``A^T A`` on the affine side.
     """
 
-    def __init__(self, compiled: Sequence[CompiledGram], layout: DecisionLayout,
-                 theta: np.ndarray):
+    def __init__(self, grams: GramStack, layout: DecisionLayout, theta: np.ndarray):
         nv = layout.size
-        theta_set = set(layout.theta_idx.tolist())
-        self.free_idx = np.array([i for i in range(nv) if i not in theta_set],
-                                 dtype=np.intp)
-        free_pos = {g: i for i, g in enumerate(self.free_idx)}
-        self.gamma_pos = np.array([free_pos[g] for g in layout.gamma_idx],
-                                  dtype=np.intp)
-        self.sizes = [cg.size for cg in compiled]
+        self.grams = grams
         self.theta = np.asarray(theta, dtype=float)
+        pinned = np.zeros(nv + 1, dtype=bool)
+        pinned[layout.theta_idx] = True
+        pinned[nv] = True   # the constant-1 slot
+        self.free_idx = np.flatnonzero(~pinned)
+        free_pos = np.full(nv + 1, -1, dtype=np.intp)
+        free_pos[self.free_idx] = np.arange(len(self.free_idx))
+        self.gamma_pos = free_pos[layout.gamma_idx]
 
         pin = np.zeros(nv + 1)
-        pin[-1] = 1.0
+        pin[nv] = 1.0
         pin[layout.theta_idx] = self.theta
-        rows_gram = sum(n * n for n in self.sizes)
-        A = np.zeros((rows_gram + len(self.gamma_pos), len(self.free_idx)))
-        b = np.zeros(A.shape[0])
-        off = 0
-        self.offsets = []
-        for cg in compiled:
-            self.offsets.append(off)
-            n = cg.size
-            for t in range(len(cg.coeffs)):
-                facs = cg.factors[t]
-                free_f = [f for f in facs if f < nv and f not in theta_set]
-                if len(free_f) > 1:
-                    raise ValueError("Gram entries must be affine in the multipliers")
-                cval = cg.coeffs[t] * np.prod(
-                    [pin[f] for f in facs if f == nv or f in theta_set])
-                r1 = off + cg.rows[t] * n + cg.cols[t]
-                r2 = off + cg.cols[t] * n + cg.rows[t]
-                for r in ([r1] if r1 == r2 else [r1, r2]):
-                    if free_f:
-                        A[r, free_pos[free_f[0]]] += cval
-                    else:
-                        b[r] += cval
-            off += n * n
-        for j, gp in enumerate(self.gamma_pos):
-            A[rows_gram + j, gp] = 1.0
-        self.rows_gram = rows_gram
-        self.A = A
-        self.b = b
-        self.pinv = np.linalg.pinv(A, rcond=1e-12)
+        free = ~pinned[grams.factors]
+        if np.any(free.sum(axis=1) > 1):
+            raise ValueError("Gram entries must be affine in the multipliers")
+        cval = grams.coeffs * np.prod(np.where(free, 1.0, pin[grams.factors]), axis=1)
+        col = np.max(np.where(free, free_pos[grams.factors], -1), axis=1)
+        rows, col, cval = grams.scatter, col[grams.source], cval[grams.source]
+        nfree, linear = len(self.free_idx), col >= 0
+        self.rows_gram = grams.length
+        nrows = self.rows_gram + len(self.gamma_pos)
+        sign_rows = np.arange(self.rows_gram, nrows)
+        entries = np.concatenate([rows[linear] * nfree + col[linear],
+                                  sign_rows * nfree + self.gamma_pos])
+        values = np.concatenate([cval[linear], np.ones(len(sign_rows))])
+        self.A = np.bincount(entries, weights=values,
+                             minlength=nrows * nfree).reshape(nrows, nfree)
+        self.b = np.bincount(rows[~linear], weights=cval[~linear], minlength=nrows)
+        try:
+            chol = cho_factor(self.A.T @ self.A)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(
+                f"the affine Gram map at theta = {self.theta.tolist()} has linearly "
+                "dependent multiplier columns (A^T A is not positive definite)") from exc
+        self._normal_solve = cho_solve(chol, self.A.T)   # (A^T A)^-1 A^T
 
-    def _eig(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mats = np.stack([v[o:o + n * n].reshape(n, n)
-                         for o, n in zip(self.offsets, self.sizes)])
-        mats = 0.5 * (mats + mats.transpose(0, 2, 1))
-        return jacobi_eigh_batch(mats)
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """The least-squares decision ``argmin_y |A y + b - v|``."""
+        return self._normal_solve @ (v - self.b)
+
+    def _eig(self, v: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Eigenvalues (ascending) and eigenvectors of each size group's
+        symmetrized Gram stack in the packed vector ``v``."""
+        return [np.linalg.eigh(0.5 * (mats + mats.transpose(0, 2, 1)))
+                for _, mats in self.grams.split(v)]
 
     def candidate(self, y: np.ndarray) -> tuple[np.ndarray, float]:
         """Clip the sign constraints and report the worst minimum eigenvalue."""
         y = y.copy()
         y[self.gamma_pos] = np.maximum(y[self.gamma_pos], 0.0)
-        w, _ = self._eig(self.A @ y + self.b)
-        return y, float(w[:, 0].min())
+        return y, min(float(w[:, 0].min()) for w, _ in self._eig(self.A @ y + self.b))
 
     def refine(self, y: np.ndarray, iterations: int, tolerance: float,
                relaxation: float = 1.8, check_every: int = 5
@@ -319,20 +330,16 @@ class AffineGramMap:
         if lam_best >= -tolerance:
             return y_best, lam_best
         z = self.A @ y + self.b
-        nb = len(self.sizes)
         last_improvement = 0
         patience = max(500, iterations // 8)
         for it in range(iterations):
-            w, V = self._eig(z)
-            clipped = np.maximum(w, 0.0)
-            cone = np.einsum("bij,bj,bkj->bik", V, clipped, V)
-            xc = np.concatenate([cone.reshape(nb, -1).ravel(),
-                                 np.maximum(z[self.rows_gram:], 0.0)])
-            yv = self.pinv @ (2.0 * xc - z - self.b)
-            xl = self.A @ yv + self.b
+            cones = [np.einsum("bij,bj,bkj->bik", V, np.maximum(w, 0.0), V).ravel()
+                     for w, V in self._eig(z)]
+            xc = np.concatenate(cones + [np.maximum(z[self.rows_gram:], 0.0)])
+            xl = self.A @ self.project(2.0 * xc - z) + self.b
             z = z + relaxation * (xl - xc)
             if it % check_every == 0 or it == iterations - 1:
-                y_cand, lam = self.candidate(self.pinv @ (xc - self.b))
+                y_cand, lam = self.candidate(self.project(xc))
                 if lam > lam_best + 0.01 * abs(lam_best):
                     last_improvement = it
                 if lam > lam_best:
@@ -342,11 +349,6 @@ class AffineGramMap:
                 if it - last_improvement > patience:
                     break
         return y_best, lam_best
-
-
-def compile_grams(specs: Sequence[GramSpec], layout: DecisionLayout) -> list[CompiledGram]:
-    index_of = layout.index_of()
-    return [CompiledGram(spec, index_of) for spec in specs]
 
 
 @dataclass
@@ -422,7 +424,7 @@ class SolverFailure(RuntimeError):
         self.residual = residual
 
 
-def penalty(compiled: Sequence[CompiledGram], d: np.ndarray,
+def penalty(grams: GramStack, d: np.ndarray,
             margin: float) -> tuple[float, np.ndarray, np.ndarray]:
     """Value, gradient, and per-case minimum eigenvalues of the PSD penalty.
 
@@ -430,28 +432,21 @@ def penalty(compiled: Sequence[CompiledGram], d: np.ndarray,
     over every eigenvalue of every case, which vanishes exactly when all
     minimum eigenvalues clear the margin and, unlike a min-eigenvalue-only
     hinge, stays continuously differentiable through eigenvalue crossings.
-    Cases with equal Gram size are eigendecomposed together in one batched
-    Jacobi pass.
+    All matrices come from one :meth:`GramStack.flat` evaluation; each size
+    group is eigendecomposed in one batched LAPACK ``eigh`` call, and the
+    gradient is one :meth:`GramStack.weighted_gradient` pass.
     """
+    flat = grams.flat(d)
+    weights = np.empty_like(flat)
+    lams = np.empty(len(grams.sizes))
     total = 0.0
-    grad = np.zeros(len(d))
-    lams = np.empty(len(compiled))
-    by_size: dict[int, list[int]] = {}
-    for c, cg in enumerate(compiled):
-        by_size.setdefault(cg.size, []).append(c)
-    for indices in by_size.values():
-        stack = np.stack([compiled[c].matrix(d) for c in indices])
-        w, V = jacobi_eigh_batch(stack)
-        for pos, c in enumerate(indices):
-            lams[c] = float(w[pos, 0])
-            gaps = np.maximum(0.0, margin - w[pos])
-            if np.any(gaps > 0.0):
-                total += float(np.sum(gaps * gaps))
-                active = gaps > 0.0
-                Va = V[pos][:, active]
-                weight = (Va * (2.0 * gaps[active])) @ Va.T
-                grad -= compiled[c].weighted_gradient(d, weight)
-    return total, grad, lams
+    for (members, mats), (_, weight) in zip(grams.split(flat), grams.split(weights)):
+        w, V = np.linalg.eigh(mats)
+        lams[members] = w[:, 0]
+        gaps = np.maximum(0.0, margin - w)
+        total += float(np.sum(gaps * gaps))
+        weight[...] = np.einsum("bij,bj,bkj->bik", V, 2.0 * gaps, V)
+    return total, -grams.weighted_gradient(d, weights), lams
 
 
 def _map_restarts(fn, count: int) -> list:
@@ -477,12 +472,12 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
     """
     if not specs:
         raise ValueError("no Gram specs to solve")
-    compiled = compile_grams(specs, layout)
+    grams = GramStack(specs, layout)
     bounds = layout.bounds(config.k_min)
 
     def descend(x, budget, margin):
         def objective(d):
-            val, grad, _ = penalty(compiled, d, margin)
+            val, grad, _ = penalty(grams, d, margin)
             return val, grad
         return minimize(objective, x, jac=True, method="L-BFGS-B", bounds=bounds,
                         options={"maxiter": budget, "maxfun": 4 * budget,
@@ -507,13 +502,13 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
                     else (1e-3, config.margin)
                 for margin in margins:
                     x = descend(x, warmup, margin)
-            amap = AffineGramMap(compiled, layout, x[layout.theta_idx])
+            amap = AffineGramMap(grams, layout, x[layout.theta_idx])
             y, lam = amap.refine(x[amap.free_idx], dr_budget, config.tolerance)
             x = x.copy()
             x[amap.free_idx] = y
             if lam >= -config.tolerance:
                 break
-        val, _, lams = penalty(compiled, x, config.margin)
+        val, _, lams = penalty(grams, x, config.margin)
         return x, lams, float(val)
 
     results = _map_restarts(run_restart, config.restarts)
@@ -541,7 +536,7 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
         seed=config.seed,
         config_hash=config.digest(),
         restarts=restart_log,
-        matrices=eval_grams(compiled, x),
+        matrices=grams.matrices(x),
         basis_repr=[[_mono_repr(m) for m in spec.basis] for spec in specs],
     )
     if not cert.valid:
@@ -558,7 +553,8 @@ def _mono_repr(m) -> str:
 def check_certificate(specs: Sequence[GramSpec], layout: DecisionLayout,
                       cert: Certificate, tolerance: float | None = None,
                       k_min: float = 1e-4) -> tuple[bool, list[str]]:
-    """Independent re-check: recompute every Gram matrix and eigenvalue.
+    """Independent re-check: recompute every Gram matrix and its eigenvalues
+    with the in-repo Jacobi eigensolver, not the solver's LAPACK path.
 
     Verifies the sign constraints on the decision vector and that each
     case's minimum eigenvalue clears ``-tolerance``.  Returns a pass flag
@@ -575,9 +571,8 @@ def check_certificate(specs: Sequence[GramSpec], layout: DecisionLayout,
     for i in layout.gamma_idx:
         if d[i] < -1e-12:
             diagnostics.append(f"multiplier {layout.variables[i].name} = {d[i]:.3e} is negative")
-    compiled = compile_grams(specs, layout)
-    for c, cg in enumerate(compiled):
-        lam, _ = min_eigenvalue(cg.matrix(d))
+    for c, Q in enumerate(GramStack(specs, layout).matrices(d)):
+        lam, _ = min_eigenvalue(Q)
         if lam < -tol:
             diagnostics.append(f"case {c}: lambda_min = {lam:.3e} < {-tol:.1e} (margin {lam + tol:.3e})")
     return not diagnostics, diagnostics

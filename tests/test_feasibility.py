@@ -7,16 +7,18 @@ import pytest
 from sisynth.feasibility import (
     AffineGramMap,
     Certificate,
+    DecisionLayout,
+    GramStack,
     SolverFailure,
     check_certificate,
-    compile_grams,
-    eval_grams,
     jacobi_eigh,
     jacobi_eigh_batch,
     min_eigenvalue,
     penalty,
     solve,
 )
+from sisynth.poly import Polynomial, VarId, VarKind
+from sisynth.refute import GramSpec
 
 
 def random_symmetric(rng, n):
@@ -74,13 +76,12 @@ class TestJacobiEigensolver:
 class TestCompiledGram:
     def test_matrix_matches_symbolic_entries(self, braking_problem):
         p = braking_problem
-        compiled = compile_grams(p.specs, p.layout)
+        grams = GramStack(p.specs, p.layout)
         rng = np.random.default_rng(0)
         for _ in range(20):
             d = rng.uniform(-2, 2, size=p.layout.size)
             assignment = dict(zip(p.layout.variables, d))
-            for cg, spec in zip(compiled, p.specs):
-                Q = cg.matrix(d)
+            for Q, spec in zip(grams.matrices(d), p.specs):
                 for i in range(spec.size):
                     for j in range(spec.size):
                         want = spec.entries[min(i, j)][max(i, j)].evaluate(assignment)
@@ -88,64 +89,144 @@ class TestCompiledGram:
 
     def test_matrix_matches_symbolic_entries_restricted(self, restricted_problem):
         p = restricted_problem
-        compiled = compile_grams(p.specs, p.layout)
+        grams = GramStack(p.specs, p.layout)
         rng = np.random.default_rng(1)
         d = rng.uniform(-1, 1, size=p.layout.size)
         assignment = dict(zip(p.layout.variables, d))
-        for cg, spec in zip(compiled, p.specs):
-            Q = cg.matrix(d)
-            assert np.allclose(Q, Q.T)
+        for Q, spec in zip(grams.matrices(d), p.specs):
+            assert np.array_equal(Q, Q.T)
             for i in range(spec.size):
                 for j in range(i, spec.size):
                     want = spec.entries[i][j].evaluate(assignment)
                     assert abs(Q[i, j] - want) <= 1e-10 * max(1.0, abs(want))
 
-    def test_penalty_gradient_finite_difference(self, braking_problem):
-        p = braking_problem
-        compiled = compile_grams(p.specs, p.layout)
-        rng = np.random.default_rng(3)
-        d = rng.uniform(-1, 1, size=p.layout.size)
-        val, grad, lams = penalty(compiled, d, margin=0.1)
-        assert val >= 0.0
-        assert len(lams) == len(compiled)
+    def test_split_groups_cases_by_size(self, restricted_problem):
+        p = restricted_problem
+        grams = GramStack(p.specs, p.layout)
+        d = np.random.default_rng(2).uniform(-1, 1, size=p.layout.size)
+        per_case = grams.matrices(d)
+        seen = []
+        for members, stack in grams.split(grams.flat(d)):
+            for c, Q in zip(members, stack):
+                assert np.array_equal(Q, per_case[c])
+                seen.append(int(c))
+        assert sorted(seen) == list(range(len(p.specs)))
+
+    @staticmethod
+    def _check_penalty_gradient(grams, d, margin, coords):
+        val, grad, lams = penalty(grams, d, margin)
+        assert val > 0.0
+        assert len(lams) == len(grams.sizes)
         eps = 1e-6
-        for i in range(len(d)):
+        for i in coords:
             dp, dm = d.copy(), d.copy()
             dp[i] += eps
             dm[i] -= eps
-            fd = (penalty(compiled, dp, 0.1)[0] - penalty(compiled, dm, 0.1)[0]) / (2 * eps)
-            assert abs(grad[i] - fd) <= 1e-4 * max(1.0, abs(fd))
+            fd = (penalty(grams, dp, margin)[0] - penalty(grams, dm, margin)[0]) / (2 * eps)
+            assert abs(grad[i] - fd) <= 1e-4 * max(1.0, abs(fd)), i
+
+    def test_penalty_gradient_finite_difference(self, braking_problem):
+        p = braking_problem
+        grams = GramStack(p.specs, p.layout)
+        d = np.random.default_rng(3).uniform(-1, 1, size=p.layout.size)
+        self._check_penalty_gradient(grams, d, 0.1, range(len(d)))
+
+    def test_penalty_gradient_finite_difference_restricted(self, restricted_problem):
+        # width-3 terms (k * multiplier products) across eight 10x10 cases
+        p = restricted_problem
+        grams = GramStack(p.specs, p.layout)
+        assert grams.factors.shape[1] == 3 and len(grams.sizes) == 8
+        rng = np.random.default_rng(4)
+        d = rng.uniform(-1, 1, size=p.layout.size)
+        d[p.layout.theta_idx] = 0.0125
+        coords = np.concatenate([p.layout.theta_idx,
+                                 rng.choice(p.layout.size, size=40, replace=False)])
+        self._check_penalty_gradient(grams, d, 0.1, coords)
 
     def test_penalty_zero_when_clear(self, braking_problem, braking_certificate):
         p = braking_problem
-        compiled = compile_grams(p.specs, p.layout)
-        val, grad, lams = penalty(compiled, braking_certificate.decision, margin=-1.0)
+        grams = GramStack(p.specs, p.layout)
+        val, grad, lams = penalty(grams, braking_certificate.decision, margin=-1.0)
         # every eigenvalue clears a margin of -1, so the hinge is inactive
         assert val == 0.0
         assert np.allclose(grad, 0.0)
         assert np.all(lams >= -1e-6)
 
 
+class TestSolverAndCheckerEigensolvers:
+    """The solver runs LAPACK; the checker runs the in-repo Jacobi."""
+
+    @staticmethod
+    def _assert_agree(amap, v):
+        for (w, _), (_, mats) in zip(amap._eig(v), amap.grams.split(v)):
+            wj, _ = jacobi_eigh_batch(0.5 * (mats + mats.transpose(0, 2, 1)))
+            scale = np.abs(mats).max(axis=(1, 2))[:, None]
+            assert np.all(np.abs(w - wj) <= 1e-12 * scale)
+
+    def test_agree_at_random_decision(self, restricted_problem):
+        p = restricted_problem
+        grams = GramStack(p.specs, p.layout)
+        d = np.random.default_rng(6).uniform(-1, 1, size=p.layout.size)
+        d[p.layout.theta_idx] = 0.0125
+        amap = AffineGramMap(grams, p.layout, d[p.layout.theta_idx])
+        self._assert_agree(amap, grams.flat(d))
+        lams = penalty(grams, d, 0.0)[2]
+        jac = [jacobi_eigh(Q)[0][0] for Q in grams.matrices(d)]
+        assert np.allclose(lams, jac, rtol=0.0, atol=1e-12 * np.abs(grams.flat(d)).max())
+
+    def test_agree_at_dr_iterate(self, restricted_problem):
+        p = restricted_problem
+        grams = GramStack(p.specs, p.layout)
+        amap = AffineGramMap(grams, p.layout, np.array([0.0125]))
+        rng = np.random.default_rng(7)
+        y, _ = amap.refine(rng.uniform(-1, 1, size=len(amap.free_idx)),
+                           iterations=60, tolerance=1e-12)
+        self._assert_agree(amap, amap.A @ y + amap.b)
+
+
 class TestAffineGramMap:
     def test_affine_map_matches_matrices(self, braking_problem):
         p = braking_problem
-        compiled = compile_grams(p.specs, p.layout)
+        grams = GramStack(p.specs, p.layout)
         rng = np.random.default_rng(5)
         theta = rng.uniform(0.5, 2.0, size=len(p.layout.theta_idx))
-        amap = AffineGramMap(compiled, p.layout, theta)
+        amap = AffineGramMap(grams, p.layout, theta)
         for _ in range(10):
             x = rng.uniform(-1, 1, size=p.layout.size)
             x[p.layout.theta_idx] = theta
             y = x[amap.free_idx]
             stacked = amap.A @ y + amap.b
-            flat = np.concatenate([cg.matrix(x).ravel() for cg in compiled])
-            assert np.allclose(stacked[:amap.rows_gram], flat, atol=1e-12)
+            assert np.allclose(stacked[:amap.rows_gram], grams.flat(x), atol=1e-12)
             assert np.allclose(stacked[amap.rows_gram:], y[amap.gamma_pos], atol=1e-12)
+
+    @pytest.mark.parametrize("instance", ["restricted_problem", "unicycle_problem"])
+    def test_projection_matches_lstsq(self, instance, request):
+        p = request.getfixturevalue(instance)
+        grams = GramStack(p.specs, p.layout)
+        amap = AffineGramMap(grams, p.layout, np.array([0.0125]))
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            v = rng.normal(size=len(amap.b))
+            want = np.linalg.lstsq(amap.A, v - amap.b, rcond=None)[0]
+            assert np.allclose(amap.project(v), want, rtol=0.0,
+                               atol=1e-12 * max(1.0, np.abs(want).max()))
+
+    def test_dependent_columns_rejected(self):
+        k = VarId(0, "k", VarKind.DECISION)
+        a, b = VarId(1, "a", VarKind.DECISION), VarId(2, "b", VarKind.DECISION)
+        # one 1x1 Gram entry a + b: the two multiplier columns coincide
+        spec = GramSpec(basis=[()], entries=[[Polynomial({((a, 1),): 1.0, ((b, 1),): 1.0})]],
+                        p0=Polynomial.zero())
+        layout = DecisionLayout(variables=[k, a, b], theta_idx=np.array([0]),
+                                gamma_idx=np.array([], dtype=int),
+                                zeta_idx=np.array([1, 2]), kernel_idx=np.array([], dtype=int))
+        with pytest.raises(ValueError, match="linearly dependent"):
+            AffineGramMap(GramStack([spec], layout), layout, np.array([1.0]))
 
     def test_candidate_clips_sign_constraints(self, braking_problem):
         p = braking_problem
-        compiled = compile_grams(p.specs, p.layout)
-        amap = AffineGramMap(compiled, p.layout, np.array([1.5]))
+        grams = GramStack(p.specs, p.layout)
+        amap = AffineGramMap(grams, p.layout, np.array([1.5]))
         y = -np.ones(len(amap.free_idx))
         y_clipped, lam = amap.candidate(y)
         assert np.all(y_clipped[amap.gamma_pos] >= 0.0)
@@ -153,8 +234,8 @@ class TestAffineGramMap:
 
     def test_refine_certifies_feasible_instance(self, braking_problem):
         p = braking_problem
-        compiled = compile_grams(p.specs, p.layout)
-        amap = AffineGramMap(compiled, p.layout, np.array([2.0]))
+        grams = GramStack(p.specs, p.layout)
+        amap = AffineGramMap(grams, p.layout, np.array([2.0]))
         rng = np.random.default_rng(9)
         y, lam = amap.refine(rng.uniform(-1, 1, size=len(amap.free_idx)),
                              iterations=2000, tolerance=1e-8)
@@ -232,8 +313,8 @@ class TestCertificate:
 
     def test_eval_grams_matches_certificate_matrices(self, braking_problem, braking_certificate):
         p, cert = braking_problem, braking_certificate
-        compiled = compile_grams(p.specs, p.layout)
-        for recorded, recomputed in zip(cert.matrices, eval_grams(compiled, cert.decision)):
+        grams = GramStack(p.specs, p.layout)
+        for recorded, recomputed in zip(cert.matrices, grams.matrices(cert.decision)):
             assert np.allclose(recorded, recomputed, atol=1e-12)
 
 

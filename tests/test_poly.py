@@ -213,9 +213,11 @@ class TestRingProperties:
     @given(poly_triples())
     def test_ring_axioms(self, data):
         _, a, b, c = data
-        assert (a + b) + c == a + (b + c)
+        # float sums of three or more terms depend on their order, so only
+        # the two-operand sum is compared exactly
+        assert poly_close((a + b) + c, a + (b + c), tol=1e-8)
         assert a + b == b + a
-        assert a * b == b * a
+        assert poly_close(a * b, b * a, tol=1e-8)
         assert poly_close((a * b) * c, a * (b * c), tol=1e-8)
         assert poly_close(a * (b + c), a * b + a * c, tol=1e-8)
 
