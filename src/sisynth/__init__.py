@@ -14,7 +14,6 @@ from .index import (IndexParams, RelativeDegreeError, SafetyIndexFamily, build_c
 from .poly import Polynomial, PolynomialParseError, VarId, VarKind, VarRegistry, parse_polynomial
 from .refute import GramSpec, RefuteCase, build_gram, build_p0, enumerate_cases
 from .sim import BatchReport, TaskConfig, TrialReport, run_batch, run_trial
-from .system import (InvertedBoundError, NumericDynamics, SymbolicSystem, load_system,
-                     system_from_dict, unicycle_model_dict, unicycle_numeric)
+from .system import InvertedBoundError, SymbolicSystem, system_from_dict, unicycle_model_dict
 
 __version__ = "0.1.0"

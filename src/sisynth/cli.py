@@ -184,8 +184,9 @@ def simulate(config_path, cert_path, trials, seed, trajectories, output):
 
     k = _theta_from_cert(problem, cert)
     params = problem.params(k)
+    start = time.perf_counter()
     batch = run_batch(problem.family, params, task, record=trajectories)
-    report = markdown_report(batch, k)
+    report = markdown_report(batch, k, sim_time=time.perf_counter() - start)
     report_path = outdir / "report.md"
     report_path.write_text(report)
     if trajectories:

@@ -5,16 +5,23 @@ the nominal control inside the state-dependent box intersected with the
 halfspace ``L_f phi + L_g phi . u <= -eta``.  The single linear constraint
 makes the dual one-dimensional and monotone, so the exact minimizer is found
 by bisection on the dual multiplier.
+
+:func:`project` is the law itself.  It works on plain floats and reads the
+family's polynomials from a :class:`~sisynth.index.LoweredIndex` built once
+per parameter set, so the simulator calls it on every step without building
+dicts or arrays.  :func:`safe_control` is the public wrapper that lowers the
+family for one call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .index import IndexParams, SafetyIndexFamily, decision_assignment
+from .index import IndexParams, LoweredIndex, SafetyIndexFamily, box_min
 from .system import SymbolicSystem
 
 MU_TOL = 1e-13
@@ -49,51 +56,63 @@ def safe_control(fam: SafetyIndexFamily, params: IndexParams, state: Sequence[fl
     ``min ||u - u_ref||^2  s.t.  c.u <= b,  u in box`` exactly, where
     ``c = L_g phi`` and ``b = -eta - L_f phi`` at the current state.
     """
-    sys = sys if sys is not None else fam.system
-    a = sys.assignment(state)
-    a.update(decision_assignment(fam, params))
-    lower, upper = sys.control_box(state)
-    u_ref = np.asarray(u_ref, dtype=float)
+    lowered = fam.lowered(params, sys)
+    lower, upper = lowered.box(state)
+    u, active, phidot = project(lowered, state, u_ref, lower, upper)
+    return SafeControlResult(u=np.array(u), constraint_active=active, phidot_achieved=phidot)
 
-    lf = float(fam.Lf_phi.evaluate(a))
-    c = np.array([lg.evaluate(a) for lg in fam.Lg_phi], dtype=float)
-    phi = float(fam.phi_theta.evaluate(a))
 
-    if phi < 0.0:
-        u = np.clip(u_ref, lower, upper)
-        return SafeControlResult(u=u, constraint_active=False,
-                                 phidot_achieved=lf + float(c @ u))
+def _dot(c: Sequence[float], u: Sequence[float]) -> float:
+    total = 0.0
+    for ci, ui in zip(c, u):
+        total = total + ci * ui
+    return total
 
-    b = -params.eta - lf
-    # The box minimum of c.u is attained at the per-coordinate vertex.
-    vertex_min = float(np.sum(np.where(c >= 0, c * lower, c * upper)))
+
+def _clamped(u_ref, mu: float, c, lower, upper) -> list[float]:
+    """``clip(u_ref - mu * c, lower, upper)`` coordinate by coordinate."""
+    return [min(max(r - mu * ci, lo), hi) for r, ci, lo, hi in zip(u_ref, c, lower, upper)]
+
+
+def project(lowered: LoweredIndex, x: Sequence[float], u_ref: Sequence[float],
+            lower: Sequence[float], upper: Sequence[float]) -> tuple[list[float], bool, float]:
+    """The safe control law of :func:`safe_control`, on plain numbers.
+
+    ``x`` is the state, ``u_ref`` the nominal control and ``lower``/``upper``
+    the control box at ``x`` (from ``lowered.box``).  Returns the control,
+    whether the index was active, and the achieved ``phidot``.
+    """
+    lf = lowered.lf.evaluate(x)
+    c = [lg.evaluate(x) for lg in lowered.lg]
+    u0 = _clamped(u_ref, 0.0, c, lower, upper)
+    if lowered.phi.evaluate(x) < 0.0:
+        return u0, False, lf + _dot(c, u0)
+
+    b = -lowered.eta - lf
+    vertex_min = box_min(c, lower, upper)
     if vertex_min > b + FEAS_TOL:
-        raise Infeasible(state, required=-params.eta, best=lf + vertex_min)
+        raise Infeasible(x, required=-lowered.eta, best=lf + vertex_min)
+    if _dot(c, u0) <= b + FEAS_TOL:
+        return u0, True, lf + _dot(c, u0)
 
-    def clamped(mu: float) -> np.ndarray:
-        return np.clip(u_ref - mu * c, lower, upper)
-
-    u0 = clamped(0.0)
-    if float(c @ u0) <= b + FEAS_TOL:
-        return SafeControlResult(u=u0, constraint_active=True,
-                                 phidot_achieved=lf + float(c @ u0))
+    def residual(mu: float) -> float:
+        return _dot(c, _clamped(u_ref, mu, c, lower, upper))
 
     # residual r(mu) = c.u(mu) - b is nonincreasing in mu; bracket then bisect
     mu_lo, mu_hi = 0.0, 1.0
-    while float(c @ clamped(mu_hi)) > b:
+    while residual(mu_hi) > b:
         mu_lo = mu_hi
         mu_hi *= 2.0
         if mu_hi > 1e18:
-            raise Infeasible(state, required=-params.eta, best=lf + vertex_min)
+            raise Infeasible(x, required=-lowered.eta, best=lf + vertex_min)
     while mu_hi - mu_lo > MU_TOL * max(1.0, mu_hi):
         mid = 0.5 * (mu_lo + mu_hi)
-        if float(c @ clamped(mid)) > b:
+        if residual(mid) > b:
             mu_lo = mid
         else:
             mu_hi = mid
-    u = clamped(mu_hi)
-    return SafeControlResult(u=u, constraint_active=True,
-                             phidot_achieved=lf + float(c @ u))
+    u = _clamped(u_ref, mu_hi, c, lower, upper)
+    return u, True, lf + _dot(c, u)
 
 
 @dataclass
@@ -104,25 +123,24 @@ class NominalGains:
 
 
 def wrap_angle(a: float) -> float:
-    return float(np.arctan2(np.sin(a), np.cos(a)))
+    return math.atan2(math.sin(a), math.cos(a))
 
 
 def nominal_control(position: Sequence[float], heading: float, speed: float,
-                    goal: Sequence[float], box: tuple[np.ndarray, np.ndarray],
-                    v_max: float, gains: NominalGains = NominalGains()) -> np.ndarray:
+                    goal: Sequence[float], box: tuple[Sequence[float], Sequence[float]],
+                    v_max: float, gains: NominalGains = NominalGains()) -> tuple[float, float]:
     """Proportional navigation: steer at the goal bearing, hold cruise speed.
 
     Slows proportionally when closer to the goal than one cruise-speed
-    second.  Output is clamped to the state-dependent control box.
+    second.  Output ``(a, w)`` is clamped to the state-dependent control box.
     """
-    position = np.asarray(position, dtype=float)
-    delta = np.asarray(goal, dtype=float) - position
-    dist = float(np.hypot(*delta))
-    bearing = float(np.arctan2(delta[1], delta[0]))
-    heading_err = wrap_angle(bearing - heading)
+    dx = goal[0] - position[0]
+    dy = goal[1] - position[1]
+    dist = math.hypot(dx, dy)
+    heading_err = wrap_angle(math.atan2(dy, dx) - heading)
 
     v_des = gains.cruise * v_max * min(1.0, dist / max(gains.cruise * v_max, 1e-9))
     a_cmd = gains.speed * (v_des - speed)
     w_cmd = gains.heading * heading_err
     lower, upper = box
-    return np.clip(np.array([a_cmd, w_cmd]), lower, upper)
+    return (min(max(a_cmd, lower[0]), upper[0]), min(max(w_cmd, lower[1]), upper[1]))

@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .index import IndexParams, SafetyIndexFamily, decision_assignment
+from .index import IndexParams, SafetyIndexFamily, box_min
+from .poly import LoweredPolynomial
 from .system import InvertedBoundError, SymbolicSystem
 
 DEFAULT_SLACK = 1e-6
@@ -116,18 +117,21 @@ def falsify(fam: SafetyIndexFamily, params: IndexParams, sys: SymbolicSystem,
     """
     coords = _axis_values(cfg.axes, cfg.samples, cfg.seed)
     assignment = _state_arrays(cfg.axes, coords, sys)
+    x = tuple(assignment[v] for v in sys.state_vars)
     n_pts = coords.shape[1]
+
+    def points(p: LoweredPolynomial) -> np.ndarray:
+        return np.broadcast_to(np.asarray(p.evaluate(x), dtype=float), (n_pts,))
 
     in_space = np.ones(n_pts, dtype=bool)
     for h in sys.constraints_h:
-        in_space &= np.asarray(h.evaluate(assignment)) >= -SPACE_TOL
+        in_space &= np.asarray(h.lower(sys.state_vars).evaluate(x)) >= -SPACE_TOL
     for z in sys.identities_zeta:
-        in_space &= np.abs(np.asarray(z.evaluate(assignment))) <= SPACE_TOL
+        in_space &= np.abs(np.asarray(z.lower(sys.state_vars).evaluate(x))) <= SPACE_TOL
 
-    lower = [np.broadcast_to(np.asarray(p.evaluate(assignment), dtype=float), (n_pts,))
-             for p in sys.u_lower]
-    upper = [np.broadcast_to(np.asarray(p.evaluate(assignment), dtype=float), (n_pts,))
-             for p in sys.u_upper]
+    lowered = fam.lowered(params, sys)
+    lower = [points(p) for p in lowered.lower]
+    upper = [points(p) for p in lowered.upper]
     for i in range(sys.nu):
         bad = in_space & (lower[i] > upper[i] + SPACE_TOL)
         if np.any(bad):
@@ -135,13 +139,8 @@ def falsify(fam: SafetyIndexFamily, params: IndexParams, sys: SymbolicSystem,
             state = np.array([assignment[v][j] for v in sys.state_vars])
             raise InvertedBoundError(i, state)
 
-    full = dict(assignment)
-    full.update(decision_assignment(fam, params))
-    phi = np.broadcast_to(np.asarray(fam.phi_theta.evaluate(full), dtype=float), (n_pts,))
-    worst = np.broadcast_to(np.asarray(fam.Lf_phi.evaluate(full), dtype=float), (n_pts,)).copy()
-    for i, lg in enumerate(fam.Lg_phi):
-        c = np.broadcast_to(np.asarray(lg.evaluate(full), dtype=float), (n_pts,))
-        worst = worst + np.where(c >= 0, c * lower[i], c * upper[i])
+    phi = points(lowered.phi)
+    worst = box_min((points(lg) for lg in lowered.lg), lower, upper, points(lowered.lf))
 
     mask = in_space & (phi >= 0.0) & (worst >= -params.eta - cfg.slack)
     idx = np.nonzero(mask)[0]

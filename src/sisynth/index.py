@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .poly import Polynomial, VarId, VarKind, VarRegistry
-from .system import SymbolicSystem
+from .poly import LoweredPolynomial, Polynomial, VarId, VarKind, VarRegistry
+from .system import STATE_TOL, InvertedBoundError, SymbolicSystem
 
 K_MIN = 1e-4
 
@@ -53,9 +53,6 @@ class SafetyIndexFamily:
     Lg_phi: list[Polynomial]
     system: SymbolicSystem
 
-    def phi_theta_numeric(self, k: Sequence[float]) -> Polynomial:
-        return self.phi_theta.subs(dict(zip(self.theta, np.asarray(k, dtype=float))))
-
     def chain_numeric(self, params: "IndexParams") -> list[Polynomial]:
         """Numeric-coefficient members ``[phi_0, phi_1, ..., phi_n]``.
 
@@ -71,6 +68,50 @@ class SafetyIndexFamily:
                 pj = pj + coeff * self.phi0_derivs[m - 1]
             chain.append(pj)
         return chain
+
+    def lowered(self, params: "IndexParams",
+                sys: SymbolicSystem | None = None) -> "LoweredIndex":
+        """Every polynomial the safe control law and its monitors read, with
+        ``theta = params.k`` substituted, lowered over ``sys.state_vars``."""
+        sys = sys if sys is not None else self.system
+        theta = decision_assignment(self, params)
+        low = lambda p: p.lower(sys.state_vars, theta)
+        return LoweredIndex(chain=tuple(low(p) for p in self.chain_numeric(params)),
+                            phi=low(self.phi_theta), lf=low(self.Lf_phi),
+                            lg=tuple(low(p) for p in self.Lg_phi),
+                            lower=tuple(low(p) for p in sys.u_lower),
+                            upper=tuple(low(p) for p in sys.u_upper),
+                            eta=float(params.eta), dim=len(sys.state_vars))
+
+
+@dataclass(frozen=True)
+class LoweredIndex:
+    """A family at fixed parameters, lowered for evaluation on state vectors.
+
+    Every member evaluates a state given as a sequence of floats (one trial
+    step) or of arrays (a batch of sampled points), ordered as the system's
+    state variables.
+    """
+
+    chain: tuple[LoweredPolynomial, ...]   # numeric members phi_0 .. phi_n
+    phi: LoweredPolynomial                 # phi_theta
+    lf: LoweredPolynomial
+    lg: tuple[LoweredPolynomial, ...]
+    lower: tuple[LoweredPolynomial, ...]   # control box bounds
+    upper: tuple[LoweredPolynomial, ...]
+    eta: float
+    dim: int                               # state dimension
+
+    def box(self, x: Sequence[float]) -> tuple[list[float], list[float]]:
+        """The control box at one state; raises on an inverted bound."""
+        if len(x) != self.dim:
+            raise ValueError("state dimension mismatch")
+        lower = [p.evaluate(x) for p in self.lower]
+        upper = [p.evaluate(x) for p in self.upper]
+        for i, (lo, hi) in enumerate(zip(lower, upper)):
+            if lo > hi + STATE_TOL:
+                raise InvertedBoundError(i, np.asarray(x, dtype=float))
+        return lower, upper
 
 
 def _elementary_symmetric(values: Sequence[float], m: int) -> float:
@@ -156,23 +197,31 @@ def decision_assignment(fam: SafetyIndexFamily, params: IndexParams) -> dict[Var
     return dict(zip(fam.theta, params.k))
 
 
+def box_min(c: Iterable, lower: Sequence, upper: Sequence, start=0.0):
+    """Minimum of ``start + c.u`` over the box ``lower <= u <= upper``.
+
+    The minimum of a linear form over a box is attained at a per-coordinate
+    vertex: the lower bound where the coefficient is nonnegative, the upper
+    bound otherwise.  The sum accumulates onto ``start`` one coordinate at a
+    time.  Entries are floats, or arrays holding one value per point; for
+    arrays, passing ``c`` as an iterator keeps one coefficient array alive at
+    a time.
+    """
+    for ci, lo, hi in zip(c, lower, upper):
+        if isinstance(ci, np.ndarray):
+            start = start + np.where(ci >= 0, ci * lo, ci * hi)
+        else:
+            start = start + (ci * lo if ci >= 0 else ci * hi)
+    return start
+
+
 def worst_case_phidot(fam: SafetyIndexFamily, params: IndexParams,
                       state: Sequence[float], sys: SymbolicSystem | None = None) -> float:
-    """Minimum of d(phi_theta)/dt over the control box at ``state``.
-
-    The minimum of a control-affine expression over a box is attained at a
-    per-coordinate vertex: the lower bound where the coefficient is
-    nonnegative, the upper bound otherwise.
-    """
-    sys = sys if sys is not None else fam.system
-    a = sys.assignment(state)
-    a.update(decision_assignment(fam, params))
-    lower, upper = sys.control_box(state)
-    total = fam.Lf_phi.evaluate(a)
-    for i, lg in enumerate(fam.Lg_phi):
-        c = lg.evaluate(a)
-        total += c * (lower[i] if c >= 0 else upper[i])
-    return float(total)
+    """Minimum of d(phi_theta)/dt over the control box at ``state``."""
+    lowered = fam.lowered(params, sys)
+    lower, upper = lowered.box(state)
+    c = [lg.evaluate(state) for lg in lowered.lg]
+    return float(box_min(c, lower, upper, lowered.lf.evaluate(state)))
 
 
 def principal_membership(fam: SafetyIndexFamily, params: IndexParams,

@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 COEFF_PRUNE = 1e-12
 
@@ -245,6 +245,30 @@ class Polynomial:
             total = total + val
         return total
 
+    def lower(self, variables: Sequence[VarId],
+              fixed: Mapping[VarId, float] | None = None) -> "LoweredPolynomial":
+        """Lower to a term table over positional values of ``variables``.
+
+        Variables outside ``variables`` must be given a value in ``fixed``;
+        those values are baked into the table.
+        """
+        slot = {v: i for i, v in enumerate(variables)}
+        fixed = fixed or {}
+        missing = [v.name for v in self.variables() if v not in slot and v not in fixed]
+        if missing:
+            raise KeyError(f"unassigned variables: {sorted(missing)}")
+        values: list[float] = []
+        terms = []
+        for m, c in self.terms.items():
+            factors = []
+            for v, e in m:
+                if v not in slot:
+                    slot[v] = len(variables) + len(values)
+                    values.append(float(fixed[v]))
+                factors.append((slot[v], e))
+            terms.append((c, tuple(factors)))
+        return LoweredPolynomial(tuple(terms), tuple(values))
+
     def subs(self, partial: Mapping[VarId, "Polynomial | float"]) -> "Polynomial":
         """Substitute some variables by values or polynomials."""
         out = Polynomial.zero()
@@ -282,6 +306,39 @@ class Polynomial:
             factors = [_fmt_coeff(c)] + [f"{v.name}^{e}" if e > 1 else v.name for v, e in m]
             parts.append("*".join(factors))
         return " + ".join(parts)
+
+
+class LoweredPolynomial:
+    """A polynomial lowered to a term table for repeated numeric evaluation.
+
+    Built by :meth:`Polynomial.lower`.  ``terms`` holds one
+    ``(coefficient, ((slot, exponent), ...))`` entry per term, in the order
+    of ``Polynomial.terms`` and with each monomial's factors in their stored
+    order.  Slot ``i`` reads the i-th lowered variable; slots past them read
+    ``fixed``, the values substituted at lowering time.
+    """
+
+    __slots__ = ("terms", "fixed")
+
+    def __init__(self, terms: tuple, fixed: tuple[float, ...]):
+        self.terms = terms
+        self.fixed = fixed
+
+    def evaluate(self, x: Sequence):
+        """Value at ``x``: one float, or one array of points, per lowered variable.
+
+        Runs the products and sums of :meth:`Polynomial.evaluate` in the same
+        order, so both give the same result bit for bit.  A factor with
+        exponent 1 skips the power, which is exact.
+        """
+        vals = (*x, *self.fixed) if self.fixed else x
+        total = 0.0
+        for c, factors in self.terms:
+            val = c
+            for i, e in factors:
+                val = val * (vals[i] if e == 1 else vals[i] ** e)
+            total = total + val
+        return total
 
 
 def _fmt_coeff(c: float) -> str:

@@ -7,19 +7,28 @@ outside the obstacle's protective radius with the goal placed beyond the
 obstacle, forcing the nominal path through it, and report safe-set landing,
 post-entry violations, and forward-invariance / finite-time-convergence
 monitor results.
+
+A trial steps on plain Python floats with ``math``: :func:`run_batch` lowers
+the chain members, the control box, ``L_f phi``, ``L_g phi`` and
+``phi_theta`` once (:meth:`~sisynth.index.SafetyIndexFamily.lowered`), and
+each step evaluates those term tables, forms the nominal control, calls
+:func:`~sisynth.controller.project` and advances the world pose with
+:func:`step`.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import Infeasible, NominalGains, nominal_control, safe_control, wrap_angle
-from .index import IndexParams, SafetyIndexFamily
+from .controller import Infeasible, NominalGains, nominal_control, project, wrap_angle
+from .controller import safe_control  # noqa: F401  (bench/worker.py traces sim.safe_control)
+from .index import IndexParams, LoweredIndex, SafetyIndexFamily
 
 COLLISION_EPS = 1e-6
 GOAL_RADIUS = 0.2
@@ -32,7 +41,7 @@ class CollisionError(RuntimeError):
 
 @dataclass
 class WorldState:
-    position: np.ndarray   # (2,)
+    position: tuple[float, float]
     heading: float         # psi, radians
     speed: float
 
@@ -46,24 +55,24 @@ class RelativeState:
 
 
 def relative_state(world: WorldState, obstacle=(0.0, 0.0)) -> RelativeState:
-    rel = world.position - np.asarray(obstacle, dtype=float)
-    d = float(np.hypot(*rel))
-    beta = float(np.arctan2(rel[1], rel[0]))
+    rx = world.position[0] - obstacle[0]
+    ry = world.position[1] - obstacle[1]
+    beta = math.atan2(ry, rx)
     # bearing of the obstacle from the agent is beta + pi
-    alpha = wrap_angle(world.heading - beta - np.pi)
-    return RelativeState(d=d, v=world.speed, alpha=alpha, beta=beta)
+    alpha = wrap_angle(world.heading - beta - math.pi)
+    return RelativeState(d=math.hypot(rx, ry), v=world.speed, alpha=alpha, beta=beta)
 
 
 def world_from_relative(rel: RelativeState, obstacle=(0.0, 0.0)) -> WorldState:
-    position = np.asarray(obstacle, dtype=float) + rel.d * np.array(
-        [np.cos(rel.beta), np.sin(rel.beta)])
-    return WorldState(position=position, heading=wrap_angle(rel.alpha + rel.beta + np.pi),
+    position = (obstacle[0] + rel.d * math.cos(rel.beta),
+                obstacle[1] + rel.d * math.sin(rel.beta))
+    return WorldState(position=position, heading=wrap_angle(rel.alpha + rel.beta + math.pi),
                       speed=rel.v)
 
 
-def sym_state(rel: RelativeState) -> np.ndarray:
+def sym_state(rel: RelativeState) -> tuple[float, float, float, float]:
     """State vector in the symbolic coordinates [d, sin(alpha), cos(alpha), v]."""
-    return np.array([rel.d, np.sin(rel.alpha), np.cos(rel.alpha), rel.v])
+    return (rel.d, math.sin(rel.alpha), math.cos(rel.alpha), rel.v)
 
 
 def step(world: WorldState, u, dt: float, obstacle=(0.0, 0.0)) -> WorldState:
@@ -77,11 +86,12 @@ def step(world: WorldState, u, dt: float, obstacle=(0.0, 0.0)) -> WorldState:
     if rel.d < COLLISION_EPS:
         raise CollisionError(f"agent at the obstacle center (d={rel.d:.2e})")
     a, w = float(u[0]), float(u[1])
-    beta_dot = -rel.v * np.sin(rel.alpha) / rel.d
+    beta_dot = -rel.v * math.sin(rel.alpha) / rel.d
     psi_dot = w + beta_dot
     speed = world.speed + dt * a
-    position = world.position + dt * speed * np.array(
-        [np.cos(world.heading), np.sin(world.heading)])
+    travel = dt * speed
+    position = (world.position[0] + travel * math.cos(world.heading),
+                world.position[1] + travel * math.sin(world.heading))
     return WorldState(position=position,
                       heading=wrap_angle(world.heading + dt * psi_dot),
                       speed=speed)
@@ -129,6 +139,7 @@ class TrialReport:
     failure: str | None = None
     max_overshoot: float = 0.0
     eps_disc: float = 0.0
+    steps: int = 0          # filter steps taken
     rows: list = field(default_factory=list)
 
     @property
@@ -138,8 +149,8 @@ class TrialReport:
                 and self.ftc_ok)
 
 
-def run_trial(fam: SafetyIndexFamily, params: IndexParams, task: TaskConfig,
-              trial: int, record: bool = False) -> TrialReport:
+def initial_state(task: TaskConfig, trial: int) -> tuple[WorldState, tuple[float, float]]:
+    """Start pose and goal of a trial, drawn from its own RNG stream."""
     rng = np.random.default_rng([task.seed, trial])
     d0 = rng.uniform(*task.d_init)
     beta0 = rng.uniform(-np.pi, np.pi)
@@ -149,48 +160,51 @@ def run_trial(fam: SafetyIndexFamily, params: IndexParams, task: TaskConfig,
     goal = (rng.uniform(*task.goal_dist) * toward
             + rng.uniform(-task.lateral_offset, task.lateral_offset) * perp)
     alpha0 = rng.uniform(-np.pi, np.pi)
-    world = WorldState(position=position,
-                       heading=wrap_angle(alpha0 + beta0 + np.pi),
-                       speed=0.0)
+    world = WorldState(position=(float(position[0]), float(position[1])),
+                       heading=wrap_angle(alpha0 + beta0 + np.pi), speed=0.0)
+    return world, (float(goal[0]), float(goal[1]))
 
-    chain = fam.chain_numeric(params)
-    n = fam.order
-    sys = fam.system
+
+def run_trial(fam: SafetyIndexFamily, params: IndexParams, task: TaskConfig,
+              trial: int, record: bool = False,
+              lowered: LoweredIndex | None = None) -> TrialReport:
+    """One trial.  ``lowered`` is ``fam.lowered(params)``; :func:`run_batch`
+    builds it once for all its trials."""
+    if lowered is None:
+        lowered = fam.lowered(params)
+    world, goal = initial_state(task, trial)
     steps = int(round(task.horizon / task.dt))
 
-    phis = np.empty((steps + 1, n + 1))
+    phis = []
     rows = []
     reached_goal = False
     failure = None
-    t_used = 0
 
     for t in range(steps + 1):
         rel = relative_state(world)
         x = sym_state(rel)
-        a = sys.assignment(x)
-        phis[t] = [p.evaluate(a) for p in chain]
-        t_used = t
-        if np.hypot(*(goal - world.position)) < GOAL_RADIUS:
+        phi = [p.evaluate(x) for p in lowered.chain]
+        phis.append(phi)
+        px, py = world.position
+        if math.hypot(goal[0] - px, goal[1] - py) < GOAL_RADIUS:
             reached_goal = True
             break
         if t == steps:
             break
-        box = sys.control_box(x)
+        lower, upper = lowered.box(x)
         u_ref = nominal_control(world.position, world.heading, world.speed, goal,
-                                box, task.v_max, task.gains)
+                                (lower, upper), task.v_max, task.gains)
         try:
-            result = safe_control(fam, params, x, u_ref)
+            u, active, _ = project(lowered, x, u_ref, lower, upper)
             if record:
-                rows.append([t * task.dt, *world.position, world.heading, world.speed,
-                             rel.d, rel.alpha, rel.beta, *result.u, *phis[t],
-                             int(result.constraint_active)])
-            world = step(world, result.u, task.dt)
+                rows.append([t * task.dt, px, py, world.heading, world.speed,
+                             rel.d, rel.alpha, rel.beta, *u, *phi, int(active)])
+            world = step(world, u, task.dt)
         except (Infeasible, CollisionError) as exc:
             failure = str(exc)
             break
 
-    phis = phis[:t_used + 1]
-    return _assess(trial, phis, params, task, reached_goal, failure, rows)
+    return _assess(trial, np.array(phis), params, task, reached_goal, failure, rows)
 
 
 def _assess(trial: int, phis: np.ndarray, params: IndexParams, task: TaskConfig,
@@ -236,7 +250,7 @@ def _assess(trial: int, phis: np.ndarray, params: IndexParams, task: TaskConfig,
                        violations_after_entry=violations, fi_failures=fi_failures,
                        ftc_ok=ftc_ok, ftc_bound=ftc_bound, reached_goal=reached_goal,
                        failure=failure, max_overshoot=max_overshoot,
-                       eps_disc=eps_disc, rows=rows)
+                       eps_disc=eps_disc, steps=len(phis) - 1, rows=rows)
 
 
 @dataclass
@@ -262,17 +276,22 @@ class BatchReport:
     def all_ok(self) -> bool:
         return all(r.ok for r in self.reports)
 
+    @property
+    def steps(self) -> int:
+        return sum(r.steps for r in self.reports)
+
 
 def run_batch(fam: SafetyIndexFamily, params: IndexParams, task: TaskConfig,
               record: bool = False) -> BatchReport:
     workers = int(os.environ.get("SISYNTH_THREADS", "1"))
     indices = range(task.trials)
+    lowered = fam.lowered(params)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(
-                lambda i: run_trial(fam, params, task, i, record), indices))
+                lambda i: run_trial(fam, params, task, i, record, lowered), indices))
     else:
-        reports = [run_trial(fam, params, task, i, record) for i in indices]
+        reports = [run_trial(fam, params, task, i, record, lowered) for i in indices]
     return BatchReport(reports=sorted(reports, key=lambda r: r.trial))
 
 
@@ -290,7 +309,9 @@ def trajectory_csv(report: TrialReport, path: str, order: int = 1) -> None:
             writer.writerow([f"{x:.9g}" if isinstance(x, float) else x for x in row])
 
 
-def markdown_report(batch: BatchReport, k, solve_time: float | None = None) -> str:
+def markdown_report(batch: BatchReport, k, solve_time: float | None = None,
+                    sim_time: float | None = None) -> str:
+    """The batch summary; ``sim_time`` is the wall time of the batch in seconds."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
     k_str = ", ".join(f"{v:.4e}" for v in k)
     time_str = f"{solve_time:.1f} s" if solve_time is not None else "n/a"
@@ -307,6 +328,10 @@ def markdown_report(batch: BatchReport, k, solve_time: float | None = None) -> s
         f"- convergence monitor failures: {sum(0 if r.ftc_ok else 1 for r in batch.reports)}",
         f"- controller/collision failures: {sum(r.failure is not None for r in batch.reports)}",
     ]
+    if sim_time is not None:
+        rate = f"{batch.steps / sim_time:,.0f}" if sim_time > 0 else "n/a"
+        lines.append(f"- simulation wall time: {sim_time:.2f} s for {batch.steps:,} filter steps "
+                     f"({rate} steps/s)")
     failed = [r for r in batch.reports if not r.ok]
     if failed:
         lines.append("")

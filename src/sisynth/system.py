@@ -8,9 +8,8 @@ algebraic identities ``zeta_l(x) = 0`` (used e.g. to tie sin/cos pairs).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -92,14 +91,6 @@ class SymbolicSystem:
         return out
 
 
-@dataclass
-class NumericDynamics:
-    """Plain-callable twin of a symbolic system, for simulation."""
-
-    derivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    control_box: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-
 MODEL_KEYS = {"state_vars", "f", "g", "u_lower", "u_upper", "h", "zeta", "dt"}
 
 
@@ -133,11 +124,6 @@ def system_from_dict(spec: Mapping, registry: VarRegistry | None = None) -> Symb
     )
 
 
-def load_system(path: str, registry: VarRegistry | None = None) -> SymbolicSystem:
-    with open(path) as fh:
-        return system_from_dict(json.load(fh), registry)
-
-
 def unicycle_model_dict(v_min=-1.0, v_max=1.0, w_min=-1.0, w_max=1.0, dt=0.01,
                         cos_alpha_min: float | None = None) -> dict:
     """Second-order unicycle in relative coordinates.
@@ -161,19 +147,3 @@ def unicycle_model_dict(v_min=-1.0, v_max=1.0, w_min=-1.0, w_max=1.0, dt=0.01,
         "zeta": ["x^2 + y^2 - 1"],
         "dt": dt,
     }
-
-
-def unicycle_numeric(v_min=-1.0, v_max=1.0, w_min=-1.0, w_max=1.0, dt=0.01) -> NumericDynamics:
-    """Relative-coordinate unicycle dynamics over ``[d, v, alpha, beta]``."""
-
-    def derivative(state: np.ndarray, control: np.ndarray) -> np.ndarray:
-        d, v, alpha, _beta = state
-        a, w = control
-        return np.array([-v * np.cos(alpha), a, w, -v * np.sin(alpha) / d])
-
-    def control_box(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v = state[1]
-        return (np.array([(v_min - v) / dt, w_min]),
-                np.array([(v_max - v) / dt, w_max]))
-
-    return NumericDynamics(derivative, control_box)

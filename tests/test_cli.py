@@ -136,6 +136,7 @@ class TestSimulate:
         assert (tmp_path / "report.md").exists()
         assert (tmp_path / "trajectory_000.csv").exists()
         assert "Safe Set (%)" in result.output
+        assert "steps/s" in (tmp_path / "report.md").read_text()
 
     def test_zero_trials_warns(self, runner, restricted_cert_path, tmp_path):
         result = runner.invoke(main, [

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sisynth.index import (IndexParams, RelativeDegreeError, build_chain,
+from sisynth.index import (IndexParams, RelativeDegreeError, box_min, build_chain,
                            principal_membership, worst_case_phidot)
 from sisynth.poly import Polynomial, parse_polynomial
 from sisynth.system import system_from_dict, unicycle_model_dict
@@ -116,6 +116,26 @@ class TestWorstCasePhidot:
             grid_w = np.linspace(lower[1], upper[1], 20)
             grid_min = min(lf + c @ np.array([ua, uw]) for ua in grid_a for uw in grid_w)
             assert got <= grid_min + 1e-9
+
+
+class TestBoxMin:
+    def test_points_agree_with_single_states(self):
+        # the array form (falsifier) and the float form (controller,
+        # worst_case_phidot) of the vertex rule give the same values
+        rng = np.random.default_rng(8)
+        c = [rng.normal(size=64), rng.normal(size=64)]
+        c[0][:8] = 0.0
+        lower = [rng.uniform(-2, 0, size=64), rng.uniform(-2, 0, size=64)]
+        upper = [lo + rng.uniform(0, 2, size=64) for lo in lower]
+        offset = rng.normal(size=64)
+        got = box_min(c, lower, upper, offset)
+        for j in range(64):
+            one = box_min([ci[j] for ci in c], [lo[j] for lo in lower],
+                          [hi[j] for hi in upper], offset[j])
+            corners = [offset[j] + c[0][j] * u0 + c[1][j] * u1
+                       for u0 in (lower[0][j], upper[0][j]) for u1 in (lower[1][j], upper[1][j])]
+            assert got[j] == one
+            assert math.isclose(one, min(corners), rel_tol=1e-12, abs_tol=1e-12)
 
 
 class TestPrincipalMembership:

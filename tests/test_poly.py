@@ -124,6 +124,61 @@ class TestEvaluate:
         np.testing.assert_allclose(out, xs ** 2)
 
 
+class TestLowered:
+    """The lowered term table against the dict evaluator, bit for bit."""
+
+    @staticmethod
+    def registries():
+        # a decision variable after the states, and one between them, so a
+        # substituted factor also sits inside a product
+        after = VarRegistry()
+        after.state("x")
+        after.state("y")
+        after.decision("k")
+        between = VarRegistry()
+        between.state("x")
+        between.decision("k")
+        between.state("y")
+        return after, between
+
+    def test_float_inputs(self):
+        rng = np.random.default_rng(20)
+        for r in self.registries():
+            states = [r["x"], r["y"]]
+            for _ in range(300):
+                p = random_polynomial(rng, states)
+                pt = random_assignment(rng, states)
+                assert p.lower(states).evaluate([pt[v] for v in states]) == p.evaluate(pt)
+
+    def test_array_inputs(self):
+        rng = np.random.default_rng(21)
+        for r in self.registries():
+            states = [r["x"], r["y"]]
+            for _ in range(100):
+                p = random_polynomial(rng, states)
+                pt = {v: rng.uniform(-2, 2, size=40) for v in states}
+                got = p.lower(states).evaluate([pt[v] for v in states])
+                assert np.array_equal(got, p.evaluate(pt))
+
+    def test_substituted_decision_variables(self):
+        rng = np.random.default_rng(22)
+        for r in self.registries():
+            states, k = [r["x"], r["y"]], r["k"]
+            for _ in range(300):
+                p = random_polynomial(rng, r.variables, max_degree=4)
+                pt = random_assignment(rng, r.variables)
+                low = p.lower(states, {k: pt[k]})
+                assert low.evaluate([pt[v] for v in states]) == p.evaluate(pt)
+                cols = {v: rng.uniform(-2, 2, size=40) for v in states}
+                got = low.evaluate([cols[v] for v in states])
+                assert np.array_equal(got, p.evaluate({**cols, k: pt[k]}))
+
+    def test_unassigned_variable(self, reg):
+        p = V(reg, "x") * V(reg, "k")
+        with pytest.raises(KeyError, match="k"):
+            p.lower([reg["x"], reg["y"]])
+
+
 class TestCollectByState:
     def test_mixed_linear(self, reg):
         k = V(reg, "k")

@@ -1,13 +1,18 @@
 import csv
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from sisynth.controller import nominal_control
 from sisynth.sim import (
+    BatchReport,
     CollisionError,
     TaskConfig,
     TrialReport,
     WorldState,
+    initial_state,
     markdown_report,
     relative_state,
     run_batch,
@@ -140,6 +145,55 @@ class TestTrials:
         assert r.violations_after_entry == 0
 
 
+class TestLoweredLoop:
+    """The float-level loop against the symbolic polynomials."""
+
+    def test_recorded_rows_match_symbolic(self, restricted_problem, restricted_certificate):
+        from test_controller import kkt_residual
+        p = restricted_problem
+        fam, sys = p.family, p.system
+        params = p.params(restricted_certificate.theta(p.layout))
+        task = p.config.task_config()
+        chain = fam.chain_numeric(params)
+        theta = dict(zip(fam.theta, params.k))
+        active_rows = 0
+        for trial in range(3):
+            report = run_trial(fam, params, task, trial, record=True)
+            _, goal = initial_state(task, trial)
+            assert len(report.rows) == report.steps > 0
+            for row in report.rows:
+                _, px, py, psi, v, d, alpha, _, a, w = row[:10]
+                x = [d, math.sin(alpha), math.cos(alpha), v]
+                asg = sys.assignment(x)
+                for got, member in zip(row[10:-1], chain):
+                    assert abs(got - member.evaluate(asg)) <= 1e-12
+                lower, upper = sys.control_box(x)
+                u_ref = np.array(nominal_control((px, py), psi, v, goal, (lower, upper),
+                                                 task.v_max, task.gains))
+                asg.update(theta)
+                active = fam.phi_theta.evaluate(asg) >= 0.0
+                assert row[-1] == int(active)
+                u = np.array([a, w])
+                if not active:
+                    np.testing.assert_array_equal(u, np.clip(u_ref, lower, upper))
+                    continue
+                active_rows += 1
+                c = np.array([lg.evaluate(asg) for lg in fam.Lg_phi])
+                b = -params.eta - fam.Lf_phi.evaluate(asg)
+                assert kkt_residual(u, u_ref, c, b, lower, upper) <= 1e-6
+        assert active_rows > 0
+
+    def test_threads_agree(self, restricted_problem, restricted_certificate, monkeypatch):
+        p = restricted_problem
+        params = p.params(restricted_certificate.theta(p.layout))
+        task = dataclasses.replace(p.config.task_config(), trials=3, horizon=5.0)
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SISYNTH_THREADS", threads)
+            runs.append(run_batch(p.family, params, task, record=True).reports)
+        assert runs[0] == runs[1]
+
+
 class TestMarkdownReport:
     def test_table_and_summaries(self, restricted_problem, restricted_certificate):
         p = restricted_problem
@@ -153,11 +207,19 @@ class TestMarkdownReport:
         assert "100.0 | 0 |" in text
         assert "trials: 2" in text
 
+    def test_wall_time_and_rate(self):
+        runs = [TrialReport(trial=i, landed_in_safe_set=True, first_entry_time=0.0,
+                            violations_after_entry=0, fi_failures=[], ftc_ok=True,
+                            ftc_bound=None, reached_goal=True, steps=1500)
+                for i in range(2)]
+        text = markdown_report(BatchReport(reports=runs), [0.01], sim_time=2.0)
+        assert "2.00 s for 3,000 filter steps (1,500 steps/s)" in text
+        assert "steps/s" not in markdown_report(BatchReport(reports=runs), [0.01])
+
     def test_failing_trials_listed(self):
         bad = TrialReport(trial=3, landed_in_safe_set=False, first_entry_time=None,
                           violations_after_entry=0, fi_failures=[], ftc_ok=False,
                           ftc_bound=None, reached_goal=False)
-        from sisynth.sim import BatchReport
         text = markdown_report(BatchReport(reports=[bad]), [0.01])
         assert "Failing trials" in text
         assert "trial 3" in text

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sisynth.system import (InvertedBoundError, system_from_dict, unicycle_model_dict,
-                            unicycle_numeric)
+from sisynth.sim import RelativeState, relative_state, step, world_from_relative
+from sisynth.system import InvertedBoundError, system_from_dict, unicycle_model_dict
 
 
 @pytest.fixture(scope="module")
@@ -67,35 +67,42 @@ class TestInStateSpace:
 
 
 class TestSymbolicNumericAgreement:
+    """The symbolic model against the simulator and the config's box formula."""
+
     def test_dynamics_match(self, uni):
-        num = unicycle_numeric()
+        # f + g u against a small-dt finite difference of the simulator's
+        # world-frame step, read back in relative coordinates
+        dt = 1e-8
         rng = np.random.default_rng(11)
         for _ in range(1000):
             d = rng.uniform(0.2, 5)
             alpha = rng.uniform(-np.pi, np.pi)
             v = rng.uniform(-1, 1)
-            lower, upper = num.control_box(np.array([d, v, alpha, 0.0]))
+            lower, upper = uni.control_box(sym_state(d, alpha, v))
             u = rng.uniform(lower, upper)
             sym = uni.derivative(sym_state(d, alpha, v), u)
-            numd = num.derivative(np.array([d, v, alpha, 0.0]), u)
-            # [d_dot, x_dot, y_dot, z_dot] vs [d_dot, v_dot, alpha_dot, beta_dot]
-            assert abs(sym[0] - numd[0]) <= 1e-9
-            assert abs(sym[3] - numd[1]) <= 1e-9
-            alpha_dot = numd[2]
-            assert abs(sym[1] - np.cos(alpha) * alpha_dot) <= 1e-9
-            assert abs(sym[2] - (-np.sin(alpha) * alpha_dot)) <= 1e-9
+            world = world_from_relative(RelativeState(d=d, v=v, alpha=alpha,
+                                                      beta=rng.uniform(-np.pi, np.pi)))
+            rel0 = relative_state(world)
+            rel1 = relative_state(step(world, u, dt))
+            fd = (np.array(sym_state(rel1.d, rel1.alpha, rel1.v))
+                  - np.array(sym_state(rel0.d, rel0.alpha, rel0.v))) / dt
+            # [d_dot, sin(alpha)_dot, cos(alpha)_dot, v_dot]; the difference
+            # is first order in dt (worst about 4.4e-6 over these draws)
+            np.testing.assert_allclose(sym, fd, rtol=0.0, atol=1e-5)
 
     def test_control_boxes_match(self, uni):
-        num = unicycle_numeric()
+        # the default model's speed-dependent box: a in [(v_min - v)/dt,
+        # (v_max - v)/dt], w in [w_min, w_max]
+        v_min, v_max, w_min, w_max, dt = -1.0, 1.0, -1.0, 1.0, 0.01
         rng = np.random.default_rng(13)
         for _ in range(100):
             d = rng.uniform(0.2, 5)
             alpha = rng.uniform(-np.pi, np.pi)
             v = rng.uniform(-1, 1)
             ls, us = uni.control_box(sym_state(d, alpha, v))
-            ln, un = num.control_box(np.array([d, v, alpha, 0.0]))
-            np.testing.assert_allclose(ls, ln, atol=1e-9)
-            np.testing.assert_allclose(us, un, atol=1e-9)
+            np.testing.assert_allclose(ls, [(v_min - v) / dt, w_min], atol=1e-9)
+            np.testing.assert_allclose(us, [(v_max - v) / dt, w_max], atol=1e-9)
 
 
 class TestSchema:
