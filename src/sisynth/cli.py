@@ -54,6 +54,18 @@ def _theta_from_cert(problem, cert: Certificate) -> np.ndarray:
     return cert.decision[problem.layout.theta_idx]
 
 
+def _restart_line(r: dict) -> str:
+    """One line per solver restart: verdict, k, worst lambda_min, and each
+    round's DR iteration count, stop reason and lambda_min."""
+    k = ", ".join(f"{v:.6g}" for v in r["k"])
+    line = (f"  restart {r['restart']}: {'valid' if r['valid'] else 'invalid'}, k = [{k}], "
+            f"lambda_min {min(r['lambda_mins']):.3e}")
+    for i, x in enumerate(r.get("rounds", [])):
+        line += (f"; round {i}: {x['dr_iters']} DR iterations, stop {x['stop']}, "
+                 f"lambda_min {x['lambda_min']:.3e}")
+    return line
+
+
 @click.group()
 def main():
     """Safety index synthesis and safe-control validation toolkit."""
@@ -213,6 +225,8 @@ def report(output_dir):
         click.echo(f"certificate: valid={data['valid']}, seed={data['seed']}, "
                    f"config={data['config_hash']}")
         click.echo("  lambda_mins: " + ", ".join(f"{v:.3e}" for v in data["lambda_mins"]))
+        for r in data.get("restarts", []):
+            click.echo(_restart_line(r))
     cex_path = outdir / "counterexamples.csv"
     if cex_path.exists():
         lines = cex_path.read_text().strip().splitlines()

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize
 
 from .poly import VarId
 from .refute import GramSpec, RefuteCase
@@ -257,8 +255,16 @@ class AffineGramMap:
     matrices are ``A y + b``, in the layout of :meth:`GramStack.flat`.  Sign
     constraints on the gamma multipliers ride along as extra scalar rows,
     which makes both feasibility projections exact: eigenvalue clipping
-    (LAPACK ``eigh``) on the cone side, a least-squares solve through a
-    Cholesky factor of ``A^T A`` on the affine side.
+    (LAPACK ``eigh``) on the cone side, a least-squares solve on the affine
+    side.
+
+    Refute cases share only the index parameters, so once those are pinned
+    ``A`` is block diagonal.  It is stored as one dense block per case: the
+    case's Gram rows and the sign rows of its gamma multipliers, against the
+    free columns that case owns.  Blocks of equal shape are stacked, so
+    :meth:`apply` and :meth:`project` are a gather, one batched ``matmul``
+    per shape and a scatter, and each block's ``A^T A`` is factored by a
+    batched Cholesky.
     """
 
     def __init__(self, grams: GramStack, layout: DecisionLayout, theta: np.ndarray):
@@ -285,24 +291,71 @@ class AffineGramMap:
         nfree, linear = len(self.free_idx), col >= 0
         self.rows_gram = grams.length
         nrows = self.rows_gram + len(self.gamma_pos)
-        sign_rows = np.arange(self.rows_gram, nrows)
-        entries = np.concatenate([rows[linear] * nfree + col[linear],
-                                  sign_rows * nfree + self.gamma_pos])
-        values = np.concatenate([cval[linear], np.ones(len(sign_rows))])
-        self.A = np.bincount(entries, weights=values,
-                             minlength=nrows * nfree).reshape(nrows, nfree)
         self.b = np.bincount(rows[~linear], weights=cval[~linear], minlength=nrows)
-        try:
-            chol = cho_factor(self.A.T @ self.A)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(
-                f"the affine Gram map at theta = {self.theta.tolist()} has linearly "
-                "dependent multiplier columns (A^T A is not positive definite)") from exc
-        self._normal_solve = cho_solve(chol, self.A.T)   # (A^T A)^-1 A^T
+
+        # a free column belongs to the one case whose Gram entries it enters
+        order = np.argsort(grams.case_offsets)
+        slot_case = np.repeat(order, (np.array(grams.sizes, dtype=np.intp) ** 2)[order])
+        entry_case = slot_case[rows[linear]]
+        owner = np.full(nfree, -1, dtype=np.intp)
+        owner[col[linear]] = entry_case
+        shared = col[linear][owner[col[linear]] != entry_case]
+        if len(shared):
+            name = layout.variables[self.free_idx[shared[0]]].name
+            raise ValueError(f"decision variable {name} enters the Gram matrices of "
+                             "more than one refute case")
+        if np.any(owner < 0):
+            name = layout.variables[self.free_idx[np.argmax(owner < 0)]].name
+            raise ValueError(f"decision variable {name} enters no Gram matrix")
+
+        # rows and columns of each case's block, grouped by block shape
+        shapes: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
+        for c, n in enumerate(grams.sizes):
+            r = np.concatenate([grams.case_offsets[c] + np.arange(n * n),
+                                self.rows_gram + np.flatnonzero(owner[self.gamma_pos] == c)])
+            cols = np.flatnonzero(owner == c)
+            shapes.setdefault((len(r), len(cols)), []).append((r, cols))
+        entry_rows = np.concatenate([rows[linear], np.arange(self.rows_gram, nrows)])
+        entry_cols = np.concatenate([col[linear], self.gamma_pos])
+        values = np.concatenate([cval[linear], np.ones(len(self.gamma_pos))])
+        row_slot = np.empty(nrows, dtype=np.intp)   # row's offset in its group's stack
+        col_slot = np.empty(nfree, dtype=np.intp)   # column's index within its block
+        row_group = np.full(nrows, -1, dtype=np.intp)
+        self._blocks = []
+        for g, ((nr, nc), members) in enumerate(sorted(shapes.items())):
+            R = np.array([r for r, _ in members], dtype=np.intp).reshape(len(members), nr)
+            C = np.array([c for _, c in members], dtype=np.intp).reshape(len(members), nc)
+            row_slot[R] = np.arange(R.size).reshape(R.shape)
+            col_slot[C] = np.arange(nc)
+            row_group[R] = g
+            mine = row_group[entry_rows] == g
+            A = np.bincount(row_slot[entry_rows[mine]] * nc + col_slot[entry_cols[mine]],
+                            weights=values[mine], minlength=R.size * nc
+                            ).reshape(len(members), nr, nc)
+            At = A.transpose(0, 2, 1)
+            try:
+                L = np.linalg.cholesky(np.matmul(At, A))
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(
+                    f"the affine Gram map at theta = {self.theta.tolist()} has linearly "
+                    "dependent multiplier columns (A^T A is not positive definite)") from exc
+            # (A^T A)^-1 A^T per block, so each projection is one batched matmul
+            P = np.linalg.solve(L.transpose(0, 2, 1), np.linalg.solve(L, At))
+            self._blocks.append((R, C, A, self.b[R], P))
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """The packed Gram matrices and sign rows ``A y + b`` at free decision ``y``."""
+        out = np.empty(len(self.b))
+        for R, C, A, bR, _ in self._blocks:
+            out[R] = np.matmul(A, y[C][..., None])[..., 0] + bR
+        return out
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """The least-squares decision ``argmin_y |A y + b - v|``."""
-        return self._normal_solve @ (v - self.b)
+        y = np.empty(len(self.free_idx))
+        for R, C, _, bR, P in self._blocks:
+            y[C] = np.matmul(P, (v[R] - bR)[..., None])[..., 0]
+        return y
 
     def _eig(self, v: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Eigenvalues (ascending) and eigenvectors of each size group's
@@ -314,41 +367,48 @@ class AffineGramMap:
         """Clip the sign constraints and report the worst minimum eigenvalue."""
         y = y.copy()
         y[self.gamma_pos] = np.maximum(y[self.gamma_pos], 0.0)
-        return y, min(float(w[:, 0].min()) for w, _ in self._eig(self.A @ y + self.b))
+        return y, min(float(w[:, 0].min()) for w, _ in self._eig(self.apply(y)))
 
     def refine(self, y: np.ndarray, iterations: int, tolerance: float,
                relaxation: float = 1.8, check_every: int = 5
-               ) -> tuple[np.ndarray, float]:
+               ) -> tuple[np.ndarray, float, dict]:
         """Douglas-Rachford feasibility iteration between the PSD product
         cone and the affine image, keeping the best sign-feasible iterate.
 
         The splitting handles the boundary-only intersections that arise when
         the certificate set has no strict interior, where plain penalty
-        descent slows to a crawl.
+        descent slows to a crawl.  Returns the best iterate, its worst
+        minimum eigenvalue and a record ``{"dr_iters", "stop", "lambda_min"}``
+        whose ``stop`` says what ended the iteration: ``tolerance`` (the
+        iterate certifies), ``patience`` (no 1% improvement for the patience
+        window) or ``budget`` (``iterations`` ran out).
         """
         y_best, lam_best = self.candidate(y)
-        if lam_best >= -tolerance:
-            return y_best, lam_best
-        z = self.A @ y + self.b
-        last_improvement = 0
-        patience = max(500, iterations // 8)
-        for it in range(iterations):
-            cones = [np.einsum("bij,bj,bkj->bik", V, np.maximum(w, 0.0), V).ravel()
-                     for w, V in self._eig(z)]
-            xc = np.concatenate(cones + [np.maximum(z[self.rows_gram:], 0.0)])
-            xl = self.A @ self.project(2.0 * xc - z) + self.b
-            z = z + relaxation * (xl - xc)
-            if it % check_every == 0 or it == iterations - 1:
-                y_cand, lam = self.candidate(self.project(xc))
-                if lam > lam_best + 0.01 * abs(lam_best):
-                    last_improvement = it
-                if lam > lam_best:
-                    y_best, lam_best = y_cand, lam
-                    if lam_best >= -tolerance:
+        it, stop = -1, "tolerance"
+        if lam_best < -tolerance:
+            z = self.apply(y)
+            last_improvement = 0
+            patience = max(500, iterations // 8)
+            stop = "budget"
+            for it in range(iterations):
+                cones = [np.einsum("bij,bj,bkj->bik", V, np.maximum(w, 0.0), V).ravel()
+                         for w, V in self._eig(z)]
+                xc = np.concatenate(cones + [np.maximum(z[self.rows_gram:], 0.0)])
+                xl = self.apply(self.project(2.0 * xc - z))
+                z = z + relaxation * (xl - xc)
+                if it % check_every == 0 or it == iterations - 1:
+                    y_cand, lam = self.candidate(self.project(xc))
+                    if lam > lam_best + 0.01 * abs(lam_best):
+                        last_improvement = it
+                    if lam > lam_best:
+                        y_best, lam_best = y_cand, lam
+                        if lam_best >= -tolerance:
+                            stop = "tolerance"
+                            break
+                    if it - last_improvement > patience:
+                        stop = "patience"
                         break
-                if it - last_improvement > patience:
-                    break
-        return y_best, lam_best
+        return y_best, lam_best, {"dr_iters": it + 1, "stop": stop, "lambda_min": lam_best}
 
 
 @dataclass
@@ -449,6 +509,13 @@ def penalty(grams: GramStack, d: np.ndarray,
     return total, -grams.weighted_gradient(d, weights), lams
 
 
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use so that building a
+    problem, checking a certificate or simulating never loads scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
+
+
 def _map_restarts(fn, count: int) -> list:
     """Run independent restarts, in parallel when SISYNTH_THREADS allows."""
     threads = int(os.environ.get("SISYNTH_THREADS", "0")) or min(count, os.cpu_count() or 1)
@@ -467,8 +534,10 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
     parameters) with a Douglas-Rachford feasibility refinement of the
     multipliers at pinned index parameters (exact convex projections, which
     handle the flat tail where gradient descent stalls).  The restart with
-    the lowest final penalty wins, ties broken by restart index.  Raises
-    :class:`SolverFailure` with the best attempt when no restart certifies.
+    the lowest final penalty wins, ties broken by restart index.  Each
+    restart's log entry lists its rounds as :meth:`AffineGramMap.refine`
+    records them.  Raises :class:`SolverFailure` with the best attempt when
+    no restart certifies.
     """
     if not specs:
         raise ValueError("no Gram specs to solve")
@@ -494,6 +563,7 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
         for idx in (layout.zeta_idx, layout.kernel_idx):
             x[idx] = rng.uniform(*config.free_init, size=len(idx))
 
+        rounds = []
         for rnd in range(config.rounds):
             if rnd > 0:
                 # the sampled index parameters did not certify: steer them
@@ -503,19 +573,20 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
                 for margin in margins:
                     x = descend(x, warmup, margin)
             amap = AffineGramMap(grams, layout, x[layout.theta_idx])
-            y, lam = amap.refine(x[amap.free_idx], dr_budget, config.tolerance)
+            y, lam, record = amap.refine(x[amap.free_idx], dr_budget, config.tolerance)
+            rounds.append(record)
             x = x.copy()
             x[amap.free_idx] = y
             if lam >= -config.tolerance:
                 break
         val, _, lams = penalty(grams, x, config.margin)
-        return x, lams, float(val)
+        return x, lams, float(val), rounds
 
     results = _map_restarts(run_restart, config.restarts)
 
     best = None
     restart_log = []
-    for r, (res_x, lams, residual) in enumerate(results):
+    for r, (res_x, lams, residual, rounds) in enumerate(results):
         valid = bool(np.all(lams >= -config.tolerance))
         restart_log.append({
             "restart": r,
@@ -523,6 +594,7 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
             "lambda_mins": lams.tolist(),
             "residual": residual,
             "valid": valid,
+            "rounds": rounds,
         })
         if best is None or residual < best[0]:
             best = (residual, r, res_x.copy(), lams.copy())

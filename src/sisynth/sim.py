@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -283,16 +281,13 @@ class BatchReport:
 
 def run_batch(fam: SafetyIndexFamily, params: IndexParams, task: TaskConfig,
               record: bool = False) -> BatchReport:
-    workers = int(os.environ.get("SISYNTH_THREADS", "1"))
-    indices = range(task.trials)
+    """Run ``task.trials`` trials in order, all reading one lowered index.
+
+    Trials run on one thread: the loop is pure Python under the interpreter
+    lock, so a thread pool only adds switching."""
     lowered = fam.lowered(params)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(
-                lambda i: run_trial(fam, params, task, i, record, lowered), indices))
-    else:
-        reports = [run_trial(fam, params, task, i, record, lowered) for i in indices]
-    return BatchReport(reports=sorted(reports, key=lambda r: r.trial))
+    return BatchReport(reports=[run_trial(fam, params, task, i, record, lowered)
+                                for i in range(task.trials)])
 
 
 TRAJECTORY_COLUMNS = ["t", "px", "py", "psi", "v", "d", "alpha", "beta",

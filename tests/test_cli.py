@@ -166,6 +166,8 @@ class TestReport:
         result = runner.invoke(main, ["report", str(outdir)])
         assert result.exit_code == 0
         assert "certificate: valid=True" in result.output
+        assert "restart 0: valid, k = [" in result.output
+        assert "DR iterations, stop tolerance" in result.output
 
     def test_empty_directory(self, runner, tmp_path):
         result = runner.invoke(main, ["report", str(tmp_path)])

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from sisynth.feasibility import (
     penalty,
     solve,
 )
+import sisynth
 from sisynth.poly import Polynomial, VarId, VarKind
 from sisynth.refute import GramSpec
 
@@ -179,37 +184,62 @@ class TestSolverAndCheckerEigensolvers:
         grams = GramStack(p.specs, p.layout)
         amap = AffineGramMap(grams, p.layout, np.array([0.0125]))
         rng = np.random.default_rng(7)
-        y, _ = amap.refine(rng.uniform(-1, 1, size=len(amap.free_idx)),
-                           iterations=60, tolerance=1e-12)
-        self._assert_agree(amap, amap.A @ y + amap.b)
+        y, _, _ = amap.refine(rng.uniform(-1, 1, size=len(amap.free_idx)),
+                              iterations=60, tolerance=1e-12)
+        self._assert_agree(amap, amap.apply(y))
+
+
+def dense_affine_map(amap):
+    """``A`` and ``b`` of ``apply(y) = A y + b``, read back column by column."""
+    b = amap.apply(np.zeros(len(amap.free_idx)))
+    return np.stack([amap.apply(e) - b for e in np.eye(len(amap.free_idx))], axis=1), b
 
 
 class TestAffineGramMap:
-    def test_affine_map_matches_matrices(self, braking_problem):
-        p = braking_problem
-        grams = GramStack(p.specs, p.layout)
+    def test_affine_map_matches_matrices(self, request):
         rng = np.random.default_rng(5)
-        theta = rng.uniform(0.5, 2.0, size=len(p.layout.theta_idx))
-        amap = AffineGramMap(grams, p.layout, theta)
-        for _ in range(10):
-            x = rng.uniform(-1, 1, size=p.layout.size)
-            x[p.layout.theta_idx] = theta
-            y = x[amap.free_idx]
-            stacked = amap.A @ y + amap.b
-            assert np.allclose(stacked[:amap.rows_gram], grams.flat(x), atol=1e-12)
-            assert np.allclose(stacked[amap.rows_gram:], y[amap.gamma_pos], atol=1e-12)
+        for instance, (lo, hi) in [("braking_problem", (0.5, 2.0)),
+                                   ("unicycle_problem", (0.01, 0.02)),
+                                   ("restricted_problem", (0.011, 0.0138))]:
+            p = request.getfixturevalue(instance)
+            grams = GramStack(p.specs, p.layout)
+            theta = rng.uniform(lo, hi, size=len(p.layout.theta_idx))
+            amap = AffineGramMap(grams, p.layout, theta)
+            for _ in range(5):
+                x = rng.uniform(-1, 1, size=p.layout.size)
+                x[p.layout.theta_idx] = theta
+                y = x[amap.free_idx]
+                stacked, flat = amap.apply(y), grams.flat(x)
+                assert np.allclose(stacked[:amap.rows_gram], flat, rtol=0.0,
+                                   atol=1e-12 * max(1.0, np.abs(flat).max())), instance
+                assert np.array_equal(stacked[amap.rows_gram:], y[amap.gamma_pos]), instance
 
-    @pytest.mark.parametrize("instance", ["restricted_problem", "unicycle_problem"])
+    @pytest.mark.parametrize("instance", ["restricted_problem", "unicycle_problem",
+                                          "braking_problem"])
     def test_projection_matches_lstsq(self, instance, request):
         p = request.getfixturevalue(instance)
         grams = GramStack(p.specs, p.layout)
         amap = AffineGramMap(grams, p.layout, np.array([0.0125]))
+        A, b = dense_affine_map(amap)
         rng = np.random.default_rng(8)
         for _ in range(3):
-            v = rng.normal(size=len(amap.b))
-            want = np.linalg.lstsq(amap.A, v - amap.b, rcond=None)[0]
+            v = rng.normal(size=len(b))
+            want = np.linalg.lstsq(A, v - b, rcond=None)[0]
             assert np.allclose(amap.project(v), want, rtol=0.0,
                                atol=1e-12 * max(1.0, np.abs(want).max()))
+
+    def test_shared_multiplier_rejected(self):
+        k = VarId(0, "k", VarKind.DECISION)
+        a, b = VarId(1, "a", VarKind.DECISION), VarId(2, "b", VarKind.DECISION)
+        # two 1x1 cases, a and a + b: the multiplier a enters both
+        specs = [GramSpec(basis=[()], entries=[[entry]], p0=Polynomial.zero())
+                 for entry in (Polynomial({((a, 1),): 1.0}),
+                               Polynomial({((a, 1),): 1.0, ((b, 1),): 1.0}))]
+        layout = DecisionLayout(variables=[k, a, b], theta_idx=np.array([0]),
+                                gamma_idx=np.array([], dtype=int),
+                                zeta_idx=np.array([1, 2]), kernel_idx=np.array([], dtype=int))
+        with pytest.raises(ValueError, match="a enters the Gram matrices of more than one"):
+            AffineGramMap(GramStack(specs, layout), layout, np.array([1.0]))
 
     def test_dependent_columns_rejected(self):
         k = VarId(0, "k", VarKind.DECISION)
@@ -221,6 +251,18 @@ class TestAffineGramMap:
                                 gamma_idx=np.array([], dtype=int),
                                 zeta_idx=np.array([1, 2]), kernel_idx=np.array([], dtype=int))
         with pytest.raises(ValueError, match="linearly dependent"):
+            AffineGramMap(GramStack([spec], layout), layout, np.array([1.0]))
+
+    def test_unused_multiplier_rejected(self):
+        k = VarId(0, "k", VarKind.DECISION)
+        a, b = VarId(1, "a", VarKind.DECISION), VarId(2, "b", VarKind.DECISION)
+        # b has a column of its own but enters no Gram entry, so no case owns it
+        spec = GramSpec(basis=[()], entries=[[Polynomial({((a, 1),): 1.0})]],
+                        p0=Polynomial.zero())
+        layout = DecisionLayout(variables=[k, a, b], theta_idx=np.array([0]),
+                                gamma_idx=np.array([2]), zeta_idx=np.array([1]),
+                                kernel_idx=np.array([], dtype=int))
+        with pytest.raises(ValueError, match="b enters no Gram matrix"):
             AffineGramMap(GramStack([spec], layout), layout, np.array([1.0]))
 
     def test_candidate_clips_sign_constraints(self, braking_problem):
@@ -237,10 +279,12 @@ class TestAffineGramMap:
         grams = GramStack(p.specs, p.layout)
         amap = AffineGramMap(grams, p.layout, np.array([2.0]))
         rng = np.random.default_rng(9)
-        y, lam = amap.refine(rng.uniform(-1, 1, size=len(amap.free_idx)),
-                             iterations=2000, tolerance=1e-8)
+        y, lam, record = amap.refine(rng.uniform(-1, 1, size=len(amap.free_idx)),
+                                     iterations=2000, tolerance=1e-8)
         assert lam >= -1e-8
         assert np.all(y[amap.gamma_pos] >= 0.0)
+        assert record["stop"] == "tolerance" and record["lambda_min"] == lam
+        assert 0 <= record["dr_iters"] < 2000
 
 
 class TestSolve:
@@ -277,6 +321,50 @@ class TestSolve:
         assert failure.residual > 0.0
         assert not failure.certificate.valid
         assert len(failure.certificate.restarts) == 1
+
+    def test_braking_rounds_stop_on_tolerance(self, braking_certificate):
+        for r in braking_certificate.restarts:
+            rounds = r["rounds"]
+            assert rounds and all(x["stop"] in ("tolerance", "patience", "budget")
+                                  for x in rounds)
+            if r["valid"]:
+                assert rounds[-1]["stop"] == "tolerance"
+        assert any(r["valid"] for r in braking_certificate.restarts)
+
+    def test_short_budget_stops_on_budget(self, restricted_problem):
+        p = restricted_problem
+        # 500 DR iterations: below the 500-iteration patience window, and too
+        # few for solver seed 1 to certify in round 0
+        cfg = replace(p.solver_config, restarts=1, rounds=1, iterations=500, seed=1)
+        with pytest.raises(SolverFailure) as exc_info:
+            solve(p.specs, p.layout, cfg)
+        [restart] = exc_info.value.certificate.restarts
+        [record] = restart["rounds"]
+        assert record["dr_iters"] == 500 and record["stop"] == "budget"
+        assert record["lambda_min"] < -cfg.tolerance
+
+    def test_restart_logs_independent_of_blas_threads(self):
+        # solver seed 0, 2 restarts: one DR-only restart, one with a penalty round
+        script = ("import json; from dataclasses import replace; "
+                  "from importlib import resources; "
+                  "from sisynth.config import RunConfig, build_problem; "
+                  "from sisynth.feasibility import solve; "
+                  "p = build_problem(RunConfig.load(str(resources.files('sisynth') / "
+                  "'configs' / 'unicycle_restricted.json'))); "
+                  "cert = solve(p.specs, p.layout, replace(p.solver_config, restarts=2)); "
+                  "print(json.dumps(cert.restarts))")
+        src = str(Path(sisynth.__file__).resolve().parents[1])
+        procs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, SISYNTH_THREADS="1", OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            procs.append(subprocess.Popen([sys.executable, "-c", script], env=env,
+                                          stdout=subprocess.PIPE, text=True))
+        logs = [json.loads(proc.communicate(timeout=300)[0]) for proc in procs]
+        assert all(proc.returncode == 0 for proc in procs)
+        assert any(len(r["rounds"]) > 1 for r in logs[0])
+        assert logs[0] == logs[1]
 
     def test_empty_specs_rejected(self, braking_problem):
         with pytest.raises(ValueError):
