@@ -3,8 +3,10 @@
 When the index is nonnegative, the commanded control is the closest point to
 the nominal control inside the state-dependent box intersected with the
 halfspace ``L_f phi + L_g phi . u <= -eta``.  The single linear constraint
-makes the dual one-dimensional and monotone, so the exact minimizer is found
-by bisection on the dual multiplier.
+makes the dual one-dimensional: the constraint value along the dual path is
+piecewise linear and monotone in the multiplier, so the exact minimizer is
+found by walking its few kinks and solving the one linear piece that
+crosses the bound.
 
 :func:`project` is the law itself.  It works on plain floats and reads the
 family's polynomials from a :class:`~sisynth.index.LoweredIndex` built once
@@ -24,7 +26,6 @@ import numpy as np
 from .index import IndexParams, LoweredIndex, SafetyIndexFamily, box_min
 from .system import SymbolicSystem
 
-MU_TOL = 1e-13
 FEAS_TOL = 1e-9
 
 
@@ -94,25 +95,58 @@ def project(lowered: LoweredIndex, x: Sequence[float], u_ref: Sequence[float],
         raise Infeasible(x, required=-lowered.eta, best=lf + vertex_min)
     if _dot(c, u0) <= b + FEAS_TOL:
         return u0, True, lf + _dot(c, u0)
-
-    def residual(mu: float) -> float:
-        return _dot(c, _clamped(u_ref, mu, c, lower, upper))
-
-    # residual r(mu) = c.u(mu) - b is nonincreasing in mu; bracket then bisect
-    mu_lo, mu_hi = 0.0, 1.0
-    while residual(mu_hi) > b:
-        mu_lo = mu_hi
-        mu_hi *= 2.0
-        if mu_hi > 1e18:
-            raise Infeasible(x, required=-lowered.eta, best=lf + vertex_min)
-    while mu_hi - mu_lo > MU_TOL * max(1.0, mu_hi):
-        mid = 0.5 * (mu_lo + mu_hi)
-        if residual(mid) > b:
-            mu_lo = mid
-        else:
-            mu_hi = mid
-    u = _clamped(u_ref, mu_hi, c, lower, upper)
+    mu = _dual_root(u_ref, c, b, lower, upper)
+    if mu is None:
+        raise Infeasible(x, required=-lowered.eta, best=lf + vertex_min)
+    u = _clamped(u_ref, mu, c, lower, upper)
     return u, True, lf + _dot(c, u)
+
+
+def _dual_root(u_ref, c, b: float, lower, upper) -> float | None:
+    """The multiplier ``mu > 0`` at which ``g(mu) <= b`` starts to hold, for
+    ``g(mu) = c.clip(u_ref - mu c, lower, upper)``.
+
+    ``g`` is piecewise linear and nonincreasing, with kinks where a
+    coordinate meets a bound.  The kinks are visited in increasing order
+    until ``g <= b``; on the segment before that kink, ``g`` is linear with
+    slope ``-sum c_i^2`` over the coordinates that are free there, and its
+    root is solved in closed form (the breakpoint method for the continuous
+    quadratic knapsack).  Rounding is corrected by moving ``mu`` up, never
+    past that kink, until ``g <= b`` holds in floats.  Returns ``None`` when
+    ``g > b`` still holds past the last kink, where ``g`` is constant at the
+    box vertex value.  Expects ``g(0) > b``.
+    """
+    kinks = sorted({mu for r, ci, lo, hi in zip(u_ref, c, lower, upper) if ci != 0.0
+                    for mu in ((r - lo) / ci, (r - hi) / ci) if mu > 0.0})
+    if kinks:
+        # past the last kink every coordinate sits on its bound exactly
+        kinks.append(2.0 * kinks[-1])
+    mu_lo = 0.0
+    for mu_hi in kinks:
+        if _dot(c, _clamped(u_ref, mu_hi, c, lower, upper)) <= b:
+            break
+        mu_lo = mu_hi
+    else:
+        return None
+
+    # on (mu_lo, mu_hi) each coordinate is either clamped or u_ref_i - mu c_i
+    mid = 0.5 * (mu_lo + mu_hi)
+    rest, slope = -b, 0.0
+    for r, ci, lo, hi in zip(u_ref, c, lower, upper):
+        v = r - mid * ci
+        if v <= lo:
+            rest = rest + ci * lo
+        elif v >= hi:
+            rest = rest + ci * hi
+        else:
+            rest = rest + ci * r
+            slope = slope + ci * ci
+    mu = min(max(rest / slope, mu_lo), mu_hi) if slope > 0.0 else mu_hi
+    nudge = math.ulp(mu or mu_hi)
+    while mu < mu_hi and _dot(c, _clamped(u_ref, mu, c, lower, upper)) > b:
+        mu = min(mu + nudge, mu_hi)
+        nudge *= 2.0
+    return mu
 
 
 @dataclass

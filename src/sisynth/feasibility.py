@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -516,15 +514,6 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def _map_restarts(fn, count: int) -> list:
-    """Run independent restarts, in parallel when SISYNTH_THREADS allows."""
-    threads = int(os.environ.get("SISYNTH_THREADS", "0")) or min(count, os.cpu_count() or 1)
-    if threads <= 1 or count <= 1:
-        return [fn(r) for r in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
           config: SolverConfig) -> Certificate:
     """Search for a decision vector making every Gram matrix PSD.
@@ -582,7 +571,7 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
         val, _, lams = penalty(grams, x, config.margin)
         return x, lams, float(val), rounds
 
-    results = _map_restarts(run_restart, config.restarts)
+    results = [run_restart(r) for r in range(config.restarts)]
 
     best = None
     restart_log = []

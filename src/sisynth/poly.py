@@ -9,6 +9,7 @@ only defined with respect to state variables.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -247,27 +248,24 @@ class Polynomial:
 
     def lower(self, variables: Sequence[VarId],
               fixed: Mapping[VarId, float] | None = None) -> "LoweredPolynomial":
-        """Lower to a term table over positional values of ``variables``.
+        """Lower to straight-line code over positional values of ``variables``.
 
         Variables outside ``variables`` must be given a value in ``fixed``;
-        those values are baked into the table.
+        those values are baked into the code as float literals.
         """
         slot = {v: i for i, v in enumerate(variables)}
         fixed = fixed or {}
         missing = [v.name for v in self.variables() if v not in slot and v not in fixed]
         if missing:
             raise KeyError(f"unassigned variables: {sorted(missing)}")
-        values: list[float] = []
         terms = []
         for m, c in self.terms.items():
-            factors = []
+            factors = [_float_literal(c)]
             for v, e in m:
-                if v not in slot:
-                    slot[v] = len(variables) + len(values)
-                    values.append(float(fixed[v]))
-                factors.append((slot[v], e))
-            terms.append((c, tuple(factors)))
-        return LoweredPolynomial(tuple(terms), tuple(values))
+                base = f"x[{int(slot[v])}]" if v in slot else _float_literal(fixed[v])
+                factors.append(base if e == 1 else f"{base}**{int(e)}")
+            terms.append(" * ".join(factors))
+        return LoweredPolynomial(" + ".join(["0.0"] + [f"({t})" for t in terms]))
 
     def subs(self, partial: Mapping[VarId, "Polynomial | float"]) -> "Polynomial":
         """Substitute some variables by values or polynomials."""
@@ -309,36 +307,47 @@ class Polynomial:
 
 
 class LoweredPolynomial:
-    """A polynomial lowered to a term table for repeated numeric evaluation.
+    """A polynomial lowered to straight-line code for repeated numeric evaluation.
 
-    Built by :meth:`Polynomial.lower`.  ``terms`` holds one
-    ``(coefficient, ((slot, exponent), ...))`` entry per term, in the order
-    of ``Polynomial.terms`` and with each monomial's factors in their stored
-    order.  Slot ``i`` reads the i-th lowered variable; slots past them read
-    ``fixed``, the values substituted at lowering time.
+    Built by :meth:`Polynomial.lower`.  ``source`` is one Python expression
+    in ``x``, the sequence of lowered variable values: ``x[i]`` reads the
+    i-th lowered variable, and the values substituted at lowering time
+    appear as float literals.  It runs the products and sums of
+    :meth:`Polynomial.evaluate` in the same order, term by term in the order
+    of ``Polynomial.terms`` and factor by factor in each monomial's stored
+    order, ``0.0 + (c * x[i] * x[j]**e) + ...`` from left to right, so both
+    give the same result bit for bit.  A factor with exponent 1 skips the
+    power, which is exact.
+
+    ``evaluate(x)`` is the compiled expression: called with one float, or
+    one array of points, per lowered variable, it returns the value.
+    Identical sources share one compiled function.
     """
 
-    __slots__ = ("terms", "fixed")
+    __slots__ = ("source", "evaluate")
 
-    def __init__(self, terms: tuple, fixed: tuple[float, ...]):
-        self.terms = terms
-        self.fixed = fixed
+    def __init__(self, source: str):
+        self.source = source
+        self.evaluate = _compile_lowered(source)
 
-    def evaluate(self, x: Sequence):
-        """Value at ``x``: one float, or one array of points, per lowered variable.
 
-        Runs the products and sums of :meth:`Polynomial.evaluate` in the same
-        order, so both give the same result bit for bit.  A factor with
-        exponent 1 skips the power, which is exact.
-        """
-        vals = (*x, *self.fixed) if self.fixed else x
-        total = 0.0
-        for c, factors in self.terms:
-            val = c
-            for i, e in factors:
-                val = val * (vals[i] if e == 1 else vals[i] ** e)
-            total = total + val
-        return total
+@functools.lru_cache(maxsize=1024)
+def _compile_lowered(source: str):
+    """``source`` compiled to a function of ``x``, shared by identical sources."""
+    namespace = {}
+    exec(compile(f"def evaluate(x):\n    return {source}\n", "<lowered polynomial>", "exec"),
+         {"__builtins__": {}}, namespace)
+    return namespace["evaluate"]
+
+
+def _float_literal(value) -> str:
+    """A float as a literal for lowered source; negatives in parentheses, so
+    that a power applies to the whole value."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"cannot lower the non-finite value {value!r}")
+    text = repr(value)
+    return f"({text})" if text.startswith("-") else text
 
 
 def _fmt_coeff(c: float) -> str:

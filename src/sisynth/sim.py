@@ -11,8 +11,8 @@ monitor results.
 A trial steps on plain Python floats with ``math``: :func:`run_batch` lowers
 the chain members, the control box, ``L_f phi``, ``L_g phi`` and
 ``phi_theta`` once (:meth:`~sisynth.index.SafetyIndexFamily.lowered`), and
-each step evaluates those term tables, forms the nominal control, calls
-:func:`~sisynth.controller.project` and advances the world pose with
+each step evaluates those compiled polynomials, forms the nominal control,
+calls :func:`~sisynth.controller.project` and advances the world pose with
 :func:`step`.
 """
 

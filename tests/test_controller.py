@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 
 from sisynth.controller import (
+    FEAS_TOL,
     Infeasible,
     NominalGains,
     nominal_control,
+    project,
     safe_control,
     wrap_angle,
 )
-from sisynth.index import IndexParams
+from sisynth.index import IndexParams, LoweredIndex
+from sisynth.poly import Polynomial
+
+# |u - u_bisect| <= REFERENCE_TOL * max(1, |u|) against the bisection reference
+REFERENCE_TOL = 1e-9
 
 
 def kkt_residual(u, u_ref, c, b, lower, upper, tol=1e-8):
@@ -39,6 +45,47 @@ def kkt_residual(u, u_ref, c, b, lower, upper, tol=1e-8):
     res = max(res, float(c @ u) - b)                  # primal feasibility
     res = max(res, mu * abs(float(c @ u) - b))        # complementary slackness
     return res
+
+
+def bisection_reference(u_ref, c, b, lower, upper, mu_tol=1e-13):
+    """An independent solver for the active projection: bracket the dual
+    multiplier by doubling, then bisect it down to ``mu_tol``.
+
+    Returns the control at the upper end of the final bracket, where
+    ``c.u <= b`` holds, or ``None`` when the bracket passes 1e18.
+    """
+    def clamped(mu):
+        return [min(max(r - mu * ci, lo), hi) for r, ci, lo, hi in zip(u_ref, c, lower, upper)]
+
+    mu_lo, mu_hi = 0.0, 1.0
+    while dot(c, clamped(mu_hi)) > b:
+        mu_lo = mu_hi
+        mu_hi *= 2.0
+        if mu_hi > 1e18:
+            return None
+    while mu_hi - mu_lo > mu_tol * max(1.0, mu_hi):
+        mid = 0.5 * (mu_lo + mu_hi)
+        if dot(c, clamped(mid)) > b:
+            mu_lo = mid
+        else:
+            mu_hi = mid
+    return clamped(mu_hi)
+
+
+def dot(c, u) -> float:
+    """``c.u`` summed left to right, as the controller sums it."""
+    total = 0.0
+    for ci, ui in zip(c, u):
+        total = total + ci * ui
+    return total
+
+
+def constant_index(lf: float, c, eta: float = 0.1) -> LoweredIndex:
+    """An always-active index with state-independent ``L_f phi`` and ``L_g phi``."""
+    const = lambda v: Polynomial.constant(v).lower([])
+    return LoweredIndex(chain=(), phi=const(1.0), lf=const(lf),
+                        lg=tuple(const(ci) for ci in c), lower=(), upper=(),
+                        eta=eta, dim=len(c))
 
 
 class TestWrapAngle:
@@ -149,3 +196,86 @@ class TestNominalControl:
         far = nominal_control([0.0, 0.0], 0.0, 0.0, [10.0, 0.0], box, v_max=1.0)
         near = nominal_control([0.0, 0.0], 0.0, 0.0, [0.05, 0.0], box, v_max=1.0)
         assert near[0] < far[0]
+
+
+class TestExactProjection:
+    """The breakpoint search against the bisection reference and by hand."""
+
+    @staticmethod
+    def active_instances(problem, k, rng, count):
+        """Random states and nominal controls where the projection moves the
+        nominal: index active, constraint feasible, clamped nominal violating it."""
+        lowered = problem.family.lowered(problem.params(k))
+        found = 0
+        for _ in range(200 * count):
+            alpha = rng.uniform(-np.pi, np.pi)
+            x = [rng.uniform(0.3, 1.2), np.sin(alpha), np.cos(alpha), rng.uniform(-1.0, 1.0)]
+            if lowered.phi.evaluate(x) < 0.0:
+                continue
+            lower, upper = lowered.box(x)
+            c = [lg.evaluate(x) for lg in lowered.lg]
+            b = -lowered.eta - lowered.lf.evaluate(x)
+            if sum(min(ci * lo, ci * hi) for ci, lo, hi in zip(c, lower, upper)) > b:
+                continue
+            u_ref = list(rng.uniform(np.array(lower) - 1.0, np.array(upper) + 1.0))
+            u0 = np.clip(u_ref, lower, upper)
+            if dot(c, u0) <= b + FEAS_TOL:
+                continue
+            yield lowered, x, u_ref, lower, upper, c, b
+            found += 1
+            if found == count:
+                return
+        raise AssertionError(f"only {found} of {count} active instances found")
+
+    @pytest.mark.parametrize("family,k", [("restricted_problem", 0.012032149952463394),
+                                          ("unicycle_problem", 0.0139)])
+    def test_matches_bisection_reference(self, family, k, request):
+        problem = request.getfixturevalue(family)
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for lowered, x, u_ref, lower, upper, c, b in self.active_instances(problem, [k], rng, 600):
+            u, active, _ = project(lowered, x, u_ref, lower, upper)
+            assert active
+            assert dot(c, u) <= b
+            assert all(lo <= ui <= hi for ui, lo, hi in zip(u, lower, upper))
+            ref = bisection_reference(u_ref, c, b, lower, upper)
+            gap = float(np.max(np.abs(np.subtract(u, ref))))
+            worst = max(worst, gap / max(1.0, float(np.linalg.norm(u))))
+        assert worst <= REFERENCE_TOL
+
+    def check(self, lf, c, u_ref, expected, lower=(-1.0, -1.0), upper=(1.0, 1.0)):
+        low = constant_index(lf, c)
+        b = -low.eta - lf
+        assert dot(c, np.clip(u_ref, lower, upper)) > b + FEAS_TOL
+        u, active, _ = project(low, [0.0] * len(c), u_ref, lower, upper)
+        assert active
+        assert dot(c, u) <= b
+        ref = bisection_reference(u_ref, c, b, lower, upper)
+        assert np.max(np.abs(np.subtract(u, ref))) <= REFERENCE_TOL
+        np.testing.assert_allclose(u, expected, rtol=0.0, atol=1e-12)
+
+    def test_zero_component(self):
+        # c = [0, 2], b = -1.1: the first coordinate keeps its nominal value
+        self.check(lf=1.0, c=[0.0, 2.0], u_ref=[0.3, 0.5], expected=[0.3, -0.55])
+
+    def test_nominal_outside_box(self):
+        # the first coordinate stays on its upper bound; the second carries
+        # the whole correction: 1 + (0.2 - mu) = 0.5
+        self.check(lf=-0.6, c=[1.0, 1.0], u_ref=[3.0, 0.2], expected=[1.0, -0.5])
+
+    def test_coincident_kinks(self):
+        # both coordinates reach their lower bound at mu = 1
+        self.check(lf=2.4, c=[1.0, 2.0], u_ref=[0.0, 1.0], expected=[-0.9, -0.8])
+        # b equal to the vertex value: the root is the shared kink itself
+        self.check(lf=2.9, c=[1.0, 2.0], u_ref=[0.0, 1.0], expected=[-1.0, -1.0])
+
+    def test_band_above_vertex_is_infeasible(self):
+        # vertex value -2 lies in (b, b + FEAS_TOL]: past the infeasibility
+        # pre-check, but no box control meets c.u <= b
+        low = constant_index(lf=1.9 + 5e-10, c=[1.0, 1.0])
+        b = -low.eta - low.lf.evaluate([])
+        assert b < -2.0 <= b + FEAS_TOL
+        assert bisection_reference([0.0, 0.0], [1.0, 1.0], b, [-1.0, -1.0], [1.0, 1.0]) is None
+        with pytest.raises(Infeasible) as exc_info:
+            project(low, [0.0, 0.0], [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])
+        assert exc_info.value.best == pytest.approx(low.lf.evaluate([]) - 2.0, abs=1e-15)

@@ -356,7 +356,7 @@ class TestSolve:
         src = str(Path(sisynth.__file__).resolve().parents[1])
         procs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, SISYNTH_THREADS="1", OPENBLAS_NUM_THREADS=threads,
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                        OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
                        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
             procs.append(subprocess.Popen([sys.executable, "-c", script], env=env,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,7 +126,7 @@ class TestEvaluate:
 
 
 class TestLowered:
-    """The lowered term table against the dict evaluator, bit for bit."""
+    """The lowered, compiled polynomial against the dict evaluator, bit for bit."""
 
     @staticmethod
     def registries():
@@ -177,6 +178,61 @@ class TestLowered:
         p = V(reg, "x") * V(reg, "k")
         with pytest.raises(KeyError, match="k"):
             p.lower([reg["x"], reg["y"]])
+
+    @staticmethod
+    def assert_bit_identical(p, states, fixed, rng):
+        low = p.lower(states, fixed)
+        pt = {v: float(rng.uniform(-2, 2)) for v in states}
+        got = low.evaluate([pt[v] for v in states])
+        want = p.evaluate({**pt, **fixed})
+        assert type(got) is type(want) and got == want
+        cols = {v: rng.uniform(-2, 2, size=40) for v in states}
+        got = low.evaluate([cols[v] for v in states])
+        want = p.evaluate({**cols, **fixed})
+        assert np.array_equal(got, want)
+
+    def test_negative_coefficients(self, reg):
+        rng = np.random.default_rng(23)
+        x, y = V(reg, "x"), V(reg, "y")
+        p = -2.5 * x ** 2 * y - 0.75 * y - 3.1 + (-1e-7) * x * y ** 3
+        assert all(c < 0 for c in p.terms.values())
+        self.assert_bit_identical(p, [reg["x"], reg["y"]], {}, rng)
+
+    def test_power_of_substituted_value(self, reg):
+        # negative substituted values raised to odd and even powers
+        rng = np.random.default_rng(24)
+        x, k = V(reg, "x"), V(reg, "k")
+        p = -1.5 * k ** 3 * x + k ** 2 * x ** 2 + 0.3 * k ** 4
+        for value in (-0.7, 0.0139, -3.0):
+            self.assert_bit_identical(p, [reg["x"], reg["y"]], {reg["k"]: value}, rng)
+
+    def test_zero_and_constant(self, reg):
+        rng = np.random.default_rng(25)
+        states = [reg["x"], reg["y"]]
+        for p in (Polynomial.zero(), Polynomial.constant(-4.25), Polynomial.constant(1e-3)):
+            self.assert_bit_identical(p, states, {}, rng)
+        assert Polynomial.zero().lower(states).evaluate([1.0, 2.0]) == 0.0
+
+    def test_source_is_numbers_and_slots(self):
+        rng = np.random.default_rng(26)
+        for r in self.registries():
+            for _ in range(50):
+                p = random_polynomial(rng, r.variables, max_degree=4)
+                low = p.lower([r["x"], r["y"]], {r["k"]: float(rng.normal())})
+                assert re.fullmatch(r"[0-9x\[\]().*+\- e]+", low.source)
+
+    def test_identical_tables_share_compiled_code(self, unicycle_problem):
+        p = unicycle_problem
+        params = p.params([0.0139])
+
+        def members(low):
+            return [*low.chain, low.phi, low.lf, *low.lg, *low.lower, *low.upper]
+
+        first, second = p.family.lowered(params), p.family.lowered(params)
+        assert first is not second
+        assert all(a.evaluate is b.evaluate for a, b in zip(members(first), members(second)))
+        other = p.family.lowered(p.params([0.02]))
+        assert other.phi.evaluate is not first.phi.evaluate
 
 
 class TestCollectByState:

@@ -194,6 +194,37 @@ class TestLoweredLoop:
         assert runs[0] == runs[1]
 
 
+class TestBenchmarkHooks:
+    """The benchmark counts and times the simulator by patching module
+    globals; these are the names and the calling pattern it relies on."""
+
+    def test_hook_points_exist(self):
+        from sisynth import falsifier, sim
+        for name in ("step", "nominal_control", "safe_control", "run_trial", "run_batch"):
+            assert callable(getattr(sim, name))
+        assert callable(falsifier.falsify)
+
+    def test_patched_step_counts_batch_steps(self, restricted_problem, restricted_certificate,
+                                             monkeypatch):
+        from sisynth import sim
+        p = restricted_problem
+        params = p.params(restricted_certificate.theta(p.layout))
+        task = dataclasses.replace(p.config.task_config(), trials=3, horizon=4.0)
+        counts = {"step": 0, "nominal_control": 0}
+        for name in counts:
+            original = getattr(sim, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(sim, name, counted)
+        batch = sim.run_batch(p.family, params, task)
+        assert all(r.failure is None for r in batch.reports)
+        assert batch.steps > 0
+        assert counts == {"step": batch.steps, "nominal_control": batch.steps}
+
+
 class TestMarkdownReport:
     def test_table_and_summaries(self, restricted_problem, restricted_certificate):
         p = restricted_problem
