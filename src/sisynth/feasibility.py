@@ -3,9 +3,11 @@
 Each refute case contributes a Gram matrix whose entries are polynomials in
 the decision variables (index parameters, scalar multipliers, and optional
 Gram kernel shares).  A decision vector is a certificate when every Gram
-matrix is positive semidefinite.  The solver minimizes a smooth penalty on
-the minimum eigenvalues over the sign-constrained decision box, restarting
-from several random initializations.
+matrix is positive semidefinite.  Each seeded restart first runs a
+Douglas-Rachford (DR) round on the multipliers at its sampled index
+parameters.  A DR round stops on ``tolerance`` (it certifies) or on
+``budget``; only a round that spends its budget is followed by an L-BFGS
+penalty round that steers the index parameters.
 
 The solver's eigendecompositions run on LAPACK (``np.linalg.eigh``).  The
 in-repo Jacobi eigensolver (:func:`jacobi_eigh_batch`) serves
@@ -378,15 +380,12 @@ class AffineGramMap:
         descent slows to a crawl.  Returns the best iterate, its worst
         minimum eigenvalue and a record ``{"dr_iters", "stop", "lambda_min"}``
         whose ``stop`` says what ended the iteration: ``tolerance`` (the
-        iterate certifies), ``patience`` (no 1% improvement for the patience
-        window) or ``budget`` (``iterations`` ran out).
+        iterate certifies) or ``budget`` (``iterations`` ran out).
         """
         y_best, lam_best = self.candidate(y)
         it, stop = -1, "tolerance"
         if lam_best < -tolerance:
             z = self.apply(y)
-            last_improvement = 0
-            patience = max(500, iterations // 8)
             stop = "budget"
             for it in range(iterations):
                 cones = [np.einsum("bij,bj,bkj->bik", V, np.maximum(w, 0.0), V).ravel()
@@ -396,16 +395,11 @@ class AffineGramMap:
                 z = z + relaxation * (xl - xc)
                 if it % check_every == 0 or it == iterations - 1:
                     y_cand, lam = self.candidate(self.project(xc))
-                    if lam > lam_best + 0.01 * abs(lam_best):
-                        last_improvement = it
                     if lam > lam_best:
                         y_best, lam_best = y_cand, lam
                         if lam_best >= -tolerance:
                             stop = "tolerance"
                             break
-                    if it - last_improvement > patience:
-                        stop = "patience"
-                        break
         return y_best, lam_best, {"dr_iters": it + 1, "stop": stop, "lambda_min": lam_best}
 
 
@@ -518,15 +512,17 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
           config: SolverConfig) -> Certificate:
     """Search for a decision vector making every Gram matrix PSD.
 
-    Each of the ``config.restarts`` seeded restarts alternates a joint
-    penalty descent over all decision variables (which steers the index
-    parameters) with a Douglas-Rachford feasibility refinement of the
-    multipliers at pinned index parameters (exact convex projections, which
-    handle the flat tail where gradient descent stalls).  The restart with
-    the lowest final penalty wins, ties broken by restart index.  Each
-    restart's log entry lists its rounds as :meth:`AffineGramMap.refine`
-    records them.  Raises :class:`SolverFailure` with the best attempt when
-    no restart certifies.
+    Each of the ``config.restarts`` seeded restarts first runs a
+    Douglas-Rachford feasibility refinement of the multipliers at its
+    sampled index parameters (exact convex projections, which handle the
+    flat tail where gradient descent stalls).  A round stops on
+    ``tolerance`` (it certifies, ending the restart) or on ``budget``; only
+    a round that spends its budget is followed by a joint L-BFGS penalty
+    descent over all decision variables, which steers the index parameters
+    before the next DR round.  The restart with the lowest final penalty
+    wins, ties broken by restart index.  Each restart's log entry lists its
+    rounds as :meth:`AffineGramMap.refine` records them.  Raises
+    :class:`SolverFailure` with the best attempt when no restart certifies.
     """
     if not specs:
         raise ValueError("no Gram specs to solve")

@@ -325,7 +325,7 @@ class TestSolve:
     def test_braking_rounds_stop_on_tolerance(self, braking_certificate):
         for r in braking_certificate.restarts:
             rounds = r["rounds"]
-            assert rounds and all(x["stop"] in ("tolerance", "patience", "budget")
+            assert rounds and all(x["stop"] in ("tolerance", "budget")
                                   for x in rounds)
             if r["valid"]:
                 assert rounds[-1]["stop"] == "tolerance"
@@ -333,8 +333,7 @@ class TestSolve:
 
     def test_short_budget_stops_on_budget(self, restricted_problem):
         p = restricted_problem
-        # 500 DR iterations: below the 500-iteration patience window, and too
-        # few for solver seed 1 to certify in round 0
+        # 500 DR iterations: too few for solver seed 1 to certify in round 0
         cfg = replace(p.solver_config, restarts=1, rounds=1, iterations=500, seed=1)
         with pytest.raises(SolverFailure) as exc_info:
             solve(p.specs, p.layout, cfg)
@@ -343,15 +342,27 @@ class TestSolve:
         assert record["dr_iters"] == 500 and record["stop"] == "budget"
         assert record["lambda_min"] < -cfg.tolerance
 
+    def test_certifiable_restart_certifies_in_round_zero(self, restricted_problem):
+        # solver seed 1's sampled k certifies in DR round 0 after about 1,500
+        # of its 6000 iterations; DR must not stop early and hand the restart
+        # to a penalty round
+        p = restricted_problem
+        cert = solve(p.specs, p.layout, replace(p.solver_config, restarts=1, seed=1))
+        [restart] = cert.restarts
+        [record] = restart["rounds"]
+        assert record["stop"] == "tolerance"
+
     def test_restart_logs_independent_of_blas_threads(self):
-        # solver seed 0, 2 restarts: one DR-only restart, one with a penalty round
+        # solver seed 1, 1 restart, 500 DR iterations per round: round 0
+        # spends its budget, so the restart runs a penalty round
         script = ("import json; from dataclasses import replace; "
                   "from importlib import resources; "
                   "from sisynth.config import RunConfig, build_problem; "
                   "from sisynth.feasibility import solve; "
                   "p = build_problem(RunConfig.load(str(resources.files('sisynth') / "
                   "'configs' / 'unicycle_restricted.json'))); "
-                  "cert = solve(p.specs, p.layout, replace(p.solver_config, restarts=2)); "
+                  "cert = solve(p.specs, p.layout, replace(p.solver_config, restarts=1, "
+                  "seed=1, iterations=1000)); "
                   "print(json.dumps(cert.restarts))")
         src = str(Path(sisynth.__file__).resolve().parents[1])
         procs = []
