@@ -8,11 +8,12 @@ piecewise linear and monotone in the multiplier, so the exact minimizer is
 found by walking its few kinks and solving the one linear piece that
 crosses the bound.
 
-:func:`project` is the law itself.  It works on plain floats and reads the
-family's polynomials from a :class:`~sisynth.index.LoweredIndex` built once
-per parameter set, so the simulator calls it on every step without building
-dicts or arrays.  :func:`safe_control` is the public wrapper that lowers the
-family for one call.
+:func:`project` is the law itself.  It works on plain floats: the values
+it reads at a state, ``L_f phi``, ``L_g phi``, ``phi_theta`` and the control
+box, come from one call of :meth:`~sisynth.index.LoweredIndex.at`, so the
+simulator calls it on every step without building dicts or arrays.
+:func:`safe_control` is the public wrapper that lowers the family for one
+call.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .index import IndexParams, LoweredIndex, SafetyIndexFamily, box_min
+from .index import IndexParams, SafetyIndexFamily, box_min
 from .system import SymbolicSystem
 
 FEAS_TOL = 1e-9
@@ -58,8 +59,8 @@ def safe_control(fam: SafetyIndexFamily, params: IndexParams, state: Sequence[fl
     ``c = L_g phi`` and ``b = -eta - L_f phi`` at the current state.
     """
     lowered = fam.lowered(params, sys)
-    lower, upper = lowered.box(state)
-    u, active, phidot = project(lowered, state, u_ref, lower, upper)
+    _, lower, upper, lf, c, phi = lowered.at(state)
+    u, active, phidot = project(state, u_ref, lower, upper, lf, c, phi, lowered.eta)
     return SafeControlResult(u=np.array(u), constraint_active=active, phidot_achieved=phidot)
 
 
@@ -75,29 +76,31 @@ def _clamped(u_ref, mu: float, c, lower, upper) -> list[float]:
     return [min(max(r - mu * ci, lo), hi) for r, ci, lo, hi in zip(u_ref, c, lower, upper)]
 
 
-def project(lowered: LoweredIndex, x: Sequence[float], u_ref: Sequence[float],
-            lower: Sequence[float], upper: Sequence[float]) -> tuple[list[float], bool, float]:
+def project(x: Sequence[float], u_ref: Sequence[float], lower: Sequence[float],
+            upper: Sequence[float], lf: float, c: Sequence[float], phi: float,
+            eta: float) -> tuple[list[float], bool, float]:
     """The safe control law of :func:`safe_control`, on plain numbers.
 
-    ``x`` is the state, ``u_ref`` the nominal control and ``lower``/``upper``
-    the control box at ``x`` (from ``lowered.box``).  Returns the control,
-    whether the index was active, and the achieved ``phidot``.
+    ``x`` is the state (named in an :class:`Infeasible` error), ``u_ref``
+    the nominal control; ``lower``/``upper``, ``lf``, ``c`` (``L_g phi``)
+    and ``phi`` (``phi_theta``) are the values at ``x`` from
+    :meth:`~sisynth.index.LoweredIndex.at`, and ``eta`` the required decay.
+    Returns the control, whether the index was active, and the achieved
+    ``phidot``.
     """
-    lf = lowered.lf.evaluate(x)
-    c = [lg.evaluate(x) for lg in lowered.lg]
     u0 = _clamped(u_ref, 0.0, c, lower, upper)
-    if lowered.phi.evaluate(x) < 0.0:
+    if phi < 0.0:
         return u0, False, lf + _dot(c, u0)
 
-    b = -lowered.eta - lf
+    b = -eta - lf
     vertex_min = box_min(c, lower, upper)
     if vertex_min > b + FEAS_TOL:
-        raise Infeasible(x, required=-lowered.eta, best=lf + vertex_min)
+        raise Infeasible(x, required=-eta, best=lf + vertex_min)
     if _dot(c, u0) <= b + FEAS_TOL:
         return u0, True, lf + _dot(c, u0)
     mu = _dual_root(u_ref, c, b, lower, upper)
     if mu is None:
-        raise Infeasible(x, required=-lowered.eta, best=lf + vertex_min)
+        raise Infeasible(x, required=-eta, best=lf + vertex_min)
     u = _clamped(u_ref, mu, c, lower, upper)
     return u, True, lf + _dot(c, u)
 

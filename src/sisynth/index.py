@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .poly import LoweredPolynomial, Polynomial, VarId, VarKind, VarRegistry
+from .poly import LoweredPolynomial, Polynomial, VarId, VarKind, VarRegistry, _compile_lowered
 from .system import STATE_TOL, InvertedBoundError, SymbolicSystem
 
 K_MIN = 1e-4
@@ -90,7 +90,11 @@ class LoweredIndex:
 
     Every member evaluates a state given as a sequence of floats (one trial
     step) or of arrays (a batch of sampled points), ordered as the system's
-    state variables.
+    state variables.  ``evaluate`` is one compiled function of a single
+    state that returns every value the safe control law reads, grouped as
+    ``(chain, lower, upper, lf, lg, phi)``; each value is the expression of
+    the member's own ``source``, so it equals the member's ``evaluate`` bit
+    for bit.  Identical indices share one compiled function.
     """
 
     chain: tuple[LoweredPolynomial, ...]   # numeric members phi_0 .. phi_n
@@ -101,17 +105,28 @@ class LoweredIndex:
     upper: tuple[LoweredPolynomial, ...]
     eta: float
     dim: int                               # state dimension
+    evaluate: Callable = field(init=False, repr=False, compare=False)
 
-    def box(self, x: Sequence[float]) -> tuple[list[float], list[float]]:
-        """The control box at one state; raises on an inverted bound."""
+    def __post_init__(self):
+        group = lambda sources: "(" + "".join(s + ", " for s in sources) + ")"
+        source = group([group(p.source for p in self.chain),
+                        group(p.source for p in self.lower),
+                        group(p.source for p in self.upper),
+                        self.lf.source,
+                        group(p.source for p in self.lg),
+                        self.phi.source])
+        object.__setattr__(self, "evaluate", _compile_lowered(source))
+
+    def at(self, x: Sequence[float]) -> tuple:
+        """``(chain, lower, upper, lf, lg, phi)`` at one state, from one
+        compiled call; raises on an inverted control bound."""
         if len(x) != self.dim:
             raise ValueError("state dimension mismatch")
-        lower = [p.evaluate(x) for p in self.lower]
-        upper = [p.evaluate(x) for p in self.upper]
-        for i, (lo, hi) in enumerate(zip(lower, upper)):
+        values = self.evaluate(x)
+        for i, (lo, hi) in enumerate(zip(values[1], values[2])):
             if lo > hi + STATE_TOL:
                 raise InvertedBoundError(i, np.asarray(x, dtype=float))
-        return lower, upper
+        return values
 
 
 def _elementary_symmetric(values: Sequence[float], m: int) -> float:
@@ -218,10 +233,8 @@ def box_min(c: Iterable, lower: Sequence, upper: Sequence, start=0.0):
 def worst_case_phidot(fam: SafetyIndexFamily, params: IndexParams,
                       state: Sequence[float], sys: SymbolicSystem | None = None) -> float:
     """Minimum of d(phi_theta)/dt over the control box at ``state``."""
-    lowered = fam.lowered(params, sys)
-    lower, upper = lowered.box(state)
-    c = [lg.evaluate(state) for lg in lowered.lg]
-    return float(box_min(c, lower, upper, lowered.lf.evaluate(state)))
+    _, lower, upper, lf, c, _ = fam.lowered(params, sys).at(state)
+    return float(box_min(c, lower, upper, lf))
 
 
 def principal_membership(fam: SafetyIndexFamily, params: IndexParams,

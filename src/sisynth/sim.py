@@ -1,19 +1,21 @@
 """Discrete-time navigation trials with the safety filter in the loop.
 
 The world-frame unicycle is the integration source of truth; the relative
-state (distance, relative heading, azimuth) is recomputed from the world
-pose each step, so the sin/cos circle identity holds exactly.  Trials start
-outside the obstacle's protective radius with the goal placed beyond the
-obstacle, forcing the nominal path through it, and report safe-set landing,
-post-entry violations, and forward-invariance / finite-time-convergence
-monitor results.
+state (distance, relative heading, azimuth) is computed from the world pose
+once per step, so the sin/cos circle identity holds exactly.  The obstacle
+sits at the origin.  Trials start outside its protective radius with the
+goal placed beyond it, forcing the nominal path through it, and report
+safe-set landing, post-entry violations, and forward-invariance /
+finite-time-convergence monitor results.
 
 A trial steps on plain Python floats with ``math``: :func:`run_batch` lowers
 the chain members, the control box, ``L_f phi``, ``L_g phi`` and
-``phi_theta`` once (:meth:`~sisynth.index.SafetyIndexFamily.lowered`), and
-each step evaluates those compiled polynomials, forms the nominal control,
-calls :func:`~sisynth.controller.project` and advances the world pose with
-:func:`step`.
+``phi_theta`` once (:meth:`~sisynth.index.SafetyIndexFamily.lowered`).  Each
+step computes the relative state, reads every value the filter needs from
+one compiled call (:meth:`~sisynth.index.LoweredIndex.at`), forms the
+nominal control, calls :func:`~sisynth.controller.project` on those numbers
+and advances the world pose with :func:`step`, which reuses the relative
+state.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 from .controller import Infeasible, NominalGains, nominal_control, project, wrap_angle
 from .controller import safe_control  # noqa: F401  (bench/worker.py traces sim.safe_control)
 from .index import IndexParams, LoweredIndex, SafetyIndexFamily
+from .system import InvertedBoundError
 
 COLLISION_EPS = 1e-6
 GOAL_RADIUS = 0.2
@@ -52,18 +55,16 @@ class RelativeState:
     beta: float
 
 
-def relative_state(world: WorldState, obstacle=(0.0, 0.0)) -> RelativeState:
-    rx = world.position[0] - obstacle[0]
-    ry = world.position[1] - obstacle[1]
+def relative_state(world: WorldState) -> RelativeState:
+    rx, ry = world.position
     beta = math.atan2(ry, rx)
     # bearing of the obstacle from the agent is beta + pi
     alpha = wrap_angle(world.heading - beta - math.pi)
     return RelativeState(d=math.hypot(rx, ry), v=world.speed, alpha=alpha, beta=beta)
 
 
-def world_from_relative(rel: RelativeState, obstacle=(0.0, 0.0)) -> WorldState:
-    position = (obstacle[0] + rel.d * math.cos(rel.beta),
-                obstacle[1] + rel.d * math.sin(rel.beta))
+def world_from_relative(rel: RelativeState) -> WorldState:
+    position = (rel.d * math.cos(rel.beta), rel.d * math.sin(rel.beta))
     return WorldState(position=position, heading=wrap_angle(rel.alpha + rel.beta + math.pi),
                       speed=rel.v)
 
@@ -73,14 +74,14 @@ def sym_state(rel: RelativeState) -> tuple[float, float, float, float]:
     return (rel.d, math.sin(rel.alpha), math.cos(rel.alpha), rel.v)
 
 
-def step(world: WorldState, u, dt: float, obstacle=(0.0, 0.0)) -> WorldState:
+def step(world: WorldState, rel: RelativeState, u, dt: float) -> WorldState:
     """Semi-implicit Euler update with heading rate ``psi_dot = w + beta_dot``.
 
+    ``rel`` is ``relative_state(world)``, which the caller already holds.
     The speed updates first and the position moves with the new speed, so a
     braking command takes effect within the same step; with explicit Euler
     the stale velocity produces one-step overshoots of the safety boundary.
     """
-    rel = relative_state(world, obstacle)
     if rel.d < COLLISION_EPS:
         raise CollisionError(f"agent at the obstacle center (d={rel.d:.2e})")
     a, w = float(u[0]), float(u[1])
@@ -181,7 +182,13 @@ def run_trial(fam: SafetyIndexFamily, params: IndexParams, task: TaskConfig,
     for t in range(steps + 1):
         rel = relative_state(world)
         x = sym_state(rel)
-        phi = [p.evaluate(x) for p in lowered.chain]
+        try:
+            phi, lower, upper, lf, c, phi_theta = lowered.at(x)
+        except InvertedBoundError as exc:
+            # keep this state's chain row: _assess reads at least one
+            phis.append(lowered.evaluate(x)[0])
+            failure = str(exc)
+            break
         phis.append(phi)
         px, py = world.position
         if math.hypot(goal[0] - px, goal[1] - py) < GOAL_RADIUS:
@@ -189,15 +196,14 @@ def run_trial(fam: SafetyIndexFamily, params: IndexParams, task: TaskConfig,
             break
         if t == steps:
             break
-        lower, upper = lowered.box(x)
         u_ref = nominal_control(world.position, world.heading, world.speed, goal,
                                 (lower, upper), task.v_max, task.gains)
         try:
-            u, active, _ = project(lowered, x, u_ref, lower, upper)
+            u, active, _ = project(x, u_ref, lower, upper, lf, c, phi_theta, lowered.eta)
             if record:
                 rows.append([t * task.dt, px, py, world.heading, world.speed,
                              rel.d, rel.alpha, rel.beta, *u, *phi, int(active)])
-            world = step(world, u, task.dt)
+            world = step(world, rel, u, task.dt)
         except (Infeasible, CollisionError) as exc:
             failure = str(exc)
             break

@@ -210,18 +210,17 @@ class TestExactProjection:
         for _ in range(200 * count):
             alpha = rng.uniform(-np.pi, np.pi)
             x = [rng.uniform(0.3, 1.2), np.sin(alpha), np.cos(alpha), rng.uniform(-1.0, 1.0)]
-            if lowered.phi.evaluate(x) < 0.0:
+            _, lower, upper, lf, c, phi = lowered.at(x)
+            if phi < 0.0:
                 continue
-            lower, upper = lowered.box(x)
-            c = [lg.evaluate(x) for lg in lowered.lg]
-            b = -lowered.eta - lowered.lf.evaluate(x)
+            b = -lowered.eta - lf
             if sum(min(ci * lo, ci * hi) for ci, lo, hi in zip(c, lower, upper)) > b:
                 continue
             u_ref = list(rng.uniform(np.array(lower) - 1.0, np.array(upper) + 1.0))
             u0 = np.clip(u_ref, lower, upper)
             if dot(c, u0) <= b + FEAS_TOL:
                 continue
-            yield lowered, x, u_ref, lower, upper, c, b
+            yield lowered, x, u_ref, lower, upper, lf, c, phi, b
             found += 1
             if found == count:
                 return
@@ -233,8 +232,9 @@ class TestExactProjection:
         problem = request.getfixturevalue(family)
         rng = np.random.default_rng(7)
         worst = 0.0
-        for lowered, x, u_ref, lower, upper, c, b in self.active_instances(problem, [k], rng, 600):
-            u, active, _ = project(lowered, x, u_ref, lower, upper)
+        for lowered, x, u_ref, lower, upper, lf, c, phi, b in self.active_instances(
+                problem, [k], rng, 600):
+            u, active, _ = project(x, u_ref, lower, upper, lf, c, phi, lowered.eta)
             assert active
             assert dot(c, u) <= b
             assert all(lo <= ui <= hi for ui, lo, hi in zip(u, lower, upper))
@@ -247,7 +247,9 @@ class TestExactProjection:
         low = constant_index(lf, c)
         b = -low.eta - lf
         assert dot(c, np.clip(u_ref, lower, upper)) > b + FEAS_TOL
-        u, active, _ = project(low, [0.0] * len(c), u_ref, lower, upper)
+        x = [0.0] * len(c)
+        _, _, _, lf_x, c_x, phi_x = low.at(x)
+        u, active, _ = project(x, u_ref, lower, upper, lf_x, c_x, phi_x, low.eta)
         assert active
         assert dot(c, u) <= b
         ref = bisection_reference(u_ref, c, b, lower, upper)
@@ -276,6 +278,7 @@ class TestExactProjection:
         b = -low.eta - low.lf.evaluate([])
         assert b < -2.0 <= b + FEAS_TOL
         assert bisection_reference([0.0, 0.0], [1.0, 1.0], b, [-1.0, -1.0], [1.0, 1.0]) is None
+        _, _, _, lf, c, phi = low.at([0.0, 0.0])
         with pytest.raises(Infeasible) as exc_info:
-            project(low, [0.0, 0.0], [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])
+            project([0.0, 0.0], [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0], lf, c, phi, low.eta)
         assert exc_info.value.best == pytest.approx(low.lf.evaluate([]) - 2.0, abs=1e-15)

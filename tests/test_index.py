@@ -6,7 +6,7 @@ import pytest
 from sisynth.index import (IndexParams, RelativeDegreeError, box_min, build_chain,
                            principal_membership, worst_case_phidot)
 from sisynth.poly import Polynomial, parse_polynomial
-from sisynth.system import system_from_dict, unicycle_model_dict
+from sisynth.system import InvertedBoundError, system_from_dict, unicycle_model_dict
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +116,65 @@ class TestWorstCasePhidot:
             grid_w = np.linspace(lower[1], upper[1], 20)
             grid_min = min(lf + c @ np.array([ua, uw]) for ua in grid_a for uw in grid_w)
             assert got <= grid_min + 1e-9
+
+
+class TestLoweredIndexAt:
+    """The fused evaluator against each lowered member, bit for bit."""
+
+    @staticmethod
+    def members(low):
+        return (tuple(p.evaluate for p in low.chain), tuple(p.evaluate for p in low.lower),
+                tuple(p.evaluate for p in low.upper), low.lf.evaluate,
+                tuple(p.evaluate for p in low.lg), low.phi.evaluate)
+
+    def check(self, low, states):
+        expect = self.members(low)
+        for x in states:
+            got = low.at(x)
+            assert len(got) == len(expect)
+            for value, member in zip(got, expect):
+                if isinstance(member, tuple):
+                    assert value == tuple(m(x) for m in member)
+                else:
+                    assert value == member(x)
+
+    @pytest.mark.parametrize("family,k", [("restricted_problem", 0.012032149952463394),
+                                          ("unicycle_problem", 0.0139),
+                                          ("braking_problem", 2.0)])
+    def test_matches_members(self, family, k, request):
+        problem = request.getfixturevalue(family)
+        low = problem.family.lowered(problem.params([k]))
+        rng = np.random.default_rng(31)
+        if low.dim == 4:
+            states = [(rng.uniform(0.1, 5.0), math.sin(a), math.cos(a), rng.uniform(-1.0, 1.0))
+                      for a in rng.uniform(-np.pi, np.pi, size=500)]
+        else:
+            states = [tuple(rng.uniform(-2.0, 2.0, size=low.dim)) for _ in range(500)]
+        self.check(low, states)
+
+    def test_constant_index(self):
+        from test_controller import constant_index
+        low = constant_index(lf=0.7, c=[-1.25, 3.0], eta=0.2)
+        self.check(low, [(0.0, 0.0), (1.5, -2.0)])
+        assert low.at((0.0, 0.0)) == ((), (), (), 0.7, (-1.25, 3.0), 1.0)
+
+    def test_identical_indices_share_compiled_code(self, unicycle_problem):
+        p = unicycle_problem
+        first, second = p.family.lowered(p.params([0.0139])), p.family.lowered(p.params([0.0139]))
+        assert first.evaluate is second.evaluate
+        assert p.family.lowered(p.params([0.02])).evaluate is not first.evaluate
+
+    def test_inverted_bound_raises(self, braking_problem):
+        import dataclasses
+        low = braking_problem.family.lowered(braking_problem.params([2.0]))
+        high = Polynomial.constant(2.0).lower(braking_problem.system.state_vars)
+        inverted = dataclasses.replace(low, lower=(high,))
+        assert inverted.evaluate is not low.evaluate
+        with pytest.raises(InvertedBoundError) as exc:
+            inverted.at((0.5, 0.2))
+        assert exc.value.dim == 0
+        with pytest.raises(ValueError, match="dimension"):
+            low.at((0.5, 0.2, 0.1))
 
 
 class TestBoxMin:

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from sisynth.controller import nominal_control
+from sisynth.controller import Infeasible, nominal_control, project, wrap_angle
+from sisynth.poly import Polynomial
 from sisynth.sim import (
+    COLLISION_EPS,
+    GOAL_RADIUS,
     BatchReport,
     CollisionError,
     TaskConfig,
@@ -17,6 +20,7 @@ from sisynth.sim import (
     relative_state,
     run_batch,
     run_trial,
+    _assess,
     step,
     sym_state,
     trajectory_csv,
@@ -29,7 +33,7 @@ class TestKinematics:
         # heading straight at the obstacle at speed 1 with zero input:
         # distance shrinks by exactly one step of travel
         world = WorldState(position=np.array([2.0, 0.0]), heading=np.pi, speed=1.0)
-        after = step(world, [0.0, 0.0], dt=0.01)
+        after = step(world, relative_state(world), [0.0, 0.0], dt=0.01)
         assert relative_state(after).d == pytest.approx(1.99, abs=1e-12)
         assert after.speed == 1.0
 
@@ -37,7 +41,7 @@ class TestKinematics:
         # semi-implicit update: the commanded deceleration applies to the
         # position advance of the same step
         world = WorldState(position=np.array([2.0, 0.0]), heading=np.pi, speed=1.0)
-        after = step(world, [-100.0, 0.0], dt=0.01)
+        after = step(world, relative_state(world), [-100.0, 0.0], dt=0.01)
         assert after.speed == pytest.approx(0.0, abs=1e-12)
         assert relative_state(after).d == pytest.approx(2.0, abs=1e-12)
 
@@ -47,7 +51,7 @@ class TestKinematics:
         rel0 = relative_state(WorldState(position=np.array([1.0, 0.0]),
                                          heading=np.pi / 2, speed=1.0))
         world = world_from_relative(rel0)
-        after = step(world, [0.0, 0.0], dt=1e-4)
+        after = step(world, relative_state(world), [0.0, 0.0], dt=1e-4)
         rel1 = relative_state(after)
         assert rel1.alpha == pytest.approx(rel0.alpha, abs=1e-6)
 
@@ -72,7 +76,7 @@ class TestKinematics:
     def test_collision_guard(self):
         world = WorldState(position=np.array([0.0, 0.0]), heading=0.0, speed=0.0)
         with pytest.raises(CollisionError):
-            step(world, [0.0, 0.0], dt=0.01)
+            step(world, relative_state(world), [0.0, 0.0], dt=0.01)
 
 
 class TestTaskConfig:
@@ -192,6 +196,94 @@ class TestLoweredLoop:
             monkeypatch.setenv("SISYNTH_THREADS", threads)
             runs.append(run_batch(p.family, params, task, record=True).reports)
         assert runs[0] == runs[1]
+
+
+K_PINNED = 0.012032149952463394   # a certified k of the restricted instance
+
+
+def reference_step(world, u, dt):
+    """The world update as a function of the pose alone: rebuilds the
+    relative state it needs for ``beta_dot``."""
+    rel = relative_state(world)
+    if rel.d < COLLISION_EPS:
+        raise CollisionError(f"agent at the obstacle center (d={rel.d:.2e})")
+    a, w = float(u[0]), float(u[1])
+    beta_dot = -rel.v * math.sin(rel.alpha) / rel.d
+    speed = world.speed + dt * a
+    travel = dt * speed
+    position = (world.position[0] + travel * math.cos(world.heading),
+                world.position[1] + travel * math.sin(world.heading))
+    return WorldState(position=position, heading=wrap_angle(world.heading + dt * (w + beta_dot)),
+                      speed=speed)
+
+
+def reference_trial(lowered, params, task, trial):
+    """One recorded trial that evaluates every lowered polynomial on its own,
+    checks the control box separately and lets the world update recompute
+    the relative state."""
+    world, goal = initial_state(task, trial)
+    steps = int(round(task.horizon / task.dt))
+    phis, rows, reached_goal, failure = [], [], False, None
+    for t in range(steps + 1):
+        rel = relative_state(world)
+        x = sym_state(rel)
+        phi = [p.evaluate(x) for p in lowered.chain]
+        phis.append(phi)
+        px, py = world.position
+        if math.hypot(goal[0] - px, goal[1] - py) < GOAL_RADIUS:
+            reached_goal = True
+            break
+        if t == steps:
+            break
+        lower = [p.evaluate(x) for p in lowered.lower]
+        upper = [p.evaluate(x) for p in lowered.upper]
+        assert all(lo <= hi for lo, hi in zip(lower, upper))
+        u_ref = nominal_control(world.position, world.heading, world.speed, goal,
+                                (lower, upper), task.v_max, task.gains)
+        try:
+            u, active, _ = project(x, u_ref, lower, upper, lowered.lf.evaluate(x),
+                                   [p.evaluate(x) for p in lowered.lg],
+                                   lowered.phi.evaluate(x), lowered.eta)
+            rows.append([t * task.dt, px, py, world.heading, world.speed,
+                         rel.d, rel.alpha, rel.beta, *u, *phi, int(active)])
+            world = reference_step(world, u, task.dt)
+        except (Infeasible, CollisionError) as exc:
+            failure = str(exc)
+            break
+    return _assess(trial, np.array(phis), params, task, reached_goal, failure, rows)
+
+
+class TestFusedStep:
+    """One compiled call and one relative state per step, against the
+    per-polynomial loop."""
+
+    def test_batch_matches_reference_loop(self, restricted_problem):
+        p = restricted_problem
+        params = p.params([K_PINNED])
+        task = dataclasses.replace(p.config.task_config(), trials=3, horizon=4.0)
+        lowered = p.family.lowered(params)
+        batch = run_batch(p.family, params, task, record=True)
+        assert len(batch.reports) == 3
+        for got in batch.reports:
+            want = reference_trial(lowered, params, task, got.trial)
+            for f in dataclasses.fields(TrialReport):
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+            assert got.steps == 400 and got.failure is None
+        assert any(row[-1] for r in batch.reports for row in r.rows)
+
+    def test_inverted_box_fails_trial(self, restricted_problem):
+        p = restricted_problem
+        params = p.params([K_PINNED])
+        task = dataclasses.replace(p.config.task_config(), trials=1, horizon=1.0)
+        lowered = p.family.lowered(params)
+        high = Polynomial.constant(1e3).lower(p.system.state_vars)
+        inverted = dataclasses.replace(lowered, lower=(high, *lowered.lower[1:]))
+        report = run_trial(p.family, params, task, 0, record=True, lowered=inverted)
+        assert report.failure.startswith("control bounds inverted in dimension 0")
+        assert report.steps == 0 and report.rows == []
+        assert not report.ok
+        text = markdown_report(BatchReport(reports=[report]), [K_PINNED])
+        assert f"trial 0: {report.failure}" in text
 
 
 class TestBenchmarkHooks:

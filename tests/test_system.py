@@ -84,7 +84,7 @@ class TestSymbolicNumericAgreement:
             world = world_from_relative(RelativeState(d=d, v=v, alpha=alpha,
                                                       beta=rng.uniform(-np.pi, np.pi)))
             rel0 = relative_state(world)
-            rel1 = relative_state(step(world, u, dt))
+            rel1 = relative_state(step(world, rel0, u, dt))
             fd = (np.array(sym_state(rel1.d, rel1.alpha, rel1.v))
                   - np.array(sym_state(rel0.d, rel0.alpha, rel0.v))) / dt
             # [d_dot, sin(alpha)_dot, cos(alpha)_dot, v_dot]; the difference
