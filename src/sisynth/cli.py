@@ -169,7 +169,8 @@ def verify(config_path, cert_path, k_values, output):
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--certificate", "cert_path", type=click.Path(exists=True, dir_okay=False),
               required=True)
-@click.option("--trials", type=int, default=None, help="Override the trial count.")
+@click.option("--trials", type=click.IntRange(min=0), default=None,
+              help="Override the trial count.")
 @click.option("--seed", type=int, default=None, help="Override the simulation seed.")
 @click.option("--trajectories", is_flag=True, help="Write per-trial trajectory CSVs.")
 @click.option("--output", type=click.Path(file_okay=False), default=None)

@@ -11,11 +11,15 @@ finite-time-convergence monitor results.
 A trial steps on plain Python floats with ``math``: :func:`run_batch` lowers
 the chain members, the control box, ``L_f phi``, ``L_g phi`` and
 ``phi_theta`` once (:meth:`~sisynth.index.SafetyIndexFamily.lowered`).  Each
-step computes the relative state, reads every value the filter needs from
-one compiled call (:meth:`~sisynth.index.LoweredIndex.at`), forms the
-nominal control, calls :func:`~sisynth.controller.project` on those numbers
-and advances the world pose with :func:`step`, which reuses the relative
-state.
+step works on float locals: it computes the relative state and the symbolic
+state vector inline (the operations of :func:`relative_state` and
+:func:`sym_state`, in the same order, without building either object),
+reads every value the filter needs from one compiled call
+(:meth:`~sisynth.index.LoweredIndex.at`) and forms the nominal control.
+:func:`~sisynth.controller.project` runs only when ``phi_theta >= 0``: the
+nominal control is already clamped to the control box, and that clamp is
+all ``project`` does on an inactive index.  :func:`step` then advances the
+float pose ``(px, py, heading, speed)``.
 """
 
 from __future__ import annotations
@@ -74,26 +78,29 @@ def sym_state(rel: RelativeState) -> tuple[float, float, float, float]:
     return (rel.d, math.sin(rel.alpha), math.cos(rel.alpha), rel.v)
 
 
-def step(world: WorldState, rel: RelativeState, u, dt: float) -> WorldState:
-    """Semi-implicit Euler update with heading rate ``psi_dot = w + beta_dot``.
+def step(pose: tuple[float, float, float, float], d: float, alpha: float, u,
+         dt: float) -> tuple[float, float, float, float]:
+    """Semi-implicit Euler update of the pose ``(px, py, heading, speed)``
+    with heading rate ``psi_dot = w + beta_dot``.
 
-    ``rel`` is ``relative_state(world)``, which the caller already holds.
-    The speed updates first and the position moves with the new speed, so a
-    braking command takes effect within the same step; with explicit Euler
-    the stale velocity produces one-step overshoots of the safety boundary.
+    ``d`` and ``alpha`` are the distance and relative heading of the pose
+    (:func:`relative_state`), which the caller already holds; the azimuth
+    rate is ``beta_dot = -speed sin(alpha) / d``.  The speed updates first
+    and the position moves with the new speed, so a braking command takes
+    effect within the same step; with explicit Euler the stale velocity
+    produces one-step overshoots of the safety boundary.
     """
-    if rel.d < COLLISION_EPS:
-        raise CollisionError(f"agent at the obstacle center (d={rel.d:.2e})")
+    if d < COLLISION_EPS:
+        raise CollisionError(f"agent at the obstacle center (d={d:.2e})")
+    px, py, heading, speed = pose
     a, w = float(u[0]), float(u[1])
-    beta_dot = -rel.v * math.sin(rel.alpha) / rel.d
+    beta_dot = -speed * math.sin(alpha) / d
     psi_dot = w + beta_dot
-    speed = world.speed + dt * a
-    travel = dt * speed
-    position = (world.position[0] + travel * math.cos(world.heading),
-                world.position[1] + travel * math.sin(world.heading))
-    return WorldState(position=position,
-                      heading=wrap_angle(world.heading + dt * psi_dot),
-                      speed=speed)
+    new_speed = speed + dt * a
+    travel = dt * new_speed
+    psi = heading + dt * psi_dot
+    return (px + travel * math.cos(heading), py + travel * math.sin(heading),
+            math.atan2(math.sin(psi), math.cos(psi)), new_speed)
 
 
 @dataclass
@@ -122,7 +129,19 @@ class TaskConfig:
             kwargs["d_init"] = tuple(kwargs["d_init"])
         if "goal_dist" in kwargs:
             kwargs["goal_dist"] = tuple(kwargs["goal_dist"])
-        return cls(**kwargs)
+        task = cls(**kwargs)
+        _require(isinstance(task.trials, int) and not isinstance(task.trials, bool)
+                 and task.trials >= 0, "trials", "an integer >= 0", task.trials)
+        _require(isinstance(task.horizon, (int, float)) and 0.0 <= task.horizon < math.inf,
+                 "horizon", "a finite number >= 0", task.horizon)
+        _require(isinstance(task.dt, (int, float)) and 0.0 < task.dt < math.inf,
+                 "dt", "a finite number > 0", task.dt)
+        return task
+
+
+def _require(ok: bool, key: str, expected: str, value) -> None:
+    if not ok:
+        raise ValueError(f"sim key {key!r} must be {expected}, got {value!r}")
 
 
 @dataclass
@@ -172,7 +191,12 @@ def run_trial(fam: SafetyIndexFamily, params: IndexParams, task: TaskConfig,
     if lowered is None:
         lowered = fam.lowered(params)
     world, goal = initial_state(task, trial)
-    steps = int(round(task.horizon / task.dt))
+    (px, py), heading, speed = world.position, world.heading, world.speed
+    gx, gy = goal
+    dt = task.dt
+    steps = int(round(task.horizon / dt))
+    at, eta = lowered.at, lowered.eta
+    atan2, sin, cos, hypot, pi = math.atan2, math.sin, math.cos, math.hypot, math.pi
 
     phis = []
     rows = []
@@ -180,30 +204,37 @@ def run_trial(fam: SafetyIndexFamily, params: IndexParams, task: TaskConfig,
     failure = None
 
     for t in range(steps + 1):
-        rel = relative_state(world)
-        x = sym_state(rel)
+        # relative_state and sym_state on the pose locals
+        beta = atan2(py, px)
+        rel_heading = heading - beta - pi
+        alpha = atan2(sin(rel_heading), cos(rel_heading))
+        d = hypot(px, py)
+        x = (d, sin(alpha), cos(alpha), speed)
         try:
-            phi, lower, upper, lf, c, phi_theta = lowered.at(x)
+            phi, lower, upper, lf, c, phi_theta = at(x)
         except InvertedBoundError as exc:
             # keep this state's chain row: _assess reads at least one
             phis.append(lowered.evaluate(x)[0])
             failure = str(exc)
             break
         phis.append(phi)
-        px, py = world.position
-        if math.hypot(goal[0] - px, goal[1] - py) < GOAL_RADIUS:
+        if hypot(gx - px, gy - py) < GOAL_RADIUS:
             reached_goal = True
             break
         if t == steps:
             break
-        u_ref = nominal_control(world.position, world.heading, world.speed, goal,
-                                (lower, upper), task.v_max, task.gains)
+        u = nominal_control((px, py), heading, speed, goal, (lower, upper),
+                            task.v_max, task.gains)
         try:
-            u, active, _ = project(x, u_ref, lower, upper, lf, c, phi_theta, lowered.eta)
+            if phi_theta < 0.0:
+                # inactive index: u is already the box clamp project returns
+                active = False
+            else:
+                u, active, _ = project(x, u, lower, upper, lf, c, phi_theta, eta)
             if record:
-                rows.append([t * task.dt, px, py, world.heading, world.speed,
-                             rel.d, rel.alpha, rel.beta, *u, *phi, int(active)])
-            world = step(world, rel, u, task.dt)
+                rows.append([t * dt, px, py, heading, speed, d, alpha, beta,
+                             *u, *phi, int(active)])
+            px, py, heading, speed = step((px, py, heading, speed), d, alpha, u, dt)
         except (Infeasible, CollisionError) as exc:
             failure = str(exc)
             break

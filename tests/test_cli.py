@@ -146,6 +146,15 @@ class TestSimulate:
         assert result.exit_code == 0
         assert "vacuous" in result.output
 
+    def test_negative_trials_rejected(self, runner, restricted_cert_path, tmp_path):
+        result = runner.invoke(main, [
+            "simulate", RESTRICTED_CONFIG_PATH,
+            "--certificate", restricted_cert_path,
+            "--trials", "-3", "--output", str(tmp_path)])
+        assert result.exit_code != 0
+        assert "Invalid value for '--trials'" in result.output
+        assert not (tmp_path / "report.md").exists()
+
     def test_invalid_certificate_refused(self, runner, restricted_certificate,
                                          tmp_path):
         data = restricted_certificate.to_dict()

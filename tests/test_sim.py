@@ -10,6 +10,7 @@ from sisynth.poly import Polynomial
 from sisynth.sim import (
     COLLISION_EPS,
     GOAL_RADIUS,
+    SLACK_FACTOR,
     BatchReport,
     CollisionError,
     TaskConfig,
@@ -28,12 +29,20 @@ from sisynth.sim import (
 )
 
 
+def step_world(world, u, dt):
+    """:func:`step` on a ``WorldState``, with the relative state it reads."""
+    rel = relative_state(world)
+    px, py, heading, speed = step((*world.position, world.heading, world.speed),
+                                  rel.d, rel.alpha, u, dt)
+    return WorldState(position=(px, py), heading=heading, speed=speed)
+
+
 class TestKinematics:
     def test_hand_checked_step(self):
         # heading straight at the obstacle at speed 1 with zero input:
         # distance shrinks by exactly one step of travel
         world = WorldState(position=np.array([2.0, 0.0]), heading=np.pi, speed=1.0)
-        after = step(world, relative_state(world), [0.0, 0.0], dt=0.01)
+        after = step_world(world, [0.0, 0.0], dt=0.01)
         assert relative_state(after).d == pytest.approx(1.99, abs=1e-12)
         assert after.speed == 1.0
 
@@ -41,7 +50,7 @@ class TestKinematics:
         # semi-implicit update: the commanded deceleration applies to the
         # position advance of the same step
         world = WorldState(position=np.array([2.0, 0.0]), heading=np.pi, speed=1.0)
-        after = step(world, relative_state(world), [-100.0, 0.0], dt=0.01)
+        after = step_world(world, [-100.0, 0.0], dt=0.01)
         assert after.speed == pytest.approx(0.0, abs=1e-12)
         assert relative_state(after).d == pytest.approx(2.0, abs=1e-12)
 
@@ -51,7 +60,7 @@ class TestKinematics:
         rel0 = relative_state(WorldState(position=np.array([1.0, 0.0]),
                                          heading=np.pi / 2, speed=1.0))
         world = world_from_relative(rel0)
-        after = step(world, relative_state(world), [0.0, 0.0], dt=1e-4)
+        after = step_world(world, [0.0, 0.0], dt=1e-4)
         rel1 = relative_state(after)
         assert rel1.alpha == pytest.approx(rel0.alpha, abs=1e-6)
 
@@ -76,7 +85,7 @@ class TestKinematics:
     def test_collision_guard(self):
         world = WorldState(position=np.array([0.0, 0.0]), heading=0.0, speed=0.0)
         with pytest.raises(CollisionError):
-            step(world, relative_state(world), [0.0, 0.0], dt=0.01)
+            step_world(world, [0.0, 0.0], dt=0.01)
 
 
 class TestTaskConfig:
@@ -89,6 +98,27 @@ class TestTaskConfig:
                                      "gains": {"heading": 3.0}})
         assert task.trials == 5 and task.dt == 0.02
         assert task.gains.heading == 3.0
+
+    @pytest.mark.parametrize("key, value", [("dt", 0), ("dt", -0.01), ("horizon", -1),
+                                            ("trials", -1), ("trials", 2.5)])
+    def test_bad_value_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"sim key '{key}' must be"):
+            TaskConfig.from_dict({key: value})
+
+    def test_bad_value_is_config_error(self, restricted_problem):
+        from sisynth.config import ConfigError
+        cfg = restricted_problem.config
+        cfg = dataclasses.replace(cfg, sim={**cfg.sim, "dt": 0})
+        with pytest.raises(ConfigError, match="sim key 'dt'"):
+            cfg.task_config()
+
+    def test_zero_horizon_gives_one_row(self, restricted_problem):
+        p = restricted_problem
+        task = TaskConfig.from_dict({**p.config.sim, "horizon": 0})
+        report = run_trial(p.family, p.params([K_PINNED]), task, 0, record=True)
+        assert report.failure is None
+        assert report.steps == 0 and report.rows == []
+        assert report.eps_disc == SLACK_FACTOR * task.dt
 
 
 @pytest.fixture(scope="module")
@@ -268,8 +298,47 @@ class TestFusedStep:
             want = reference_trial(lowered, params, task, got.trial)
             for f in dataclasses.fields(TrialReport):
                 assert getattr(got, f.name) == getattr(want, f.name), f.name
+            # == takes -0.0 for 0.0; repr tells the signs of zero apart
+            for t, (row, ref) in enumerate(zip(got.rows, want.rows)):
+                assert list(map(repr, row)) == list(map(repr, ref)), t
             assert got.steps == 400 and got.failure is None
         assert any(row[-1] for r in batch.reports for row in r.rows)
+
+    def test_project_runs_only_on_active_steps(self, restricted_problem, monkeypatch):
+        from sisynth import sim
+        p = restricted_problem
+        params = p.params([K_PINNED])
+        task = dataclasses.replace(p.config.task_config(), trials=3, horizon=4.0)
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return project(*args)
+
+        monkeypatch.setattr(sim, "project", counted)
+        batch = run_batch(p.family, params, task, record=True)
+        rows = [row for r in batch.reports for row in r.rows]
+        active = sum(row[-1] for row in rows)
+        assert 0 < active < len(rows)
+        assert calls == active
+        # an inactive step applies the nominal control, which is what
+        # project returns there, bit for bit
+        lowered = p.family.lowered(params)
+        for r in batch.reports:
+            _, goal = initial_state(task, r.trial)
+            for row in r.rows:
+                if row[-1]:
+                    continue
+                _, px, py, psi, v, d, alpha, _, a, w = row[:10]
+                x = (d, math.sin(alpha), math.cos(alpha), v)
+                _, lower, upper, lf, c, phi_theta = lowered.at(x)
+                u_ref = nominal_control((px, py), psi, v, goal, (lower, upper),
+                                        task.v_max, task.gains)
+                u, was_active, _ = project(x, u_ref, lower, upper, lf, c, phi_theta,
+                                           lowered.eta)
+                assert not was_active
+                assert [repr(a), repr(w)] == list(map(repr, u))
 
     def test_inverted_box_fails_trial(self, restricted_problem):
         p = restricted_problem

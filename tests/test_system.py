@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sisynth.sim import RelativeState, relative_state, step, world_from_relative
+from sisynth.sim import RelativeState, WorldState, relative_state, step, world_from_relative
 from sisynth.system import InvertedBoundError, system_from_dict, unicycle_model_dict
 
 
@@ -84,7 +84,9 @@ class TestSymbolicNumericAgreement:
             world = world_from_relative(RelativeState(d=d, v=v, alpha=alpha,
                                                       beta=rng.uniform(-np.pi, np.pi)))
             rel0 = relative_state(world)
-            rel1 = relative_state(step(world, rel0, u, dt))
+            px, py, psi, v1 = step((*world.position, world.heading, world.speed),
+                                   rel0.d, rel0.alpha, u, dt)
+            rel1 = relative_state(WorldState(position=(px, py), heading=psi, speed=v1))
             fd = (np.array(sym_state(rel1.d, rel1.alpha, rel1.v))
                   - np.array(sym_state(rel0.d, rel0.alpha, rel0.v))) / dt
             # [d_dot, sin(alpha)_dot, cos(alpha)_dot, v_dot]; the difference
