@@ -56,13 +56,16 @@ def _theta_from_cert(problem, cert: Certificate) -> np.ndarray:
 
 def _restart_line(r: dict) -> str:
     """One line per solver restart: verdict, k, worst lambda_min, and each
-    round's DR iteration count, stop reason and lambda_min."""
+    round's DR iteration count, stop reason, lambda_min and the kept blocks'
+    lambda_min on the zero face."""
     k = ", ".join(f"{v:.6g}" for v in r["k"])
     line = (f"  restart {r['restart']}: {'valid' if r['valid'] else 'invalid'}, k = [{k}], "
             f"lambda_min {min(r['lambda_mins']):.3e}")
     for i, x in enumerate(r.get("rounds", [])):
         line += (f"; round {i}: {x['dr_iters']} DR iterations, stop {x['stop']}, "
                  f"lambda_min {x['lambda_min']:.3e}")
+        if "reduced_lambda_min" in x:
+            line += f", reduced lambda_min {x['reduced_lambda_min']:.3e}"
     return line
 
 
@@ -74,7 +77,8 @@ def main():
 @main.command()
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", type=int, default=None, help="Override the solver seed.")
-@click.option("--tolerance", type=float, default=None, help="Override the eigenvalue tolerance.")
+@click.option("--tolerance", type=click.FloatRange(min=0), default=None,
+              help="Override the eigenvalue tolerance.")
 @click.option("--output", type=click.Path(file_okay=False), default=None)
 def synth(config_path, seed, tolerance, output):
     """Synthesize index parameters and write a certificate JSON."""

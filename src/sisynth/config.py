@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .falsifier import FalsifierConfig
@@ -90,6 +91,17 @@ class RunConfig:
 
     def solver_config(self) -> SolverConfig:
         s = self.solver
+        for key in ("restarts", "iterations", "rounds"):
+            if key in s:
+                _require(_is_int(s[key]) and s[key] >= 1, key, "an integer >= 1", s[key])
+        if "tolerance" in s:
+            _require(_is_finite(s["tolerance"]) and s["tolerance"] >= 0, "tolerance",
+                     "a finite number >= 0", s["tolerance"])
+        if "k_init" in s:
+            k_init = s["k_init"]
+            _require(isinstance(k_init, (list, tuple)) and len(k_init) == 2
+                     and all(_is_finite(v) for v in k_init) and k_init[0] <= k_init[1],
+                     "k_init", "a pair [lo, hi] of finite numbers with lo <= hi", k_init)
         kwargs = {}
         for key in ("restarts", "iterations", "rounds", "seed"):
             if key in s:
@@ -111,6 +123,20 @@ class RunConfig:
             return TaskConfig.from_dict(self.sim)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad sim section: {exc}") from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _require(ok: bool, key: str, expected: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"solver key {key!r} must be {expected}, got {value!r}")
 
 
 @dataclass

@@ -9,6 +9,12 @@ parameters.  A DR round stops on ``tolerance`` (it certifies) or on
 ``budget``; only a round that spends its budget is followed by an L-BFGS
 penalty round that steers the index parameters.
 
+A basis monomial whose Gram diagonal is the zero polynomial forces its row
+and column of a PSD matrix to zero, so DR runs on that zero face: the
+pruned entries become affine equalities on the multipliers, solved once per
+round, and DR iterates on the kept blocks only.  Candidates are still
+judged on the full Gram matrices.
+
 The solver's eigendecompositions run on LAPACK (``np.linalg.eigh``).  The
 in-repo Jacobi eigensolver (:func:`jacobi_eigh_batch`) serves
 :func:`check_certificate`, so a certificate is re-checked by an eigensolver
@@ -20,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -191,6 +197,10 @@ class GramStack:
         width = max([1] + [len(t[4]) for t in terms])
         self.nvars = layout.size   # also the index of the constant-1 slot
         self.sizes = [spec.size for spec in specs]
+        # per case, the basis indices whose Gram diagonal is the zero
+        # polynomial: a PSD matrix is zero on their rows and columns
+        self.pruned = [np.array([i for i in range(spec.size) if spec.entries[i][i].is_zero()],
+                                dtype=np.intp) for spec in specs]
         self.coeffs = np.array([t[3] for t in terms], dtype=float)
         self.factors = np.array([t[4] + [self.nvars] * (width - len(t[4])) for t in terms],
                                 dtype=np.intp).reshape(len(terms), width)
@@ -247,24 +257,86 @@ class GramStack:
         return g[:-1]
 
 
+def _sym_eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK eigendecomposition of a stack of matrices, symmetrized."""
+    return np.linalg.eigh(0.5 * (mats + mats.transpose(0, 2, 1)))
+
+
+def _face_solutions(E: np.ndarray, e: np.ndarray):
+    """Every solution ``y = y_p + N w`` of each stacked system ``E y = e``.
+
+    One batched SVD: ``y_p`` is the least-squares solution of least norm and
+    the columns of ``N`` are an orthonormal basis of the null space of
+    ``E``.  The rank sets the width of ``N``, so cases are yielded grouped by
+    rank as ``(case selection, N, y_p)``.  A system without rows gives
+    ``N = I`` and ``y_p = 0`` exactly.
+    """
+    U, s, Vt = np.linalg.svd(E)
+    tol = np.max(s, axis=1, initial=0.0) * max(E.shape[1:]) * np.finfo(float).eps
+    rank = np.sum(s > tol[:, None], axis=1)
+    for r in np.unique(rank):
+        sel = np.flatnonzero(rank == r)
+        V = Vt[sel].transpose(0, 2, 1)
+        coef = np.matmul(U[sel][:, :, :r].transpose(0, 2, 1), e[sel][..., None])
+        yield sel, V[:, :, r:], np.matmul(V[:, :, :r], coef / s[sel][:, :r, None])[..., 0]
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of lower-triangular matrices, by forward substitution."""
+    X = np.zeros_like(L)
+    for i in range(L.shape[-1]):
+        X[:, i, i] = 1.0 / L[:, i, i]
+        X[:, i, :i] = -np.matmul(L[:, i, None, :i], X[:, :i, :i])[:, 0] * X[:, i, i, None]
+    return X
+
+
+class _Block(NamedTuple):
+    """Cases of one block shape, stacked.
+
+    The full block maps the free columns ``C`` to the packed rows ``R`` (the
+    Gram entries row-major, then the sign rows) as ``A y + b``.  On the zero
+    face the free decision is ``y = yp + N w``, and the ``kept`` rows of the
+    block are ``Af w + bf``, with least-squares projector ``P``.  ``v`` and
+    ``w`` are the block's slices of the face-packed vector and of the face
+    coordinates; ``k`` is the kept Gram size.
+    """
+    R: np.ndarray
+    C: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
+    kept: np.ndarray
+    k: int
+    N: np.ndarray
+    yp: np.ndarray
+    Af: np.ndarray
+    bf: np.ndarray
+    P: np.ndarray
+    v: slice
+    w: slice
+
+
 class AffineGramMap:
-    """The Gram stack as an affine function of the non-index decision variables.
+    """The Gram stack as an affine function of the non-index decision
+    variables, restricted to the zero face.
 
     For pinned index parameters every Gram entry is affine in the remaining
     decision coordinates (multipliers and kernel shares), so the packed
-    matrices are ``A y + b``, in the layout of :meth:`GramStack.flat`.  Sign
-    constraints on the gamma multipliers ride along as extra scalar rows,
-    which makes both feasibility projections exact: eigenvalue clipping
-    (LAPACK ``eigh``) on the cone side, a least-squares solve on the affine
-    side.
+    matrices are ``A y + b``, in the layout of :meth:`GramStack.flat`, with
+    the gamma multipliers' sign constraints as extra scalar rows
+    (:meth:`evaluate`).  Refute cases share only the index parameters, so
+    once those are pinned ``A`` is block diagonal, one dense block per case;
+    blocks of equal shape are stacked.
 
-    Refute cases share only the index parameters, so once those are pinned
-    ``A`` is block diagonal.  It is stored as one dense block per case: the
-    case's Gram rows and the sign rows of its gamma multipliers, against the
-    free columns that case owns.  Blocks of equal shape are stacked, so
-    :meth:`apply` and :meth:`project` are a gather, one batched ``matmul``
-    per shape and a scatter, and each block's ``A^T A`` is factored by a
-    batched Cholesky.
+    A basis monomial whose Gram diagonal is the zero polynomial
+    (:attr:`GramStack.pruned`) forces its whole row and column of a PSD
+    matrix to zero.  Those entries are affine equalities ``E y = e`` on the
+    case's columns, solved by one batched SVD as ``y = y_p + N w``
+    (:func:`_face_solutions`); a case with nothing pruned has ``N = I`` and
+    ``y_p = 0``.  The Douglas-Rachford iteration of :meth:`refine` runs on
+    the face: :meth:`apply` and :meth:`project` map face coordinates ``w``
+    to the kept Gram entries and sign rows and back, so both feasibility
+    projections stay exact and the cone side eigendecomposes only the kept
+    blocks.  :meth:`candidate` still judges the full matrices.
     """
 
     def __init__(self, grams: GramStack, layout: DecisionLayout, theta: np.ndarray):
@@ -308,21 +380,24 @@ class AffineGramMap:
             name = layout.variables[self.free_idx[np.argmax(owner < 0)]].name
             raise ValueError(f"decision variable {name} enters no Gram matrix")
 
-        # rows and columns of each case's block, grouped by block shape
-        shapes: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
+        # rows and columns of each case's block, grouped by block shape and
+        # pruned basis monomials
+        shapes: dict[tuple, list[tuple[np.ndarray, np.ndarray]]] = {}
         for c, n in enumerate(grams.sizes):
             r = np.concatenate([grams.case_offsets[c] + np.arange(n * n),
                                 self.rows_gram + np.flatnonzero(owner[self.gamma_pos] == c)])
             cols = np.flatnonzero(owner == c)
-            shapes.setdefault((len(r), len(cols)), []).append((r, cols))
+            shapes.setdefault((n, len(r), len(cols), tuple(grams.pruned[c].tolist())),
+                              []).append((r, cols))
         entry_rows = np.concatenate([rows[linear], np.arange(self.rows_gram, nrows)])
         entry_cols = np.concatenate([col[linear], self.gamma_pos])
         values = np.concatenate([cval[linear], np.ones(len(self.gamma_pos))])
         row_slot = np.empty(nrows, dtype=np.intp)   # row's offset in its group's stack
         col_slot = np.empty(nfree, dtype=np.intp)   # column's index within its block
         row_group = np.full(nrows, -1, dtype=np.intp)
-        self._blocks = []
-        for g, ((nr, nc), members) in enumerate(sorted(shapes.items())):
+        self._blocks: list[_Block] = []
+        v_off = w_off = 0
+        for g, ((n, nr, nc, pruned), members) in enumerate(sorted(shapes.items())):
             R = np.array([r for r, _ in members], dtype=np.intp).reshape(len(members), nr)
             C = np.array([c for _, c in members], dtype=np.intp).reshape(len(members), nc)
             row_slot[R] = np.arange(R.size).reshape(R.shape)
@@ -332,75 +407,143 @@ class AffineGramMap:
             A = np.bincount(row_slot[entry_rows[mine]] * nc + col_slot[entry_cols[mine]],
                             weights=values[mine], minlength=R.size * nc
                             ).reshape(len(members), nr, nc)
-            At = A.transpose(0, 2, 1)
-            try:
-                L = np.linalg.cholesky(np.matmul(At, A))
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(
-                    f"the affine Gram map at theta = {self.theta.tolist()} has linearly "
-                    "dependent multiplier columns (A^T A is not positive definite)") from exc
-            # (A^T A)^-1 A^T per block, so each projection is one batched matmul
-            P = np.linalg.solve(L.transpose(0, 2, 1), np.linalg.solve(L, At))
-            self._blocks.append((R, C, A, self.b[R], P))
+            b = self.b[R]
+            on_face = np.zeros((n, n), dtype=bool)
+            on_face[list(pruned)] = True
+            on_face[:, list(pruned)] = True
+            kept = np.concatenate([np.flatnonzero(~on_face), np.arange(n * n, nr)])
+            # upper-triangle entries on the face; an entry that is zero in
+            # every case (such as a pruned diagonal) constrains nothing
+            face = np.flatnonzero(np.triu(on_face))
+            face = face[np.any(A[:, face] != 0.0, axis=(0, 2)) | np.any(b[:, face] != 0.0, axis=0)]
+            for sel, N, yp in _face_solutions(A[:, face], -b[:, face]):
+                Ak = A[sel][:, kept]
+                Af = np.matmul(Ak, N)
+                try:
+                    L = np.linalg.cholesky(np.matmul(Af.transpose(0, 2, 1), Af))
+                except np.linalg.LinAlgError as exc:
+                    raise ValueError(
+                        f"the affine Gram map at theta = {self.theta.tolist()} has linearly "
+                        "dependent multiplier columns (A^T A is not positive definite)") from exc
+                # (Af^T Af)^-1 Af^T = L^-T L^-1 Af^T, so each projection is one matmul
+                Li = _lower_inverse(L)
+                P = np.matmul(Li.transpose(0, 2, 1), np.matmul(Li, Af.transpose(0, 2, 1)))
+                bf = b[sel][:, kept] + np.matmul(Ak, yp[..., None])[..., 0]
+                dv, dw = Af.shape[0] * Af.shape[1], Af.shape[0] * Af.shape[2]
+                self._blocks.append(_Block(
+                    R=R[sel], C=C[sel], A=A[sel], b=b[sel], kept=kept, k=n - len(pruned),
+                    N=N, yp=yp, Af=Af, bf=bf, P=P,
+                    v=slice(v_off, v_off + dv), w=slice(w_off, w_off + dw)))
+                v_off, w_off = v_off + dv, w_off + dw
+        self.face_rows, self.face_dim = v_off, w_off
 
-    def apply(self, y: np.ndarray) -> np.ndarray:
+    def evaluate(self, y: np.ndarray) -> np.ndarray:
         """The packed Gram matrices and sign rows ``A y + b`` at free decision ``y``."""
         out = np.empty(len(self.b))
-        for R, C, A, bR, _ in self._blocks:
-            out[R] = np.matmul(A, y[C][..., None])[..., 0] + bR
+        for blk in self._blocks:
+            out[blk.R] = np.matmul(blk.A, y[blk.C][..., None])[..., 0] + blk.b
+        return out
+
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        """The kept Gram entries and sign rows ``Af w + bf`` at face coordinates
+        ``w``, packed block by block."""
+        out = np.empty(self.face_rows)
+        for blk in self._blocks:
+            wb = w[blk.w].reshape(len(blk.C), -1, 1)
+            out[blk.v] = (np.matmul(blk.Af, wb)[..., 0] + blk.bf).ravel()
         return out
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        """The least-squares decision ``argmin_y |A y + b - v|``."""
+        """The least-squares face coordinates ``argmin_w |Af w + bf - v|``."""
+        w = np.empty(self.face_dim)
+        for blk in self._blocks:
+            vb = v[blk.v].reshape(len(blk.C), -1)
+            w[blk.w] = np.matmul(blk.P, (vb - blk.bf)[..., None]).ravel()
+        return w
+
+    def lift(self, w: np.ndarray) -> np.ndarray:
+        """The free decision ``y = y_p + N w`` on the face."""
         y = np.empty(len(self.free_idx))
-        for R, C, _, bR, P in self._blocks:
-            y[C] = np.matmul(P, (v[R] - bR)[..., None])[..., 0]
+        for blk in self._blocks:
+            wb = w[blk.w].reshape(len(blk.C), -1, 1)
+            y[blk.C] = blk.yp + np.matmul(blk.N, wb)[..., 0]
         return y
+
+    def restrict(self, y: np.ndarray) -> np.ndarray:
+        """Face coordinates of the point of the face nearest the free decision ``y``."""
+        w = np.empty(self.face_dim)
+        for blk in self._blocks:
+            w[blk.w] = np.matmul(blk.N.transpose(0, 2, 1), (y[blk.C] - blk.yp)[..., None]).ravel()
+        return w
 
     def _eig(self, v: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Eigenvalues (ascending) and eigenvectors of each size group's
         symmetrized Gram stack in the packed vector ``v``."""
-        return [np.linalg.eigh(0.5 * (mats + mats.transpose(0, 2, 1)))
-                for _, mats in self.grams.split(v)]
+        return [_sym_eigh(mats) for _, mats in self.grams.split(v)]
+
+    def _cone(self, z: np.ndarray) -> np.ndarray:
+        """Projection of face-packed ``z`` onto the PSD cone of every kept
+        block and the nonnegative sign rows."""
+        out = np.empty_like(z)
+        for blk in self._blocks:
+            kk = blk.k * blk.k
+            zb, xb = z[blk.v].reshape(len(blk.C), -1), out[blk.v].reshape(len(blk.C), -1)
+            w, V = _sym_eigh(zb[:, :kk].reshape(-1, blk.k, blk.k))
+            xb[:, :kk] = np.einsum("bij,bj,bkj->bik", V, np.maximum(w, 0.0), V).reshape(-1, kk)
+            xb[:, kk:] = np.maximum(zb[:, kk:], 0.0)
+        return out
 
     def candidate(self, y: np.ndarray) -> tuple[np.ndarray, float]:
-        """Clip the sign constraints and report the worst minimum eigenvalue."""
+        """Clip the sign constraints and report the worst minimum eigenvalue
+        of the full Gram matrices."""
         y = y.copy()
         y[self.gamma_pos] = np.maximum(y[self.gamma_pos], 0.0)
-        return y, min(float(w[:, 0].min()) for w, _ in self._eig(self.apply(y)))
+        return y, min(float(w[:, 0].min()) for w, _ in self._eig(self.evaluate(y)))
+
+    def reduced_lambda_min(self, y: np.ndarray) -> float:
+        """The worst minimum eigenvalue over the kept blocks at free decision ``y``."""
+        v = self.evaluate(y)
+        worst = []
+        for blk in self._blocks:
+            kept = v[blk.R[:, blk.kept[:blk.k ** 2]]].reshape(-1, blk.k, blk.k)
+            worst.append(float(_sym_eigh(kept)[0][:, 0].min()))
+        return min(worst)
 
     def refine(self, y: np.ndarray, iterations: int, tolerance: float,
                relaxation: float = 1.8, check_every: int = 5
                ) -> tuple[np.ndarray, float, dict]:
-        """Douglas-Rachford feasibility iteration between the PSD product
-        cone and the affine image, keeping the best sign-feasible iterate.
+        """Douglas-Rachford feasibility iteration on the zero face, between
+        the PSD cone of the kept blocks (with the nonnegative sign rows) and
+        the affine image of the face, keeping the best sign-feasible iterate.
 
-        The splitting handles the boundary-only intersections that arise when
-        the certificate set has no strict interior, where plain penalty
-        descent slows to a crawl.  Returns the best iterate, its worst
-        minimum eigenvalue and a record ``{"dr_iters", "stop", "lambda_min"}``
+        The iteration starts from the point of the face nearest ``y``.  Every
+        ``check_every`` iterations the affine-side point is lifted to a free
+        decision and judged by :meth:`candidate` on the full Gram matrices.
+        Returns the best free decision, its worst minimum eigenvalue and a
+        record ``{"dr_iters", "stop", "lambda_min", "reduced_lambda_min"}``
         whose ``stop`` says what ended the iteration: ``tolerance`` (the
-        iterate certifies) or ``budget`` (``iterations`` ran out).
+        iterate certifies) or ``budget`` (``iterations`` ran out), and whose
+        ``reduced_lambda_min`` is the kept blocks' worst minimum eigenvalue
+        at the returned decision.
         """
         y_best, lam_best = self.candidate(y)
         it, stop = -1, "tolerance"
         if lam_best < -tolerance:
-            z = self.apply(y)
+            z = self.apply(self.restrict(y))
             stop = "budget"
             for it in range(iterations):
-                cones = [np.einsum("bij,bj,bkj->bik", V, np.maximum(w, 0.0), V).ravel()
-                         for w, V in self._eig(z)]
-                xc = np.concatenate(cones + [np.maximum(z[self.rows_gram:], 0.0)])
+                xc = self._cone(z)
                 xl = self.apply(self.project(2.0 * xc - z))
                 z = z + relaxation * (xl - xc)
                 if it % check_every == 0 or it == iterations - 1:
-                    y_cand, lam = self.candidate(self.project(xc))
+                    y_cand, lam = self.candidate(self.lift(self.project(xc)))
                     if lam > lam_best:
                         y_best, lam_best = y_cand, lam
                         if lam_best >= -tolerance:
                             stop = "tolerance"
                             break
-        return y_best, lam_best, {"dr_iters": it + 1, "stop": stop, "lambda_min": lam_best}
+        return y_best, lam_best, {"dr_iters": it + 1, "stop": stop, "lambda_min": lam_best,
+                                  "reduced_lambda_min": self.reduced_lambda_min(y_best)}
 
 
 @dataclass

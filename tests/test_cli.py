@@ -54,6 +54,13 @@ class TestSynth:
         assert result.exit_code == 3
         assert "residual" in result.output
 
+    def test_negative_tolerance_rejected(self, runner, braking_config_path, tmp_path):
+        result = runner.invoke(main, ["synth", braking_config_path, "--tolerance", "-1",
+                                      "--output", str(tmp_path)])
+        assert result.exit_code != 0
+        assert "Invalid value for '--tolerance'" in result.output
+        assert not (tmp_path / "certificate.json").exists()
+
     def test_malformed_polynomial_exit_four(self, runner, tmp_path):
         raw = braking_config_dict()
         raw["index"]["phi0"] = "1 -- d ^^"
@@ -177,6 +184,7 @@ class TestReport:
         assert "certificate: valid=True" in result.output
         assert "restart 0: valid, k = [" in result.output
         assert "DR iterations, stop tolerance" in result.output
+        assert ", reduced lambda_min " in result.output
 
     def test_empty_directory(self, runner, tmp_path):
         result = runner.invoke(main, ["report", str(tmp_path)])

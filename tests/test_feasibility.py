@@ -14,6 +14,7 @@ from sisynth.feasibility import (
     DecisionLayout,
     GramStack,
     SolverFailure,
+    _mono_repr,
     check_certificate,
     jacobi_eigh,
     jacobi_eigh_batch,
@@ -186,13 +187,14 @@ class TestSolverAndCheckerEigensolvers:
         rng = np.random.default_rng(7)
         y, _, _ = amap.refine(rng.uniform(-1, 1, size=len(amap.free_idx)),
                               iterations=60, tolerance=1e-12)
-        self._assert_agree(amap, amap.apply(y))
+        self._assert_agree(amap, amap.evaluate(y))
 
 
 def dense_affine_map(amap):
-    """``A`` and ``b`` of ``apply(y) = A y + b``, read back column by column."""
-    b = amap.apply(np.zeros(len(amap.free_idx)))
-    return np.stack([amap.apply(e) - b for e in np.eye(len(amap.free_idx))], axis=1), b
+    """``A`` and ``b`` of the face map ``apply(w) = A w + b``, read back column
+    by column."""
+    b = amap.apply(np.zeros(amap.face_dim))
+    return np.stack([amap.apply(e) - b for e in np.eye(amap.face_dim)], axis=1), b
 
 
 class TestAffineGramMap:
@@ -209,7 +211,7 @@ class TestAffineGramMap:
                 x = rng.uniform(-1, 1, size=p.layout.size)
                 x[p.layout.theta_idx] = theta
                 y = x[amap.free_idx]
-                stacked, flat = amap.apply(y), grams.flat(x)
+                stacked, flat = amap.evaluate(y), grams.flat(x)
                 assert np.allclose(stacked[:amap.rows_gram], flat, rtol=0.0,
                                    atol=1e-12 * max(1.0, np.abs(flat).max())), instance
                 assert np.array_equal(stacked[amap.rows_gram:], y[amap.gamma_pos]), instance
@@ -287,6 +289,111 @@ class TestAffineGramMap:
         assert 0 <= record["dr_iters"] < 2000
 
 
+class TestZeroFace:
+    """DR runs on the face where the zero-diagonal Gram rows vanish; the
+    full matrices still judge validity."""
+
+    K_CERTIFIABLE = 0.012783492724500072   # solver seed 0's sampled k
+
+    def test_pruned_rows(self, restricted_problem, unicycle_problem):
+        for spec, pruned in zip(restricted_problem.specs,
+                                GramStack(restricted_problem.specs,
+                                          restricted_problem.layout).pruned):
+            assert sorted(_mono_repr(spec.basis[i]) for i in pruned) == \
+                ["x*y", "x^2", "y^2", "z^2"]
+        p = unicycle_problem
+        grams = GramStack(p.specs, p.layout)
+        assert all(len(pruned) == 0 for pruned in grams.pruned)
+        # nothing pruned: the face is the whole space, y = 0 + I w
+        amap = AffineGramMap(grams, p.layout, np.array([0.0125]))
+        for blk in amap._blocks:
+            assert np.array_equal(blk.N, np.broadcast_to(np.eye(blk.N.shape[1]), blk.N.shape))
+            assert np.array_equal(blk.yp, np.zeros_like(blk.yp))
+            assert np.array_equal(blk.Af, blk.A) and np.array_equal(blk.bf, blk.b)
+
+    def test_restricted_face_dimension(self, restricted_problem):
+        p = restricted_problem
+        amap = AffineGramMap(GramStack(p.specs, p.layout), p.layout,
+                             np.array([self.K_CERTIFIABLE]))
+        # 56 free columns per case, 22 independent face equalities
+        assert [(blk.A.shape, blk.Af.shape, blk.k) for blk in amap._blocks] == \
+            [((8, 136, 56), (8, 72, 34), 6)]
+
+    @pytest.fixture(scope="class")
+    def refined(self, restricted_problem):
+        p = restricted_problem
+        grams = GramStack(p.specs, p.layout)
+        amap = AffineGramMap(grams, p.layout, np.array([self.K_CERTIFIABLE]))
+        rng = np.random.default_rng(10)
+        y, lam, record = amap.refine(rng.uniform(-1, 1, size=len(amap.free_idx)),
+                                     iterations=3000, tolerance=1e-6)
+        return p, grams, amap, y, lam, record
+
+    @staticmethod
+    def matrices(grams, amap, y):
+        """Every case's full Gram matrix at free decision ``y``."""
+        x = np.empty(grams.nvars)
+        x[amap.free_idx] = y
+        x[np.setdiff1d(np.arange(grams.nvars), amap.free_idx)] = amap.theta
+        return grams.matrices(x)
+
+    def pruned_entries(self, grams, amap, y):
+        """Every pruned row and column of every case's full Gram matrix."""
+        return np.concatenate([np.concatenate([Q[pruned].ravel(), Q[:, pruned].ravel()])
+                               for Q, pruned in zip(self.matrices(grams, amap, y),
+                                                    grams.pruned)])
+
+    def test_lift_lies_on_face(self, refined):
+        _, grams, amap, *_ = refined
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            y = amap.lift(rng.uniform(-1, 1, size=amap.face_dim))
+            assert np.abs(self.pruned_entries(grams, amap, y)).max() <= 1e-12
+
+    def test_refine_output_lies_on_face(self, refined):
+        _, grams, amap, y, lam, record = refined
+        assert record["stop"] == "tolerance" and lam >= -1e-6
+        # candidate clips negative gammas of the lifted face point to zero,
+        # so the pruned entries vanish once some clipped-to-zero gammas take
+        # their lifted values back: the residual lies in the span of those
+        # columns
+        residual = self.pruned_entries(grams, amap, y)
+        zero = amap.gamma_pos[y[amap.gamma_pos] == 0.0]
+        cols = np.stack([self.pruned_entries(grams, amap, y + np.eye(len(y))[j]) - residual
+                         for j in zero], axis=1)
+        shift = np.linalg.lstsq(cols, -residual, rcond=None)[0]
+        assert np.abs(residual + cols @ shift).max() <= 1e-12
+        assert np.abs(shift).max() <= 1e-6
+        mats = self.matrices(grams, amap, y)
+        assert jacobi_eigh_batch(np.stack(mats))[0][:, 0].min() >= -1e-6
+        kept = [np.delete(np.delete(Q, pruned, 0), pruned, 1)
+                for Q, pruned in zip(mats, grams.pruned)]
+        assert np.isclose(record["reduced_lambda_min"],
+                          min(np.linalg.eigvalsh(K)[0] for K in kept), rtol=0.0, atol=1e-12)
+
+    def test_off_face_entry_fails_full_check(self, refined):
+        _, _, amap, y, _, _ = refined
+        # move a free column that feeds pruned entries of the block's first
+        # case but no kept entry: the kept 6x6 blocks do not change, the
+        # full Gram matrix leaves the face and fails
+        blk = amap._blocks[0]
+        face = np.setdiff1d(np.arange(len(blk.R[0])), blk.kept)
+        feeds_face = np.abs(blk.A[0, face]).max(axis=0) > 0.0
+        feeds_kept = np.abs(blk.A[0, blk.kept]).max(axis=0) > 0.0
+        moved = y.copy()
+        moved[blk.C[0, np.flatnonzero(feeds_face & ~feeds_kept)[0]]] += 1.0
+        assert amap.reduced_lambda_min(moved) == amap.reduced_lambda_min(y)
+        assert amap.candidate(moved)[1] < -1e-6
+
+    def test_unrestricted_reduced_equals_full(self, unicycle_problem):
+        p = unicycle_problem
+        amap = AffineGramMap(GramStack(p.specs, p.layout), p.layout, np.array([0.0125]))
+        rng = np.random.default_rng(11)
+        _, lam, record = amap.refine(rng.uniform(-1, 1, size=len(amap.free_idx)),
+                                     iterations=50, tolerance=1e-6)
+        assert record["reduced_lambda_min"] == lam
+
+
 class TestSolve:
     def test_braking_instance_certifies(self, braking_problem, braking_certificate):
         p, cert = braking_problem, braking_certificate
@@ -333,8 +440,10 @@ class TestSolve:
 
     def test_short_budget_stops_on_budget(self, restricted_problem):
         p = restricted_problem
-        # 500 DR iterations: too few for solver seed 1 to certify in round 0
-        cfg = replace(p.solver_config, restarts=1, rounds=1, iterations=500, seed=1)
+        # k in [0.02, 0.021], above the certifiable band: 500 DR iterations
+        # end on the budget
+        cfg = replace(p.solver_config, restarts=1, rounds=1, iterations=500, seed=1,
+                      k_init=(0.02, 0.021))
         with pytest.raises(SolverFailure) as exc_info:
             solve(p.specs, p.layout, cfg)
         [restart] = exc_info.value.certificate.restarts
@@ -343,7 +452,7 @@ class TestSolve:
         assert record["lambda_min"] < -cfg.tolerance
 
     def test_certifiable_restart_certifies_in_round_zero(self, restricted_problem):
-        # solver seed 1's sampled k certifies in DR round 0 after about 1,500
+        # solver seed 1's sampled k certifies in DR round 0 after about 280
         # of its 6000 iterations; DR must not stop early and hand the restart
         # to a penalty round
         p = restricted_problem
@@ -353,16 +462,19 @@ class TestSolve:
         assert record["stop"] == "tolerance"
 
     def test_restart_logs_independent_of_blas_threads(self):
-        # solver seed 1, 1 restart, 500 DR iterations per round: round 0
-        # spends its budget, so the restart runs a penalty round
+        # solver seed 1, 1 restart, 500 DR iterations per round, k in
+        # [0.02, 0.021] above the certifiable band: round 0 spends its budget,
+        # so the restart runs a penalty round
         script = ("import json; from dataclasses import replace; "
                   "from importlib import resources; "
                   "from sisynth.config import RunConfig, build_problem; "
-                  "from sisynth.feasibility import solve; "
+                  "from sisynth.feasibility import SolverFailure, solve; "
                   "p = build_problem(RunConfig.load(str(resources.files('sisynth') / "
                   "'configs' / 'unicycle_restricted.json'))); "
-                  "cert = solve(p.specs, p.layout, replace(p.solver_config, restarts=1, "
-                  "seed=1, iterations=1000)); "
+                  "cfg = replace(p.solver_config, restarts=1, seed=1, iterations=1000, "
+                  "k_init=(0.02, 0.021))\n"
+                  "try:\n    cert = solve(p.specs, p.layout, cfg)\n"
+                  "except SolverFailure as exc:\n    cert = exc.certificate\n"
                   "print(json.dumps(cert.restarts))")
         src = str(Path(sisynth.__file__).resolve().parents[1])
         procs = []
