@@ -50,10 +50,6 @@ def _outdir(cfg: RunConfig, seed: int, override: str | None) -> Path:
     return path
 
 
-def _theta_from_cert(problem, cert: Certificate) -> np.ndarray:
-    return cert.decision[problem.layout.theta_idx]
-
-
 def _restart_line(r: dict) -> str:
     """One line per solver restart: verdict, k, worst lambda_min, and each
     round's DR iteration count, stop reason, lambda_min and the kept blocks'
@@ -94,10 +90,10 @@ def synth(config_path, seed, tolerance, output):
     start = time.perf_counter()
     try:
         cert = solve(problem.specs, problem.layout, solver_cfg)
-        failed = False
+        failure = None
     except SolverFailure as exc:
         cert = exc.certificate
-        failed = True
+        failure = exc
     elapsed = time.perf_counter() - start
 
     cert_path = outdir / "certificate.json"
@@ -111,9 +107,8 @@ def synth(config_path, seed, tolerance, output):
         click.echo(f"k over valid restarts: mean {np.mean(ks, axis=0)}, std {np.std(ks, axis=0)}")
     click.echo("per-case lambda_min: " + ", ".join(f"{v:.3e}" for v in cert.lambda_mins))
     click.echo(f"certificate written to {cert_path}")
-    if failed:
-        residual = float(np.sum(np.maximum(0.0, -cert.lambda_mins - cert.tolerance) ** 2))
-        click.echo(f"no valid certificate; best residual {residual:.3e}", err=True)
+    if failure is not None:
+        click.echo(f"no valid certificate; best residual {failure.residual:.3e}", err=True)
         _sys.exit(EXIT_SOLVER)
 
 
@@ -140,7 +135,7 @@ def verify(config_path, cert_path, k_values, output):
         for line in diagnostics:
             click.echo(f"  {line}", err=True)
         clean &= ok
-        k = _theta_from_cert(problem, cert)
+        k = cert.theta(problem.layout)
         enforce_min = True
     elif k_values:
         # raw parameters are a falsification probe, so the k floor is not
@@ -199,7 +194,7 @@ def simulate(config_path, cert_path, trials, seed, trajectories, output):
         task.seed = seed
     outdir = _outdir(cfg, task.seed, output)
 
-    k = _theta_from_cert(problem, cert)
+    k = cert.theta(problem.layout)
     params = problem.params(k)
     start = time.perf_counter()
     batch = run_batch(problem.family, params, task, record=trajectories)

@@ -14,11 +14,12 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from importlib import resources
 
 from .falsifier import FalsifierConfig
 from .feasibility import DecisionLayout, SolverConfig
-from .index import IndexParams, SafetyIndexFamily, build_chain
-from .poly import Polynomial, PolynomialParseError, parse_polynomial
+from .index import K_MIN, IndexParams, SafetyIndexFamily, build_chain
+from .poly import PolynomialParseError, parse_polynomial
 from .refute import GramSpec, RefuteCase, build_gram, build_p0, enumerate_cases
 from .sim import TaskConfig
 from .system import SymbolicSystem, system_from_dict, unicycle_model_dict
@@ -29,9 +30,9 @@ class ConfigError(ValueError):
 
 
 TOP_KEYS = {"model", "index", "solver", "falsifier", "sim"}
-SOLVER_KEYS = {"restarts", "iterations", "rounds", "tolerance", "margin", "seed",
-               "k_min", "k_init", "product_order", "basis_degree", "aux_splits",
-               "eliminate_nonneg", "gram_kernel"}
+SOLVER_KEYS = {"restarts", "iterations", "rounds", "tolerance", "seed", "k_min", "k_init",
+               "product_order", "basis_degree", "aux_splits", "eliminate_nonneg",
+               "gram_kernel"}
 INDEX_KEYS = {"phi0", "order", "eta"}
 
 
@@ -97,6 +98,10 @@ class RunConfig:
         if "tolerance" in s:
             _require(_is_finite(s["tolerance"]) and s["tolerance"] >= 0, "tolerance",
                      "a finite number >= 0", s["tolerance"])
+        if "k_min" in s:
+            # below the index floor, verify and simulate refuse the chain
+            _require(_is_finite(s["k_min"]) and s["k_min"] >= K_MIN, "k_min",
+                     f"a finite number >= {K_MIN}", s["k_min"])
         if "k_init" in s:
             k_init = s["k_init"]
             _require(isinstance(k_init, (list, tuple)) and len(k_init) == 2
@@ -106,7 +111,7 @@ class RunConfig:
         for key in ("restarts", "iterations", "rounds", "seed"):
             if key in s:
                 kwargs[key] = int(s[key])
-        for key in ("tolerance", "margin", "k_min"):
+        for key in ("tolerance", "k_min"):
             if key in s:
                 kwargs[key] = float(s[key])
         if "k_init" in s:
@@ -206,22 +211,6 @@ def build_problem(cfg: RunConfig) -> Problem:
 
 
 def default_unicycle_config() -> dict:
-    """The standard study setup as a plain config dictionary."""
-    return {
-        "model": {"builtin": "unicycle", "v_min": -1.0, "v_max": 1.0,
-                  "w_min": -1.0, "w_max": 1.0, "dt": 0.01},
-        "index": {"phi0": "1 - d", "order": 1, "eta": 0.1},
-        "solver": {"restarts": 10, "iterations": 5000, "tolerance": 1e-6,
-                   "seed": 0, "product_order": 1, "basis_degree": 1,
-                   "aux_splits": ["x", "y"], "eliminate_nonneg": ["d"]},
-        "falsifier": {
-            "axes": [
-                {"var": "d", "range": [0.01, 5.0], "resolution": 100},
-                {"angle": ["x", "y"], "range": [-3.141592653589793, 3.141592653589793],
-                 "resolution": 100},
-                {"var": "z", "range": [-1.0, 1.0], "resolution": 100},
-            ],
-            "samples": 10000, "slack": 1e-6, "seed": 0,
-        },
-        "sim": {"trials": 50, "horizon": 30.0, "dt": 0.01, "seed": 0},
-    }
+    """The standard study setup, the packaged ``configs/unicycle.json``, as
+    a plain config dictionary."""
+    return json.loads((resources.files("sisynth") / "configs" / "unicycle.json").read_text())

@@ -30,11 +30,18 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .index import K_MIN
 from .poly import VarId
 from .refute import GramSpec, RefuteCase
 
 JACOBI_TOL = 1e-13
 MAX_SWEEPS = 60
+
+DR_RELAXATION = 1.8     # Douglas-Rachford over-relaxation
+DR_CHECK_EVERY = 5      # DR iterations between candidate checks
+PENALTY_MARGIN = 1e-5   # eigenvalue margin of the last L-BFGS penalty stage
+MULT_INIT = (0.0, 1.0)  # sampling ranges of a restart's gamma multipliers
+FREE_INIT = (-1.0, 1.0)  # and of its zeta multipliers and kernel shares
 
 
 def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -122,12 +129,6 @@ def jacobi_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("matrix must be square")
     w, V = jacobi_eigh_batch(M[None])
     return w[0], V[0]
-
-
-def min_eigenvalue(M: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and a unit eigenvector of a symmetric matrix."""
-    w, V = jacobi_eigh(M)
-    return float(w[0]), V[:, 0]
 
 
 @dataclass
@@ -493,12 +494,16 @@ class AffineGramMap:
             xb[:, kk:] = np.maximum(zb[:, kk:], 0.0)
         return out
 
-    def candidate(self, y: np.ndarray) -> tuple[np.ndarray, float]:
-        """Clip the sign constraints and report the worst minimum eigenvalue
-        of the full Gram matrices."""
+    def candidate(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Clip the sign constraints and report each case's minimum
+        eigenvalue of the full Gram matrix."""
         y = y.copy()
         y[self.gamma_pos] = np.maximum(y[self.gamma_pos], 0.0)
-        return y, min(float(w[:, 0].min()) for w, _ in self._eig(self.evaluate(y)))
+        v = self.evaluate(y)
+        lams = np.empty(len(self.grams.sizes))
+        for (members, _), (w, _) in zip(self.grams.split(v), self._eig(v)):
+            lams[members] = w[:, 0]
+        return y, lams
 
     def reduced_lambda_min(self, y: np.ndarray) -> float:
         """The worst minimum eigenvalue over the kept blocks at free decision ``y``."""
@@ -509,24 +514,23 @@ class AffineGramMap:
             worst.append(float(_sym_eigh(kept)[0][:, 0].min()))
         return min(worst)
 
-    def refine(self, y: np.ndarray, iterations: int, tolerance: float,
-               relaxation: float = 1.8, check_every: int = 5
-               ) -> tuple[np.ndarray, float, dict]:
+    def refine(self, y: np.ndarray, iterations: int, tolerance: float
+               ) -> tuple[np.ndarray, np.ndarray, dict]:
         """Douglas-Rachford feasibility iteration on the zero face, between
         the PSD cone of the kept blocks (with the nonnegative sign rows) and
         the affine image of the face, keeping the best sign-feasible iterate.
 
         The iteration starts from the point of the face nearest ``y``.  Every
-        ``check_every`` iterations the affine-side point is lifted to a free
-        decision and judged by :meth:`candidate` on the full Gram matrices.
-        Returns the best free decision, its worst minimum eigenvalue and a
-        record ``{"dr_iters", "stop", "lambda_min", "reduced_lambda_min"}``
-        whose ``stop`` says what ended the iteration: ``tolerance`` (the
-        iterate certifies) or ``budget`` (``iterations`` ran out), and whose
-        ``reduced_lambda_min`` is the kept blocks' worst minimum eigenvalue
-        at the returned decision.
+        ``DR_CHECK_EVERY`` iterations the affine-side point is lifted to a
+        free decision and judged by :meth:`candidate`.  Returns the best free
+        decision, its per-case minimum eigenvalues and a record ``{"dr_iters",
+        "stop", "lambda_min", "reduced_lambda_min"}``: ``stop`` is
+        ``tolerance`` (the iterate certifies) or ``budget`` (``iterations``
+        ran out), ``lambda_min`` the worst of those eigenvalues, and
+        ``reduced_lambda_min`` the kept blocks' worst minimum eigenvalue.
         """
-        y_best, lam_best = self.candidate(y)
+        y_best, lams_best = self.candidate(y)
+        lam_best = float(lams_best.min())
         it, stop = -1, "tolerance"
         if lam_best < -tolerance:
             z = self.apply(self.restrict(y))
@@ -534,16 +538,16 @@ class AffineGramMap:
             for it in range(iterations):
                 xc = self._cone(z)
                 xl = self.apply(self.project(2.0 * xc - z))
-                z = z + relaxation * (xl - xc)
-                if it % check_every == 0 or it == iterations - 1:
-                    y_cand, lam = self.candidate(self.lift(self.project(xc)))
-                    if lam > lam_best:
-                        y_best, lam_best = y_cand, lam
+                z = z + DR_RELAXATION * (xl - xc)
+                if it % DR_CHECK_EVERY == 0 or it == iterations - 1:
+                    y_cand, lams = self.candidate(self.lift(self.project(xc)))
+                    if lams.min() > lam_best:
+                        y_best, lams_best, lam_best = y_cand, lams, float(lams.min())
                         if lam_best >= -tolerance:
                             stop = "tolerance"
                             break
-        return y_best, lam_best, {"dr_iters": it + 1, "stop": stop, "lambda_min": lam_best,
-                                  "reduced_lambda_min": self.reduced_lambda_min(y_best)}
+        return y_best, lams_best, {"dr_iters": it + 1, "stop": stop, "lambda_min": lam_best,
+                                   "reduced_lambda_min": self.reduced_lambda_min(y_best)}
 
 
 @dataclass
@@ -552,12 +556,9 @@ class SolverConfig:
     iterations: int = 5000
     rounds: int = 4
     tolerance: float = 1e-6
-    margin: float = 1e-5
     seed: int = 0
-    k_min: float = 1e-4
-    k_init: tuple[float, float] = (1e-4, 1.0)
-    mult_init: tuple[float, float] = (0.0, 1.0)
-    free_init: tuple[float, float] = (-1.0, 1.0)
+    k_min: float = K_MIN
+    k_init: tuple[float, float] = (K_MIN, 1.0)
 
     def digest(self) -> str:
         payload = json.dumps(self.__dict__, sort_keys=True, default=str)
@@ -611,7 +612,7 @@ class Certificate:
 
 
 class SolverFailure(RuntimeError):
-    """No restart reached a valid certificate; carries the best attempt."""
+    """No restart certified; carries the best attempt and its residual."""
 
     def __init__(self, certificate: Certificate, residual: float):
         super().__init__(f"feasibility search failed; best residual {residual:.3e}")
@@ -662,10 +663,12 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
     ``tolerance`` (it certifies, ending the restart) or on ``budget``; only
     a round that spends its budget is followed by a joint L-BFGS penalty
     descent over all decision variables, which steers the index parameters
-    before the next DR round.  The restart with the lowest final penalty
-    wins, ties broken by restart index.  Each restart's log entry lists its
-    rounds as :meth:`AffineGramMap.refine` records them.  Raises
-    :class:`SolverFailure` with the best attempt when no restart certifies.
+    before the next DR round.  Each restart's log entry lists its rounds as
+    :meth:`AffineGramMap.refine` records them, and its per-case
+    ``lambda_mins`` are those of its last round.  The restart returned is
+    the best by ``(valid, reduced_lambda_min of its last round)``, ties
+    going to the lower restart index.  Raises :class:`SolverFailure` with
+    that restart when none certifies.
     """
     if not specs:
         raise ValueError("no Gram specs to solve")
@@ -687,47 +690,34 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
         rng = np.random.default_rng([config.seed, r])
         x = np.empty(layout.size)
         x[layout.theta_idx] = rng.uniform(*config.k_init, size=len(layout.theta_idx))
-        x[layout.gamma_idx] = rng.uniform(*config.mult_init, size=len(layout.gamma_idx))
+        x[layout.gamma_idx] = rng.uniform(*MULT_INIT, size=len(layout.gamma_idx))
         for idx in (layout.zeta_idx, layout.kernel_idx):
-            x[idx] = rng.uniform(*config.free_init, size=len(idx))
+            x[idx] = rng.uniform(*FREE_INIT, size=len(idx))
 
         rounds = []
         for rnd in range(config.rounds):
             if rnd > 0:
                 # the sampled index parameters did not certify: steer them
                 # with a joint penalty descent before trying again
-                margins = (1e-1, 1e-2, 1e-3, config.margin) if rnd == 1 \
-                    else (1e-3, config.margin)
+                margins = (1e-1, 1e-2, 1e-3, PENALTY_MARGIN) if rnd == 1 \
+                    else (1e-3, PENALTY_MARGIN)
                 for margin in margins:
                     x = descend(x, warmup, margin)
             amap = AffineGramMap(grams, layout, x[layout.theta_idx])
-            y, lam, record = amap.refine(x[amap.free_idx], dr_budget, config.tolerance)
+            y, lams, record = amap.refine(x[amap.free_idx], dr_budget, config.tolerance)
             rounds.append(record)
             x = x.copy()
             x[amap.free_idx] = y
-            if lam >= -config.tolerance:
+            if record["lambda_min"] >= -config.tolerance:
                 break
-        val, _, lams = penalty(grams, x, config.margin)
-        return x, lams, float(val), rounds
+        return x, {"restart": r, "k": x[layout.theta_idx].tolist(),
+                   "lambda_mins": lams.tolist(),
+                   "valid": bool(np.all(lams >= -config.tolerance)), "rounds": rounds}
 
     results = [run_restart(r) for r in range(config.restarts)]
-
-    best = None
-    restart_log = []
-    for r, (res_x, lams, residual, rounds) in enumerate(results):
-        valid = bool(np.all(lams >= -config.tolerance))
-        restart_log.append({
-            "restart": r,
-            "k": res_x[layout.theta_idx].tolist(),
-            "lambda_mins": lams.tolist(),
-            "residual": residual,
-            "valid": valid,
-            "rounds": rounds,
-        })
-        if best is None or residual < best[0]:
-            best = (residual, r, res_x.copy(), lams.copy())
-
-    residual, _, x, lams = best
+    x, best = max(results, key=lambda res: (res[1]["valid"],
+                                            res[1]["rounds"][-1]["reduced_lambda_min"]))
+    lams = np.array(best["lambda_mins"])
     cert = Certificate(
         decision=x,
         variable_names=[v.name for v in layout.variables],
@@ -735,12 +725,13 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
         tolerance=config.tolerance,
         seed=config.seed,
         config_hash=config.digest(),
-        restarts=restart_log,
+        restarts=[entry for _, entry in results],
         matrices=grams.matrices(x),
         basis_repr=[[_mono_repr(m) for m in spec.basis] for spec in specs],
     )
     if not cert.valid:
-        raise SolverFailure(cert, residual)
+        # the residual sum max(0, -lambda_min - tolerance)^2 over the cases
+        raise SolverFailure(cert, float(np.sum(np.maximum(0.0, -lams - config.tolerance) ** 2)))
     return cert
 
 
@@ -752,7 +743,7 @@ def _mono_repr(m) -> str:
 
 def check_certificate(specs: Sequence[GramSpec], layout: DecisionLayout,
                       cert: Certificate, tolerance: float | None = None,
-                      k_min: float = 1e-4) -> tuple[bool, list[str]]:
+                      k_min: float = K_MIN) -> tuple[bool, list[str]]:
     """Independent re-check: recompute every Gram matrix and its eigenvalues
     with the in-repo Jacobi eigensolver, not the solver's LAPACK path, in one
     batched call per Gram size.

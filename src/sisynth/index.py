@@ -74,7 +74,9 @@ class SafetyIndexFamily:
         """Every polynomial the safe control law and its monitors read, with
         ``theta = params.k`` substituted, lowered over ``sys.state_vars``."""
         sys = sys if sys is not None else self.system
-        theta = decision_assignment(self, params)
+        if len(params.k) != self.order:
+            raise ValueError("parameter dimension mismatch")
+        theta = dict(zip(self.theta, params.k))
         low = lambda p: p.lower(sys.state_vars, theta)
         return LoweredIndex(chain=tuple(low(p) for p in self.chain_numeric(params)),
                             phi=low(self.phi_theta), lf=low(self.Lf_phi),
@@ -206,12 +208,6 @@ def build_chain(phi0: Polynomial, n: int, sys: SymbolicSystem,
                              phi_theta=phi_theta, Lf_phi=Lf, Lg_phi=Lg, system=sys)
 
 
-def decision_assignment(fam: SafetyIndexFamily, params: IndexParams) -> dict[VarId, float]:
-    if len(params.k) != fam.order:
-        raise ValueError("parameter dimension mismatch")
-    return dict(zip(fam.theta, params.k))
-
-
 def box_min(c: Iterable, lower: Sequence, upper: Sequence, start=0.0):
     """Minimum of ``start + c.u`` over the box ``lower <= u <= upper``.
 
@@ -235,17 +231,3 @@ def worst_case_phidot(fam: SafetyIndexFamily, params: IndexParams,
     """Minimum of d(phi_theta)/dt over the control box at ``state``."""
     _, lower, upper, lf, c, _ = fam.lowered(params, sys).at(state)
     return float(box_min(c, lower, upper, lf))
-
-
-def principal_membership(fam: SafetyIndexFamily, params: IndexParams,
-                         state: Sequence[float], m: int) -> bool:
-    """Whether ``state`` lies in the m-th principal set of the chain.
-
-    ``m = n`` is full safe-set membership (all chain members nonpositive
-    from order n-m up to n).
-    """
-    if not 0 <= m <= fam.order:
-        raise ValueError("m out of range")
-    a = fam.system.assignment(state)
-    chain = fam.chain_numeric(params)
-    return all(chain[j].evaluate(a) <= 0.0 for j in range(fam.order - m, fam.order + 1))

@@ -204,19 +204,11 @@ class Polynomial:
             return -1
         return max(monomial_degree(m) for m in self.terms)
 
-    def degree_in(self, kind: VarKind) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e for v, e in m if v.kind == kind) for m in self.terms)
-
     def variables(self) -> set[VarId]:
         out = set()
         for m in self.terms:
             out.update(v for v, _ in m)
         return out
-
-    def constant_term(self) -> float:
-        return self.terms.get(ONE_MONOMIAL, 0.0)
 
     # -- calculus / evaluation ----------------------------------------------
     def differentiate(self, v: VarId) -> "Polynomial":
@@ -280,16 +272,12 @@ class Polynomial:
             out = out + term
         return out
 
-    def state_part_split(self, m: Monomial) -> tuple[Monomial, Monomial]:
-        state = tuple((v, e) for v, e in m if v.kind is VarKind.STATE)
-        decision = tuple((v, e) for v, e in m if v.kind is VarKind.DECISION)
-        return state, decision
-
     def collect_by_state(self) -> dict[Monomial, "Polynomial"]:
         """Group terms by state monomial, with decision-only coefficients."""
         out: dict[Monomial, dict[Monomial, float]] = {}
         for m, c in self.terms.items():
-            sm, dm = self.state_part_split(m)
+            sm = tuple((v, e) for v, e in m if v.kind is VarKind.STATE)
+            dm = tuple((v, e) for v, e in m if v.kind is VarKind.DECISION)
             bucket = out.setdefault(sm, {})
             bucket[dm] = bucket.get(dm, 0.0) + c
         return {sm: Polynomial(t) for sm, t in sorted(out.items(), key=lambda kv: grlex_key(kv[0]))}
@@ -434,9 +422,3 @@ def parse_polynomial(text: str, registry: VarRegistry) -> Polynomial:
             raise PolynomialParseError("empty term")
         result = result + term
     return result
-
-
-def poly_close(a: Polynomial, b: Polynomial, tol: float = 1e-10) -> bool:
-    """Term-wise comparison with absolute tolerance."""
-    keys = set(a.terms) | set(b.terms)
-    return all(math.isclose(a.terms.get(k, 0.0), b.terms.get(k, 0.0), rel_tol=0.0, abs_tol=tol) for k in keys)

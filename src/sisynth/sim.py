@@ -67,12 +67,6 @@ def relative_state(world: WorldState) -> RelativeState:
     return RelativeState(d=math.hypot(rx, ry), v=world.speed, alpha=alpha, beta=beta)
 
 
-def world_from_relative(rel: RelativeState) -> WorldState:
-    position = (rel.d * math.cos(rel.beta), rel.d * math.sin(rel.beta))
-    return WorldState(position=position, heading=wrap_angle(rel.alpha + rel.beta + math.pi),
-                      speed=rel.v)
-
-
 def sym_state(rel: RelativeState) -> tuple[float, float, float, float]:
     """State vector in the symbolic coordinates [d, sin(alpha), cos(alpha), v]."""
     return (rel.d, math.sin(rel.alpha), math.cos(rel.alpha), rel.v)

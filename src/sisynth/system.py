@@ -70,26 +70,6 @@ class SymbolicSystem:
                 raise InvertedBoundError(i, np.asarray(state, dtype=float))
         return lower, upper
 
-    def in_state_space(self, state: Sequence[float], tol: float = STATE_TOL) -> bool:
-        a = self.assignment(state)
-        if any(h.evaluate(a) < -tol for h in self.constraints_h):
-            return False
-        if any(abs(z.evaluate(a)) > tol for z in self.identities_zeta):
-            return False
-        return True
-
-    def derivative(self, state: Sequence[float], control: Sequence[float]) -> np.ndarray:
-        """Evaluate ``f(x) + g(x) u`` from the symbolic form."""
-        a = self.assignment(state)
-        u = np.asarray(control, dtype=float)
-        out = np.empty(len(self.state_vars))
-        for i, fi in enumerate(self.f):
-            val = fi.evaluate(a)
-            for j, gij in enumerate(self.g[i]):
-                val += gij.evaluate(a) * u[j]
-            out[i] = val
-        return out
-
 
 MODEL_KEYS = {"state_vars", "f", "g", "u_lower", "u_upper", "h", "zeta", "dt"}
 

@@ -1,11 +1,14 @@
 import copy
+import math
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from sisynth.config import RunConfig, build_problem, default_unicycle_config
+from sisynth.controller import wrap_angle
 from sisynth.feasibility import solve
+from sisynth.sim import WorldState
 
 RESTRICTED_CONFIG_PATH = str(resources.files("sisynth") / "configs" / "unicycle_restricted.json")
 
@@ -81,3 +84,32 @@ def random_polynomial(rng, variables, max_terms=6, max_degree=3):
 
 def random_assignment(rng, variables):
     return {v: float(rng.uniform(-2, 2)) for v in variables}
+
+
+def poly_close(a, b, tol: float = 1e-10) -> bool:
+    """Term-wise comparison of two polynomials with absolute tolerance."""
+    keys = set(a.terms) | set(b.terms)
+    return all(math.isclose(a.terms.get(k, 0.0), b.terms.get(k, 0.0), rel_tol=0.0, abs_tol=tol)
+               for k in keys)
+
+
+def derivative(sys, state, control) -> np.ndarray:
+    """``f(x) + g(x) u`` evaluated term by term from the symbolic system, an
+    oracle independent of the simulator's float step."""
+    a = sys.assignment(state)
+    u = np.asarray(control, dtype=float)
+    out = np.empty(len(sys.state_vars))
+    for i, fi in enumerate(sys.f):
+        val = fi.evaluate(a)
+        for j, gij in enumerate(sys.g[i]):
+            val += gij.evaluate(a) * u[j]
+        out[i] = val
+    return out
+
+
+def world_from_relative(rel):
+    """The world pose with relative state ``rel`` (obstacle at the origin),
+    the inverse of :func:`sisynth.sim.relative_state`."""
+    position = (rel.d * math.cos(rel.beta), rel.d * math.sin(rel.beta))
+    return WorldState(position=position, heading=wrap_angle(rel.alpha + rel.beta + math.pi),
+                      speed=rel.v)

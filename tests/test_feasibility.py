@@ -18,7 +18,6 @@ from sisynth.feasibility import (
     check_certificate,
     jacobi_eigh,
     jacobi_eigh_batch,
-    min_eigenvalue,
     penalty,
     solve,
 )
@@ -66,13 +65,6 @@ class TestJacobiEigensolver:
             w, _ = jacobi_eigh(mats[i])
             assert np.allclose(wb[i], w, atol=1e-10)
             assert np.allclose(Vb[i] @ np.diag(wb[i]) @ Vb[i].T, mats[i], atol=1e-10)
-
-    def test_min_eigenvalue_vector(self):
-        rng = np.random.default_rng(11)
-        M = random_symmetric(rng, 8)
-        lam, v = min_eigenvalue(M)
-        assert np.isclose(lam, np.linalg.eigvalsh(M)[0], atol=1e-10)
-        assert np.allclose(M @ v, lam * v, atol=1e-8)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
@@ -272,17 +264,18 @@ class TestAffineGramMap:
         grams = GramStack(p.specs, p.layout)
         amap = AffineGramMap(grams, p.layout, np.array([1.5]))
         y = -np.ones(len(amap.free_idx))
-        y_clipped, lam = amap.candidate(y)
+        y_clipped, lams = amap.candidate(y)
         assert np.all(y_clipped[amap.gamma_pos] >= 0.0)
-        assert np.isfinite(lam)
+        assert np.all(np.isfinite(lams))
 
     def test_refine_certifies_feasible_instance(self, braking_problem):
         p = braking_problem
         grams = GramStack(p.specs, p.layout)
         amap = AffineGramMap(grams, p.layout, np.array([2.0]))
         rng = np.random.default_rng(9)
-        y, lam, record = amap.refine(rng.uniform(-1, 1, size=len(amap.free_idx)),
-                                     iterations=2000, tolerance=1e-8)
+        y, lams, record = amap.refine(rng.uniform(-1, 1, size=len(amap.free_idx)),
+                                      iterations=2000, tolerance=1e-8)
+        lam = lams.min()
         assert lam >= -1e-8
         assert np.all(y[amap.gamma_pos] >= 0.0)
         assert record["stop"] == "tolerance" and record["lambda_min"] == lam
@@ -325,9 +318,9 @@ class TestZeroFace:
         grams = GramStack(p.specs, p.layout)
         amap = AffineGramMap(grams, p.layout, np.array([self.K_CERTIFIABLE]))
         rng = np.random.default_rng(10)
-        y, lam, record = amap.refine(rng.uniform(-1, 1, size=len(amap.free_idx)),
-                                     iterations=3000, tolerance=1e-6)
-        return p, grams, amap, y, lam, record
+        y, lams, record = amap.refine(rng.uniform(-1, 1, size=len(amap.free_idx)),
+                                      iterations=3000, tolerance=1e-6)
+        return p, grams, amap, y, lams.min(), record
 
     @staticmethod
     def matrices(grams, amap, y):
@@ -383,15 +376,15 @@ class TestZeroFace:
         moved = y.copy()
         moved[blk.C[0, np.flatnonzero(feeds_face & ~feeds_kept)[0]]] += 1.0
         assert amap.reduced_lambda_min(moved) == amap.reduced_lambda_min(y)
-        assert amap.candidate(moved)[1] < -1e-6
+        assert amap.candidate(moved)[1].min() < -1e-6
 
     def test_unrestricted_reduced_equals_full(self, unicycle_problem):
         p = unicycle_problem
         amap = AffineGramMap(GramStack(p.specs, p.layout), p.layout, np.array([0.0125]))
         rng = np.random.default_rng(11)
-        _, lam, record = amap.refine(rng.uniform(-1, 1, size=len(amap.free_idx)),
-                                     iterations=50, tolerance=1e-6)
-        assert record["reduced_lambda_min"] == lam
+        _, lams, record = amap.refine(rng.uniform(-1, 1, size=len(amap.free_idx)),
+                                      iterations=50, tolerance=1e-6)
+        assert record["reduced_lambda_min"] == lams.min()
 
 
 class TestSolve:
@@ -428,6 +421,65 @@ class TestSolve:
         assert failure.residual > 0.0
         assert not failure.certificate.valid
         assert len(failure.certificate.restarts) == 1
+        cert = failure.certificate
+        assert failure.residual == float(np.sum(np.maximum(0.0, -cert.lambda_mins
+                                                           - cert.tolerance) ** 2))
+
+    @staticmethod
+    def rank(restart):
+        return restart["valid"], restart["rounds"][-1]["reduced_lambda_min"]
+
+    def test_returns_best_valid_reduced_margin(self, restricted_problem, restricted_certificate):
+        cert = restricted_certificate
+        k = cert.theta(restricted_problem.layout).tolist()
+        [chosen] = [r for r in cert.restarts
+                    if r["k"] == k and r["lambda_mins"] == cert.lambda_mins.tolist()]
+        assert all(self.rank(r) <= self.rank(chosen) for r in cert.restarts)
+        assert all(self.rank(r) < self.rank(chosen) for r in cert.restarts[:chosen["restart"]])
+        assert all("residual" not in r for r in cert.restarts)
+
+    def test_unrestricted_tie_goes_to_restart_zero(self, unicycle_problem):
+        # every restart ends its last round at the same lambda_min -0.66667
+        p = unicycle_problem
+        with pytest.raises(SolverFailure) as exc_info:
+            solve(p.specs, p.layout, replace(p.solver_config, restarts=3))
+        cert = exc_info.value.certificate
+        assert len({self.rank(r) for r in cert.restarts}) == 1
+        assert cert.theta(p.layout).tolist() == cert.restarts[0]["k"]
+        assert cert.lambda_mins.tolist() == cert.restarts[0]["lambda_mins"]
+
+    @pytest.mark.parametrize("instance, overrides", [
+        ("braking_problem", {}),
+        ("restricted_problem", {"restarts": 1, "seed": 1}),
+        # a budget-bound first round, then an L-BFGS round
+        ("unicycle_problem", {"restarts": 2, "rounds": 2, "iterations": 1000})])
+    def test_logged_lambda_mins_match_full_grams(self, instance, overrides, request,
+                                                 monkeypatch):
+        p = request.getfixturevalue(instance)
+        outputs = []
+        refine = AffineGramMap.refine
+
+        def recording(amap, *args, **kwargs):
+            y, lams, record = refine(amap, *args, **kwargs)
+            x = np.empty(p.layout.size)
+            x[p.layout.theta_idx] = amap.theta
+            x[amap.free_idx] = y
+            outputs.append(x)
+            return y, lams, record
+
+        monkeypatch.setattr(AffineGramMap, "refine", recording)
+        try:
+            cert = solve(p.specs, p.layout, replace(p.solver_config, **overrides))
+        except SolverFailure as exc:
+            cert = exc.certificate
+        grams = GramStack(p.specs, p.layout)
+        assert len(outputs) == sum(len(r["rounds"]) for r in cert.restarts)
+        for r in cert.restarts:
+            x = outputs[len(r["rounds"]) - 1]
+            del outputs[:len(r["rounds"])]
+            assert x[p.layout.theta_idx].tolist() == r["k"]
+            for lam, Q in zip(r["lambda_mins"], grams.matrices(x), strict=True):
+                assert abs(lam - jacobi_eigh_batch(Q[None])[0][0, 0]) <= 1e-12 * np.abs(Q).max()
 
     def test_braking_rounds_stop_on_tolerance(self, braking_certificate):
         for r in braking_certificate.restarts:

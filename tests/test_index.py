@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from sisynth.index import (IndexParams, RelativeDegreeError, box_min, build_chain,
-                           principal_membership, worst_case_phidot)
+                           worst_case_phidot)
 from sisynth.poly import Polynomial, parse_polynomial
 from sisynth.system import InvertedBoundError, system_from_dict, unicycle_model_dict
+
+from conftest import derivative
 
 
 @pytest.fixture(scope="module")
@@ -198,28 +200,23 @@ class TestBoxMin:
 
 
 class TestPrincipalMembership:
+    """A state lies in the safe set when every chain member is nonpositive."""
+
+    @staticmethod
+    def chain_at(fam, params, state):
+        a = fam.system.assignment(state)
+        return [p.evaluate(a) for p in fam.chain_numeric(params)]
+
     def test_safe_set_point(self, uni_family):
         params = IndexParams(k=[0.0139], eta=0.1)
         # d = 3: phi0 = -2, phi1 = -2 + 0.0139 < 0
-        assert principal_membership(uni_family, params, sym_state(3.0, 0.0, 1.0), 1)
+        assert all(v <= 0.0 for v in self.chain_at(uni_family, params, sym_state(3.0, 0.0, 1.0)))
 
     def test_boundary_violation(self, uni_family):
         params = IndexParams(k=[0.5], eta=0.1)
         # d = 1.01, v = 1, alpha = 0: phi0 = -0.01 < 0 but phi1 = -0.01 + 0.5 > 0
-        state = sym_state(1.01, 0.0, 1.0)
-        assert not principal_membership(uni_family, params, state, 1)
-        assert not principal_membership(uni_family, params, state, 0)
-
-    def test_nesting(self, uni_family):
-        rng = np.random.default_rng(6)
-        params = IndexParams(k=[0.0139], eta=0.1)
-        for _ in range(100):
-            state = sym_state(rng.uniform(0.5, 5), rng.uniform(-np.pi, np.pi),
-                              rng.uniform(-1, 1))
-            if principal_membership(uni_family, params, state, 1):
-                assert principal_membership(uni_family, params, state, 0)
-                a = uni_family.system.assignment(state)
-                assert uni_family.phi0.evaluate(a) <= 0.0
+        phi0, phi1 = self.chain_at(uni_family, params, sym_state(1.01, 0.0, 1.0))
+        assert phi0 <= 0.0 < phi1
 
 
 class TestChainNumeric:
@@ -239,7 +236,7 @@ class TestChainNumeric:
         dt = 1e-5
         state = sym_state(2.0, 0.3, 0.8)
         u = np.array([0.5, 0.2])
-        deriv = sys.derivative(state, u)
+        deriv = derivative(sys, state, u)
         nxt = state + dt * deriv
         a0, a1 = sys.assignment(state), sys.assignment(nxt)
         fd = (chain[0].evaluate(a1) - chain[0].evaluate(a0)) / dt

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sisynth.poly import (Polynomial, PolynomialParseError, VarKind, VarRegistry,
-                          grlex_key, monomial, parse_polynomial, poly_close)
+                          grlex_key, monomial, parse_polynomial)
 
-from conftest import random_assignment, random_polynomial
+from conftest import poly_close, random_assignment, random_polynomial
 
 
 @pytest.fixture

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from sisynth.index import build_chain
-from sisynth.poly import Polynomial, VarRegistry, monomial, parse_polynomial, poly_close
+from sisynth.poly import Polynomial, VarKind, VarRegistry, monomial, parse_polynomial
 from sisynth.refute import (DegreeOverflowError, build_gram, build_p0, enumerate_cases,
                             state_monomials)
 from sisynth.system import system_from_dict, unicycle_model_dict
+
+from conftest import poly_close
 
 
 @pytest.fixture
@@ -142,7 +144,7 @@ class TestBuildGram:
         p0 = (Polynomial.variable(x) + Polynomial.variable(y)) ** 2
         spec = build_gram(p0, 1)
         assert spec.basis == [(), monomial([(x, 1)]), monomial([(y, 1)])]
-        Q = np.array([[e.constant_term() for e in row] for row in spec.entries])
+        Q = np.array([[e.terms.get((), 0.0) for e in row] for row in spec.entries])
         np.testing.assert_allclose(Q, [[0, 0, 0], [0, 1, 1], [0, 1, 1]])
         np.testing.assert_allclose(sorted(np.linalg.eigvalsh(Q)), [0, 0, 2], atol=1e-12)
 
@@ -150,7 +152,7 @@ class TestBuildGram:
         reg = VarRegistry()
         reg.state("x")
         spec = build_gram(Polynomial.constant(-1.0), 1)
-        Q = np.array([[e.constant_term() for e in row] for row in spec.entries])
+        Q = np.array([[e.terms.get((), 0.0) for e in row] for row in spec.entries])
         assert Q[0, 0] == -1.0
         assert np.min(np.linalg.eigvalsh(Q)) < 0
 
@@ -167,11 +169,11 @@ class TestBuildGram:
         p0 = build_p0(case, reg, product_order=1)
         spec = build_gram(p0, 1)
         assert spec.size == 4  # basis [1, x, y, z]
-        from sisynth.poly import VarKind
         for row in spec.entries:
             for entry in row:
-                assert entry.degree_in(VarKind.STATE) <= 0
-                assert entry.degree_in(VarKind.DECISION) <= 2
+                for m in entry.terms:
+                    assert sum(e for v, e in m if v.kind is VarKind.STATE) == 0
+                    assert sum(e for v, e in m if v.kind is VarKind.DECISION) <= 2
 
     def _reconstruction(self, spec, rng, n_assignments=100):
         dvars = sorted({v for row in spec.entries for e in row

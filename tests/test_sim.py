@@ -25,8 +25,9 @@ from sisynth.sim import (
     step,
     sym_state,
     trajectory_csv,
-    world_from_relative,
 )
+
+from conftest import world_from_relative
 
 
 def step_world(world, u, dt):
