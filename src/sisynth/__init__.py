@@ -8,9 +8,8 @@ from .config import ConfigError, Problem, RunConfig, build_problem, default_unic
 from .controller import Infeasible, SafeControlResult, nominal_control, safe_control
 from .falsifier import Counterexample, FalsifierConfig, falsify
 from .feasibility import (Certificate, DecisionLayout, SolverConfig, SolverFailure,
-                          check_certificate, jacobi_eigh, solve)
-from .index import (IndexParams, RelativeDegreeError, SafetyIndexFamily, build_chain,
-                    worst_case_phidot)
+                          check_certificate, solve)
+from .index import IndexParams, RelativeDegreeError, SafetyIndexFamily, build_chain
 from .poly import Polynomial, PolynomialParseError, VarId, VarKind, VarRegistry, parse_polynomial
 from .refute import GramSpec, RefuteCase, build_gram, build_p0, enumerate_cases
 from .sim import BatchReport, TaskConfig, TrialReport, run_batch, run_trial

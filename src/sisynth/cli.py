@@ -12,6 +12,7 @@ import json
 import sys as _sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -28,20 +29,23 @@ EXIT_SOLVER = 3
 EXIT_CONFIG = 4
 
 
+def _config_error(exc) -> NoReturn:
+    click.echo(f"config error: {exc}", err=True)
+    _sys.exit(EXIT_CONFIG)
+
+
 def _load(config_path: str) -> RunConfig:
     try:
         return RunConfig.load(config_path)
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        _sys.exit(EXIT_CONFIG)
+        _config_error(exc)
 
 
 def _build(cfg: RunConfig):
     try:
         return build_problem(cfg)
     except (ConfigError, RelativeDegreeError, ValueError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        _sys.exit(EXIT_CONFIG)
+        _config_error(exc)
 
 
 def _outdir(cfg: RunConfig, seed: int, override: str | None) -> Path:
@@ -123,6 +127,10 @@ def verify(config_path, cert_path, k_values, output):
     """Re-check a certificate and run the sampling falsifier."""
     cfg = _load(config_path)
     problem = _build(cfg)
+    try:
+        fcfg = cfg.falsifier_config()
+    except ConfigError as exc:
+        _config_error(exc)
     outdir = _outdir(cfg, problem.solver_config.seed, output)
     clean = True
 
@@ -144,15 +152,13 @@ def verify(config_path, cert_path, k_values, output):
         k = np.array(k_values)
         enforce_min = False
     else:
-        click.echo("config error: verify needs --certificate or --k", err=True)
-        _sys.exit(EXIT_CONFIG)
+        _config_error("verify needs --certificate or --k")
 
     try:
         params = IndexParams(k=k, eta=cfg.eta, enforce_min=enforce_min)
     except (ValueError, RelativeDegreeError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        _sys.exit(EXIT_CONFIG)
-    cexs = falsify(problem.family, params, problem.system, cfg.falsifier_config())
+        _config_error(exc)
+    cexs = falsify(problem.family, params, problem.system, fcfg)
     click.echo(f"falsifier: {len(cexs)} counterexample(s)")
     if cexs:
         csv_path = outdir / "counterexamples.csv"
@@ -170,24 +176,24 @@ def verify(config_path, cert_path, k_values, output):
               required=True)
 @click.option("--trials", type=click.IntRange(min=0), default=None,
               help="Override the trial count.")
-@click.option("--seed", type=int, default=None, help="Override the simulation seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Override the simulation seed.")
 @click.option("--trajectories", is_flag=True, help="Write per-trial trajectory CSVs.")
 @click.option("--output", type=click.Path(file_okay=False), default=None)
 def simulate(config_path, cert_path, trials, seed, trajectories, output):
     """Run the navigation trial batch under the safety filter."""
     cfg = _load(config_path)
     problem = _build(cfg)
+    try:
+        task = cfg.task_config()
+    except ConfigError as exc:
+        _config_error(exc)
     with open(cert_path) as fh:
         cert = Certificate.from_dict(json.load(fh))
     if not cert.valid:
         click.echo("certificate is not valid; refusing to simulate", err=True)
         _sys.exit(EXIT_SAFETY)
 
-    try:
-        task = cfg.task_config()
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        _sys.exit(EXIT_CONFIG)
     if trials is not None:
         task.trials = trials
     if seed is not None:

@@ -1,8 +1,9 @@
 """Run configuration: one JSON file wiring model, index, solver, and harness.
 
-Sections: ``model`` (system schema or a named builtin), ``index`` (base
-index literal, chain order, margin), ``solver`` (restarts, tolerances,
-refute-set shaping), ``falsifier`` (sampling axes), ``sim`` (trial batch).
+Sections: ``model`` (system schema or a named builtin, with the control
+period ``dt``), ``index`` (base index literal, chain order, margin),
+``solver`` (restarts, tolerances, refute-set shaping), ``falsifier``
+(sampling axes), ``sim`` (trial batch: ``trials``, ``horizon``, ``seed``).
 Defaults reproduce the standard unicycle study: velocity and steering
 bounds of +/-1, margin 0.1, protective distance 1, dt 0.01, eigenvalue
 tolerance 1e-6, 10 restarts.
@@ -121,7 +122,10 @@ class RunConfig:
     def falsifier_config(self) -> FalsifierConfig:
         if self.falsifier is None:
             raise ConfigError("config has no falsifier section")
-        return FalsifierConfig.from_dict(self.falsifier)
+        try:
+            return FalsifierConfig.from_dict(self.falsifier)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad falsifier section: {exc}") from exc
 
     def task_config(self) -> TaskConfig:
         try:
@@ -161,6 +165,8 @@ class Problem:
 
 
 def build_model(model: dict) -> SymbolicSystem:
+    if "dt" in model and not (_is_finite(model["dt"]) and model["dt"] > 0):
+        raise ConfigError(f"model key 'dt' must be a finite number > 0, got {model['dt']!r}")
     if model.get("builtin") == "unicycle":
         kwargs = {k: v for k, v in model.items() if k != "builtin"}
         try:

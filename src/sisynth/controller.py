@@ -28,6 +28,9 @@ from .index import IndexParams, SafetyIndexFamily, box_min
 from .system import SymbolicSystem
 
 FEAS_TOL = 1e-9
+CRUISE_SPEED = 0.8   # the nominal controller's target speed
+SPEED_GAIN = 1.0
+HEADING_GAIN = 2.0
 
 
 class Infeasible(RuntimeError):
@@ -152,20 +155,13 @@ def _dual_root(u_ref, c, b: float, lower, upper) -> float | None:
     return mu
 
 
-@dataclass
-class NominalGains:
-    speed: float = 1.0
-    heading: float = 2.0
-    cruise: float = 0.8   # target speed as a fraction of v_max
-
-
 def wrap_angle(a: float) -> float:
     return math.atan2(math.sin(a), math.cos(a))
 
 
 def nominal_control(position: Sequence[float], heading: float, speed: float,
-                    goal: Sequence[float], box: tuple[Sequence[float], Sequence[float]],
-                    v_max: float, gains: NominalGains = NominalGains()) -> tuple[float, float]:
+                    goal: Sequence[float],
+                    box: tuple[Sequence[float], Sequence[float]]) -> tuple[float, float]:
     """Proportional navigation: steer at the goal bearing, hold cruise speed.
 
     Slows proportionally when closer to the goal than one cruise-speed
@@ -176,8 +172,8 @@ def nominal_control(position: Sequence[float], heading: float, speed: float,
     dist = math.hypot(dx, dy)
     heading_err = wrap_angle(math.atan2(dy, dx) - heading)
 
-    v_des = gains.cruise * v_max * min(1.0, dist / max(gains.cruise * v_max, 1e-9))
-    a_cmd = gains.speed * (v_des - speed)
-    w_cmd = gains.heading * heading_err
+    v_des = CRUISE_SPEED * min(1.0, dist / CRUISE_SPEED)
+    a_cmd = SPEED_GAIN * (v_des - speed)
+    w_cmd = HEADING_GAIN * heading_err
     lower, upper = box
     return (min(max(a_cmd, lower[0]), upper[0]), min(max(w_cmd, lower[1]), upper[1]))

@@ -9,6 +9,7 @@ result is evidence at the chosen resolution only.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -40,6 +41,8 @@ class Axis:
     def __post_init__(self):
         if self.resolution < 2:
             raise ValueError("axis resolution must be >= 2")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"axis range must be finite, got [{self.lo}, {self.hi}]")
         if self.angle and len(self.names) != 2:
             raise ValueError("angle axis needs (sin, cos) variable names")
         if not self.angle and len(self.names) != 1:
@@ -64,6 +67,13 @@ class FalsifierConfig:
     samples: int = 10000
     slack: float = DEFAULT_SLACK
     seed: int = 0
+
+    def __post_init__(self):
+        # a negative or NaN slack would hide counterexamples
+        for key in ("samples", "seed", "slack"):
+            value = getattr(self, key)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"falsifier {key} must be >= 0 and finite, got {value}")
 
     @classmethod
     def from_dict(cls, spec: dict) -> "FalsifierConfig":

@@ -118,19 +118,6 @@ def jacobi_eigh_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w_sorted, V_sorted
 
 
-def jacobi_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of one symmetric matrix by Jacobi rotations.
-
-    Returns eigenvalues sorted ascending and the matching orthonormal
-    eigenvectors as columns.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
-    w, V = jacobi_eigh_batch(M[None])
-    return w[0], V[0]
-
-
 @dataclass
 class DecisionLayout:
     """Global ordering of decision variables across all refute cases."""

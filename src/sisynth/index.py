@@ -224,10 +224,3 @@ def box_min(c: Iterable, lower: Sequence, upper: Sequence, start=0.0):
         else:
             start = start + (ci * lo if ci >= 0 else ci * hi)
     return start
-
-
-def worst_case_phidot(fam: SafetyIndexFamily, params: IndexParams,
-                      state: Sequence[float], sys: SymbolicSystem | None = None) -> float:
-    """Minimum of d(phi_theta)/dt over the control box at ``state``."""
-    _, lower, upper, lf, c, _ = fam.lowered(params, sys).at(state)
-    return float(box_min(c, lower, upper, lf))

@@ -66,15 +66,6 @@ class GramSpec:
     def size(self) -> int:
         return len(self.basis)
 
-    def reconstruct(self) -> Polynomial:
-        """Expand x^T Q x symbolically; equals p0 for every decision assignment."""
-        out = Polynomial.zero()
-        for i, bi in enumerate(self.basis):
-            for j, bj in enumerate(self.basis):
-                m = monomial_mul(bi, bj)
-                out = out + self.entries[i][j] * Polynomial({m: 1.0})
-        return out
-
 
 def _single_term_split(lg: Polynomial, theta: Sequence[VarId]) -> tuple[Polynomial, int] | None:
     """Normalize a one-term coefficient by stripping positive decision factors.

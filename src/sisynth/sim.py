@@ -8,6 +8,9 @@ goal placed beyond it, forcing the nominal path through it, and report
 safe-set landing, post-entry violations, and forward-invariance /
 finite-time-convergence monitor results.
 
+A trial steps at the model's ``dt``, the period its control box is derived
+for; a config's ``sim`` section sets only ``trials``, ``horizon`` and ``seed``.
+
 A trial steps on plain Python floats with ``math``: :func:`run_batch` lowers
 the chain members, the control box, ``L_f phi``, ``L_g phi`` and
 ``phi_theta`` once (:meth:`~sisynth.index.SafetyIndexFamily.lowered`).  Each
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import Infeasible, NominalGains, nominal_control, project, wrap_angle
+from .controller import Infeasible, nominal_control, project, wrap_angle
 from .controller import safe_control  # noqa: F401  (bench/worker.py traces sim.safe_control)
 from .index import IndexParams, LoweredIndex, SafetyIndexFamily
 from .system import InvertedBoundError
@@ -38,6 +41,9 @@ from .system import InvertedBoundError
 COLLISION_EPS = 1e-6
 GOAL_RADIUS = 0.2
 SLACK_FACTOR = 10.0   # FI slack = factor * dt * max |phidot| seen on the trajectory
+D_INIT = (1.5, 5.0)     # start distance from the obstacle
+GOAL_DIST = (2.0, 5.0)  # goal distance past the obstacle, along the start bearing
+LATERAL_OFFSET = 0.8    # max sideways goal shift; keeps the nominal path in the disk
 
 
 class CollisionError(RuntimeError):
@@ -99,37 +105,26 @@ def step(pose: tuple[float, float, float, float], d: float, alpha: float, u,
 
 @dataclass
 class TaskConfig:
+    """The trial batch: ``trials`` trials of ``horizon`` seconds, drawn from
+    ``seed``.  The step is the model's ``dt``."""
+
     trials: int = 50
     horizon: float = 30.0
-    dt: float = 0.01
     seed: int = 0
-    v_max: float = 1.0
-    d_init: tuple[float, float] = (1.5, 5.0)
-    goal_dist: tuple[float, float] = (2.0, 5.0)
-    lateral_offset: float = 0.8   # max sideways goal shift; keeps the nominal path in the disk
-    gains: NominalGains = field(default_factory=NominalGains)
 
     @classmethod
     def from_dict(cls, spec: dict) -> "TaskConfig":
-        known = {"trials", "horizon", "dt", "seed", "v_max", "d_init", "goal_dist",
-                 "lateral_offset", "gains"}
-        unknown = set(spec) - known
+        unknown = set(spec) - {"trials", "horizon", "seed"}
         if unknown:
-            raise ValueError(f"unknown sim keys: {sorted(unknown)}")
-        kwargs = dict(spec)
-        if "gains" in kwargs:
-            kwargs["gains"] = NominalGains(**kwargs["gains"])
-        if "d_init" in kwargs:
-            kwargs["d_init"] = tuple(kwargs["d_init"])
-        if "goal_dist" in kwargs:
-            kwargs["goal_dist"] = tuple(kwargs["goal_dist"])
-        task = cls(**kwargs)
-        _require(isinstance(task.trials, int) and not isinstance(task.trials, bool)
-                 and task.trials >= 0, "trials", "an integer >= 0", task.trials)
+            hint = " (the simulator steps at model.dt)" if "dt" in unknown else ""
+            raise ValueError(f"unknown sim keys: {sorted(unknown)}{hint}")
+        task = cls(**spec)
+        for key in ("trials", "seed"):
+            value = getattr(task, key)
+            _require(isinstance(value, int) and not isinstance(value, bool) and value >= 0,
+                     key, "an integer >= 0", value)
         _require(isinstance(task.horizon, (int, float)) and 0.0 <= task.horizon < math.inf,
                  "horizon", "a finite number >= 0", task.horizon)
-        _require(isinstance(task.dt, (int, float)) and 0.0 < task.dt < math.inf,
-                 "dt", "a finite number > 0", task.dt)
         return task
 
 
@@ -164,13 +159,13 @@ class TrialReport:
 def initial_state(task: TaskConfig, trial: int) -> tuple[WorldState, tuple[float, float]]:
     """Start pose and goal of a trial, drawn from its own RNG stream."""
     rng = np.random.default_rng([task.seed, trial])
-    d0 = rng.uniform(*task.d_init)
+    d0 = rng.uniform(*D_INIT)
     beta0 = rng.uniform(-np.pi, np.pi)
     position = d0 * np.array([np.cos(beta0), np.sin(beta0)])
     toward = -position / d0
     perp = np.array([-toward[1], toward[0]])
-    goal = (rng.uniform(*task.goal_dist) * toward
-            + rng.uniform(-task.lateral_offset, task.lateral_offset) * perp)
+    goal = (rng.uniform(*GOAL_DIST) * toward
+            + rng.uniform(-LATERAL_OFFSET, LATERAL_OFFSET) * perp)
     alpha0 = rng.uniform(-np.pi, np.pi)
     world = WorldState(position=(float(position[0]), float(position[1])),
                        heading=wrap_angle(alpha0 + beta0 + np.pi), speed=0.0)
@@ -187,7 +182,7 @@ def run_trial(fam: SafetyIndexFamily, params: IndexParams, task: TaskConfig,
     world, goal = initial_state(task, trial)
     (px, py), heading, speed = world.position, world.heading, world.speed
     gx, gy = goal
-    dt = task.dt
+    dt = fam.system.dt
     steps = int(round(task.horizon / dt))
     at, eta = lowered.at, lowered.eta
     atan2, sin, cos, hypot, pi = math.atan2, math.sin, math.cos, math.hypot, math.pi
@@ -217,8 +212,7 @@ def run_trial(fam: SafetyIndexFamily, params: IndexParams, task: TaskConfig,
             break
         if t == steps:
             break
-        u = nominal_control((px, py), heading, speed, goal, (lower, upper),
-                            task.v_max, task.gains)
+        u = nominal_control((px, py), heading, speed, goal, (lower, upper))
         try:
             if phi_theta < 0.0:
                 # inactive index: u is already the box clamp project returns
@@ -233,20 +227,20 @@ def run_trial(fam: SafetyIndexFamily, params: IndexParams, task: TaskConfig,
             failure = str(exc)
             break
 
-    return _assess(trial, np.array(phis), params, task, reached_goal, failure, rows)
+    return _assess(trial, np.array(phis), params, dt, reached_goal, failure, rows)
 
 
-def _assess(trial: int, phis: np.ndarray, params: IndexParams, task: TaskConfig,
+def _assess(trial: int, phis: np.ndarray, params: IndexParams, dt: float,
             reached_goal: bool, failure: str | None, rows: list) -> TrialReport:
     n = phis.shape[1] - 1
     if len(phis) > 1:
         eps_disc = SLACK_FACTOR * float(np.max(np.abs(np.diff(phis, axis=0))))
     else:
-        eps_disc = SLACK_FACTOR * task.dt
+        eps_disc = SLACK_FACTOR * dt
     in_safe = np.all(phis <= 0.0, axis=1)
     entry_idx = int(np.argmax(in_safe)) if np.any(in_safe) else None
     landed = entry_idx is not None
-    first_entry_time = entry_idx * task.dt if landed else None
+    first_entry_time = entry_idx * dt if landed else None
 
     violations = 0
     max_overshoot = 0.0

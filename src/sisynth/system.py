@@ -37,7 +37,7 @@ class SymbolicSystem:
     u_upper: list[Polynomial]
     constraints_h: list[Polynomial] = field(default_factory=list)
     identities_zeta: list[Polynomial] = field(default_factory=list)
-    dt: float = 0.01
+    dt: float = 0.01    # control period: the simulator's step
 
     def __post_init__(self):
         n = len(self.state_vars)
@@ -110,7 +110,7 @@ def unicycle_model_dict(v_min=-1.0, v_max=1.0, w_min=-1.0, w_max=1.0, dt=0.01,
 
     State is ``[d, x, y, z] = [distance, sin(alpha), cos(alpha), v]`` with
     controls ``[a, w]``.  Acceleration limits depend on the current speed so
-    that v stays in ``[v_min, v_max]`` under a dt-long step.  Passing
+    that v stays in ``[v_min, v_max]`` over one simulator step of dt.  Passing
     ``cos_alpha_min`` adds the heading restriction ``cos(alpha) >= cos_alpha_min``
     to the admissible state space.
     """

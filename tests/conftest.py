@@ -8,6 +8,8 @@ import pytest
 from sisynth.config import RunConfig, build_problem, default_unicycle_config
 from sisynth.controller import wrap_angle
 from sisynth.feasibility import solve
+from sisynth.index import box_min
+from sisynth.poly import Polynomial, monomial_mul
 from sisynth.sim import WorldState
 
 RESTRICTED_CONFIG_PATH = str(resources.files("sisynth") / "configs" / "unicycle_restricted.json")
@@ -113,3 +115,22 @@ def world_from_relative(rel):
     position = (rel.d * math.cos(rel.beta), rel.d * math.sin(rel.beta))
     return WorldState(position=position, heading=wrap_angle(rel.alpha + rel.beta + math.pi),
                       speed=rel.v)
+
+
+def worst_case_phidot(fam, params, state) -> float:
+    """Minimum of d(phi_theta)/dt over the control box at ``state``, from the
+    library's own evaluator (``LoweredIndex.at``) and vertex rule
+    (``box_min``), the two the controller and the falsifier run."""
+    _, lower, upper, lf, c, _ = fam.lowered(params).at(state)
+    return float(box_min(c, lower, upper, lf))
+
+
+def gram_reconstruct(spec) -> Polynomial:
+    """``m^T Q m`` of a :class:`~sisynth.refute.GramSpec` expanded
+    symbolically over its basis ``m``; equals ``spec.p0`` for every decision
+    assignment when ``build_gram`` is right."""
+    out = Polynomial.zero()
+    for i, bi in enumerate(spec.basis):
+        for j, bj in enumerate(spec.basis):
+            out = out + spec.entries[i][j] * Polynomial({monomial_mul(bi, bj): 1.0})
+    return out

@@ -80,6 +80,22 @@ class TestSynth:
                                       "--output", str(tmp_path / "out")])
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("builtin", [True, False], ids=["unicycle", "custom"])
+    @pytest.mark.parametrize("dt", [0, -0.01, "0.01", True], ids=["0", "-0.01", "str", "bool"])
+    def test_bad_model_dt_exit_four(self, runner, tmp_path, builtin, dt):
+        # dt = 0 once divided by zero in the unicycle's box formula
+        if builtin:
+            raw = json.loads(open(RESTRICTED_CONFIG_PATH).read())
+        else:
+            raw = braking_config_dict()
+        raw["model"]["dt"] = dt
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        result = runner.invoke(main, ["synth", str(cfg),
+                                      "--output", str(tmp_path / "out")])
+        assert result.exit_code == 4, result.output
+        assert "model key 'dt' must be a finite number > 0" in result.output
+
     def test_invalid_json_exit_four(self, runner, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
@@ -119,6 +135,26 @@ class TestVerify:
                                       "--output", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "FAIL" in result.output
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("resolution", 1, "axis resolution must be >= 2"),
+        ("samples", -5, "falsifier samples must be >= 0"),
+        ("slack", -10.0, "falsifier slack must be >= 0")])
+    def test_bad_falsifier_section_exit_four(self, runner, tmp_path, key, value, message):
+        raw = braking_config_dict()
+        if key == "resolution":
+            raw["falsifier"]["axes"][0]["resolution"] = value
+        else:
+            raw["falsifier"][key] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        # at k = 0 the falsifier finds counterexamples; "samples": -5 once ran
+        # as 0 samples and a negative slack hid every counterexample
+        result = runner.invoke(main, ["verify", str(cfg), "--k", "0.0",
+                                      "--output", str(tmp_path / "out")])
+        assert result.exit_code == 4, result.output
+        assert f"config error: bad falsifier section: {message}" in result.output
+        assert "counterexample" not in result.output
 
     def test_no_inputs_exit_four(self, runner, braking_config_path, tmp_path):
         result = runner.invoke(main, ["verify", braking_config_path,
@@ -161,6 +197,31 @@ class TestSimulate:
         assert result.exit_code != 0
         assert "Invalid value for '--trials'" in result.output
         assert not (tmp_path / "report.md").exists()
+
+    def test_negative_seed_rejected(self, runner, restricted_cert_path, tmp_path):
+        # numpy refuses a negative seed, which once ended simulate in a traceback
+        result = runner.invoke(main, [
+            "simulate", RESTRICTED_CONFIG_PATH,
+            "--certificate", restricted_cert_path,
+            "--seed", "-3", "--output", str(tmp_path)])
+        assert result.exit_code != 0
+        assert "Invalid value for '--seed'" in result.output
+        assert not (tmp_path / "report.md").exists()
+
+    def test_sim_dt_exit_four(self, runner, restricted_cert_path, tmp_path):
+        # the step is the model's dt; a second dt in sim once let the
+        # simulator step past the control period the box is derived for
+        raw = json.loads(open(RESTRICTED_CONFIG_PATH).read())
+        raw["sim"]["dt"] = 0.05
+        cfg = tmp_path / "sim_dt.json"
+        cfg.write_text(json.dumps(raw))
+        result = runner.invoke(main, [
+            "simulate", str(cfg), "--certificate", restricted_cert_path,
+            "--trials", "1", "--output", str(tmp_path / "out")])
+        assert result.exit_code == 4, result.output
+        assert "unknown sim keys: ['dt']" in result.output
+        assert "model.dt" in result.output
+        assert not (tmp_path / "out" / "report.md").exists()
 
     def test_invalid_certificate_refused(self, runner, restricted_certificate,
                                          tmp_path):

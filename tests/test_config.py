@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from sisynth.config import ConfigError, RunConfig, build_problem
+from sisynth.config import ConfigError, RunConfig, build_problem, default_unicycle_config
 from sisynth.feasibility import SolverConfig, check_certificate
 from sisynth.index import K_MIN
 
@@ -50,3 +50,42 @@ class TestSolverConfig:
         with pytest.raises(ConfigError, match=f"solver key '{key}'"):
             build_problem(RunConfig.from_dict(raw))
 
+
+
+class TestModelDt:
+    """The control period has one home, the model: ``dt`` must be a finite
+    number > 0 for the builtin and for a model given in full."""
+
+    @pytest.mark.parametrize("dt", [0, -0.01, math.inf, math.nan, "0.01", True],
+                             ids=["0", "-0.01", "inf", "nan", "str", "bool"])
+    def test_bad_dt_rejected(self, dt):
+        for raw in (default_unicycle_config(), braking_config_dict()):
+            raw["model"]["dt"] = dt
+            with pytest.raises(ConfigError, match="model key 'dt' must be a finite number > 0"):
+                build_problem(RunConfig.from_dict(raw))
+
+    def test_dt_reaches_the_system(self):
+        raw = braking_config_dict()
+        raw["model"]["dt"] = 0.02
+        assert build_problem(RunConfig.from_dict(raw)).system.dt == 0.02
+
+
+class TestFalsifierSection:
+    @pytest.mark.parametrize("edit, message", [
+        ({"seed": -1}, "falsifier seed must be >= 0"),
+        ({"slack": math.nan}, "falsifier slack must be >= 0"),
+        ({"axes": [{"var": "d", "range": [0.0, 1.0], "resolution": 1}]},
+         "axis resolution must be >= 2"),
+        ({"axes": [{"var": "d"}]}, "'range'"),
+        ({"axes": [{"var": "d", "range": [0.0, math.nan]}]}, "axis range must be finite"),
+        ({"samples": "many"}, "invalid literal")])
+    def test_bad_section_is_config_error(self, edit, message):
+        raw = braking_config_dict()
+        raw["falsifier"].update(edit)
+        with pytest.raises(ConfigError, match=f"bad falsifier section: .*{message}"):
+            RunConfig.from_dict(raw).falsifier_config()
+
+    def test_zero_samples_allowed(self):
+        raw = braking_config_dict()
+        raw["falsifier"]["samples"] = 0
+        assert RunConfig.from_dict(raw).falsifier_config().samples == 0

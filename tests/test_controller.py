@@ -4,7 +4,6 @@ import pytest
 from sisynth.controller import (
     FEAS_TOL,
     Infeasible,
-    NominalGains,
     nominal_control,
     project,
     safe_control,
@@ -179,22 +178,24 @@ class TestSafeControl:
 class TestNominalControl:
     def test_steers_toward_goal(self):
         box = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-        u = nominal_control([0.0, 0.0], 0.0, 0.0, [10.0, 0.0], box, v_max=1.0)
+        u = nominal_control([0.0, 0.0], 0.0, 0.0, [10.0, 0.0], box)
         assert u[0] > 0.0          # accelerate toward cruise speed
         assert u[1] == pytest.approx(0.0, abs=1e-12)   # already aligned
-        u_left = nominal_control([0.0, 0.0], 0.0, 0.5, [0.0, 10.0], box, v_max=1.0)
+        u_left = nominal_control([0.0, 0.0], 0.0, 0.5, [0.0, 10.0], box)
         assert u_left[1] > 0.0     # goal to the left: positive turn rate
 
     def test_respects_box(self):
+        # backing up at speed 1 with the goal 45 degrees to the left, the
+        # unclamped command is (1.8, pi/2): both exceed this box's upper corner
         box = (np.array([-0.2, -0.3]), np.array([0.2, 0.3]))
-        u = nominal_control([0.0, 0.0], 0.0, -1.0, [100.0, 100.0], box, v_max=1.0,
-                            gains=NominalGains(speed=50.0, heading=50.0))
+        u = nominal_control([0.0, 0.0], 0.0, -1.0, [100.0, 100.0], box)
         assert np.all(u >= box[0]) and np.all(u <= box[1])
+        assert u == (0.2, 0.3)
 
     def test_slows_near_goal(self):
         box = (np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
-        far = nominal_control([0.0, 0.0], 0.0, 0.0, [10.0, 0.0], box, v_max=1.0)
-        near = nominal_control([0.0, 0.0], 0.0, 0.0, [0.05, 0.0], box, v_max=1.0)
+        far = nominal_control([0.0, 0.0], 0.0, 0.0, [10.0, 0.0], box)
+        near = nominal_control([0.0, 0.0], 0.0, 0.0, [0.05, 0.0], box)
         assert near[0] < far[0]
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from sisynth.falsifier import Axis, FalsifierConfig, counterexamples_csv, falsify
-from sisynth.index import IndexParams, worst_case_phidot
+from sisynth.index import IndexParams
+
+from conftest import worst_case_phidot
 
 
 def paper_falsifier_config(resolution=60, samples=2000):

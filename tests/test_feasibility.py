@@ -16,7 +16,6 @@ from sisynth.feasibility import (
     SolverFailure,
     _mono_repr,
     check_certificate,
-    jacobi_eigh,
     jacobi_eigh_batch,
     penalty,
     solve,
@@ -35,13 +34,13 @@ class TestJacobiEigensolver:
     def test_analytic_2x2(self):
         # [[a, b], [b, c]] has eigenvalues (a+c)/2 -/+ sqrt(((a-c)/2)^2 + b^2)
         a, b, c = 2.0, 1.5, -1.0
-        w, V = jacobi_eigh(np.array([[a, b], [b, c]]))
+        (w,), (V,) = jacobi_eigh_batch(np.array([[[a, b], [b, c]]]))
         mid, rad = (a + c) / 2.0, np.hypot((a - c) / 2.0, b)
         assert np.allclose(w, [mid - rad, mid + rad], atol=1e-12)
         assert np.allclose(V @ np.diag(w) @ V.T, [[a, b], [b, c]], atol=1e-12)
 
     def test_diagonal_passthrough(self):
-        w, V = jacobi_eigh(np.diag([3.0, -1.0, 2.0]))
+        (w,), (V,) = jacobi_eigh_batch(np.diag([3.0, -1.0, 2.0])[None])
         assert np.allclose(w, [-1.0, 2.0, 3.0])
         assert np.allclose(np.abs(V), np.eye(3)[:, [1, 2, 0]])
 
@@ -50,7 +49,7 @@ class TestJacobiEigensolver:
         rng = np.random.default_rng(100 + n)
         for _ in range(20):
             M = random_symmetric(rng, n)
-            w, V = jacobi_eigh(M)
+            (w,), (V,) = jacobi_eigh_batch(M[None])
             assert np.all(np.diff(w) >= 0), "eigenvalues must be ascending"
             rel = np.linalg.norm(V @ np.diag(w) @ V.T - M) / max(np.linalg.norm(M), 1e-30)
             assert rel <= 1e-8
@@ -62,13 +61,15 @@ class TestJacobiEigensolver:
         mats = np.stack([random_symmetric(rng, 5) for _ in range(6)])
         wb, Vb = jacobi_eigh_batch(mats)
         for i in range(6):
-            w, _ = jacobi_eigh(mats[i])
+            (w,), _ = jacobi_eigh_batch(mats[i][None])
             assert np.allclose(wb[i], w, atol=1e-10)
             assert np.allclose(Vb[i] @ np.diag(wb[i]) @ Vb[i].T, mats[i], atol=1e-10)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            jacobi_eigh(np.zeros((2, 3)))
+            jacobi_eigh_batch(np.zeros((1, 2, 3)))
+        with pytest.raises(ValueError):
+            jacobi_eigh_batch(np.zeros((2, 2)))
 
 
 class TestCompiledGram:
@@ -169,7 +170,7 @@ class TestSolverAndCheckerEigensolvers:
         amap = AffineGramMap(grams, p.layout, d[p.layout.theta_idx])
         self._assert_agree(amap, grams.flat(d))
         lams = penalty(grams, d, 0.0)[2]
-        jac = [jacobi_eigh(Q)[0][0] for Q in grams.matrices(d)]
+        jac = [jacobi_eigh_batch(Q[None])[0][0, 0] for Q in grams.matrices(d)]
         assert np.allclose(lams, jac, rtol=0.0, atol=1e-12 * np.abs(grams.flat(d)).max())
 
     def test_agree_at_dr_iterate(self, restricted_problem):

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from sisynth.index import (IndexParams, RelativeDegreeError, box_min, build_chain,
-                           worst_case_phidot)
+from sisynth.index import IndexParams, RelativeDegreeError, box_min, build_chain
 from sisynth.poly import Polynomial, parse_polynomial
 from sisynth.system import InvertedBoundError, system_from_dict, unicycle_model_dict
 
-from conftest import derivative
+from conftest import derivative, worst_case_phidot
 
 
 @pytest.fixture(scope="module")

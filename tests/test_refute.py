@@ -7,7 +7,7 @@ from sisynth.refute import (DegreeOverflowError, build_gram, build_p0, enumerate
                             state_monomials)
 from sisynth.system import system_from_dict, unicycle_model_dict
 
-from conftest import poly_close
+from conftest import gram_reconstruct, poly_close
 
 
 @pytest.fixture
@@ -181,7 +181,7 @@ class TestBuildGram:
                        key=lambda v: v.index)
         for _ in range(n_assignments):
             assign = {v: float(rng.uniform(-2, 2)) for v in dvars}
-            lhs = spec.reconstruct().subs(assign)
+            lhs = gram_reconstruct(spec).subs(assign)
             rhs = spec.p0.subs(assign)
             assert poly_close(lhs, rhs, tol=1e-10)
 

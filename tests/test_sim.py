@@ -94,14 +94,20 @@ class TestTaskConfig:
         with pytest.raises(ValueError, match="unknown sim keys"):
             TaskConfig.from_dict({"trails": 10})
 
-    def test_round_trip(self):
-        task = TaskConfig.from_dict({"trials": 5, "horizon": 10.0, "dt": 0.02,
-                                     "gains": {"heading": 3.0}})
-        assert task.trials == 5 and task.dt == 0.02
-        assert task.gains.heading == 3.0
+    @pytest.mark.parametrize("key", ["dt", "v_max", "d_init", "goal_dist",
+                                     "lateral_offset", "gains"])
+    def test_retired_keys_rejected(self, key):
+        with pytest.raises(ValueError, match=f"unknown sim keys: \\['{key}'\\]"):
+            TaskConfig.from_dict({key: 0.01})
 
-    @pytest.mark.parametrize("key, value", [("dt", 0), ("dt", -0.01), ("horizon", -1),
-                                            ("trials", -1), ("trials", 2.5)])
+    def test_round_trip(self):
+        task = TaskConfig.from_dict({"trials": 5, "horizon": 10.0, "seed": 3})
+        assert (task.trials, task.horizon, task.seed) == (5, 10.0, 3)
+        assert [f.name for f in dataclasses.fields(TaskConfig)] == ["trials", "horizon", "seed"]
+
+    @pytest.mark.parametrize("key, value", [("horizon", -1), ("horizon", math.inf),
+                                            ("trials", -1), ("trials", 2.5),
+                                            ("seed", -1), ("seed", 1.5)])
     def test_bad_value_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"sim key '{key}' must be"):
             TaskConfig.from_dict({key: value})
@@ -109,8 +115,8 @@ class TestTaskConfig:
     def test_bad_value_is_config_error(self, restricted_problem):
         from sisynth.config import ConfigError
         cfg = restricted_problem.config
-        cfg = dataclasses.replace(cfg, sim={**cfg.sim, "dt": 0})
-        with pytest.raises(ConfigError, match="sim key 'dt'"):
+        cfg = dataclasses.replace(cfg, sim={**cfg.sim, "trials": -1})
+        with pytest.raises(ConfigError, match="sim key 'trials'"):
             cfg.task_config()
 
     def test_zero_horizon_gives_one_row(self, restricted_problem):
@@ -119,7 +125,32 @@ class TestTaskConfig:
         report = run_trial(p.family, p.params([K_PINNED]), task, 0, record=True)
         assert report.failure is None
         assert report.steps == 0 and report.rows == []
-        assert report.eps_disc == SLACK_FACTOR * task.dt
+        assert report.eps_disc == SLACK_FACTOR * p.system.dt
+
+
+class TestModelStep:
+    """The simulator steps at the model's ``dt``."""
+
+    @pytest.fixture(scope="class")
+    def coarse(self):
+        from conftest import RESTRICTED_CONFIG_PATH
+        from sisynth.config import RunConfig, build_problem
+        cfg = RunConfig.load(RESTRICTED_CONFIG_PATH)
+        return build_problem(dataclasses.replace(cfg, model={**cfg.model, "dt": 0.02}))
+
+    def test_steps_follow_model_dt(self, coarse):
+        assert coarse.system.dt == 0.02
+        task = TaskConfig(trials=1, horizon=2.0)
+        report = run_trial(coarse.family, coarse.params([K_PINNED]), task, 0, record=True)
+        assert report.failure is None and not report.reached_goal
+        assert report.steps == round(2.0 / 0.02) == len(report.rows)
+        assert [row[0] for row in report.rows[:3]] == [0.0, 0.02, 0.04]
+
+    def test_zero_horizon_slack_follows_model_dt(self, coarse):
+        task = TaskConfig(trials=1, horizon=0.0)
+        report = run_trial(coarse.family, coarse.params([K_PINNED]), task, 0)
+        assert report.steps == 0
+        assert report.eps_disc == SLACK_FACTOR * 0.02
 
 
 @pytest.fixture(scope="module")
@@ -203,8 +234,7 @@ class TestLoweredLoop:
                 for got, member in zip(row[10:-1], chain):
                     assert abs(got - member.evaluate(asg)) <= 1e-12
                 lower, upper = sys.control_box(x)
-                u_ref = np.array(nominal_control((px, py), psi, v, goal, (lower, upper),
-                                                 task.v_max, task.gains))
+                u_ref = np.array(nominal_control((px, py), psi, v, goal, (lower, upper)))
                 asg.update(theta)
                 active = fam.phi_theta.evaluate(asg) >= 0.0
                 assert row[-1] == int(active)
@@ -248,12 +278,12 @@ def reference_step(world, u, dt):
                       speed=speed)
 
 
-def reference_trial(lowered, params, task, trial):
-    """One recorded trial that evaluates every lowered polynomial on its own,
-    checks the control box separately and lets the world update recompute
-    the relative state."""
+def reference_trial(lowered, params, task, dt, trial):
+    """One recorded trial at step ``dt`` that evaluates every lowered
+    polynomial on its own, checks the control box separately and lets the
+    world update recompute the relative state."""
     world, goal = initial_state(task, trial)
-    steps = int(round(task.horizon / task.dt))
+    steps = int(round(task.horizon / dt))
     phis, rows, reached_goal, failure = [], [], False, None
     for t in range(steps + 1):
         rel = relative_state(world)
@@ -270,18 +300,18 @@ def reference_trial(lowered, params, task, trial):
         upper = [p.evaluate(x) for p in lowered.upper]
         assert all(lo <= hi for lo, hi in zip(lower, upper))
         u_ref = nominal_control(world.position, world.heading, world.speed, goal,
-                                (lower, upper), task.v_max, task.gains)
+                                (lower, upper))
         try:
             u, active, _ = project(x, u_ref, lower, upper, lowered.lf.evaluate(x),
                                    [p.evaluate(x) for p in lowered.lg],
                                    lowered.phi.evaluate(x), lowered.eta)
-            rows.append([t * task.dt, px, py, world.heading, world.speed,
+            rows.append([t * dt, px, py, world.heading, world.speed,
                          rel.d, rel.alpha, rel.beta, *u, *phi, int(active)])
-            world = reference_step(world, u, task.dt)
+            world = reference_step(world, u, dt)
         except (Infeasible, CollisionError) as exc:
             failure = str(exc)
             break
-    return _assess(trial, np.array(phis), params, task, reached_goal, failure, rows)
+    return _assess(trial, np.array(phis), params, dt, reached_goal, failure, rows)
 
 
 class TestFusedStep:
@@ -296,7 +326,7 @@ class TestFusedStep:
         batch = run_batch(p.family, params, task, record=True)
         assert len(batch.reports) == 3
         for got in batch.reports:
-            want = reference_trial(lowered, params, task, got.trial)
+            want = reference_trial(lowered, params, task, p.system.dt, got.trial)
             for f in dataclasses.fields(TrialReport):
                 assert getattr(got, f.name) == getattr(want, f.name), f.name
             # == takes -0.0 for 0.0; repr tells the signs of zero apart
@@ -334,8 +364,7 @@ class TestFusedStep:
                 _, px, py, psi, v, d, alpha, _, a, w = row[:10]
                 x = (d, math.sin(alpha), math.cos(alpha), v)
                 _, lower, upper, lf, c, phi_theta = lowered.at(x)
-                u_ref = nominal_control((px, py), psi, v, goal, (lower, upper),
-                                        task.v_max, task.gains)
+                u_ref = nominal_control((px, py), psi, v, goal, (lower, upper))
                 u, was_active, _ = project(x, u_ref, lower, upper, lf, c, phi_theta,
                                            lowered.eta)
                 assert not was_active
