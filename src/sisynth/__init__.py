@@ -1,7 +1,7 @@
 """Safety index synthesis for control-affine systems with state-dependent
 box control limits: Positivstellensatz-style refute-set certificates, a
-multi-start eigenvalue-penalty feasibility solver, a QP safety filter, and
-a navigation simulation harness.
+multi-start Douglas-Rachford feasibility solver with a grid search over the
+index gain, a QP safety filter, and a navigation simulation harness.
 """
 
 from .config import ConfigError, Problem, RunConfig, build_problem, default_unicycle_config

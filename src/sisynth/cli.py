@@ -21,7 +21,7 @@ from .config import ConfigError, RunConfig, build_problem
 from .falsifier import counterexamples_csv, falsify
 from .feasibility import Certificate, SolverFailure, check_certificate, solve
 from .index import IndexParams, RelativeDegreeError
-from .sim import markdown_report, run_batch, trajectory_csv
+from .sim import STATE_VARS, markdown_report, run_batch, trajectory_csv
 
 EXIT_OK = 0
 EXIT_SAFETY = 2
@@ -54,19 +54,25 @@ def _outdir(cfg: RunConfig, seed: int, override: str | None) -> Path:
     return path
 
 
-def _restart_line(r: dict) -> str:
-    """One line per solver restart: verdict, k, worst lambda_min, and each
-    round's DR iteration count, stop reason, lambda_min and the kept blocks'
-    lambda_min on the zero face."""
-    k = ", ".join(f"{v:.6g}" for v in r["k"])
-    line = (f"  restart {r['restart']}: {'valid' if r['valid'] else 'invalid'}, k = [{k}], "
-            f"lambda_min {min(r['lambda_mins']):.3e}")
-    for i, x in enumerate(r.get("rounds", [])):
-        line += (f"; round {i}: {x['dr_iters']} DR iterations, stop {x['stop']}, "
-                 f"lambda_min {x['lambda_min']:.3e}")
-        if "reduced_lambda_min" in x:
-            line += f", reduced lambda_min {x['reduced_lambda_min']:.3e}"
-    return line
+def _ks(k) -> str:
+    return "[" + ", ".join(f"{v:.6g}" for v in k) + "]"
+
+
+def _restart_lines(r: dict) -> list[str]:
+    """A solver restart: verdict, k and worst lambda_min, the (k, lambda*)
+    samples of its search grid if it searched, and per DR run its k,
+    iteration count, stop reason, lambda_min and the kept blocks' lambda_min
+    on the zero face."""
+    lines = [f"  restart {r['restart']}: {'valid' if r['valid'] else 'invalid'}, "
+             f"k = {_ks(r['k'])}, lambda_min {min(r['lambda_mins']):.3e}"]
+    if r.get("grid"):
+        lines.append("    grid (k, lambda*): "
+                     + " ".join(f"({k:.3g}, {lam:.3e})" for k, lam in r["grid"]))
+    for x in r.get("runs", []):
+        lines.append(f"    DR at k = {_ks(x['k'])}: {x['dr_iters']} DR iterations, "
+                     f"stop {x['stop']}, lambda_min {x['lambda_min']:.3e}, "
+                     f"reduced lambda_min {x['reduced_lambda_min']:.3e}")
+    return lines
 
 
 @click.group()
@@ -184,10 +190,11 @@ def simulate(config_path, cert_path, trials, seed, trajectories, output):
     """Run the navigation trial batch under the safety filter."""
     cfg = _load(config_path)
     problem = _build(cfg)
-    try:
-        task = cfg.task_config()
-    except ConfigError as exc:
-        _config_error(exc)
+    task = cfg.task_config()   # checked when the config loaded
+    names = tuple(v.name for v in problem.system.state_vars)
+    if names != STATE_VARS:
+        _config_error(f"simulate drives only the unicycle model, whose state variables are "
+                      f"{', '.join(STATE_VARS)}; this model has {', '.join(names)}")
     with open(cert_path) as fh:
         cert = Certificate.from_dict(json.load(fh))
     if not cert.valid:
@@ -232,7 +239,8 @@ def report(output_dir):
                    f"config={data['config_hash']}")
         click.echo("  lambda_mins: " + ", ".join(f"{v:.3e}" for v in data["lambda_mins"]))
         for r in data.get("restarts", []):
-            click.echo(_restart_line(r))
+            for line in _restart_lines(r):
+                click.echo(line)
     cex_path = outdir / "counterexamples.csv"
     if cex_path.exists():
         lines = cex_path.read_text().strip().splitlines()

@@ -2,8 +2,9 @@
 
 Sections: ``model`` (system schema or a named builtin, with the control
 period ``dt``), ``index`` (base index literal, chain order, margin),
-``solver`` (restarts, tolerances, refute-set shaping), ``falsifier``
-(sampling axes), ``sim`` (trial batch: ``trials``, ``horizon``, ``seed``).
+``solver`` (restarts, DR iterations, tolerances, refute-set shaping),
+``falsifier`` (sampling axes), ``sim`` (trial batch: ``trials``,
+``horizon``, ``seed``).  Every section is checked at load.
 Defaults reproduce the standard unicycle study: velocity and steering
 bounds of +/-1, margin 0.1, protective distance 1, dt 0.01, eigenvalue
 tolerance 1e-6, 10 restarts.
@@ -31,7 +32,7 @@ class ConfigError(ValueError):
 
 
 TOP_KEYS = {"model", "index", "solver", "falsifier", "sim"}
-SOLVER_KEYS = {"restarts", "iterations", "rounds", "tolerance", "seed", "k_min", "k_init",
+SOLVER_KEYS = {"restarts", "iterations", "tolerance", "seed", "k_min", "k_init",
                "product_order", "basis_degree", "aux_splits", "eliminate_nonneg",
                "gram_kernel"}
 INDEX_KEYS = {"phi0", "order", "eta"}
@@ -64,8 +65,12 @@ class RunConfig:
         bad = set(solver) - SOLVER_KEYS
         if bad:
             raise ConfigError(f"unknown solver keys: {sorted(bad)}")
-        return cls(raw=raw, model=raw["model"], index=index, solver=solver,
-                   falsifier=raw.get("falsifier"), sim=raw.get("sim", {}))
+        cfg = cls(raw=raw, model=raw["model"], index=index, solver=solver,
+                  falsifier=raw.get("falsifier"), sim=raw.get("sim", {}))
+        cfg.task_config()
+        if cfg.falsifier is not None:
+            cfg.falsifier_config()
+        return cfg
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
@@ -93,7 +98,7 @@ class RunConfig:
 
     def solver_config(self) -> SolverConfig:
         s = self.solver
-        for key in ("restarts", "iterations", "rounds"):
+        for key in ("restarts", "iterations"):
             if key in s:
                 _require(_is_int(s[key]) and s[key] >= 1, key, "an integer >= 1", s[key])
         if "tolerance" in s:
@@ -104,20 +109,14 @@ class RunConfig:
             _require(_is_finite(s["k_min"]) and s["k_min"] >= K_MIN, "k_min",
                      f"a finite number >= {K_MIN}", s["k_min"])
         if "k_init" in s:
-            k_init = s["k_init"]
+            k_init, k_min = s["k_init"], s.get("k_min", K_MIN)
             _require(isinstance(k_init, (list, tuple)) and len(k_init) == 2
-                     and all(_is_finite(v) for v in k_init) and k_init[0] <= k_init[1],
-                     "k_init", "a pair [lo, hi] of finite numbers with lo <= hi", k_init)
-        kwargs = {}
-        for key in ("restarts", "iterations", "rounds", "seed"):
-            if key in s:
-                kwargs[key] = int(s[key])
-        for key in ("tolerance", "k_min"):
-            if key in s:
-                kwargs[key] = float(s[key])
-        if "k_init" in s:
-            kwargs["k_init"] = tuple(float(v) for v in s["k_init"])
-        return SolverConfig(**kwargs)
+                     and all(_is_finite(v) for v in k_init) and k_min <= k_init[0] <= k_init[1],
+                     "k_init", f"a pair [lo, hi] of finite numbers with {k_min} <= lo <= hi",
+                     k_init)
+        casts = {"restarts": int, "iterations": int, "seed": int, "tolerance": float,
+                 "k_min": float, "k_init": lambda pair: tuple(map(float, pair))}
+        return SolverConfig(**{key: cast(s[key]) for key, cast in casts.items() if key in s})
 
     def falsifier_config(self) -> FalsifierConfig:
         if self.falsifier is None:

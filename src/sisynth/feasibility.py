@@ -3,16 +3,19 @@
 Each refute case contributes a Gram matrix whose entries are polynomials in
 the decision variables (index parameters, scalar multipliers, and optional
 Gram kernel shares).  A decision vector is a certificate when every Gram
-matrix is positive semidefinite.  Each seeded restart first runs a
-Douglas-Rachford (DR) round on the multipliers at its sampled index
-parameters.  A DR round stops on ``tolerance`` (it certifies) or on
-``budget``; only a round that spends its budget is followed by an L-BFGS
-penalty round that steers the index parameters.
+matrix is positive semidefinite.  With the index parameters pinned the
+conditions are convex, so each seeded restart runs Douglas-Rachford (DR)
+on the multipliers at its sampled index parameters.  A DR run stops on
+``tolerance`` (it certifies) or on ``budget``.  Only a restart whose run
+spends its budget searches over the index gain k: ``GRID_POINTS``
+log-spaced k over ``[k_min, K_MAX]`` give each point's best ``lambda_min``
+after ``GRID_ITERATIONS`` DR iterations, with every index parameter set to
+k, and full-budget DR runs at the best of them.
 
 A basis monomial whose Gram diagonal is the zero polynomial forces its row
 and column of a PSD matrix to zero, so DR runs on that zero face: the
 pruned entries become affine equalities on the multipliers, solved once per
-round, and DR iterates on the kept blocks only.  Candidates are still
+DR run, and DR iterates on the kept blocks only.  Candidates are still
 judged on the full Gram matrices.
 
 The solver's eigendecompositions run on LAPACK (``np.linalg.eigh``).  The
@@ -39,7 +42,10 @@ MAX_SWEEPS = 60
 
 DR_RELAXATION = 1.8     # Douglas-Rachford over-relaxation
 DR_CHECK_EVERY = 5      # DR iterations between candidate checks
-PENALTY_MARGIN = 1e-5   # eigenvalue margin of the last L-BFGS penalty stage
+K_MAX = 100.0           # top of the search grid over k, which starts at k_min
+GRID_POINTS = 25        # log-spaced grid points
+GRID_ITERATIONS = 200   # DR iterations per grid point
+SEARCH_RUNS = 2         # full-budget DR runs at the best grid points
 MULT_INIT = (0.0, 1.0)  # sampling ranges of a restart's gamma multipliers
 FREE_INIT = (-1.0, 1.0)  # and of its zeta multipliers and kernel shares
 
@@ -155,14 +161,6 @@ class DecisionLayout:
 
     def index_of(self) -> dict[VarId, int]:
         return {v: i for i, v in enumerate(self.variables)}
-
-    def bounds(self, k_min: float) -> list[tuple[float | None, float | None]]:
-        out: list[tuple[float | None, float | None]] = [(None, None)] * self.size
-        for i in self.theta_idx:
-            out[i] = (k_min, None)
-        for i in self.gamma_idx:
-            out[i] = (0.0, None)
-        return out
 
 
 class GramStack:
@@ -510,8 +508,9 @@ class AffineGramMap:
         The iteration starts from the point of the face nearest ``y``.  Every
         ``DR_CHECK_EVERY`` iterations the affine-side point is lifted to a
         free decision and judged by :meth:`candidate`.  Returns the best free
-        decision, its per-case minimum eigenvalues and a record ``{"dr_iters",
-        "stop", "lambda_min", "reduced_lambda_min"}``: ``stop`` is
+        decision, its per-case minimum eigenvalues and a record ``{"k",
+        "dr_iters", "stop", "lambda_min", "reduced_lambda_min"}``: ``k`` is
+        the pinned index parameters, ``stop`` is
         ``tolerance`` (the iterate certifies) or ``budget`` (``iterations``
         ran out), ``lambda_min`` the worst of those eigenvalues, and
         ``reduced_lambda_min`` the kept blocks' worst minimum eigenvalue.
@@ -533,15 +532,15 @@ class AffineGramMap:
                         if lam_best >= -tolerance:
                             stop = "tolerance"
                             break
-        return y_best, lams_best, {"dr_iters": it + 1, "stop": stop, "lambda_min": lam_best,
+        return y_best, lams_best, {"k": self.theta.tolist(), "dr_iters": it + 1, "stop": stop,
+                                   "lambda_min": lam_best,
                                    "reduced_lambda_min": self.reduced_lambda_min(y_best)}
 
 
 @dataclass
 class SolverConfig:
     restarts: int = 10
-    iterations: int = 5000
-    rounds: int = 4
+    iterations: int = 1250
     tolerance: float = 1e-6
     seed: int = 0
     k_min: float = K_MIN
@@ -633,8 +632,8 @@ def penalty(grams: GramStack, d: np.ndarray,
 
 
 def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use so that building a
-    problem, checking a certificate or simulating never loads scipy."""
+    """``scipy.optimize.minimize``, imported on first use.  :func:`solve` does
+    not call it or :func:`penalty`; ``bench/worker.py`` traces both by name."""
     from scipy.optimize import minimize as scipy_minimize
     return scipy_minimize(*args, **kwargs)
 
@@ -643,67 +642,59 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
           config: SolverConfig) -> Certificate:
     """Search for a decision vector making every Gram matrix PSD.
 
-    Each of the ``config.restarts`` seeded restarts first runs a
-    Douglas-Rachford feasibility refinement of the multipliers at its
-    sampled index parameters (exact convex projections, which handle the
-    flat tail where gradient descent stalls).  A round stops on
-    ``tolerance`` (it certifies, ending the restart) or on ``budget``; only
-    a round that spends its budget is followed by a joint L-BFGS penalty
-    descent over all decision variables, which steers the index parameters
-    before the next DR round.  Each restart's log entry lists its rounds as
-    :meth:`AffineGramMap.refine` records them, and its per-case
-    ``lambda_mins`` are those of its last round.  The restart returned is
-    the best by ``(valid, reduced_lambda_min of its last round)``, ties
-    going to the lower restart index.  Raises :class:`SolverFailure` with
-    that restart when none certifies.
+    Each seeded restart runs DR for ``config.iterations`` iterations at its
+    sampled index parameters.  If that run ends on ``budget``, it runs DR
+    from the same multipliers at the ``SEARCH_RUNS`` best points of the
+    grid over k, one at a time until one certifies.  The grid is run once
+    per solve, from the first searching restart's multipliers.  A restart's
+    log entry holds the grid samples ``[k, lambda_min]`` it read and the
+    record of each of its DR runs.  Its ``k`` and ``lambda_mins`` come from
+    its last run.  The restart returned ranks highest by ``(valid,
+    reduced_lambda_min of its last run)``; ties go to the lower index.
+    Raises :class:`SolverFailure` with that restart when none certifies.
     """
     if not specs:
         raise ValueError("no Gram specs to solve")
     grams = GramStack(specs, layout)
-    bounds = layout.bounds(config.k_min)
+    grid: list[list[float]] = []   # [k, lambda_min] per grid point, filled on first use
 
-    def descend(x, budget, margin):
-        def objective(d):
-            val, grad, _ = penalty(grams, d, margin)
-            return val, grad
-        return minimize(objective, x, jac=True, method="L-BFGS-B", bounds=bounds,
-                        options={"maxiter": budget, "maxfun": 4 * budget,
-                                 "ftol": 1e-18, "gtol": 1e-14}).x
-
-    warmup = max(100, config.iterations // 20)
-    dr_budget = max(500, config.iterations // config.rounds)
+    def run_dr(x, theta, iterations):
+        """DR at index parameters ``theta`` (a k broadcasts) from ``x``'s multipliers."""
+        amap = AffineGramMap(grams, layout, np.full(len(layout.theta_idx), theta))
+        y, lams, record = amap.refine(x[amap.free_idx], iterations, config.tolerance)
+        x = x.copy()
+        x[layout.theta_idx] = amap.theta
+        x[amap.free_idx] = y
+        return x, lams, record
 
     def run_restart(r):
         rng = np.random.default_rng([config.seed, r])
-        x = np.empty(layout.size)
-        x[layout.theta_idx] = rng.uniform(*config.k_init, size=len(layout.theta_idx))
-        x[layout.gamma_idx] = rng.uniform(*MULT_INIT, size=len(layout.gamma_idx))
+        x0 = np.empty(layout.size)
+        x0[layout.theta_idx] = rng.uniform(*config.k_init, size=len(layout.theta_idx))
+        x0[layout.gamma_idx] = rng.uniform(*MULT_INIT, size=len(layout.gamma_idx))
         for idx in (layout.zeta_idx, layout.kernel_idx):
-            x[idx] = rng.uniform(*FREE_INIT, size=len(idx))
+            x0[idx] = rng.uniform(*FREE_INIT, size=len(idx))
 
-        rounds = []
-        for rnd in range(config.rounds):
-            if rnd > 0:
-                # the sampled index parameters did not certify: steer them
-                # with a joint penalty descent before trying again
-                margins = (1e-1, 1e-2, 1e-3, PENALTY_MARGIN) if rnd == 1 \
-                    else (1e-3, PENALTY_MARGIN)
-                for margin in margins:
-                    x = descend(x, warmup, margin)
-            amap = AffineGramMap(grams, layout, x[layout.theta_idx])
-            y, lams, record = amap.refine(x[amap.free_idx], dr_budget, config.tolerance)
-            rounds.append(record)
-            x = x.copy()
-            x[amap.free_idx] = y
-            if record["lambda_min"] >= -config.tolerance:
-                break
+        x, lams, record = run_dr(x0, x0[layout.theta_idx], config.iterations)
+        runs, searched = [record], record["stop"] == "budget"
+        if searched:
+            if not grid:
+                grid.extend([float(k), run_dr(x0, k, GRID_ITERATIONS)[2]["lambda_min"]]
+                            for k in np.geomspace(config.k_min, K_MAX, GRID_POINTS))
+            for k, _ in sorted(grid, key=lambda sample: -sample[1])[:SEARCH_RUNS]:
+                x, lams, record = run_dr(x0, k, config.iterations)
+                runs.append(record)
+                if record["stop"] == "tolerance":
+                    break
         return x, {"restart": r, "k": x[layout.theta_idx].tolist(),
                    "lambda_mins": lams.tolist(),
-                   "valid": bool(np.all(lams >= -config.tolerance)), "rounds": rounds}
+                   "valid": bool(np.all(lams >= -config.tolerance)),
+                   "grid": [list(sample) for sample in grid] if searched else [],
+                   "runs": runs}
 
     results = [run_restart(r) for r in range(config.restarts)]
     x, best = max(results, key=lambda res: (res[1]["valid"],
-                                            res[1]["rounds"][-1]["reduced_lambda_min"]))
+                                            res[1]["runs"][-1]["reduced_lambda_min"]))
     lams = np.array(best["lambda_mins"])
     cert = Certificate(
         decision=x,

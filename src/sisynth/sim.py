@@ -44,6 +44,7 @@ SLACK_FACTOR = 10.0   # FI slack = factor * dt * max |phidot| seen on the trajec
 D_INIT = (1.5, 5.0)     # start distance from the obstacle
 GOAL_DIST = (2.0, 5.0)  # goal distance past the obstacle, along the start bearing
 LATERAL_OFFSET = 0.8    # max sideways goal shift; keeps the nominal path in the disk
+STATE_VARS = ("d", "x", "y", "z")   # the model state run_trial builds: d, sin α, cos α, v
 
 
 class CollisionError(RuntimeError):

@@ -49,7 +49,7 @@ BRAKING_CONFIG = {
     "model": {"state_vars": ["d", "z"], "f": ["-1*z", "0"], "g": [["0"], ["1"]],
               "u_lower": ["-1"], "u_upper": ["1"], "h": ["-1*z^2 + 1"], "dt": 0.1},
     "index": {"phi0": "1 - d", "order": 1, "eta": 0.1},
-    "solver": {"restarts": 3, "iterations": 2000, "rounds": 3, "tolerance": 1e-6,
+    "solver": {"restarts": 3, "iterations": 666, "tolerance": 1e-6,
                "seed": 0, "k_init": [0.2, 0.5]},
     "falsifier": {"axes": [{"var": "d", "range": [-2.0, 2.0], "resolution": 50},
                            {"var": "z", "range": [-1.0, 1.0], "resolution": 50}],

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from sisynth.cli import main
+from sisynth.config import default_unicycle_config
 from conftest import RESTRICTED_CONFIG_PATH, braking_config_dict
 
 
@@ -42,11 +43,10 @@ class TestSynth:
         assert len(data["lambda_mins"]) == 2
 
     def test_solver_failure_exit_three(self, runner, tmp_path):
-        raw = braking_config_dict()
-        # pin the initial parameter range below the feasible band and
-        # disable the steering rounds so no restart can certify
-        raw["solver"].update({"k_init": [0.2, 0.3], "rounds": 1,
-                              "restarts": 1, "iterations": 500})
+        # the unrestricted unicycle certifies at no k, so the search over k
+        # fails too
+        raw = default_unicycle_config()
+        raw["solver"].update({"restarts": 1, "iterations": 500})
         cfg = tmp_path / "infeasible.json"
         cfg.write_text(json.dumps(raw))
         result = runner.invoke(main, ["synth", str(cfg),
@@ -95,6 +95,21 @@ class TestSynth:
                                       "--output", str(tmp_path / "out")])
         assert result.exit_code == 4, result.output
         assert "model key 'dt' must be a finite number > 0" in result.output
+
+    @pytest.mark.parametrize("section, edit, message", [
+        ("sim", {"dt": 0.05}, "bad sim section: unknown sim keys: ['dt']"),
+        ("falsifier", {"samples": -5}, "bad falsifier section: falsifier samples must be >= 0")])
+    def test_bad_unread_section_exit_four(self, runner, tmp_path, section, edit, message):
+        # synth reads neither section, but a bad one once let it solve and
+        # write a certificate
+        raw = braking_config_dict()
+        raw.setdefault(section, {}).update(edit)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        result = runner.invoke(main, ["synth", str(cfg), "--output", str(tmp_path / "out")])
+        assert result.exit_code == 4, result.output
+        assert message in result.output
+        assert not (tmp_path / "out" / "certificate.json").exists()
 
     def test_invalid_json_exit_four(self, runner, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -223,6 +238,19 @@ class TestSimulate:
         assert "model.dt" in result.output
         assert not (tmp_path / "out" / "report.md").exists()
 
+    def test_model_without_unicycle_state_exit_four(self, runner, braking_config_path,
+                                                    synth_run, tmp_path):
+        # the braking model's certificate is valid, but run_trial builds the
+        # unicycle state; it once ended in a state dimension mismatch
+        _, outdir = synth_run
+        result = runner.invoke(main, [
+            "simulate", braking_config_path,
+            "--certificate", str(outdir / "certificate.json"),
+            "--trials", "1", "--output", str(tmp_path)])
+        assert result.exit_code == 4, result.output
+        assert "state variables are d, x, y, z; this model has d, z" in result.output
+        assert not (tmp_path / "report.md").exists()
+
     def test_invalid_certificate_refused(self, runner, restricted_certificate,
                                          tmp_path):
         data = restricted_certificate.to_dict()
@@ -246,6 +274,14 @@ class TestReport:
         assert "restart 0: valid, k = [" in result.output
         assert "DR iterations, stop tolerance" in result.output
         assert ", reduced lambda_min " in result.output
+        # the braking restarts start below the feasible band and search over k
+        data = json.loads((outdir / "certificate.json").read_text())
+        grid = data["restarts"][0]["grid"]
+        assert grid
+        assert f"grid (k, lambda*): ({grid[0][0]:.3g}, {grid[0][1]:.3e})" in result.output
+        for run in data["restarts"][0]["runs"]:
+            assert f"DR at k = [{run['k'][0]:.6g}]: {run['dr_iters']} DR iterations" \
+                in result.output
 
     def test_empty_directory(self, runner, tmp_path):
         result = runner.invoke(main, ["report", str(tmp_path)])

@@ -18,13 +18,13 @@ def solver_config(**solver):
 
 class TestSolverConfig:
     def test_round_trip(self):
-        cfg = solver_config(restarts=2, rounds=1, iterations=300, tolerance=0,
-                            k_init=[0.5, 0.5])
-        assert (cfg.restarts, cfg.rounds, cfg.iterations) == (2, 1, 300)
+        cfg = solver_config(restarts=2, iterations=300, tolerance=0, k_init=[0.5, 0.5])
+        assert (cfg.restarts, cfg.iterations) == (2, 300)
         assert cfg.tolerance == 0.0 and cfg.k_init == (0.5, 0.5)
 
     @pytest.mark.parametrize("key, value", [
-        ("restarts", 0), ("restarts", True), ("rounds", 0), ("rounds", -2),
+        # a k_init below the k floor once ran the first DR run at a negative k
+        ("restarts", 0), ("restarts", True), ("k_init", [-1.0, 0.0]), ("k_init", [5e-5, 1.0]),
         ("iterations", 0), ("iterations", 2.5), ("tolerance", -1.0),
         ("tolerance", math.inf), ("tolerance", math.nan), ("tolerance", "1e-6"),
         ("k_init", [0.5, 0.2]), ("k_init", [0.2, math.inf]), ("k_init", [0.2]),
@@ -41,10 +41,20 @@ class TestSolverConfig:
         assert inspect.signature(check_certificate).parameters["k_min"].default == K_MIN
         assert solver_config(k_min=K_MIN).k_min == K_MIN
 
-    @pytest.mark.parametrize("key", ["rounds", "restarts"])
+    def test_k_init_below_configured_k_min_rejected(self):
+        with pytest.raises(ConfigError, match="solver key 'k_init' must be .* 0.3 <= lo"):
+            solver_config(k_min=0.3, k_init=[0.2, 0.5])
+
+    def test_retired_rounds_key_rejected(self):
+        # the search over k replaced the rounds of penalty descent
+        raw = braking_config_dict()
+        raw["solver"]["rounds"] = 2
+        with pytest.raises(ConfigError, match=r"unknown solver keys: \['rounds'\]"):
+            RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("key", ["restarts"])
     def test_zero_rejected_before_solve(self, key):
-        # "rounds": 0 once divided by zero inside solve, "restarts": 0 once
-        # left no best restart to unpack
+        # "restarts": 0 once left no best restart to unpack
         raw = braking_config_dict()
         raw["solver"][key] = 0
         with pytest.raises(ConfigError, match=f"solver key '{key}'"):

@@ -24,6 +24,8 @@ import sisynth
 from sisynth.poly import Polynomial, VarId, VarKind
 from sisynth.refute import GramSpec
 
+from conftest import braking_config_dict
+
 
 def random_symmetric(rng, n):
     M = rng.normal(size=(n, n))
@@ -415,7 +417,7 @@ class TestSolve:
 
     def test_failure_carries_best_attempt(self, unicycle_problem):
         p = unicycle_problem
-        cfg = replace(p.solver_config, restarts=1, iterations=200, rounds=1)
+        cfg = replace(p.solver_config, restarts=1, iterations=200)
         with pytest.raises(SolverFailure) as exc_info:
             solve(p.specs, p.layout, cfg)
         failure = exc_info.value
@@ -428,7 +430,7 @@ class TestSolve:
 
     @staticmethod
     def rank(restart):
-        return restart["valid"], restart["rounds"][-1]["reduced_lambda_min"]
+        return restart["valid"], restart["runs"][-1]["reduced_lambda_min"]
 
     def test_returns_best_valid_reduced_margin(self, restricted_problem, restricted_certificate):
         cert = restricted_certificate
@@ -440,7 +442,8 @@ class TestSolve:
         assert all("residual" not in r for r in cert.restarts)
 
     def test_unrestricted_tie_goes_to_restart_zero(self, unicycle_problem):
-        # every restart ends its last round at the same lambda_min -0.66667
+        # every restart ends its last DR run at the same grid k, with the
+        # same lambda_min
         p = unicycle_problem
         with pytest.raises(SolverFailure) as exc_info:
             solve(p.specs, p.layout, replace(p.solver_config, restarts=3))
@@ -452,12 +455,12 @@ class TestSolve:
     @pytest.mark.parametrize("instance, overrides", [
         ("braking_problem", {}),
         ("restricted_problem", {"restarts": 1, "seed": 1}),
-        # a budget-bound first round, then an L-BFGS round
-        ("unicycle_problem", {"restarts": 2, "rounds": 2, "iterations": 1000})])
+        # a budget-bound first run, then the search over k
+        ("unicycle_problem", {"restarts": 2, "iterations": 500})])
     def test_logged_lambda_mins_match_full_grams(self, instance, overrides, request,
                                                  monkeypatch):
         p = request.getfixturevalue(instance)
-        outputs = []
+        outputs = {}   # refine's decision, by the id of its record
         refine = AffineGramMap.refine
 
         def recording(amap, *args, **kwargs):
@@ -465,7 +468,7 @@ class TestSolve:
             x = np.empty(p.layout.size)
             x[p.layout.theta_idx] = amap.theta
             x[amap.free_idx] = y
-            outputs.append(x)
+            outputs[id(record)] = x
             return y, lams, record
 
         monkeypatch.setattr(AffineGramMap, "refine", recording)
@@ -474,57 +477,68 @@ class TestSolve:
         except SolverFailure as exc:
             cert = exc.certificate
         grams = GramStack(p.specs, p.layout)
-        assert len(outputs) == sum(len(r["rounds"]) for r in cert.restarts)
+        assert all(id(record) in outputs for r in cert.restarts for record in r["runs"])
         for r in cert.restarts:
-            x = outputs[len(r["rounds"]) - 1]
-            del outputs[:len(r["rounds"])]
+            x = outputs[id(r["runs"][-1])]
             assert x[p.layout.theta_idx].tolist() == r["k"]
             for lam, Q in zip(r["lambda_mins"], grams.matrices(x), strict=True):
                 assert abs(lam - jacobi_eigh_batch(Q[None])[0][0, 0]) <= 1e-12 * np.abs(Q).max()
 
     def test_braking_rounds_stop_on_tolerance(self, braking_certificate):
         for r in braking_certificate.restarts:
-            rounds = r["rounds"]
-            assert rounds and all(x["stop"] in ("tolerance", "budget")
-                                  for x in rounds)
+            runs = r["runs"]
+            assert runs and all(x["stop"] in ("tolerance", "budget")
+                                for x in runs)
             if r["valid"]:
-                assert rounds[-1]["stop"] == "tolerance"
+                assert runs[-1]["stop"] == "tolerance"
         assert any(r["valid"] for r in braking_certificate.restarts)
+
+    def test_braking_search_certifies_above_band(self, braking_problem, braking_certificate):
+        # k_init [0.2, 0.5] lies below the feasible band k > 1 + eta, so only
+        # the search over k can certify a restart
+        eta = braking_problem.config.eta
+        assert braking_problem.solver_config.k_init[1] < 1.0 + eta
+        valid = [r for r in braking_certificate.restarts if r["valid"]]
+        assert valid
+        for r in valid:
+            assert r["k"][0] > 1.0 + eta
+            assert r["runs"][0]["stop"] == "budget" and r["grid"]
+            assert r["runs"][-1]["k"] == r["k"]
 
     def test_short_budget_stops_on_budget(self, restricted_problem):
         p = restricted_problem
-        # k in [0.02, 0.021], above the certifiable band: 500 DR iterations
-        # end on the budget
-        cfg = replace(p.solver_config, restarts=1, rounds=1, iterations=500, seed=1,
+        # k in [0.02, 0.021], above the certifiable band: the first 500 DR
+        # iterations end on the budget, and the search over k certifies
+        cfg = replace(p.solver_config, restarts=1, iterations=500, seed=1,
                       k_init=(0.02, 0.021))
-        with pytest.raises(SolverFailure) as exc_info:
-            solve(p.specs, p.layout, cfg)
-        [restart] = exc_info.value.certificate.restarts
-        [record] = restart["rounds"]
+        cert = solve(p.specs, p.layout, cfg)
+        [restart] = cert.restarts
+        record = restart["runs"][0]
         assert record["dr_iters"] == 500 and record["stop"] == "budget"
         assert record["lambda_min"] < -cfg.tolerance
+        assert restart["valid"] and restart["grid"] and len(restart["runs"]) > 1
 
     def test_certifiable_restart_certifies_in_round_zero(self, restricted_problem):
-        # solver seed 1's sampled k certifies in DR round 0 after about 280
-        # of its 6000 iterations; DR must not stop early and hand the restart
-        # to a penalty round
+        # solver seed 1's sampled k certifies in its first DR run after about
+        # 280 of its 6000 iterations; DR must not stop early and hand the
+        # restart to the search over k
         p = restricted_problem
         cert = solve(p.specs, p.layout, replace(p.solver_config, restarts=1, seed=1))
         [restart] = cert.restarts
-        [record] = restart["rounds"]
+        [record] = restart["runs"]
         assert record["stop"] == "tolerance"
 
     def test_restart_logs_independent_of_blas_threads(self):
-        # solver seed 1, 1 restart, 500 DR iterations per round, k in
-        # [0.02, 0.021] above the certifiable band: round 0 spends its budget,
-        # so the restart runs a penalty round
+        # solver seed 1, 1 restart, 500 DR iterations per run, k in
+        # [0.02, 0.021] above the certifiable band: the first run spends its
+        # budget, so the restart searches over k
         script = ("import json; from dataclasses import replace; "
                   "from importlib import resources; "
                   "from sisynth.config import RunConfig, build_problem; "
                   "from sisynth.feasibility import SolverFailure, solve; "
                   "p = build_problem(RunConfig.load(str(resources.files('sisynth') / "
                   "'configs' / 'unicycle_restricted.json'))); "
-                  "cfg = replace(p.solver_config, restarts=1, seed=1, iterations=1000, "
+                  "cfg = replace(p.solver_config, restarts=1, seed=1, iterations=500, "
                   "k_init=(0.02, 0.021))\n"
                   "try:\n    cert = solve(p.specs, p.layout, cfg)\n"
                   "except SolverFailure as exc:\n    cert = exc.certificate\n"
@@ -539,8 +553,22 @@ class TestSolve:
                                           stdout=subprocess.PIPE, text=True))
         logs = [json.loads(proc.communicate(timeout=300)[0]) for proc in procs]
         assert all(proc.returncode == 0 for proc in procs)
-        assert any(len(r["rounds"]) > 1 for r in logs[0])
+        assert any(len(r["runs"]) > 1 for r in logs[0])
         assert logs[0] == logs[1]
+
+    def test_solve_does_not_load_scipy(self):
+        # the search over k runs on DR alone, and only minimize imports scipy
+        script = ("import json, sys; from sisynth.config import RunConfig, build_problem; "
+                  "from sisynth.feasibility import solve; "
+                  f"p = build_problem(RunConfig.from_dict(json.loads({json.dumps(braking_config_dict())!r}))); "
+                  "cert = solve(p.specs, p.layout, p.solver_config); "
+                  "print(cert.valid, 'scipy' in sys.modules)")
+        src = str(Path(sisynth.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["True", "False"]
 
     def test_empty_specs_rejected(self, braking_problem):
         with pytest.raises(ValueError):
@@ -583,16 +611,6 @@ class TestCertificate:
 
 
 class TestDecisionLayout:
-    def test_bounds(self, braking_problem):
-        layout = braking_problem.layout
-        bounds = layout.bounds(k_min=1e-4)
-        for i in layout.theta_idx:
-            assert bounds[i] == (1e-4, None)
-        for i in layout.gamma_idx:
-            assert bounds[i] == (0.0, None)
-        for i in layout.zeta_idx:
-            assert bounds[i] == (None, None)
-
     def test_variable_partition(self, restricted_problem):
         layout = restricted_problem.layout
         parts = np.concatenate([layout.theta_idx, layout.gamma_idx,
