@@ -144,6 +144,7 @@ def verify(config_path, cert_path, k_values, output):
         with open(cert_path) as fh:
             cert = Certificate.from_dict(json.load(fh))
         ok, diagnostics = check_certificate(problem.specs, problem.layout, cert,
+                                            tolerance=problem.solver_config.tolerance,
                                             k_min=problem.solver_config.k_min)
         click.echo(f"certificate check: {'pass' if ok else 'FAIL'}")
         for line in diagnostics:

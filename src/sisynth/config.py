@@ -4,7 +4,9 @@ Sections: ``model`` (system schema or a named builtin, with the control
 period ``dt``), ``index`` (base index literal, chain order, margin),
 ``solver`` (restarts, DR iterations, tolerances, refute-set shaping),
 ``falsifier`` (sampling axes), ``sim`` (trial batch: ``trials``,
-``horizon``, ``seed``).  Every section is checked at load.
+``horizon``, ``seed``).  The index, solver, falsifier and sim values are
+checked, not cast, at load; the model and the polynomial literals are
+checked when :func:`build_problem` parses them.
 Defaults reproduce the standard unicycle study: velocity and steering
 bounds of +/-1, margin 0.1, protective distance 1, dt 0.01, eigenvalue
 tolerance 1e-6, 10 restarts.
@@ -33,8 +35,7 @@ class ConfigError(ValueError):
 
 TOP_KEYS = {"model", "index", "solver", "falsifier", "sim"}
 SOLVER_KEYS = {"restarts", "iterations", "tolerance", "seed", "k_min", "k_init",
-               "product_order", "basis_degree", "aux_splits", "eliminate_nonneg",
-               "gram_kernel"}
+               "product_order", "basis_degree", "aux_splits", "eliminate_nonneg"}
 INDEX_KEYS = {"phi0", "order", "eta"}
 
 
@@ -67,6 +68,8 @@ class RunConfig:
             raise ConfigError(f"unknown solver keys: {sorted(bad)}")
         cfg = cls(raw=raw, model=raw["model"], index=index, solver=solver,
                   falsifier=raw.get("falsifier"), sim=raw.get("sim", {}))
+        _ = cfg.eta, cfg.order   # the properties check their index keys
+        cfg.solver_config()
         cfg.task_config()
         if cfg.falsifier is not None:
             cfg.falsifier_config()
@@ -83,20 +86,22 @@ class RunConfig:
 
     @property
     def eta(self) -> float:
-        eta = float(self.index.get("eta", 0.1))
-        if eta <= 0:
-            raise ConfigError("eta must be positive")
-        return eta
+        eta = self.index.get("eta", 0.1)
+        _require(_is_finite(eta) and eta > 0, "eta", "a finite number > 0", eta, "index")
+        return float(eta)
 
     @property
     def order(self) -> int:
-        return int(self.index.get("order", 1))
+        order = self.index.get("order", 1)
+        _require(_is_int(order) and order >= 1, "order", "an integer >= 1", order, "index")
+        return order
 
     def digest(self) -> str:
         return hashlib.sha256(
             json.dumps(self.raw, sort_keys=True).encode()).hexdigest()[:12]
 
     def solver_config(self) -> SolverConfig:
+        """The solver settings, after checking every key of the solver section."""
         s = self.solver
         for key in ("restarts", "iterations"):
             if key in s:
@@ -114,6 +119,16 @@ class RunConfig:
                      and all(_is_finite(v) for v in k_init) and k_min <= k_init[0] <= k_init[1],
                      "k_init", f"a pair [lo, hi] of finite numbers with {k_min} <= lo <= hi",
                      k_init)
+        if "product_order" in s:
+            _require(_is_int(s["product_order"]) and s["product_order"] in (1, 2),
+                     "product_order", "1 or 2", s["product_order"])
+        if "basis_degree" in s:
+            _require(_is_int(s["basis_degree"]) and s["basis_degree"] >= 1, "basis_degree",
+                     "an integer >= 1", s["basis_degree"])
+        for key in ("aux_splits", "eliminate_nonneg"):
+            if key in s:
+                _require(isinstance(s[key], list) and all(isinstance(v, str) for v in s[key]),
+                         key, "a list of strings", s[key])
         casts = {"restarts": int, "iterations": int, "seed": int, "tolerance": float,
                  "k_min": float, "k_init": lambda pair: tuple(map(float, pair))}
         return SolverConfig(**{key: cast(s[key]) for key, cast in casts.items() if key in s})
@@ -142,9 +157,9 @@ def _is_finite(value) -> bool:
             and math.isfinite(value))
 
 
-def _require(ok: bool, key: str, expected: str, value) -> None:
+def _require(ok: bool, key: str, expected: str, value, section: str = "solver") -> None:
     if not ok:
-        raise ConfigError(f"solver key {key!r} must be {expected}, got {value!r}")
+        raise ConfigError(f"{section} key {key!r} must be {expected}, got {value!r}")
 
 
 @dataclass
@@ -202,14 +217,10 @@ def build_problem(cfg: RunConfig) -> Problem:
 
     cases = enumerate_cases(fam, sys, cfg.eta, aux_splits=aux,
                             nonneg_eliminate=eliminate)
-    product_order = int(s.get("product_order", 1))
-    basis_degree = int(s.get("basis_degree", 1))
-    kernel = bool(s.get("gram_kernel", False))
     specs = []
     for case in cases:
-        p0 = build_p0(case, registry, product_order=product_order)
-        specs.append(build_gram(p0, basis_degree, registry, kernel=kernel,
-                                kernel_tag=case.label))
+        p0 = build_p0(case, registry, product_order=s.get("product_order", 1))
+        specs.append(build_gram(p0, s.get("basis_degree", 1), registry, kernel_tag=case.label))
     layout = DecisionLayout.build(fam.theta, cases, specs)
     return Problem(config=cfg, system=sys, family=fam, cases=cases, specs=specs,
                    layout=layout, solver_config=cfg.solver_config())

@@ -1,8 +1,8 @@
 """Multi-start feasibility solver for the certificate conditions.
 
 Each refute case contributes a Gram matrix whose entries are polynomials in
-the decision variables (index parameters, scalar multipliers, and optional
-Gram kernel shares).  A decision vector is a certificate when every Gram
+the decision variables (index parameters, scalar multipliers, and Gram
+kernel shares).  A decision vector is a certificate when every Gram
 matrix is positive semidefinite.  With the index parameters pinned the
 conditions are convex, so each seeded restart runs Douglas-Rachford (DR)
 on the multipliers at its sampled index parameters.  A DR run stops on
@@ -140,15 +140,10 @@ class DecisionLayout:
         variables = list(theta)
         zeta, gamma, kernel = [], [], []
         for case, spec in zip(cases, specs):
-            for v in case.zeta_multipliers:
-                zeta.append(len(variables))
-                variables.append(v)
-            for v in case.gamma_multipliers:
-                gamma.append(len(variables))
-                variables.append(v)
-            for v in spec.kernel_vars:
-                kernel.append(len(variables))
-                variables.append(v)
+            for idx, group in ((zeta, case.zeta_multipliers), (gamma, case.gamma_multipliers),
+                               (kernel, spec.kernel_vars)):
+                idx.extend(range(len(variables), len(variables) + len(group)))
+                variables.extend(group)
         return cls(variables=variables,
                    theta_idx=np.arange(len(theta)),
                    gamma_idx=np.array(gamma, dtype=int),
@@ -168,10 +163,9 @@ class GramStack:
 
     Each monomial of an upper-triangle Gram entry is one term: a coefficient,
     a fixed-width row of decision-variable factor indices (padded with an
-    index pointing at a constant 1 slot), and its position in one flat buffer
-    that holds all matrices row-major.  Cases of equal Gram size sit next to
-    each other in that buffer (ascending size, then case order), so each size
-    group reads as one ``(cases, n, n)`` stack.
+    index pointing at a constant 1 slot), its case (``term_case``) and its
+    position in one flat buffer that holds all matrices row-major, cases of
+    equal Gram size next to each other (ascending size, then case order).
     """
 
     def __init__(self, specs: Sequence[GramSpec], layout: DecisionLayout):
@@ -190,7 +184,8 @@ class GramStack:
         self.coeffs = np.array([t[3] for t in terms], dtype=float)
         self.factors = np.array([t[4] + [self.nvars] * (width - len(t[4])) for t in terms],
                                 dtype=np.intp).reshape(len(terms), width)
-        cases, rows, cols = (np.array([t[k] for t in terms], dtype=np.intp) for k in range(3))
+        self.term_case, rows, cols = (np.array([t[k] for t in terms], dtype=np.intp)
+                                      for k in range(3))
 
         # (case indices, Gram size, offset into the flat buffer) per size group
         self.groups: list[tuple[np.ndarray, int, int]] = []
@@ -202,15 +197,16 @@ class GramStack:
             self.case_offsets[members] = off + n * n * np.arange(len(members))
             off += n * n * len(members)
         self.length = off
-        n_of = np.array(self.sizes, dtype=np.intp)[cases]
-        self.positions = self.case_offsets[cases] + rows * n_of + cols
-        mirrored = self.case_offsets[cases] + cols * n_of + rows
+        n_of = np.array(self.sizes, dtype=np.intp)[self.term_case]
         off_diag = rows != cols
         self.sym_w = np.where(off_diag, 2.0, 1.0)
-        # every term lands at its upper position, off-diagonal terms also at
-        # the mirrored one: buffer slot scatter[s] receives term source[s]
-        self.scatter = np.concatenate([self.positions, mirrored[off_diag]])
+        # every term lands at its upper entry, off-diagonal terms also at the
+        # mirrored one: entry slot_entry[s] (row-major in the matrix of case
+        # term_case[source[s]]) receives term source[s]
         self.source = np.concatenate([np.arange(len(terms)), np.flatnonzero(off_diag)])
+        self.slot_entry = np.concatenate([rows * n_of + cols, (cols * n_of + rows)[off_diag]])
+        self.scatter = self.case_offsets[self.term_case[self.source]] + self.slot_entry
+        self.positions = self.scatter[:len(terms)]
         self._others = np.array([[o for o in range(width) if o != s] for s in range(width)],
                                 dtype=np.intp).reshape(width, width - 1)
 
@@ -221,8 +217,7 @@ class GramStack:
 
     def split(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """``(case indices, (cases, n, n) stack)`` per size group, as views of
-        a packed vector such as :meth:`flat` returns (entries past the
-        matrices are ignored)."""
+        a packed vector such as :meth:`flat` returns."""
         return [(members, flat[off:off + len(members) * n * n].reshape(-1, n, n))
                 for members, n, off in self.groups]
 
@@ -279,17 +274,19 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
 class _Block(NamedTuple):
     """Cases of one block shape, stacked.
 
-    The full block maps the free columns ``C`` to the packed rows ``R`` (the
-    Gram entries row-major, then the sign rows) as ``A y + b``.  On the zero
-    face the free decision is ``y = yp + N w``, and the ``kept`` rows of the
-    block are ``Af w + bf``, with least-squares projector ``P``.  ``v`` and
-    ``w`` are the block's slices of the face-packed vector and of the face
-    coordinates; ``k`` is the kept Gram size.
+    Each case's free columns ``C`` map to its rows (its Gram entries
+    row-major, then the sign rows of its gamma multipliers) as ``A y + b``;
+    ``n`` is the Gram size.  On the zero face the free decision is
+    ``y = yp + N w``, and the ``kept`` rows of the block are ``Af w + bf``,
+    with least-squares projector ``P``.  ``v`` and ``w`` are the block's
+    slices of the face-packed vector and of the face coordinates; ``k`` is
+    the kept Gram size.
     """
-    R: np.ndarray
+    cases: np.ndarray
     C: np.ndarray
     A: np.ndarray
     b: np.ndarray
+    n: int
     kept: np.ndarray
     k: int
     N: np.ndarray
@@ -300,18 +297,20 @@ class _Block(NamedTuple):
     v: slice
     w: slice
 
+    def matrices(self, y: np.ndarray) -> np.ndarray:
+        """The cases' full Gram matrices at free decision ``y``, ``(cases, n, n)``."""
+        rows = np.matmul(self.A, y[self.C][..., None])[..., 0] + self.b
+        return rows[:, :self.n * self.n].reshape(-1, self.n, self.n)
+
 
 class AffineGramMap:
-    """The Gram stack as an affine function of the non-index decision
-    variables, restricted to the zero face.
+    """The Gram matrices as an affine function of the non-index decision
+    variables, one block per refute case, restricted to the zero face.
 
     For pinned index parameters every Gram entry is affine in the remaining
-    decision coordinates (multipliers and kernel shares), so the packed
-    matrices are ``A y + b``, in the layout of :meth:`GramStack.flat`, with
-    the gamma multipliers' sign constraints as extra scalar rows
-    (:meth:`evaluate`).  Refute cases share only the index parameters, so
-    once those are pinned ``A`` is block diagonal, one dense block per case;
-    blocks of equal shape are stacked.
+    decision coordinates (multipliers and kernel shares).  Refute cases
+    share only the index parameters, so each case is a block of its own
+    (:class:`_Block`) over its own columns; blocks of equal shape are stacked.
 
     A basis monomial whose Gram diagonal is the zero polynomial
     (:attr:`GramStack.pruned`) forces its whole row and column of a PSD
@@ -327,8 +326,8 @@ class AffineGramMap:
 
     def __init__(self, grams: GramStack, layout: DecisionLayout, theta: np.ndarray):
         nv = layout.size
-        self.grams = grams
         self.theta = np.asarray(theta, dtype=float)
+        self.ncases = len(grams.sizes)
         pinned = np.zeros(nv + 1, dtype=bool)
         pinned[layout.theta_idx] = True
         pinned[nv] = True   # the constant-1 slot
@@ -345,19 +344,15 @@ class AffineGramMap:
             raise ValueError("Gram entries must be affine in the multipliers")
         cval = grams.coeffs * np.prod(np.where(free, 1.0, pin[grams.factors]), axis=1)
         col = np.max(np.where(free, free_pos[grams.factors], -1), axis=1)
-        rows, col, cval = grams.scatter, col[grams.source], cval[grams.source]
+        # one (case, row, column, value) per Gram entry slot
+        case, row = grams.term_case[grams.source], grams.slot_entry
+        col, cval = col[grams.source], cval[grams.source]
         nfree, linear = len(self.free_idx), col >= 0
-        self.rows_gram = grams.length
-        nrows = self.rows_gram + len(self.gamma_pos)
-        self.b = np.bincount(rows[~linear], weights=cval[~linear], minlength=nrows)
 
         # a free column belongs to the one case whose Gram entries it enters
-        order = np.argsort(grams.case_offsets)
-        slot_case = np.repeat(order, (np.array(grams.sizes, dtype=np.intp) ** 2)[order])
-        entry_case = slot_case[rows[linear]]
         owner = np.full(nfree, -1, dtype=np.intp)
-        owner[col[linear]] = entry_case
-        shared = col[linear][owner[col[linear]] != entry_case]
+        owner[col[linear]] = case[linear]
+        shared = col[linear][owner[col[linear]] != case[linear]]
         if len(shared):
             name = layout.variables[self.free_idx[shared[0]]].name
             raise ValueError(f"decision variable {name} enters the Gram matrices of "
@@ -366,34 +361,32 @@ class AffineGramMap:
             name = layout.variables[self.free_idx[np.argmax(owner < 0)]].name
             raise ValueError(f"decision variable {name} enters no Gram matrix")
 
-        # rows and columns of each case's block, grouped by block shape and
-        # pruned basis monomials
-        shapes: dict[tuple, list[tuple[np.ndarray, np.ndarray]]] = {}
+        # per case: its Gram entries row-major, then one sign row per gamma
+        gamma_case = owner[self.gamma_pos]
+        shapes: dict[tuple, list[tuple[int, np.ndarray]]] = {}
         for c, n in enumerate(grams.sizes):
-            r = np.concatenate([grams.case_offsets[c] + np.arange(n * n),
-                                self.rows_gram + np.flatnonzero(owner[self.gamma_pos] == c)])
             cols = np.flatnonzero(owner == c)
-            shapes.setdefault((n, len(r), len(cols), tuple(grams.pruned[c].tolist())),
-                              []).append((r, cols))
-        entry_rows = np.concatenate([rows[linear], np.arange(self.rows_gram, nrows)])
-        entry_cols = np.concatenate([col[linear], self.gamma_pos])
-        values = np.concatenate([cval[linear], np.ones(len(self.gamma_pos))])
-        row_slot = np.empty(nrows, dtype=np.intp)   # row's offset in its group's stack
-        col_slot = np.empty(nfree, dtype=np.intp)   # column's index within its block
-        row_group = np.full(nrows, -1, dtype=np.intp)
+            nr = n * n + np.count_nonzero(gamma_case == c)
+            shapes.setdefault((n, nr, len(cols), tuple(grams.pruned[c].tolist())),
+                              []).append((c, cols))
+        case_slot = np.empty(self.ncases, dtype=np.intp)   # case's index in its block
+        col_slot = np.empty(nfree, dtype=np.intp)          # column's index in its block
         self._blocks: list[_Block] = []
         v_off = w_off = 0
-        for g, ((n, nr, nc, pruned), members) in enumerate(sorted(shapes.items())):
-            R = np.array([r for r, _ in members], dtype=np.intp).reshape(len(members), nr)
-            C = np.array([c for _, c in members], dtype=np.intp).reshape(len(members), nc)
-            row_slot[R] = np.arange(R.size).reshape(R.shape)
+        for (n, nr, nc, pruned), members in sorted(shapes.items()):
+            cases = np.array([c for c, _ in members], dtype=np.intp)
+            C = np.array([cols for _, cols in members], dtype=np.intp).reshape(len(cases), nc)
+            case_slot[cases] = np.arange(len(cases))
             col_slot[C] = np.arange(nc)
-            row_group[R] = g
-            mine = row_group[entry_rows] == g
-            A = np.bincount(row_slot[entry_rows[mine]] * nc + col_slot[entry_cols[mine]],
-                            weights=values[mine], minlength=R.size * nc
-                            ).reshape(len(members), nr, nc)
-            b = self.b[R]
+            mine = np.isin(case, cases)
+            lin, const = mine & linear, mine & ~linear
+            A = np.bincount((case_slot[case[lin]] * nr + row[lin]) * nc + col_slot[col[lin]],
+                            weights=cval[lin], minlength=len(cases) * nr * nc
+                            ).reshape(len(cases), nr, nc)
+            s, j = np.nonzero(np.isin(C, self.gamma_pos))
+            A[s, n * n + np.tile(np.arange(nr - n * n), len(cases)), j] = 1.0
+            b = np.bincount(case_slot[case[const]] * nr + row[const], weights=cval[const],
+                            minlength=len(cases) * nr).reshape(len(cases), nr)
             on_face = np.zeros((n, n), dtype=bool)
             on_face[list(pruned)] = True
             on_face[:, list(pruned)] = True
@@ -417,18 +410,11 @@ class AffineGramMap:
                 bf = b[sel][:, kept] + np.matmul(Ak, yp[..., None])[..., 0]
                 dv, dw = Af.shape[0] * Af.shape[1], Af.shape[0] * Af.shape[2]
                 self._blocks.append(_Block(
-                    R=R[sel], C=C[sel], A=A[sel], b=b[sel], kept=kept, k=n - len(pruned),
-                    N=N, yp=yp, Af=Af, bf=bf, P=P,
+                    cases=cases[sel], C=C[sel], A=A[sel], b=b[sel], n=n, kept=kept,
+                    k=n - len(pruned), N=N, yp=yp, Af=Af, bf=bf, P=P,
                     v=slice(v_off, v_off + dv), w=slice(w_off, w_off + dw)))
                 v_off, w_off = v_off + dv, w_off + dw
         self.face_rows, self.face_dim = v_off, w_off
-
-    def evaluate(self, y: np.ndarray) -> np.ndarray:
-        """The packed Gram matrices and sign rows ``A y + b`` at free decision ``y``."""
-        out = np.empty(len(self.b))
-        for blk in self._blocks:
-            out[blk.R] = np.matmul(blk.A, y[blk.C][..., None])[..., 0] + blk.b
-        return out
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         """The kept Gram entries and sign rows ``Af w + bf`` at face coordinates
@@ -462,11 +448,6 @@ class AffineGramMap:
             w[blk.w] = np.matmul(blk.N.transpose(0, 2, 1), (y[blk.C] - blk.yp)[..., None]).ravel()
         return w
 
-    def _eig(self, v: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Eigenvalues (ascending) and eigenvectors of each size group's
-        symmetrized Gram stack in the packed vector ``v``."""
-        return [_sym_eigh(mats) for _, mats in self.grams.split(v)]
-
     def _cone(self, z: np.ndarray) -> np.ndarray:
         """Projection of face-packed ``z`` onto the PSD cone of every kept
         block and the nonnegative sign rows."""
@@ -484,19 +465,17 @@ class AffineGramMap:
         eigenvalue of the full Gram matrix."""
         y = y.copy()
         y[self.gamma_pos] = np.maximum(y[self.gamma_pos], 0.0)
-        v = self.evaluate(y)
-        lams = np.empty(len(self.grams.sizes))
-        for (members, _), (w, _) in zip(self.grams.split(v), self._eig(v)):
-            lams[members] = w[:, 0]
+        lams = np.empty(self.ncases)
+        for blk in self._blocks:
+            lams[blk.cases] = _sym_eigh(blk.matrices(y))[0][:, 0]
         return y, lams
 
     def reduced_lambda_min(self, y: np.ndarray) -> float:
         """The worst minimum eigenvalue over the kept blocks at free decision ``y``."""
-        v = self.evaluate(y)
         worst = []
         for blk in self._blocks:
-            kept = v[blk.R[:, blk.kept[:blk.k ** 2]]].reshape(-1, blk.k, blk.k)
-            worst.append(float(_sym_eigh(kept)[0][:, 0].min()))
+            kept = blk.matrices(y).reshape(len(blk.C), -1)[:, blk.kept[:blk.k ** 2]]
+            worst.append(float(_sym_eigh(kept.reshape(-1, blk.k, blk.k))[0][:, 0].min()))
         return min(worst)
 
     def refine(self, y: np.ndarray, iterations: int, tolerance: float
@@ -510,10 +489,10 @@ class AffineGramMap:
         free decision and judged by :meth:`candidate`.  Returns the best free
         decision, its per-case minimum eigenvalues and a record ``{"k",
         "dr_iters", "stop", "lambda_min", "reduced_lambda_min"}``: ``k`` is
-        the pinned index parameters, ``stop`` is
-        ``tolerance`` (the iterate certifies) or ``budget`` (``iterations``
-        ran out), ``lambda_min`` the worst of those eigenvalues, and
-        ``reduced_lambda_min`` the kept blocks' worst minimum eigenvalue.
+        the pinned index parameters, ``stop`` is ``tolerance`` (the iterate
+        certifies) or ``budget`` (``iterations`` ran out), ``lambda_min`` the
+        worst of those eigenvalues, and ``reduced_lambda_min`` the kept
+        blocks' worst minimum eigenvalue.
         """
         y_best, lams_best = self.candidate(y)
         lam_best = float(lams_best.min())
@@ -544,7 +523,11 @@ class SolverConfig:
     tolerance: float = 1e-6
     seed: int = 0
     k_min: float = K_MIN
-    k_init: tuple[float, float] = (K_MIN, 1.0)
+    k_init: tuple[float, float] | None = None   # default (k_min, max(k_min, 1))
+
+    def __post_init__(self):
+        if self.k_init is None:
+            self.k_init = (self.k_min, max(self.k_min, 1.0))
 
     def digest(self) -> str:
         payload = json.dumps(self.__dict__, sort_keys=True, default=str)
@@ -614,9 +597,6 @@ def penalty(grams: GramStack, d: np.ndarray,
     over every eigenvalue of every case, which vanishes exactly when all
     minimum eigenvalues clear the margin and, unlike a min-eigenvalue-only
     hinge, stays continuously differentiable through eigenvalue crossings.
-    All matrices come from one :meth:`GramStack.flat` evaluation; each size
-    group is eigendecomposed in one batched LAPACK ``eigh`` call, and the
-    gradient is one :meth:`GramStack.weighted_gradient` pass.
     """
     flat = grams.flat(d)
     weights = np.empty_like(flat)
@@ -726,15 +706,19 @@ def check_certificate(specs: Sequence[GramSpec], layout: DecisionLayout,
     with the in-repo Jacobi eigensolver, not the solver's LAPACK path, in one
     batched call per Gram size.
 
-    Verifies the sign constraints on the decision vector and that each
-    case's minimum eigenvalue clears ``-tolerance``.  Returns a pass flag
-    and per-violation diagnostics.
+    Verifies that the decision's variable names are the layout's, the sign
+    constraints on the decision vector and that each case's minimum
+    eigenvalue clears ``-tolerance`` (by default the certificate's own).
+    Returns a pass flag and per-violation diagnostics.
     """
     tol = cert.tolerance if tolerance is None else tolerance
     diagnostics: list[str] = []
     d = cert.decision
     if len(d) != layout.size:
         return False, [f"decision dimension {len(d)} != layout size {layout.size}"]
+    renamed = [(a, v.name) for a, v in zip(cert.variable_names, layout.variables) if a != v.name]
+    if renamed:
+        diagnostics.append("decision variable %r where the layout has %r" % renamed[0])
     for i in layout.theta_idx:
         if d[i] < k_min - 1e-12:
             diagnostics.append(f"theta component {layout.variables[i].name} = {d[i]:.3e} below {k_min}")

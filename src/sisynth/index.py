@@ -152,8 +152,8 @@ class IndexParams:
 
     def __post_init__(self):
         self.k = np.atleast_1d(np.asarray(self.k, dtype=float))
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if not (np.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be a finite number > 0, got {self.eta!r}")
         if self.enforce_min and np.any(self.k < K_MIN):
             raise RelativeDegreeError(
                 f"k components below the {K_MIN} floor degenerate the chain: {self.k}")

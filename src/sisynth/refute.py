@@ -52,7 +52,6 @@ class RefuteCase:
     p0: Polynomial | None = None
     zeta_multipliers: list[VarId] = field(default_factory=list)
     gamma_multipliers: list[VarId] = field(default_factory=list)
-    gamma_subsets: list[tuple[int, ...]] = field(default_factory=list)
 
 
 @dataclass
@@ -203,7 +202,6 @@ def build_p0(case: RefuteCase, registry: VarRegistry, product_order: int = 1) ->
         case.zeta_multipliers.append(pv)
         p0 = p0 - Polynomial.variable(pv) * zeta
     case.gamma_multipliers = []
-    case.gamma_subsets = []
     subsets: list[tuple[int, ...]] = [(j,) for j in range(len(case.gammas))]
     if product_order >= 2:
         subsets += list(combinations(range(len(case.gammas)), 2))
@@ -211,7 +209,6 @@ def build_p0(case: RefuteCase, registry: VarRegistry, product_order: int = 1) ->
         name = f"pg_{tag}_" + "_".join(str(j + 1) for j in subset)
         pv = registry.decision(name)
         case.gamma_multipliers.append(pv)
-        case.gamma_subsets.append(subset)
         term = Polynomial.variable(pv)
         for j in subset:
             term = term * case.gammas[j]
@@ -233,15 +230,16 @@ def state_monomials(variables: Sequence[VarId], max_degree: int) -> list[Monomia
 
 
 def build_gram(p0: Polynomial, basis_degree: int, registry: VarRegistry | None = None,
-               kernel: bool = False, kernel_tag: str = "") -> GramSpec:
+               kernel_tag: str = "") -> GramSpec:
     """Decompose p0 as ``x^T Q x`` over the state-monomial basis.
 
     The coefficient of each state monomial is distributed over the basis
     pairs that produce it: diagonal entries take the full share, symmetric
-    off-diagonal pairs take half each, and monomials reachable from several
-    pairs split their coefficient equally.  With ``kernel=True`` the
-    ambiguous splits gain free decision variables (one per extra pair),
-    spanning every Gram matrix representing p0 over this basis.
+    off-diagonal pairs take half each.  A monomial that several pairs
+    produce gives every pair after the first a free decision variable (a
+    kernel share, created in ``registry``) and the first pair the
+    remainder, so the entries span every Gram matrix representing p0 over
+    this basis.
     """
     collected = p0.collect_by_state()
     svars = sorted({v for m in collected for v, _ in m}, key=lambda v: v.index)
@@ -272,22 +270,16 @@ def build_gram(p0: Polynomial, basis_degree: int, registry: VarRegistry | None =
         plist = pairs.get(m)
         if plist is None:
             raise DegreeOverflowError(f"state monomial {m} not representable over the basis")
-        r = len(plist)
-        if kernel and r > 1 and registry is not None:
-            # first pair carries the remainder; the others get free shares
-            free = []
-            for extra_idx, (i, j) in enumerate(plist[1:]):
-                kv = registry.decision(f"q_{kernel_tag}_{len(kernel_vars)}")
-                kernel_vars.append(kv)
-                free.append(Polynomial.variable(kv))
-                deposit(i, j, free[-1])
-            remainder = coeff_poly
-            for fp in free:
-                remainder = remainder - fp
-            deposit(*plist[0], remainder)
-        else:
-            share = (1.0 / r) * coeff_poly
-            for i, j in plist:
-                deposit(i, j, share)
+        if len(plist) > 1 and registry is None:
+            raise ValueError(f"state monomial {m} has several basis pairs; "
+                             "its kernel shares need a registry")
+        remainder = coeff_poly
+        for i, j in plist[1:]:
+            kv = registry.decision(f"q_{kernel_tag}_{len(kernel_vars)}")
+            kernel_vars.append(kv)
+            share = Polynomial.variable(kv)
+            deposit(i, j, share)
+            remainder = remainder - share
+        deposit(*plist[0], remainder)
 
     return GramSpec(basis=basis, entries=entries, p0=p0, kernel_vars=kernel_vars)

@@ -330,18 +330,16 @@ def trajectory_csv(report: TrialReport, path: str, order: int = 1) -> None:
             writer.writerow([f"{x:.9g}" if isinstance(x, float) else x for x in row])
 
 
-def markdown_report(batch: BatchReport, k, solve_time: float | None = None,
-                    sim_time: float | None = None) -> str:
+def markdown_report(batch: BatchReport, k, sim_time: float | None = None) -> str:
     """The batch summary; ``sim_time`` is the wall time of the batch in seconds."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
     k_str = ", ".join(f"{v:.4e}" for v in k)
-    time_str = f"{solve_time:.1f} s" if solve_time is not None else "n/a"
     lines = [
         "# Simulation batch report",
         "",
-        "| k | solve time | Safe Set (%) | Violations |",
-        "|---|-----------|--------------|------------|",
-        f"| {k_str} | {time_str} | {batch.safe_pct:.1f} | {batch.total_violations} |",
+        "| k | Safe Set (%) | Violations |",
+        "|---|--------------|------------|",
+        f"| {k_str} | {batch.safe_pct:.1f} | {batch.total_violations} |",
         "",
         f"- trials: {len(batch.reports)}",
         f"- goal reached: {sum(r.reached_goal for r in batch.reports)}",

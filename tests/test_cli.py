@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from sisynth.cli import main
 from sisynth.config import default_unicycle_config
+from sisynth.feasibility import Certificate
 from conftest import RESTRICTED_CONFIG_PATH, braking_config_dict
 
 
@@ -150,6 +152,36 @@ class TestVerify:
                                       "--output", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "FAIL" in result.output
+
+    def test_certificate_tolerance_not_trusted(self, runner, restricted_problem, tmp_path):
+        # random multipliers leave negative Gram eigenvalues; a certificate
+        # file that states a lax tolerance once passed the check
+        p = restricted_problem
+        rng = np.random.default_rng(0)
+        decision = rng.uniform(-1, 1, size=p.layout.size)
+        decision[p.layout.gamma_idx] = rng.uniform(0, 1, size=len(p.layout.gamma_idx))
+        decision[p.layout.theta_idx] = 0.0125
+        cert = Certificate(decision=decision, variable_names=[v.name for v in p.layout.variables],
+                           lambda_mins=np.zeros(len(p.specs)), tolerance=1e3, seed=0,
+                           config_hash="")
+        path = tmp_path / "lax.json"
+        path.write_text(json.dumps(cert.to_dict()))
+        result = runner.invoke(main, ["verify", RESTRICTED_CONFIG_PATH,
+                                      "--certificate", str(path),
+                                      "--output", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "certificate check: FAIL" in result.output
+        assert "< -1.0e-06" in result.output
+
+    def test_nan_eta_exit_four(self, runner, tmp_path):
+        # a NaN eta once dropped out of every derivative condition, and k = 0
+        # then passed the falsifier
+        cfg = tmp_path / "nan_eta.json"
+        cfg.write_text(json.dumps(braking_config_dict()).replace('"eta": 0.1', '"eta": NaN'))
+        result = runner.invoke(main, ["verify", str(cfg), "--k", "0.0",
+                                      "--output", str(tmp_path / "out")])
+        assert result.exit_code == 4, result.output
+        assert "index key 'eta' must be a finite number > 0" in result.output
 
     @pytest.mark.parametrize("key, value, message", [
         ("resolution", 1, "axis resolution must be >= 2"),

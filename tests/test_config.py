@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 
 import pytest
@@ -52,6 +53,13 @@ class TestSolverConfig:
         with pytest.raises(ConfigError, match=r"unknown solver keys: \['rounds'\]"):
             RunConfig.from_dict(raw)
 
+    def test_retired_gram_kernel_key_rejected(self):
+        # kernel shares are always on wherever a monomial has several basis pairs
+        raw = braking_config_dict()
+        raw["solver"]["gram_kernel"] = True
+        with pytest.raises(ConfigError, match=r"unknown solver keys: \['gram_kernel'\]"):
+            RunConfig.from_dict(raw)
+
     @pytest.mark.parametrize("key", ["restarts"])
     def test_zero_rejected_before_solve(self, key):
         # "restarts": 0 once left no best restart to unpack
@@ -60,6 +68,34 @@ class TestSolverConfig:
         with pytest.raises(ConfigError, match=f"solver key '{key}'"):
             build_problem(RunConfig.from_dict(raw))
 
+
+class TestCheckedAtLoad:
+    """Index and refute-shaping values are checked, not cast, when the config
+    loads: a NaN eta once dropped out of every case's derivative condition,
+    a basis_degree of 1.9 ran as 1, and aux_splits "xy" was read letter by
+    letter."""
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("index", "eta", math.nan), ("index", "eta", math.inf), ("index", "eta", 0),
+        ("index", "eta", -0.1), ("index", "eta", "0.1"), ("index", "eta", True),
+        ("index", "order", 0), ("index", "order", 1.5), ("index", "order", True),
+        ("solver", "product_order", 3), ("solver", "product_order", 0),
+        ("solver", "product_order", 2.0), ("solver", "product_order", True),
+        ("solver", "basis_degree", 0), ("solver", "basis_degree", 1.9),
+        ("solver", "basis_degree", "2"), ("solver", "basis_degree", True),
+        ("solver", "aux_splits", "xy"), ("solver", "aux_splits", ["x", 1]),
+        ("solver", "eliminate_nonneg", "d"), ("solver", "eliminate_nonneg", [True])])
+    def test_bad_value_rejected(self, section, key, value):
+        raw = braking_config_dict()
+        raw[section][key] = value
+        with pytest.raises(ConfigError, match=f"{section} key '{key}' must be"):
+            RunConfig.from_dict(raw)
+
+    def test_nan_eta_in_json_rejected(self, tmp_path):
+        path = tmp_path / "nan_eta.json"
+        path.write_text(json.dumps(braking_config_dict()).replace('"eta": 0.1', '"eta": NaN'))
+        with pytest.raises(ConfigError, match="index key 'eta' must be a finite number > 0"):
+            RunConfig.load(str(path))
 
 
 class TestModelDt:

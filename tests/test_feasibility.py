@@ -15,12 +15,14 @@ from sisynth.feasibility import (
     GramStack,
     SolverFailure,
     _mono_repr,
+    _sym_eigh,
     check_certificate,
     jacobi_eigh_batch,
     penalty,
     solve,
 )
 import sisynth
+from sisynth.config import RunConfig, build_problem
 from sisynth.poly import Polynomial, VarId, VarKind
 from sisynth.refute import GramSpec
 
@@ -158,8 +160,10 @@ class TestSolverAndCheckerEigensolvers:
     """The solver runs LAPACK; the checker runs the in-repo Jacobi."""
 
     @staticmethod
-    def _assert_agree(amap, v):
-        for (w, _), (_, mats) in zip(amap._eig(v), amap.grams.split(v)):
+    def _assert_agree(amap, y):
+        for blk in amap._blocks:
+            mats = blk.matrices(y)
+            w, _ = _sym_eigh(mats)
             wj, _ = jacobi_eigh_batch(0.5 * (mats + mats.transpose(0, 2, 1)))
             scale = np.abs(mats).max(axis=(1, 2))[:, None]
             assert np.all(np.abs(w - wj) <= 1e-12 * scale)
@@ -170,7 +174,7 @@ class TestSolverAndCheckerEigensolvers:
         d = np.random.default_rng(6).uniform(-1, 1, size=p.layout.size)
         d[p.layout.theta_idx] = 0.0125
         amap = AffineGramMap(grams, p.layout, d[p.layout.theta_idx])
-        self._assert_agree(amap, grams.flat(d))
+        self._assert_agree(amap, d[amap.free_idx])
         lams = penalty(grams, d, 0.0)[2]
         jac = [jacobi_eigh_batch(Q[None])[0][0, 0] for Q in grams.matrices(d)]
         assert np.allclose(lams, jac, rtol=0.0, atol=1e-12 * np.abs(grams.flat(d)).max())
@@ -182,7 +186,7 @@ class TestSolverAndCheckerEigensolvers:
         rng = np.random.default_rng(7)
         y, _, _ = amap.refine(rng.uniform(-1, 1, size=len(amap.free_idx)),
                               iterations=60, tolerance=1e-12)
-        self._assert_agree(amap, amap.evaluate(y))
+        self._assert_agree(amap, y)
 
 
 def dense_affine_map(amap):
@@ -206,10 +210,18 @@ class TestAffineGramMap:
                 x = rng.uniform(-1, 1, size=p.layout.size)
                 x[p.layout.theta_idx] = theta
                 y = x[amap.free_idx]
-                stacked, flat = amap.evaluate(y), grams.flat(x)
-                assert np.allclose(stacked[:amap.rows_gram], flat, rtol=0.0,
-                                   atol=1e-12 * max(1.0, np.abs(flat).max())), instance
-                assert np.array_equal(stacked[amap.rows_gram:], y[amap.gamma_pos]), instance
+                want = grams.matrices(x)
+                scale = max(1.0, max(np.abs(Q).max() for Q in want))
+                seen = []
+                for blk in amap._blocks:
+                    rows = np.matmul(blk.A, y[blk.C][..., None])[..., 0] + blk.b
+                    for c, Q, r, cols in zip(blk.cases, blk.matrices(y), rows, blk.C):
+                        assert np.allclose(Q, want[c], rtol=0.0, atol=1e-12 * scale), instance
+                        # the sign rows are the case's own gammas, in layout order
+                        assert np.array_equal(r[blk.n ** 2:],
+                                              y[np.intersect1d(cols, amap.gamma_pos)]), instance
+                        seen.append(int(c))
+                assert sorted(seen) == list(range(len(p.specs))), instance
 
     @pytest.mark.parametrize("instance", ["restricted_problem", "unicycle_problem",
                                           "braking_problem"])
@@ -373,7 +385,7 @@ class TestZeroFace:
         # case but no kept entry: the kept 6x6 blocks do not change, the
         # full Gram matrix leaves the face and fails
         blk = amap._blocks[0]
-        face = np.setdiff1d(np.arange(len(blk.R[0])), blk.kept)
+        face = np.setdiff1d(np.arange(blk.A.shape[1]), blk.kept)
         feeds_face = np.abs(blk.A[0, face]).max(axis=0) > 0.0
         feeds_kept = np.abs(blk.A[0, blk.kept]).max(axis=0) > 0.0
         moved = y.copy()
@@ -505,6 +517,21 @@ class TestSolve:
             assert r["runs"][0]["stop"] == "budget" and r["grid"]
             assert r["runs"][-1]["k"] == r["k"]
 
+    def test_default_k_init_starts_at_k_min(self):
+        # with k_min set and no k_init, restarts once drew k from (1e-4, 1)
+        raw = braking_config_dict()
+        del raw["solver"]["k_init"]
+        raw["solver"]["k_min"] = 0.3
+        p = build_problem(RunConfig.from_dict(raw))
+        assert p.solver_config.k_init == (0.3, 1.0)
+        try:
+            cert = solve(p.specs, p.layout, p.solver_config)
+        except SolverFailure as exc:
+            cert = exc.certificate
+        assert len(cert.restarts) == 3
+        for r in cert.restarts:
+            assert min(r["runs"][0]["k"]) >= 0.3
+
     def test_short_budget_stops_on_budget(self, restricted_problem):
         p = restricted_problem
         # k in [0.02, 0.021], above the certifiable band: the first 500 DR
@@ -593,6 +620,18 @@ class TestCertificate:
         ok, diagnostics = check_certificate(p.specs, p.layout, tampered)
         assert not ok
         assert any("lambda_min" in line for line in diagnostics)
+
+    def test_reordered_names_fail_check(self, braking_problem, braking_certificate):
+        # the values stay in place, so only the names tell that they are
+        # read against the wrong variables
+        p, cert = braking_problem, braking_certificate
+        tampered = Certificate.from_dict(cert.to_dict())
+        tampered.variable_names = tampered.variable_names[::-1]
+        ok, diagnostics = check_certificate(p.specs, p.layout, tampered)
+        assert not ok
+        first = p.layout.variables[0].name
+        assert f"decision variable {tampered.variable_names[0]!r} where the layout has " \
+            f"{first!r}" in diagnostics
 
     def test_negative_multiplier_flagged(self, braking_problem, braking_certificate):
         p, cert = braking_problem, braking_certificate

@@ -69,6 +69,12 @@ class TestIndexParams:
         with pytest.raises(ValueError):
             IndexParams(k=[0.1], eta=0.0)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_eta_finite(self, eta):
+        # a NaN eta once passed, since nan <= 0 is False
+        with pytest.raises(ValueError, match="eta must be a finite number > 0"):
+            IndexParams(k=[0.1], eta=eta)
+
     def test_from_roots_elementary_symmetric(self):
         p = IndexParams.from_roots([2.0, 3.0], eta=0.1)
         np.testing.assert_allclose(p.k, [5.0, 6.0])

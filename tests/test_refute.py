@@ -199,6 +199,6 @@ class TestBuildGram:
         rng = np.random.default_rng(23)
         case = cases[6]
         p0 = build_p0(case, reg, product_order=2)
-        spec = build_gram(p0, 2, reg, kernel=True, kernel_tag=case.label)
+        spec = build_gram(p0, 2, reg, kernel_tag=case.label)
         assert spec.kernel_vars
         self._reconstruction(spec, rng, 10)
