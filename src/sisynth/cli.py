@@ -82,7 +82,8 @@ def main():
 
 @main.command()
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--seed", type=int, default=None, help="Override the solver seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Override the solver seed.")
 @click.option("--tolerance", type=click.FloatRange(min=0), default=None,
               help="Override the eigenvalue tolerance.")
 @click.option("--output", type=click.Path(file_okay=False), default=None)

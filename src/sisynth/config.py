@@ -106,6 +106,8 @@ class RunConfig:
         for key in ("restarts", "iterations"):
             if key in s:
                 _require(_is_int(s[key]) and s[key] >= 1, key, "an integer >= 1", s[key])
+        if "seed" in s:
+            _require(_is_int(s["seed"]) and s["seed"] >= 0, "seed", "an integer >= 0", s["seed"])
         if "tolerance" in s:
             _require(_is_finite(s["tolerance"]) and s["tolerance"] >= 0, "tolerance",
                      "a finite number >= 0", s["tolerance"])
@@ -129,9 +131,11 @@ class RunConfig:
             if key in s:
                 _require(isinstance(s[key], list) and all(isinstance(v, str) for v in s[key]),
                          key, "a list of strings", s[key])
-        casts = {"restarts": int, "iterations": int, "seed": int, "tolerance": float,
-                 "k_min": float, "k_init": lambda pair: tuple(map(float, pair))}
-        return SolverConfig(**{key: cast(s[key]) for key, cast in casts.items() if key in s})
+        ints = {key: s[key] for key in ("restarts", "iterations", "seed") if key in s}
+        casts = {"tolerance": float, "k_min": float,
+                 "k_init": lambda pair: tuple(map(float, pair))}
+        return SolverConfig(**ints, **{key: cast(s[key]) for key, cast in casts.items()
+                                       if key in s})
 
     def falsifier_config(self) -> FalsifierConfig:
         if self.falsifier is None:

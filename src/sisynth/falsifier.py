@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .index import IndexParams, SafetyIndexFamily, box_min
-from .poly import LoweredPolynomial
 from .system import InvertedBoundError, SymbolicSystem
 
 DEFAULT_SLACK = 1e-6
@@ -56,9 +55,12 @@ class Axis:
         else:
             names = (spec["var"],)
             angle = False
-        lo, hi = spec["range"]
-        return cls(names=names, lo=float(lo), hi=float(hi),
-                   resolution=int(spec.get("resolution", 100)), angle=angle)
+        bounds = spec["range"]
+        if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2
+                and all(_is_number(v) for v in bounds)):
+            raise ValueError(f"axis range must be a pair [lo, hi] of numbers, got {bounds!r}")
+        return cls(names=names, lo=float(bounds[0]), hi=float(bounds[1]),
+                   resolution=_checked(spec, "resolution", 100, int, "axis"), angle=angle)
 
 
 @dataclass
@@ -78,9 +80,23 @@ class FalsifierConfig:
     @classmethod
     def from_dict(cls, spec: dict) -> "FalsifierConfig":
         return cls(axes=[Axis.from_dict(a) for a in spec["axes"]],
-                   samples=int(spec.get("samples", 10000)),
-                   slack=float(spec.get("slack", DEFAULT_SLACK)),
-                   seed=int(spec.get("seed", 0)))
+                   samples=_checked(spec, "samples", 10000, int, "falsifier"),
+                   slack=float(_checked(spec, "slack", DEFAULT_SLACK, (int, float), "falsifier")),
+                   seed=_checked(spec, "seed", 0, int, "falsifier"))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _checked(spec: dict, key: str, default, kind, owner: str):
+    """``spec[key]``, or ``default`` when absent, refused unless it is of
+    ``kind``: a bool is no integer here, and a string is no number."""
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        expected = "an integer" if kind is int else "a number"
+        raise ValueError(f"{owner} {key} must be {expected}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -90,74 +106,92 @@ class Counterexample:
     worst_phidot: float
 
 
-def _axis_values(axes: Sequence[Axis], samples: int, seed: int) -> np.ndarray:
-    """Stacked coordinate values: full grid cross product plus random draws."""
-    grids = [np.linspace(a.lo, a.hi, a.resolution) for a in axes]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=0)
+def _blocks(axes: Sequence[Axis], samples: int, seed: int,
+            sys: SymbolicSystem) -> list[tuple[tuple[int, ...], tuple]]:
+    """The points to search, as ``(shape, x)`` blocks: ``x`` holds one array
+    per state variable, each broadcastable to ``shape``.
+
+    The first block is the grid.  Each axis's ``linspace`` sits on its own
+    dimension, an angle axis takes its sine and cosine of those values only,
+    and the grid's shape has one dimension per axis, so an axis no state
+    variable reads still multiplies the points.  The random draws follow as
+    a second block of flat columns.
+    """
+    n = len(axes)
+    grid = [np.linspace(a.lo, a.hi, a.resolution).reshape([-1 if j == i else 1 for j in range(n)])
+            for i, a in enumerate(axes)]
+    blocks = [(tuple(a.resolution for a in axes), grid)]
     if samples > 0:
         rng = np.random.default_rng(seed)
-        rand = np.stack([rng.uniform(a.lo, a.hi, size=samples) for a in axes], axis=0)
-        coords = np.concatenate([coords, rand], axis=1)
-    return coords
+        blocks.append(((samples,), [rng.uniform(a.lo, a.hi, size=samples) for a in axes]))
+    out = []
+    for shape, coords in blocks:
+        by_name = {}
+        for a, vals in zip(axes, coords):
+            if a.angle:
+                by_name[a.names[0]] = np.sin(vals)
+                by_name[a.names[1]] = np.cos(vals)
+            else:
+                by_name[a.names[0]] = vals
+        missing = [v.name for v in sys.state_vars if v.name not in by_name]
+        if missing:
+            raise ValueError(f"falsifier axes do not cover state variables: {missing}")
+        out.append((shape, tuple(by_name[v.name] for v in sys.state_vars)))
+    return out
 
 
-def _state_arrays(axes: Sequence[Axis], coords: np.ndarray,
-                  sys: SymbolicSystem) -> dict:
-    by_name = {}
-    for a, vals in zip(axes, coords):
-        if a.angle:
-            by_name[a.names[0]] = np.sin(vals)
-            by_name[a.names[1]] = np.cos(vals)
-        else:
-            by_name[a.names[0]] = vals
-    missing = [v.name for v in sys.state_vars if v.name not in by_name]
-    if missing:
-        raise ValueError(f"falsifier axes do not cover state variables: {missing}")
-    return {v: by_name[v.name] for v in sys.state_vars}
+def _at(values, shape: tuple[int, ...], where: tuple) -> np.ndarray:
+    """``values`` broadcast to ``shape``, read at the multi-index ``where``."""
+    return np.broadcast_to(np.asarray(values, dtype=float), shape)[where]
 
 
 def falsify(fam: SafetyIndexFamily, params: IndexParams, sys: SymbolicSystem,
             cfg: FalsifierConfig) -> list[Counterexample]:
     """All manifold states sampled where the worst-case derivative fails.
 
-    Evaluates the grid and random samples vectorized; returns violations
-    sorted by worst-case derivative, most violating first.  Also audits that
-    the control box never inverts on in-space samples.
+    Searches the full grid of ``cfg.axes`` and then ``cfg.samples`` random
+    draws, and returns the violations sorted by worst-case derivative, most
+    violating first (ties in grid-then-sample order).  The grid is never
+    materialized as a mesh: every polynomial, space check and box bound is
+    evaluated on per-axis arrays and keeps only the dimensions it depends
+    on; only the final masks are broadcast over the whole grid.  Each point
+    still sees the same float operations as on a flat list of points.  Also
+    audits that the control box never inverts on in-space points, raising
+    :class:`InvertedBoundError` at the first one.
     """
-    coords = _axis_values(cfg.axes, cfg.samples, cfg.seed)
-    assignment = _state_arrays(cfg.axes, coords, sys)
-    x = tuple(assignment[v] for v in sys.state_vars)
-    n_pts = coords.shape[1]
-
-    def points(p: LoweredPolynomial) -> np.ndarray:
-        return np.broadcast_to(np.asarray(p.evaluate(x), dtype=float), (n_pts,))
-
-    in_space = np.ones(n_pts, dtype=bool)
-    for h in sys.constraints_h:
-        in_space &= np.asarray(h.lower(sys.state_vars).evaluate(x)) >= -SPACE_TOL
-    for z in sys.identities_zeta:
-        in_space &= np.abs(np.asarray(z.lower(sys.state_vars).evaluate(x))) <= SPACE_TOL
-
+    blocks = _blocks(cfg.axes, cfg.samples, cfg.seed, sys)
     lowered = fam.lowered(params, sys)
-    lower = [points(p) for p in lowered.lower]
-    upper = [points(p) for p in lowered.upper]
+    h = [p.lower(sys.state_vars) for p in sys.constraints_h]
+    zeta = [p.lower(sys.state_vars) for p in sys.identities_zeta]
+    boxes = []
+    for shape, x in blocks:
+        in_space = np.True_
+        for p in h:
+            in_space = in_space & (p.evaluate(x) >= -SPACE_TOL)
+        for p in zeta:
+            in_space = in_space & (np.abs(p.evaluate(x)) <= SPACE_TOL)
+        boxes.append((in_space, [p.evaluate(x) for p in lowered.lower],
+                      [p.evaluate(x) for p in lowered.upper]))
+
     for i in range(sys.nu):
-        bad = in_space & (lower[i] > upper[i] + SPACE_TOL)
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            state = np.array([assignment[v][j] for v in sys.state_vars])
-            raise InvertedBoundError(i, state)
+        for (shape, x), (in_space, lower, upper) in zip(blocks, boxes):
+            bad = np.broadcast_to(in_space & (lower[i] > upper[i] + SPACE_TOL), shape)
+            if np.any(bad):
+                where = np.unravel_index(int(np.argmax(bad)), shape)
+                raise InvertedBoundError(i, np.array([_at(v, shape, where) for v in x]))
 
-    phi = points(lowered.phi)
-    worst = box_min((points(lg) for lg in lowered.lg), lower, upper, points(lowered.lf))
-
-    mask = in_space & (phi >= 0.0) & (worst >= -params.eta - cfg.slack)
-    idx = np.nonzero(mask)[0]
-    order = idx[np.argsort(-worst[idx], kind="stable")]
-    return [Counterexample(state=np.array([assignment[v][j] for v in sys.state_vars]),
-                           phi_theta=float(phi[j]), worst_phidot=float(worst[j]))
-            for j in order]
+    found = []
+    for (shape, x), (in_space, lower, upper) in zip(blocks, boxes):
+        phi = lowered.phi.evaluate(x)
+        worst = box_min((lg.evaluate(x) for lg in lowered.lg), lower, upper,
+                        lowered.lf.evaluate(x))
+        mask = in_space & (phi >= 0.0) & (worst >= -params.eta - cfg.slack)
+        where = np.unravel_index(np.flatnonzero(np.broadcast_to(mask, shape)), shape)
+        found.append((np.stack([_at(v, shape, where) for v in x], axis=1),
+                      _at(phi, shape, where), _at(worst, shape, where)))
+    states, phi, worst = (np.concatenate(parts) for parts in zip(*found))
+    return [Counterexample(state=states[j], phi_theta=float(phi[j]), worst_phidot=float(worst[j]))
+            for j in np.argsort(-worst, kind="stable")]
 
 
 def counterexamples_csv(cexs: Sequence[Counterexample], sys: SymbolicSystem,

@@ -7,10 +7,12 @@ import pytest
 
 from sisynth.config import RunConfig, build_problem, default_unicycle_config
 from sisynth.controller import wrap_angle
+from sisynth.falsifier import SPACE_TOL, Counterexample
 from sisynth.feasibility import solve
 from sisynth.index import box_min
 from sisynth.poly import Polynomial, monomial_mul
 from sisynth.sim import WorldState
+from sisynth.system import InvertedBoundError
 
 RESTRICTED_CONFIG_PATH = str(resources.files("sisynth") / "configs" / "unicycle_restricted.json")
 
@@ -134,3 +136,51 @@ def gram_reconstruct(spec) -> Polynomial:
         for j, bj in enumerate(spec.basis):
             out = out + spec.entries[i][j] * Polynomial({monomial_mul(bi, bj): 1.0})
     return out
+
+
+def falsify_reference(fam, params, sys, cfg) -> list[Counterexample]:
+    """The falsifier on a materialized point list, an oracle for
+    :func:`sisynth.falsifier.falsify`: the grid's full ``ij`` mesh flattened,
+    then the random draws, with every polynomial evaluated at every point."""
+    grids = [np.linspace(a.lo, a.hi, a.resolution) for a in cfg.axes]
+    coords = np.stack([m.ravel() for m in np.meshgrid(*grids, indexing="ij")], axis=0)
+    if cfg.samples > 0:
+        rng = np.random.default_rng(cfg.seed)
+        rand = np.stack([rng.uniform(a.lo, a.hi, size=cfg.samples) for a in cfg.axes], axis=0)
+        coords = np.concatenate([coords, rand], axis=1)
+    by_name = {}
+    for a, vals in zip(cfg.axes, coords):
+        if a.angle:
+            by_name[a.names[0]], by_name[a.names[1]] = np.sin(vals), np.cos(vals)
+        else:
+            by_name[a.names[0]] = vals
+    missing = [v.name for v in sys.state_vars if v.name not in by_name]
+    if missing:
+        raise ValueError(f"falsifier axes do not cover state variables: {missing}")
+    x = tuple(by_name[v.name] for v in sys.state_vars)
+    n_pts = coords.shape[1]
+
+    def points(p):
+        return np.broadcast_to(np.asarray(p.evaluate(x), dtype=float), (n_pts,))
+
+    def state(j):
+        return np.array([v[j] for v in x])
+
+    in_space = np.ones(n_pts, dtype=bool)
+    for h in sys.constraints_h:
+        in_space &= np.asarray(h.lower(sys.state_vars).evaluate(x)) >= -SPACE_TOL
+    for z in sys.identities_zeta:
+        in_space &= np.abs(np.asarray(z.lower(sys.state_vars).evaluate(x))) <= SPACE_TOL
+    lowered = fam.lowered(params, sys)
+    lower = [points(p) for p in lowered.lower]
+    upper = [points(p) for p in lowered.upper]
+    for i in range(sys.nu):
+        bad = in_space & (lower[i] > upper[i] + SPACE_TOL)
+        if np.any(bad):
+            raise InvertedBoundError(i, state(int(np.argmax(bad))))
+    phi = points(lowered.phi)
+    worst = box_min((points(lg) for lg in lowered.lg), lower, upper, points(lowered.lf))
+    idx = np.nonzero(in_space & (phi >= 0.0) & (worst >= -params.eta - cfg.slack))[0]
+    return [Counterexample(state=state(j), phi_theta=float(phi[j]),
+                           worst_phidot=float(worst[j]))
+            for j in idx[np.argsort(-worst[idx], kind="stable")]]

@@ -63,6 +63,23 @@ class TestSynth:
         assert "Invalid value for '--tolerance'" in result.output
         assert not (tmp_path / "certificate.json").exists()
 
+    def test_negative_seed_rejected(self, runner, braking_config_path, tmp_path):
+        # a negative solver seed once reached numpy and ended synth in a traceback
+        result = runner.invoke(main, ["synth", braking_config_path, "--seed", "-1",
+                                      "--output", str(tmp_path)])
+        assert result.exit_code != 0
+        assert "Invalid value for '--seed'" in result.output
+        assert not (tmp_path / "certificate.json").exists()
+
+    def test_negative_config_seed_exit_four(self, runner, tmp_path):
+        raw = braking_config_dict()
+        raw["solver"]["seed"] = -1
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        result = runner.invoke(main, ["synth", str(cfg), "--output", str(tmp_path / "out")])
+        assert result.exit_code == 4, result.output
+        assert "solver key 'seed' must be an integer >= 0, got -1" in result.output
+
     def test_malformed_polynomial_exit_four(self, runner, tmp_path):
         raw = braking_config_dict()
         raw["index"]["phi0"] = "1 -- d ^^"

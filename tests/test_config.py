@@ -29,10 +29,16 @@ class TestSolverConfig:
         ("iterations", 0), ("iterations", 2.5), ("tolerance", -1.0),
         ("tolerance", math.inf), ("tolerance", math.nan), ("tolerance", "1e-6"),
         ("k_init", [0.5, 0.2]), ("k_init", [0.2, math.inf]), ("k_init", [0.2]),
-        ("k_init", 0.2), ("k_min", 1e-5), ("k_min", math.nan), ("k_min", "1e-3")])
+        ("k_init", 0.2), ("k_min", 1e-5), ("k_min", math.nan), ("k_min", "1e-3"),
+        # seeds 1.9 and true once ran as 1, and -1 loaded and then failed in solve
+        ("seed", 1.9), ("seed", True), ("seed", -1), ("seed", "0")])
     def test_bad_value_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"solver key '{key}' must be"):
             solver_config(**{key: value})
+
+    def test_seed_kept_as_given(self):
+        assert solver_config(seed=7).seed == 7
+        assert solver_config(seed=0).seed == 0
 
     def test_k_min_floor_is_the_index_floor(self):
         # IndexParams refuses k below K_MIN, so a lower k_min would let solve
@@ -124,12 +130,51 @@ class TestFalsifierSection:
          "axis resolution must be >= 2"),
         ({"axes": [{"var": "d"}]}, "'range'"),
         ({"axes": [{"var": "d", "range": [0.0, math.nan]}]}, "axis range must be finite"),
-        ({"samples": "many"}, "invalid literal")])
+        # checked, not cast: int() and float() once turned most of these into numbers
+        pytest.param({"samples": "many"}, "falsifier samples must be an integer, got 'many'",
+                     id="samples-string"),
+        pytest.param({"samples": "100"}, "falsifier samples must be an integer, got '100'",
+                     id="samples-numeric-string"),
+        pytest.param({"samples": True}, "falsifier samples must be an integer, got True",
+                     id="samples-bool"),
+        pytest.param({"samples": 2.5}, "falsifier samples must be an integer, got 2.5",
+                     id="samples-float"),
+        pytest.param({"seed": 2.7}, "falsifier seed must be an integer, got 2.7",
+                     id="seed-float"),
+        pytest.param({"seed": True}, "falsifier seed must be an integer, got True",
+                     id="seed-bool"),
+        pytest.param({"slack": "1e-6"}, "falsifier slack must be a number, got '1e-6'",
+                     id="slack-string"),
+        pytest.param({"axes": [{"var": "d", "range": [0.0, 1.0], "resolution": 2.7}]},
+                     "axis resolution must be an integer, got 2.7", id="resolution-float"),
+        pytest.param({"axes": [{"var": "d", "range": [0.0, 1.0], "resolution": True}]},
+                     "axis resolution must be an integer, got True", id="resolution-bool"),
+        pytest.param({"axes": [{"var": "d", "range": [0.0, 1.0], "resolution": "50"}]},
+                     "axis resolution must be an integer, got '50'", id="resolution-string"),
+        pytest.param({"axes": [{"var": "d", "range": [0.0]}]},
+                     r"axis range must be a pair \[lo, hi\] of numbers, got \[0.0\]",
+                     id="range-one-value"),
+        pytest.param({"axes": [{"var": "d", "range": [0.0, 1.0, 2.0]}]},
+                     "axis range must be a pair", id="range-three-values"),
+        pytest.param({"axes": [{"var": "d", "range": "01"}]},
+                     "axis range must be a pair", id="range-string"),
+        pytest.param({"axes": [{"var": "d", "range": [0.0, "1"]}]},
+                     "axis range must be a pair", id="range-string-bound"),
+        pytest.param({"axes": [{"var": "d", "range": [False, 1.0]}]},
+                     "axis range must be a pair", id="range-bool-bound")])
     def test_bad_section_is_config_error(self, edit, message):
         raw = braking_config_dict()
         raw["falsifier"].update(edit)
         with pytest.raises(ConfigError, match=f"bad falsifier section: .*{message}"):
             RunConfig.from_dict(raw).falsifier_config()
+
+    def test_integers_kept_as_given(self):
+        raw = braking_config_dict()
+        raw["falsifier"].update(samples=0, seed=5, slack=0)
+        raw["falsifier"]["axes"][0]["resolution"] = 2
+        cfg = RunConfig.from_dict(raw).falsifier_config()
+        assert (cfg.samples, cfg.seed, cfg.slack, cfg.axes[0].resolution) == (0, 5, 0.0, 2)
+        assert cfg.axes[1].resolution == 50
 
     def test_zero_samples_allowed(self):
         raw = braking_config_dict()

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from sisynth.falsifier import Axis, FalsifierConfig, counterexamples_csv, falsify
-from sisynth.index import IndexParams
+from sisynth.index import IndexParams, build_chain
+from sisynth.poly import parse_polynomial
+from sisynth.system import InvertedBoundError, system_from_dict
 
-from conftest import worst_case_phidot
+from conftest import falsify_reference, worst_case_phidot
+
+# the k the simulate-restricted benchmark pins: certified, no counterexample
+K_PINNED = 0.012032149952463394
 
 
 def paper_falsifier_config(resolution=60, samples=2000):
@@ -99,6 +104,76 @@ class TestFalsify:
         cfg = FalsifierConfig(axes=[Axis(names=("d",), lo=0.0, hi=1.0, resolution=5)])
         with pytest.raises(ValueError, match="do not cover"):
             falsify(p.family, p.params([1.5]), p.system, cfg)
+
+
+def _records(cexs):
+    return [(c.state.tobytes(), c.phi_theta, c.worst_phidot) for c in cexs]
+
+
+class TestFactoredGrid:
+    """``falsify`` evaluates the grid per axis and broadcasts; the reference
+    evaluates every point of the materialized mesh.  Both must return the
+    same counterexamples bit for bit, in the same order."""
+
+    @pytest.mark.parametrize("problem, k, enforce_min, samples, count", [
+        ("restricted_problem", K_PINNED, True, 10000, 0),
+        ("restricted_problem", 1e-4, True, 10000, 51853),
+        ("unicycle_problem", 0.0, False, 10000, 126356),
+        ("restricted_problem", 1e-4, True, 0, 51320)],
+        ids=["restricted-pinned", "restricted-k1e-4", "unrestricted-k0", "no-samples"])
+    def test_matches_reference(self, request, problem, k, enforce_min, samples, count):
+        p = request.getfixturevalue(problem)
+        cfg = p.config.falsifier_config()
+        cfg.samples = samples
+        params = IndexParams(k=[k], eta=p.config.eta, enforce_min=enforce_min)
+        cexs = falsify(p.family, params, p.system, cfg)
+        assert len(cexs) == count
+        assert _records(cexs) == _records(falsify_reference(p.family, params, p.system, cfg))
+
+    @pytest.mark.parametrize("extra", [
+        Axis(names=("w",), lo=0.0, hi=1.0, resolution=3),
+        Axis(names=("z",), lo=-0.5, hi=0.5, resolution=4)], ids=["non-state", "duplicate"])
+    def test_extra_axis_enlarges_grid(self, unicycle_problem, extra):
+        # an axis no state variable reads, or one shadowed by a later axis
+        # of the same name, still multiplies the grid points
+        p = unicycle_problem
+        params = IndexParams(k=[0.0], eta=p.config.eta, enforce_min=False)
+        cfg = paper_falsifier_config(resolution=21, samples=100)
+        base = len(falsify(p.family, params, p.system, cfg))
+        cfg.axes.insert(1, extra)
+        cexs = falsify(p.family, params, p.system, cfg)
+        assert len(cexs) > base
+        assert _records(cexs) == _records(falsify_reference(p.family, params, p.system, cfg))
+
+
+class TestInvertedBound:
+    """Control 1's box ``[0, z^2 - 1/4]`` inverts for |z| < 1/2; the space
+    ``d >= 0`` keeps the first grid points out of it."""
+
+    @pytest.fixture(scope="class")
+    def inverting(self):
+        sys = system_from_dict({
+            "state_vars": ["d", "z"], "f": ["-1*z", "0"], "g": [["0", "0"], ["1", "1"]],
+            "u_lower": ["-1", "0"], "u_upper": ["1", "z^2 - 0.25"],
+            "h": ["d", "-1*z^2 + 1"]})
+        fam = build_chain(parse_polynomial("1 - d", sys.registry), 1, sys)
+        return fam, IndexParams(k=[1.5], eta=0.1), sys
+
+    @pytest.mark.parametrize("resolution", [41, 2], ids=["on-grid", "in-samples"])
+    def test_same_point_as_reference(self, inverting, resolution):
+        # with two z values (-1, 1) the grid never inverts, so the first
+        # inverted point is a random draw
+        cfg = FalsifierConfig(axes=[Axis(names=("d",), lo=-2.0, hi=2.0, resolution=resolution),
+                                    Axis(names=("z",), lo=-1.0, hi=1.0, resolution=resolution)],
+                              samples=500, seed=3)
+        with pytest.raises(InvertedBoundError) as got:
+            falsify(*inverting, cfg)
+        with pytest.raises(InvertedBoundError) as ref:
+            falsify_reference(*inverting, cfg)
+        assert got.value.dim == ref.value.dim == 1
+        assert got.value.state.tobytes() == ref.value.state.tobytes()
+        d, z = got.value.state
+        assert d >= 0 and abs(z) < 0.5
 
 
 class TestCsv:
