@@ -17,10 +17,10 @@ from typing import NoReturn
 import click
 import numpy as np
 
-from .config import ConfigError, RunConfig, build_problem
+from .config import ConfigError, Problem, RunConfig, build_problem
 from .falsifier import counterexamples_csv, falsify
 from .feasibility import Certificate, SolverFailure, check_certificate, solve
-from .index import IndexParams, RelativeDegreeError
+from .index import IndexParams
 from .sim import STATE_VARS, markdown_report, run_batch, trajectory_csv
 
 EXIT_OK = 0
@@ -34,17 +34,11 @@ def _config_error(exc) -> NoReturn:
     _sys.exit(EXIT_CONFIG)
 
 
-def _load(config_path: str) -> RunConfig:
+def _load(config_path: str) -> tuple[RunConfig, Problem]:
     try:
-        return RunConfig.load(config_path)
-    except ConfigError as exc:
-        _config_error(exc)
-
-
-def _build(cfg: RunConfig):
-    try:
-        return build_problem(cfg)
-    except (ConfigError, RelativeDegreeError, ValueError) as exc:
+        cfg = RunConfig.load(config_path)
+        return cfg, build_problem(cfg)
+    except ValueError as exc:   # ConfigError, RelativeDegreeError, DegreeOverflowError
         _config_error(exc)
 
 
@@ -89,8 +83,7 @@ def main():
 @click.option("--output", type=click.Path(file_okay=False), default=None)
 def synth(config_path, seed, tolerance, output):
     """Synthesize index parameters and write a certificate JSON."""
-    cfg = _load(config_path)
-    problem = _build(cfg)
+    cfg, problem = _load(config_path)
     solver_cfg = problem.solver_config
     if seed is not None:
         solver_cfg.seed = seed
@@ -132,8 +125,7 @@ def synth(config_path, seed, tolerance, output):
 @click.option("--output", type=click.Path(file_okay=False), default=None)
 def verify(config_path, cert_path, k_values, output):
     """Re-check a certificate and run the sampling falsifier."""
-    cfg = _load(config_path)
-    problem = _build(cfg)
+    cfg, problem = _load(config_path)
     try:
         fcfg = cfg.falsifier_config()
     except ConfigError as exc:
@@ -164,9 +156,9 @@ def verify(config_path, cert_path, k_values, output):
 
     try:
         params = IndexParams(k=k, eta=cfg.eta, enforce_min=enforce_min)
-    except (ValueError, RelativeDegreeError) as exc:
+        cexs = falsify(problem.family, params, problem.system, fcfg)
+    except ValueError as exc:   # k below the floor, axes that miss a state variable, inverted box
         _config_error(exc)
-    cexs = falsify(problem.family, params, problem.system, fcfg)
     click.echo(f"falsifier: {len(cexs)} counterexample(s)")
     if cexs:
         csv_path = outdir / "counterexamples.csv"
@@ -190,8 +182,7 @@ def verify(config_path, cert_path, k_values, output):
 @click.option("--output", type=click.Path(file_okay=False), default=None)
 def simulate(config_path, cert_path, trials, seed, trajectories, output):
     """Run the navigation trial batch under the safety filter."""
-    cfg = _load(config_path)
-    problem = _build(cfg)
+    cfg, problem = _load(config_path)
     task = cfg.task_config()   # checked when the config loaded
     names = tuple(v.name for v in problem.system.state_vars)
     if names != STATE_VARS:

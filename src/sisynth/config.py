@@ -4,9 +4,8 @@ Sections: ``model`` (system schema or a named builtin, with the control
 period ``dt``), ``index`` (base index literal, chain order, margin),
 ``solver`` (restarts, DR iterations, tolerances, refute-set shaping),
 ``falsifier`` (sampling axes), ``sim`` (trial batch: ``trials``,
-``horizon``, ``seed``).  The index, solver, falsifier and sim values are
-checked, not cast, at load; the model and the polynomial literals are
-checked when :func:`build_problem` parses them.
+``horizon``, ``seed``).  Every section is checked against :data:`RULES` at
+load, not cast; :func:`build_problem` parses the polynomial literals.
 Defaults reproduce the standard unicycle study: velocity and steering
 bounds of +/-1, margin 0.1, protective distance 1, dt 0.01, eigenvalue
 tolerance 1e-6, 10 restarts.
@@ -19,8 +18,9 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from typing import Callable, NamedTuple
 
-from .falsifier import FalsifierConfig
+from .falsifier import Axis, FalsifierConfig
 from .feasibility import DecisionLayout, SolverConfig
 from .index import K_MIN, IndexParams, SafetyIndexFamily, build_chain
 from .poly import PolynomialParseError, parse_polynomial
@@ -33,10 +33,135 @@ class ConfigError(ValueError):
     pass
 
 
-TOP_KEYS = {"model", "index", "solver", "falsifier", "sim"}
-SOLVER_KEYS = {"restarts", "iterations", "tolerance", "seed", "k_min", "k_init",
-               "product_order", "basis_degree", "aux_splits", "eliminate_nonneg"}
-INDEX_KEYS = {"phi0", "order", "eta"}
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_list(value, item) -> bool:
+    return isinstance(value, list) and all(item(v) for v in value)
+
+
+def _is_pair(value, item=_is_finite) -> bool:
+    return _is_list(value, item) and len(value) == 2
+
+
+def _is_strings(value) -> bool:
+    return _is_list(value, lambda v: isinstance(v, str))
+
+
+class Rule(NamedTuple):
+    test: Callable[[object, dict], bool]   # (value, its section) -> accepted
+    must: str | Callable[[dict], str]      # what the value must be; a callable reads the section
+    required: bool = False
+
+
+def _integer(lo: int) -> Rule:
+    return Rule(lambda v, s: _is_int(v) and v >= lo, f"an integer >= {lo}")
+
+
+def _number(lo: float, strict: bool = False) -> Rule:
+    return Rule(lambda v, s: _is_finite(v) and (v > lo if strict else v >= lo),
+                f"a finite number {'>' if strict else '>='} {lo}")
+
+
+def _at_most(other: str, default: float) -> Rule:
+    # when other is given, its own rule, checked later, compares the two
+    return Rule(lambda v, s: _is_finite(v) and (other in s or v <= default),
+                f"a finite number <= {other}")
+
+
+def _at_least(other: str, default: float) -> Rule:
+    return Rule(lambda v, s: _is_finite(v) and v >= s.get(other, default),
+                f"a finite number >= {other}")
+
+
+def _strings(must: str, required: bool = False) -> Rule:
+    return Rule(lambda v, s: _is_strings(v), must, required)
+
+
+def _object(required: bool = False) -> Rule:
+    return Rule(lambda v, s: isinstance(v, dict), "a JSON object", required)
+
+
+_LITERALS = "a list of polynomial literals (strings)"
+_NAMES = "a list of state variable names (strings)"
+_DT = _number(0, strict=True)
+
+RULES: dict[str, dict[str, Rule]] = {
+    "config": {"model": _object(True), "index": _object(True), "solver": _object(),
+               "falsifier": _object(), "sim": _object()},
+    # a model given in full; system_from_dict checks the dimensions
+    "model": {"state_vars": _strings(_NAMES, True), "f": _strings(_LITERALS, True),
+              "g": Rule(lambda v, s: _is_list(v, _is_strings),
+                        "a list of rows, each a list of polynomial literals (strings)", True),
+              "u_lower": _strings(_LITERALS, True), "u_upper": _strings(_LITERALS, True),
+              "h": _strings(_LITERALS), "zeta": _strings(_LITERALS), "dt": _DT},
+    # the builtin model: the options of unicycle_model_dict
+    "unicycle": {
+        "builtin": Rule(lambda v, s: v == "unicycle", '"unicycle"', True),
+        "v_min": _at_most("v_max", 1.0), "v_max": _at_least("v_min", -1.0),
+        "w_min": _at_most("w_max", 1.0), "w_max": _at_least("w_min", -1.0), "dt": _DT,
+        # cos(alpha) lies in [-1, 1]: a bound above 1 empties the state space
+        "cos_alpha_min": Rule(lambda v, s: v is None or (_is_finite(v) and -1 <= v <= 1),
+                              "null or a finite number in [-1, 1]")},
+    "index": {
+        "phi0": Rule(lambda v, s: isinstance(v, str), "a polynomial literal (a string)", True),
+        "order": _integer(1), "eta": _number(0, strict=True)},
+    "solver": {
+        "restarts": _integer(1), "iterations": _integer(1), "tolerance": _number(0),
+        "seed": _integer(0),
+        # below the index floor, verify and simulate refuse the chain
+        "k_min": _number(K_MIN),
+        "k_init": Rule(lambda v, s: _is_pair(v) and s.get("k_min", K_MIN) <= v[0] <= v[1],
+                       lambda s: f"a pair [lo, hi] of finite numbers with "
+                                 f"{s.get('k_min', K_MIN)} <= lo <= hi"),
+        "product_order": Rule(lambda v, s: _is_int(v) and v in (1, 2), "1 or 2"),
+        "basis_degree": _integer(1),
+        "aux_splits": _strings(_LITERALS), "eliminate_nonneg": _strings(_NAMES)},
+    "falsifier": {
+        "axes": Rule(lambda v, s: bool(v) and _is_list(
+                         v, lambda a: isinstance(a, dict) and ("var" in a) != ("angle" in a)),
+                     "a non-empty list of axis objects, each with one of 'var' and 'angle'",
+                     True),
+        "samples": _integer(0), "slack": _number(0), "seed": _integer(0)},
+    "axis": {"var": Rule(lambda v, s: isinstance(v, str), "a state variable name"),
+             "angle": Rule(lambda v, s: _is_pair(v, lambda x: isinstance(x, str)),
+                           "a pair [sin, cos] of state variable names"),
+             "range": Rule(lambda v, s: _is_pair(v), "a pair [lo, hi] of finite numbers", True),
+             "resolution": _integer(2)},
+    "sim": {"trials": _integer(0), "horizon": _number(0), "seed": _integer(0),
+            "dt": Rule(lambda v, s: False, "absent (the simulator steps at model.dt)")},
+}
+
+
+def check(section: str, spec, label: str | None = None) -> None:
+    """Refuse ``spec`` unless it is a JSON object whose every key has a rule
+    in ``RULES[section]``, with every required key given and every value
+    passing its rule.  ``label`` names the section in the message."""
+    label = label or section
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{label} must be a JSON object, got {spec!r}")
+    rules = RULES[section]
+    for key, value in spec.items():
+        if key not in rules:
+            raise ConfigError(f"{label} key {key!r} must be absent (unknown key), got {value!r}")
+    for key, rule in rules.items():
+        if key in spec:
+            ok, got = rule.test(spec[key], spec), repr(spec[key])
+        else:
+            ok, got = not rule.required, "nothing"
+        if not ok:
+            must = rule.must(spec) if callable(rule.must) else rule.must
+            raise ConfigError(f"{label} key {key!r} must be {must}, got {got}")
+
+
+def _given(spec: dict, *keys: str) -> dict:
+    return {key: spec[key] for key in keys if key in spec}
 
 
 @dataclass
@@ -50,30 +175,19 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        unknown = set(raw) - TOP_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        for section in ("model", "index"):
-            if section not in raw:
-                raise ConfigError(f"missing config section {section!r}")
-        index = raw["index"]
-        bad = set(index) - INDEX_KEYS
-        if bad:
-            raise ConfigError(f"unknown index keys: {sorted(bad)}")
-        if "phi0" not in index:
-            raise ConfigError("index section needs a 'phi0' polynomial literal")
-        solver = raw.get("solver", {})
-        bad = set(solver) - SOLVER_KEYS
-        if bad:
-            raise ConfigError(f"unknown solver keys: {sorted(bad)}")
-        cfg = cls(raw=raw, model=raw["model"], index=index, solver=solver,
-                  falsifier=raw.get("falsifier"), sim=raw.get("sim", {}))
-        _ = cfg.eta, cfg.order   # the properties check their index keys
-        cfg.solver_config()
-        cfg.task_config()
-        if cfg.falsifier is not None:
-            cfg.falsifier_config()
-        return cfg
+        """Check every section against :data:`RULES`; the values are kept
+        as given."""
+        check("config", raw)
+        model = raw["model"]
+        check("unicycle" if "builtin" in model else "model", model, "model")
+        for section in ("index", "solver", "falsifier", "sim"):
+            if section in raw:
+                check(section, raw[section])
+        falsifier = raw.get("falsifier")
+        for i, axis in enumerate(falsifier["axes"] if falsifier else []):
+            check("axis", axis, f"falsifier axis {i}")
+        return cls(raw=raw, model=model, index=raw["index"], solver=raw.get("solver", {}),
+                   falsifier=falsifier, sim=raw.get("sim", {}))
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
@@ -86,84 +200,34 @@ class RunConfig:
 
     @property
     def eta(self) -> float:
-        eta = self.index.get("eta", 0.1)
-        _require(_is_finite(eta) and eta > 0, "eta", "a finite number > 0", eta, "index")
-        return float(eta)
+        return float(self.index.get("eta", 0.1))
 
     @property
     def order(self) -> int:
-        order = self.index.get("order", 1)
-        _require(_is_int(order) and order >= 1, "order", "an integer >= 1", order, "index")
-        return order
+        return self.index.get("order", 1)
 
     def digest(self) -> str:
         return hashlib.sha256(
             json.dumps(self.raw, sort_keys=True).encode()).hexdigest()[:12]
 
     def solver_config(self) -> SolverConfig:
-        """The solver settings, after checking every key of the solver section."""
         s = self.solver
-        for key in ("restarts", "iterations"):
-            if key in s:
-                _require(_is_int(s[key]) and s[key] >= 1, key, "an integer >= 1", s[key])
-        if "seed" in s:
-            _require(_is_int(s["seed"]) and s["seed"] >= 0, "seed", "an integer >= 0", s["seed"])
-        if "tolerance" in s:
-            _require(_is_finite(s["tolerance"]) and s["tolerance"] >= 0, "tolerance",
-                     "a finite number >= 0", s["tolerance"])
-        if "k_min" in s:
-            # below the index floor, verify and simulate refuse the chain
-            _require(_is_finite(s["k_min"]) and s["k_min"] >= K_MIN, "k_min",
-                     f"a finite number >= {K_MIN}", s["k_min"])
+        floats = {key: float(s[key]) for key in ("tolerance", "k_min") if key in s}
         if "k_init" in s:
-            k_init, k_min = s["k_init"], s.get("k_min", K_MIN)
-            _require(isinstance(k_init, (list, tuple)) and len(k_init) == 2
-                     and all(_is_finite(v) for v in k_init) and k_min <= k_init[0] <= k_init[1],
-                     "k_init", f"a pair [lo, hi] of finite numbers with {k_min} <= lo <= hi",
-                     k_init)
-        if "product_order" in s:
-            _require(_is_int(s["product_order"]) and s["product_order"] in (1, 2),
-                     "product_order", "1 or 2", s["product_order"])
-        if "basis_degree" in s:
-            _require(_is_int(s["basis_degree"]) and s["basis_degree"] >= 1, "basis_degree",
-                     "an integer >= 1", s["basis_degree"])
-        for key in ("aux_splits", "eliminate_nonneg"):
-            if key in s:
-                _require(isinstance(s[key], list) and all(isinstance(v, str) for v in s[key]),
-                         key, "a list of strings", s[key])
-        ints = {key: s[key] for key in ("restarts", "iterations", "seed") if key in s}
-        casts = {"tolerance": float, "k_min": float,
-                 "k_init": lambda pair: tuple(map(float, pair))}
-        return SolverConfig(**ints, **{key: cast(s[key]) for key, cast in casts.items()
-                                       if key in s})
+            floats["k_init"] = tuple(map(float, s["k_init"]))
+        return SolverConfig(**_given(s, "restarts", "iterations", "seed"), **floats)
 
     def falsifier_config(self) -> FalsifierConfig:
         if self.falsifier is None:
             raise ConfigError("config has no falsifier section")
-        try:
-            return FalsifierConfig.from_dict(self.falsifier)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad falsifier section: {exc}") from exc
+        axes = [Axis(names=tuple(a["angle"]) if "angle" in a else (a["var"],),
+                     lo=float(a["range"][0]), hi=float(a["range"][1]), angle="angle" in a,
+                     **_given(a, "resolution"))
+                for a in self.falsifier["axes"]]
+        return FalsifierConfig(axes=axes, **_given(self.falsifier, "samples", "slack", "seed"))
 
     def task_config(self) -> TaskConfig:
-        try:
-            return TaskConfig.from_dict(self.sim)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad sim section: {exc}") from exc
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _require(ok: bool, key: str, expected: str, value, section: str = "solver") -> None:
-    if not ok:
-        raise ConfigError(f"{section} key {key!r} must be {expected}, got {value!r}")
+        return TaskConfig(**self.sim)
 
 
 @dataclass
@@ -182,26 +246,15 @@ class Problem:
         return IndexParams(k=k, eta=self.config.eta)
 
 
-def build_model(model: dict) -> SymbolicSystem:
-    if "dt" in model and not (_is_finite(model["dt"]) and model["dt"] > 0):
-        raise ConfigError(f"model key 'dt' must be a finite number > 0, got {model['dt']!r}")
-    if model.get("builtin") == "unicycle":
-        kwargs = {k: v for k, v in model.items() if k != "builtin"}
-        try:
-            model = unicycle_model_dict(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"bad unicycle model options: {exc}") from exc
-    elif "builtin" in model:
-        raise ConfigError(f"unknown builtin model {model['builtin']!r}")
-    try:
-        return system_from_dict(model)
-    except (PolynomialParseError, ValueError, KeyError) as exc:
-        raise ConfigError(f"bad model section: {exc}") from exc
-
-
 def build_problem(cfg: RunConfig) -> Problem:
     """Assemble system, index chain, refute cases, and Gram specs."""
-    sys = build_model(cfg.model)
+    model = cfg.model
+    if "builtin" in model:
+        model = unicycle_model_dict(**{k: v for k, v in model.items() if k != "builtin"})
+    try:
+        sys = system_from_dict(model)
+    except ValueError as exc:
+        raise ConfigError(f"bad model section: {exc}") from exc
     registry = sys.registry
     try:
         phi0 = parse_polynomial(cfg.index["phi0"], registry)

@@ -34,7 +34,7 @@ class Axis:
     names: tuple[str, ...]
     lo: float
     hi: float
-    resolution: int
+    resolution: int = 100
     angle: bool = False
 
     def __post_init__(self):
@@ -46,21 +46,6 @@ class Axis:
             raise ValueError("angle axis needs (sin, cos) variable names")
         if not self.angle and len(self.names) != 1:
             raise ValueError("linear axis takes one variable name")
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "Axis":
-        if "angle" in spec:
-            names = tuple(spec["angle"])
-            angle = True
-        else:
-            names = (spec["var"],)
-            angle = False
-        bounds = spec["range"]
-        if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2
-                and all(_is_number(v) for v in bounds)):
-            raise ValueError(f"axis range must be a pair [lo, hi] of numbers, got {bounds!r}")
-        return cls(names=names, lo=float(bounds[0]), hi=float(bounds[1]),
-                   resolution=_checked(spec, "resolution", 100, int, "axis"), angle=angle)
 
 
 @dataclass
@@ -76,27 +61,6 @@ class FalsifierConfig:
             value = getattr(self, key)
             if not 0 <= value < math.inf:
                 raise ValueError(f"falsifier {key} must be >= 0 and finite, got {value}")
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "FalsifierConfig":
-        return cls(axes=[Axis.from_dict(a) for a in spec["axes"]],
-                   samples=_checked(spec, "samples", 10000, int, "falsifier"),
-                   slack=float(_checked(spec, "slack", DEFAULT_SLACK, (int, float), "falsifier")),
-                   seed=_checked(spec, "seed", 0, int, "falsifier"))
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _checked(spec: dict, key: str, default, kind, owner: str):
-    """``spec[key]``, or ``default`` when absent, refused unless it is of
-    ``kind``: a bool is no integer here, and a string is no number."""
-    value = spec.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        expected = "an integer" if kind is int else "a number"
-        raise ValueError(f"{owner} {key} must be {expected}, got {value!r}")
-    return value
 
 
 @dataclass

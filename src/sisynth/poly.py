@@ -35,6 +35,10 @@ class VarId:
     def __repr__(self):
         return self.name
 
+    def __hash__(self):
+        # equality compares the index only
+        return self.index
+
 
 class VarRegistry:
     """Assigns unique, ordered variable identities.
@@ -365,6 +369,8 @@ def parse_polynomial(text: str, registry: VarRegistry) -> Polynomial:
     Examples: ``"-1*v*cos_a"``, ``"1 - d"``, ``"x^2 + y^2 - 1"``.
     Every variable name must already exist in the registry.
     """
+    if not isinstance(text, str):
+        raise PolynomialParseError(f"polynomial literal must be a string, got {text!r}")
     tokens = []
     pos = 0
     while pos < len(text):

@@ -113,26 +113,6 @@ class TaskConfig:
     horizon: float = 30.0
     seed: int = 0
 
-    @classmethod
-    def from_dict(cls, spec: dict) -> "TaskConfig":
-        unknown = set(spec) - {"trials", "horizon", "seed"}
-        if unknown:
-            hint = " (the simulator steps at model.dt)" if "dt" in unknown else ""
-            raise ValueError(f"unknown sim keys: {sorted(unknown)}{hint}")
-        task = cls(**spec)
-        for key in ("trials", "seed"):
-            value = getattr(task, key)
-            _require(isinstance(value, int) and not isinstance(value, bool) and value >= 0,
-                     key, "an integer >= 0", value)
-        _require(isinstance(task.horizon, (int, float)) and 0.0 <= task.horizon < math.inf,
-                 "horizon", "a finite number >= 0", task.horizon)
-        return task
-
-
-def _require(ok: bool, key: str, expected: str, value) -> None:
-    if not ok:
-        raise ValueError(f"sim key {key!r} must be {expected}, got {value!r}")
-
 
 @dataclass
 class TrialReport:

@@ -116,8 +116,12 @@ class TestSynth:
         assert "model key 'dt' must be a finite number > 0" in result.output
 
     @pytest.mark.parametrize("section, edit, message", [
-        ("sim", {"dt": 0.05}, "bad sim section: unknown sim keys: ['dt']"),
-        ("falsifier", {"samples": -5}, "bad falsifier section: falsifier samples must be >= 0")])
+        pytest.param("sim", {"dt": 0.05},
+                     "sim key 'dt' must be absent (the simulator steps at model.dt), got 0.05",
+                     id="sim-edit0-bad sim section: unknown sim keys: ['dt']"),
+        pytest.param("falsifier", {"samples": -5},
+                     "falsifier key 'samples' must be an integer >= 0, got -5",
+                     id="falsifier-edit1-bad falsifier section: falsifier samples must be >= 0")])
     def test_bad_unread_section_exit_four(self, runner, tmp_path, section, edit, message):
         # synth reads neither section, but a bad one once let it solve and
         # write a certificate
@@ -129,6 +133,21 @@ class TestSynth:
         assert result.exit_code == 4, result.output
         assert message in result.output
         assert not (tmp_path / "out" / "certificate.json").exists()
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("index", "phi0", 1, "index key 'phi0' must be a polynomial literal (a string), got 1"),
+        ("model", "f", ["-1*z", 0],
+         "model key 'f' must be a list of polynomial literals (strings), got ['-1*z', 0]")],
+        ids=["phi0", "model-f"])
+    def test_number_for_literal_exit_four(self, runner, tmp_path, section, key, value, message):
+        # a number where a polynomial literal belongs once ended in a TypeError
+        raw = braking_config_dict()
+        raw[section][key] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        result = runner.invoke(main, ["synth", str(cfg), "--output", str(tmp_path / "out")])
+        assert result.exit_code == 4, result.output
+        assert f"config error: {message}" in result.output
 
     def test_invalid_json_exit_four(self, runner, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -201,9 +220,12 @@ class TestVerify:
         assert "index key 'eta' must be a finite number > 0" in result.output
 
     @pytest.mark.parametrize("key, value, message", [
-        ("resolution", 1, "axis resolution must be >= 2"),
-        ("samples", -5, "falsifier samples must be >= 0"),
-        ("slack", -10.0, "falsifier slack must be >= 0")])
+        pytest.param("resolution", 1, "falsifier axis 0 key 'resolution' must be an integer >= 2, "
+                     "got 1", id="resolution-1-axis resolution must be >= 2"),
+        pytest.param("samples", -5, "falsifier key 'samples' must be an integer >= 0, got -5",
+                     id="samples--5-falsifier samples must be >= 0"),
+        pytest.param("slack", -10.0, "falsifier key 'slack' must be a finite number >= 0, "
+                     "got -10.0", id="slack--10.0-falsifier slack must be >= 0")])
     def test_bad_falsifier_section_exit_four(self, runner, tmp_path, key, value, message):
         raw = braking_config_dict()
         if key == "resolution":
@@ -217,8 +239,25 @@ class TestVerify:
         result = runner.invoke(main, ["verify", str(cfg), "--k", "0.0",
                                       "--output", str(tmp_path / "out")])
         assert result.exit_code == 4, result.output
-        assert f"config error: bad falsifier section: {message}" in result.output
+        assert f"config error: {message}" in result.output
         assert "counterexample" not in result.output
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"falsifier": {"axes": [{"var": "d", "range": [-2.0, 2.0]}]}},
+         "falsifier axes do not cover state variables: ['z']"),
+        ({"model": {"u_lower": ["1"], "u_upper": ["-1"]}}, "control bounds inverted")],
+        ids=["axes-miss-state", "inverted-box"])
+    def test_falsify_refusal_exit_four(self, runner, tmp_path, edit, message):
+        # falsify's own refusals once ended verify in a traceback with exit 1
+        raw = braking_config_dict()
+        for section, values in edit.items():
+            raw[section].update(values)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        result = runner.invoke(main, ["verify", str(cfg), "--k", "0.5",
+                                      "--output", str(tmp_path / "out")])
+        assert result.exit_code == 4, result.output
+        assert f"config error: {message}" in result.output
 
     def test_no_inputs_exit_four(self, runner, braking_config_path, tmp_path):
         result = runner.invoke(main, ["verify", braking_config_path,
@@ -283,8 +322,7 @@ class TestSimulate:
             "simulate", str(cfg), "--certificate", restricted_cert_path,
             "--trials", "1", "--output", str(tmp_path / "out")])
         assert result.exit_code == 4, result.output
-        assert "unknown sim keys: ['dt']" in result.output
-        assert "model.dt" in result.output
+        assert "sim key 'dt' must be absent (the simulator steps at model.dt)" in result.output
         assert not (tmp_path / "out" / "report.md").exists()
 
     def test_model_without_unicycle_state_exit_four(self, runner, braking_config_path,

@@ -1,14 +1,18 @@
+import copy
 import inspect
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from sisynth.config import ConfigError, RunConfig, build_problem, default_unicycle_config
+from sisynth.config import RULES, ConfigError, RunConfig, build_problem, default_unicycle_config
+from sisynth.falsifier import falsify
 from sisynth.feasibility import SolverConfig, check_certificate
 from sisynth.index import K_MIN
 
-from conftest import braking_config_dict
+from conftest import RESTRICTED_CONFIG_PATH, braking_config_dict
 
 
 def solver_config(**solver):
@@ -56,14 +60,16 @@ class TestSolverConfig:
         # the search over k replaced the rounds of penalty descent
         raw = braking_config_dict()
         raw["solver"]["rounds"] = 2
-        with pytest.raises(ConfigError, match=r"unknown solver keys: \['rounds'\]"):
+        with pytest.raises(ConfigError,
+                           match=r"solver key 'rounds' must be absent \(unknown key\), got 2"):
             RunConfig.from_dict(raw)
 
     def test_retired_gram_kernel_key_rejected(self):
         # kernel shares are always on wherever a monomial has several basis pairs
         raw = braking_config_dict()
         raw["solver"]["gram_kernel"] = True
-        with pytest.raises(ConfigError, match=r"unknown solver keys: \['gram_kernel'\]"):
+        with pytest.raises(ConfigError, match=r"solver key 'gram_kernel' must be absent "
+                                              r"\(unknown key\), got True"):
             RunConfig.from_dict(raw)
 
     @pytest.mark.parametrize("key", ["restarts"])
@@ -122,50 +128,65 @@ class TestModelDt:
         assert build_problem(RunConfig.from_dict(raw)).system.dt == 0.02
 
 
+RANGE = "falsifier axis 0 key 'range' must be a pair [lo, hi] of finite numbers, got "
+RESOLUTION = "falsifier axis 0 key 'resolution' must be an integer >= 2, got "
+
+
 class TestFalsifierSection:
     @pytest.mark.parametrize("edit, message", [
-        ({"seed": -1}, "falsifier seed must be >= 0"),
-        ({"slack": math.nan}, "falsifier slack must be >= 0"),
-        ({"axes": [{"var": "d", "range": [0.0, 1.0], "resolution": 1}]},
-         "axis resolution must be >= 2"),
-        ({"axes": [{"var": "d"}]}, "'range'"),
-        ({"axes": [{"var": "d", "range": [0.0, math.nan]}]}, "axis range must be finite"),
+        pytest.param({"seed": -1}, "falsifier key 'seed' must be an integer >= 0, got -1",
+                     id="edit0-falsifier seed must be >= 0"),
+        pytest.param({"slack": math.nan}, "falsifier key 'slack' must be a finite number >= 0, "
+                     "got nan", id="edit1-falsifier slack must be >= 0"),
+        pytest.param({"axes": [{"var": "d", "range": [0.0, 1.0], "resolution": 1}]},
+                     RESOLUTION + "1", id="edit2-axis resolution must be >= 2"),
+        pytest.param({"axes": [{"var": "d"}]}, RANGE + "nothing", id="edit3-'range'"),
+        pytest.param({"axes": [{"var": "d", "range": [0.0, math.nan]}]}, RANGE + "[0.0, nan]",
+                     id="edit4-axis range must be finite"),
         # checked, not cast: int() and float() once turned most of these into numbers
-        pytest.param({"samples": "many"}, "falsifier samples must be an integer, got 'many'",
-                     id="samples-string"),
-        pytest.param({"samples": "100"}, "falsifier samples must be an integer, got '100'",
-                     id="samples-numeric-string"),
-        pytest.param({"samples": True}, "falsifier samples must be an integer, got True",
-                     id="samples-bool"),
-        pytest.param({"samples": 2.5}, "falsifier samples must be an integer, got 2.5",
-                     id="samples-float"),
-        pytest.param({"seed": 2.7}, "falsifier seed must be an integer, got 2.7",
+        pytest.param({"samples": "many"}, "falsifier key 'samples' must be an integer >= 0, "
+                     "got 'many'", id="samples-string"),
+        pytest.param({"samples": "100"}, "falsifier key 'samples' must be an integer >= 0, "
+                     "got '100'", id="samples-numeric-string"),
+        pytest.param({"samples": True}, "falsifier key 'samples' must be an integer >= 0, "
+                     "got True", id="samples-bool"),
+        pytest.param({"samples": 2.5}, "falsifier key 'samples' must be an integer >= 0, "
+                     "got 2.5", id="samples-float"),
+        pytest.param({"seed": 2.7}, "falsifier key 'seed' must be an integer >= 0, got 2.7",
                      id="seed-float"),
-        pytest.param({"seed": True}, "falsifier seed must be an integer, got True",
+        pytest.param({"seed": True}, "falsifier key 'seed' must be an integer >= 0, got True",
                      id="seed-bool"),
-        pytest.param({"slack": "1e-6"}, "falsifier slack must be a number, got '1e-6'",
-                     id="slack-string"),
+        pytest.param({"slack": "1e-6"}, "falsifier key 'slack' must be a finite number >= 0, "
+                     "got '1e-6'", id="slack-string"),
         pytest.param({"axes": [{"var": "d", "range": [0.0, 1.0], "resolution": 2.7}]},
-                     "axis resolution must be an integer, got 2.7", id="resolution-float"),
+                     RESOLUTION + "2.7", id="resolution-float"),
         pytest.param({"axes": [{"var": "d", "range": [0.0, 1.0], "resolution": True}]},
-                     "axis resolution must be an integer, got True", id="resolution-bool"),
+                     RESOLUTION + "True", id="resolution-bool"),
         pytest.param({"axes": [{"var": "d", "range": [0.0, 1.0], "resolution": "50"}]},
-                     "axis resolution must be an integer, got '50'", id="resolution-string"),
-        pytest.param({"axes": [{"var": "d", "range": [0.0]}]},
-                     r"axis range must be a pair \[lo, hi\] of numbers, got \[0.0\]",
+                     RESOLUTION + "'50'", id="resolution-string"),
+        pytest.param({"axes": [{"var": "d", "range": [0.0]}]}, RANGE + "[0.0]",
                      id="range-one-value"),
         pytest.param({"axes": [{"var": "d", "range": [0.0, 1.0, 2.0]}]},
-                     "axis range must be a pair", id="range-three-values"),
-        pytest.param({"axes": [{"var": "d", "range": "01"}]},
-                     "axis range must be a pair", id="range-string"),
-        pytest.param({"axes": [{"var": "d", "range": [0.0, "1"]}]},
-                     "axis range must be a pair", id="range-string-bound"),
-        pytest.param({"axes": [{"var": "d", "range": [False, 1.0]}]},
-                     "axis range must be a pair", id="range-bool-bound")])
+                     RANGE + "[0.0, 1.0, 2.0]", id="range-three-values"),
+        pytest.param({"axes": [{"var": "d", "range": "01"}]}, RANGE + "'01'",
+                     id="range-string"),
+        pytest.param({"axes": [{"var": "d", "range": [0.0, "1"]}]}, RANGE + "[0.0, '1']",
+                     id="range-string-bound"),
+        pytest.param({"axes": [{"var": "d", "range": [False, 1.0]}]}, RANGE + "[False, 1.0]",
+                     id="range-bool-bound"),
+        # a misspelled key, an empty list and an axis with both names once loaded
+        pytest.param({"sample": 0}, "falsifier key 'sample' must be absent (unknown key), got 0",
+                     id="misspelled-key"),
+        pytest.param({"axes": []}, "falsifier key 'axes' must be a non-empty list of axis "
+                     "objects, each with one of 'var' and 'angle', got []", id="axes-empty"),
+        pytest.param({"axes": [{"var": "d", "angle": ["x", "y"], "range": [0.0, 1.0]}]},
+                     "falsifier key 'axes' must be a non-empty list of axis objects, each with "
+                     "one of 'var' and 'angle', got [{'var': 'd', 'angle': ['x', 'y'], "
+                     "'range': [0.0, 1.0]}]", id="axis-var-and-angle")])
     def test_bad_section_is_config_error(self, edit, message):
         raw = braking_config_dict()
         raw["falsifier"].update(edit)
-        with pytest.raises(ConfigError, match=f"bad falsifier section: .*{message}"):
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
             RunConfig.from_dict(raw).falsifier_config()
 
     def test_integers_kept_as_given(self):
@@ -180,3 +201,151 @@ class TestFalsifierSection:
         raw = braking_config_dict()
         raw["falsifier"]["samples"] = 0
         assert RunConfig.from_dict(raw).falsifier_config().samples == 0
+
+
+class TestModelSection:
+    """The builtin unicycle's options, and a model given in full, go through
+    the rule table: a string once reached the text unicycle_model_dict
+    formats ("cos_alpha_min": "x" added y - x >= 0), true loaded as 1, and
+    an inverted steering box ended verify in a traceback."""
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"v_min": True}, "model key 'v_min' must be a finite number <= v_max, got True"),
+        ({"w_min": "-1 - 0*x"},
+         "model key 'w_min' must be a finite number <= w_max, got '-1 - 0*x'"),
+        ({"dt": "0.01"}, "model key 'dt' must be a finite number > 0, got '0.01'"),
+        ({"cos_alpha_min": "x"},
+         "model key 'cos_alpha_min' must be null or a finite number in [-1, 1], got 'x'"),
+        ({"cos_alpha_min": 1.5},
+         "model key 'cos_alpha_min' must be null or a finite number in [-1, 1], got 1.5"),
+        ({"w_min": 1, "w_max": -1}, "model key 'w_max' must be a finite number >= w_min, got -1"),
+        ({"v_max": -2.0}, "model key 'v_max' must be a finite number >= v_min, got -2.0"),
+        ({"v_max": "x"}, "model key 'v_max' must be a finite number >= v_min, got 'x'"),
+        ({"builtin": "bicycle"}, "model key 'builtin' must be \"unicycle\", got 'bicycle'"),
+        ({"f": ["0"]}, "model key 'f' must be absent (unknown key), got ['0']")],
+        ids=["v_min-bool", "w_min-literal", "dt-string", "cos_alpha_min-string",
+             "cos_alpha_min-above-1", "w-inverted", "v_max-below-default-v_min", "v_max-string",
+             "unknown-builtin", "full-model-key"])
+    def test_bad_unicycle_option_rejected(self, edit, message):
+        raw = default_unicycle_config()
+        raw["model"].update(edit)
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+            RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("key, value", [("v_min", 2.0), ("w_min", 1.5)])
+    def test_lower_bound_above_default_upper_rejected(self, key, value):
+        # with the upper bound left at its default 1.0, the box inverts
+        raw = default_unicycle_config()
+        del raw["model"][key.replace("min", "max")]
+        raw["model"][key] = value
+        with pytest.raises(ConfigError, match=f"model key '{key}' must be a finite number <= "):
+            RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"f": ["-1*z", 0]},
+         "model key 'f' must be a list of polynomial literals (strings), got ['-1*z', 0]"),
+        ({"g": [["0"], [1]]}, "model key 'g' must be a list of rows, each a list of "
+                              "polynomial literals (strings), got [['0'], [1]]"),
+        ({"state_vars": None},
+         "model key 'state_vars' must be a list of state variable names (strings), got None"),
+        ({"v_min": -1.0}, "model key 'v_min' must be absent (unknown key), got -1.0")],
+        ids=["f-number", "g-number", "state_vars-null", "unicycle-key"])
+    def test_bad_full_model_rejected(self, edit, message):
+        raw = braking_config_dict()
+        raw["model"].update(edit)
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+            RunConfig.from_dict(raw)
+
+    def test_missing_required_key_named(self):
+        raw = braking_config_dict()
+        del raw["model"]["u_upper"]
+        with pytest.raises(ConfigError, match="model key 'u_upper' must be .*, got nothing$"):
+            RunConfig.from_dict(raw)
+
+    def test_top_level_must_be_an_object(self):
+        with pytest.raises(ConfigError, match=r"config must be a JSON object, got \[1\]"):
+            RunConfig.from_dict([1])
+
+
+def _substituted(raw: dict, path: tuple, value) -> dict:
+    raw = copy.deepcopy(raw)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+def _paths(node, path=()):
+    """The path of every section, list, object and leaf below ``node``."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+class TestTypeSweep:
+    """Every section and leaf of the shipped configs, replaced by a value of
+    another type or range, either loads and builds or is refused with a
+    ValueError (ConfigError, RelativeDegreeError, DegreeOverflowError; every
+    command maps them to exit 4).  No TypeError or AttributeError escapes."""
+
+    SUBSTITUTES = [None, True, "x", [], {}, math.nan, -1, 2.5]
+
+    # Every substitution that loads is a legitimate value: ordered finite
+    # bounds, a positive dt or eta, a lax tolerance or slack, a sampling range
+    # the user may choose, defaults for a whole section, or a redundant split.
+    LOADS = [
+        "model.v_min=-1", "model.v_max=-1", "model.v_max=2.5", "model.w_min=-1",
+        "model.w_max=-1", "model.w_max=2.5", "model.dt=2.5", "index.eta=2.5", "solver={}",
+        "solver.tolerance=2.5", "solver.aux_splits=[]", "solver.aux_splits.1='x'",
+        "solver.eliminate_nonneg=[]", "falsifier.slack=2.5", "sim={}", "sim.horizon=2.5",
+        *(f"falsifier.axes.{i}.range.{j}={v}" for i in range(3) for j in range(2)
+          for v in (-1, 2.5)),
+        "model.cos_alpha_min=None", "model.cos_alpha_min=-1"]
+    # These load, but the axes then miss a state variable, which falsify
+    # refuses (verify exits 4): whether the axes cover the state is
+    # falsify's check, made against the built model.
+    MISS_STATE = ["falsifier.axes.0.var='x'", "falsifier.axes.1.angle.1='x'",
+                  "falsifier.axes.2.var='x'"]
+
+    def sweep(self, raw, paths):
+        """The substitutions that load, by name, with their config and problem."""
+        loaded = {}
+        for path in paths:
+            node = raw
+            for key in path:
+                node = node[key]
+            for value in self.SUBSTITUTES:
+                if repr(node) == repr(value):
+                    continue   # the value already there
+                name = ".".join(map(str, path)) + "=" + repr(value)
+                try:
+                    cfg = RunConfig.from_dict(_substituted(raw, path, value))
+                    loaded[name] = (cfg, build_problem(cfg))
+                except ValueError:
+                    pass
+        return loaded
+
+    def test_shipped_configs(self):
+        loaded = self.sweep(default_unicycle_config(), list(_paths(default_unicycle_config())))
+        restricted = json.loads(open(RESTRICTED_CONFIG_PATH).read())
+        loaded.update(self.sweep(restricted, [("model", "cos_alpha_min"), ("solver", "k_init")]))
+        assert sorted(loaded) == sorted(self.LOADS + self.MISS_STATE)
+        for name in self.MISS_STATE:
+            cfg, p = loaded[name]
+            with pytest.raises(ValueError, match="falsifier axes do not cover state variables"):
+                falsify(p.family, p.params([1.0]), p.system, cfg.falsifier_config())
+
+
+class TestReadme:
+    def test_every_rule_in_readme_tables(self):
+        # the README's config tables are written from RULES, in its words
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        for section, rules in RULES.items():
+            start = readme.index(f"**`{section}`**")
+            table = readme[start:readme.index("\n\n", readme.index("| key |", start))]
+            for key, rule in rules.items():
+                must = rule.must if isinstance(rule.must, str) else ""
+                assert f"| `{key}` | {must}" in table, (section, key)

@@ -3,12 +3,13 @@ import csv
 import numpy as np
 import pytest
 
+from sisynth.config import RunConfig
 from sisynth.falsifier import Axis, FalsifierConfig, counterexamples_csv, falsify
 from sisynth.index import IndexParams, build_chain
 from sisynth.poly import parse_polynomial
 from sisynth.system import InvertedBoundError, system_from_dict
 
-from conftest import falsify_reference, worst_case_phidot
+from conftest import braking_config_dict, falsify_reference, worst_case_phidot
 
 # the k the simulate-restricted benchmark pins: certified, no counterexample
 K_PINNED = 0.012032149952463394
@@ -37,9 +38,11 @@ class TestAxis:
             Axis(names=("d",), lo=0.0, hi=1.0, resolution=1)
 
     def test_from_dict(self):
-        a = Axis.from_dict({"angle": ["x", "y"], "range": [-1.0, 1.0], "resolution": 7})
+        raw = braking_config_dict()
+        raw["falsifier"]["axes"] = [{"angle": ["x", "y"], "range": [-1.0, 1.0], "resolution": 7},
+                                    {"var": "d", "range": [0.0, 2.0]}]
+        a, b = RunConfig.from_dict(raw).falsifier_config().axes
         assert a.angle and a.names == ("x", "y") and a.resolution == 7
-        b = Axis.from_dict({"var": "d", "range": [0.0, 2.0]})
         assert not b.angle and b.resolution == 100
 
 

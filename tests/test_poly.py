@@ -279,6 +279,12 @@ class TestParser:
             with pytest.raises(PolynomialParseError):
                 parse_polynomial(text, reg)
 
+    @pytest.mark.parametrize("literal", [1, 2.5, None, True, ["x"]])
+    def test_non_string_refused(self, reg, literal):
+        # a number once ended in a TypeError from len()
+        with pytest.raises(PolynomialParseError, match="must be a string"):
+            parse_polynomial(literal, reg)
+
 
 class TestGrlexOrder:
     def test_ordering(self, reg):

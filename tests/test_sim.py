@@ -1,10 +1,12 @@
 import csv
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+from sisynth.config import ConfigError, RunConfig
 from sisynth.controller import Infeasible, nominal_control, project, wrap_angle
 from sisynth.poly import Polynomial
 from sisynth.sim import (
@@ -27,7 +29,7 @@ from sisynth.sim import (
     trajectory_csv,
 )
 
-from conftest import world_from_relative
+from conftest import RESTRICTED_CONFIG_PATH, braking_config_dict, world_from_relative
 
 
 def step_world(world, u, dt):
@@ -89,19 +91,25 @@ class TestKinematics:
             step_world(world, [0.0, 0.0], dt=0.01)
 
 
+def task_config(**sim) -> TaskConfig:
+    raw = braking_config_dict()
+    raw["sim"] = sim
+    return RunConfig.from_dict(raw).task_config()
+
+
 class TestTaskConfig:
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown sim keys"):
-            TaskConfig.from_dict({"trails": 10})
+        with pytest.raises(ValueError, match="sim key 'trails' must be absent"):
+            task_config(trails=10)
 
     @pytest.mark.parametrize("key", ["dt", "v_max", "d_init", "goal_dist",
                                      "lateral_offset", "gains"])
     def test_retired_keys_rejected(self, key):
-        with pytest.raises(ValueError, match=f"unknown sim keys: \\['{key}'\\]"):
-            TaskConfig.from_dict({key: 0.01})
+        with pytest.raises(ValueError, match=f"sim key '{key}' must be absent"):
+            task_config(**{key: 0.01})
 
     def test_round_trip(self):
-        task = TaskConfig.from_dict({"trials": 5, "horizon": 10.0, "seed": 3})
+        task = task_config(trials=5, horizon=10.0, seed=3)
         assert (task.trials, task.horizon, task.seed) == (5, 10.0, 3)
         assert [f.name for f in dataclasses.fields(TaskConfig)] == ["trials", "horizon", "seed"]
 
@@ -110,18 +118,17 @@ class TestTaskConfig:
                                             ("seed", -1), ("seed", 1.5)])
     def test_bad_value_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"sim key '{key}' must be"):
-            TaskConfig.from_dict({key: value})
+            task_config(**{key: value})
 
-    def test_bad_value_is_config_error(self, restricted_problem):
-        from sisynth.config import ConfigError
-        cfg = restricted_problem.config
-        cfg = dataclasses.replace(cfg, sim={**cfg.sim, "trials": -1})
+    def test_bad_value_is_config_error(self):
+        raw = json.loads(open(RESTRICTED_CONFIG_PATH).read())
+        raw["sim"]["trials"] = -1
         with pytest.raises(ConfigError, match="sim key 'trials'"):
-            cfg.task_config()
+            RunConfig.from_dict(raw)
 
     def test_zero_horizon_gives_one_row(self, restricted_problem):
         p = restricted_problem
-        task = TaskConfig.from_dict({**p.config.sim, "horizon": 0})
+        task = dataclasses.replace(p.config.task_config(), horizon=0)
         report = run_trial(p.family, p.params([K_PINNED]), task, 0, record=True)
         assert report.failure is None
         assert report.steps == 0 and report.rows == []
