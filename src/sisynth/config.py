@@ -175,8 +175,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        """Check every section against :data:`RULES`; the values are kept
-        as given."""
+        """Check every section against :data:`RULES`, and refuse a state
+        variable named by two falsifier axes; the values are kept as given."""
         check("config", raw)
         model = raw["model"]
         check("unicycle" if "builtin" in model else "model", model, "model")
@@ -184,8 +184,15 @@ class RunConfig:
             if section in raw:
                 check(section, raw[section])
         falsifier = raw.get("falsifier")
+        sampled = set()
         for i, axis in enumerate(falsifier["axes"] if falsifier else []):
             check("axis", axis, f"falsifier axis {i}")
+            # a second axis on one variable would replace the first's values
+            for name in axis["angle"] if "angle" in axis else [axis["var"]]:
+                if name in sampled:
+                    raise ConfigError(f"falsifier axis {i} names state variable {name!r} "
+                                      f"a second time")
+                sampled.add(name)
         return cls(raw=raw, model=model, index=raw["index"], solver=raw.get("solver", {}),
                    falsifier=falsifier, sim=raw.get("sim", {}))
 

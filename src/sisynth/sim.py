@@ -11,23 +11,29 @@ finite-time-convergence monitor results.
 A trial steps at the model's ``dt``, the period its control box is derived
 for; a config's ``sim`` section sets only ``trials``, ``horizon`` and ``seed``.
 
-A trial steps on plain Python floats with ``math``: :func:`run_batch` lowers
-the chain members, the control box, ``L_f phi``, ``L_g phi`` and
-``phi_theta`` once (:meth:`~sisynth.index.SafetyIndexFamily.lowered`).  Each
-step works on float locals: it computes the relative state and the symbolic
-state vector inline (the operations of :func:`relative_state` and
-:func:`sym_state`, in the same order, without building either object),
-reads every value the filter needs from one compiled call
-(:meth:`~sisynth.index.LoweredIndex.at`) and forms the nominal control.
-:func:`~sisynth.controller.project` runs only when ``phi_theta >= 0``: the
-nominal control is already clamped to the control box, and that clamp is
-all ``project`` does on an inactive index.  :func:`step` then advances the
-float pose ``(px, py, heading, speed)``.
+A trial runs as one generated loop on plain Python floats
+(:func:`_trial_loop`).  :func:`run_batch` lowers the chain members, the
+control box, ``L_f phi``, ``L_g phi`` and ``phi_theta`` once
+(:meth:`~sisynth.index.SafetyIndexFamily.lowered`); the loop's source pastes
+each member's own ``source`` in, with ``x[i]`` read from the locals
+``x0..x3``, and is compiled once per distinct lowered index.  Each step
+computes the relative state and the symbolic state vector inline (the
+operations of :func:`relative_state` and :func:`sym_state`, in the same
+order, without building either object), the chain and the control box,
+checks the box for inversion and forms the nominal control.  ``phi_theta``
+decides the rest: when ``phi_theta < 0`` the nominal control is already
+clamped to the control box, and that clamp is all
+:func:`~sisynth.controller.project` does on an inactive index; otherwise
+``L_f phi`` and ``L_g phi`` are evaluated and ``project`` runs.  :func:`step`
+then advances the float pose ``(px, py, heading, speed)``.  ``project``,
+:func:`~sisynth.controller.nominal_control` and :func:`step` stay calls,
+read from this module's globals when a trial starts.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -36,7 +42,7 @@ import numpy as np
 from .controller import Infeasible, nominal_control, project, wrap_angle
 from .controller import safe_control  # noqa: F401  (bench/worker.py traces sim.safe_control)
 from .index import IndexParams, LoweredIndex, SafetyIndexFamily
-from .system import InvertedBoundError
+from .system import STATE_TOL, InvertedBoundError
 
 COLLISION_EPS = 1e-6
 GOAL_RADIUS = 0.2
@@ -156,59 +162,109 @@ def initial_state(task: TaskConfig, trial: int) -> tuple[WorldState, tuple[float
 def run_trial(fam: SafetyIndexFamily, params: IndexParams, task: TaskConfig,
               trial: int, record: bool = False,
               lowered: LoweredIndex | None = None) -> TrialReport:
-    """One trial.  ``lowered`` is ``fam.lowered(params)``; :func:`run_batch`
-    builds it once for all its trials."""
+    """One trial, run by the generated loop of ``lowered``.  ``lowered`` is
+    ``fam.lowered(params)``; :func:`run_batch` builds it once for all its
+    trials.  An inverted control box, an infeasible constraint or a
+    collision ends the trial with that failure."""
     if lowered is None:
         lowered = fam.lowered(params)
     world, goal = initial_state(task, trial)
-    (px, py), heading, speed = world.position, world.heading, world.speed
-    gx, gy = goal
     dt = fam.system.dt
-    steps = int(round(task.horizon / dt))
-    at, eta = lowered.at, lowered.eta
-    atan2, sin, cos, hypot, pi = math.atan2, math.sin, math.cos, math.hypot, math.pi
+    phis, rows = [], []
+    try:
+        reached_goal = _trial_loop(lowered)(
+            *world.position, world.heading, world.speed, goal,
+            int(round(task.horizon / dt)), dt, lowered.eta, record, phis, rows,
+            nominal_control, project, step)
+        failure = None
+    except (InvertedBoundError, Infeasible, CollisionError) as exc:
+        reached_goal, failure = False, str(exc)
+    return _assess(trial, np.array(phis).reshape(-1, len(lowered.chain)), params, dt,
+                   reached_goal, failure, rows)
 
-    phis = []
-    rows = []
-    reached_goal = False
-    failure = None
 
+_TRIAL_SOURCE = """\
+def trial(px, py, heading, speed, goal, steps, dt, eta, record, phis, rows,
+          nominal_control, project, step):
+    gx, gy = goal
+    extend = phis.extend
     for t in range(steps + 1):
-        # relative_state and sym_state on the pose locals
         beta = atan2(py, px)
-        rel_heading = heading - beta - pi
+        rel_heading = heading - beta - {pi!r}
         alpha = atan2(sin(rel_heading), cos(rel_heading))
-        d = hypot(px, py)
-        x = (d, sin(alpha), cos(alpha), speed)
-        try:
-            phi, lower, upper, lf, c, phi_theta = at(x)
-        except InvertedBoundError as exc:
-            # keep this state's chain row: _assess reads at least one
-            phis.append(lowered.evaluate(x)[0])
-            failure = str(exc)
-            break
-        phis.append(phi)
-        if hypot(gx - px, gy - py) < GOAL_RADIUS:
-            reached_goal = True
-            break
+        d = x0 = hypot(px, py)
+        x1 = sin(alpha)
+        x2 = cos(alpha)
+        x3 = speed
+        phi = {chain}
+        # before the box check: _assess reads at least one row
+        extend(phi)
+{box}
+        if hypot(gx - px, gy - py) < {goal_radius!r}:
+            return True
         if t == steps:
-            break
+            return False
         u = nominal_control((px, py), heading, speed, goal, (lower, upper))
-        try:
-            if phi_theta < 0.0:
-                # inactive index: u is already the box clamp project returns
-                active = False
-            else:
-                u, active, _ = project(x, u, lower, upper, lf, c, phi_theta, eta)
-            if record:
-                rows.append([t * dt, px, py, heading, speed, d, alpha, beta,
-                             *u, *phi, int(active)])
-            px, py, heading, speed = step((px, py, heading, speed), d, alpha, u, dt)
-        except (Infeasible, CollisionError) as exc:
-            failure = str(exc)
-            break
+        phi_theta = {phi_theta}
+        if phi_theta < 0.0:
+            active = False
+        else:
+            u, active, _ = project((x0, x1, x2, x3), u, lower, upper, {lf}, {lg},
+                                   phi_theta, eta)
+        if record:
+            rows.append([t * dt, px, py, heading, speed, d, alpha, beta, *u, *phi,
+                         1 if active else 0])
+        px, py, heading, speed = step((px, py, heading, speed), d, alpha, u, dt)
+    return False
+"""
 
-    return _assess(trial, np.array(phis), params, dt, reached_goal, failure, rows)
+
+def _trial_loop(lowered: LoweredIndex):
+    """The compiled trial loop of ``lowered``.
+
+    It is called as ``trial(px, py, heading, speed, goal, steps, dt, eta,
+    record, phis, rows, nominal_control, project, step)``, extends the flat
+    list ``phis`` by each visited state's chain values (one list of floats
+    converts to an array several times faster than a list of tuples),
+    appends each step's row to ``rows`` with ``record``, and returns whether
+    the goal was reached.  Its float operations are those of
+    :func:`relative_state`, :func:`sym_state`, the members' own ``source``
+    and :meth:`~sisynth.index.LoweredIndex.at`'s box check, in the same
+    order, so a trial's values match theirs bit for bit.  An inverted box
+    raises :class:`~sisynth.system.InvertedBoundError` after its state's
+    chain values are added to ``phis``.
+    """
+    if lowered.dim != len(STATE_VARS):
+        raise ValueError("state dimension mismatch")
+    group = lambda polys: "(" + "".join(p.source + ", " for p in polys) + ")"
+    nu = len(lowered.lower)
+    box = [f"        lo{i} = {p.source}" for i, p in enumerate(lowered.lower)]
+    box += [f"        hi{i} = {p.source}" for i, p in enumerate(lowered.upper)]
+    for i in range(nu):
+        box += [f"        if lo{i} > hi{i} + {STATE_TOL!r}:",
+                f"            inverted_bound({i}, (x0, x1, x2, x3))"]
+    box += ["        lower = (" + "".join(f"lo{i}, " for i in range(nu)) + ")",
+            "        upper = (" + "".join(f"hi{i}, " for i in range(nu)) + ")"]
+    source = _TRIAL_SOURCE.format(
+        pi=math.pi, goal_radius=GOAL_RADIUS, chain=group(lowered.chain),
+        box="\n".join(box), phi_theta=lowered.phi.source, lf=lowered.lf.source,
+        lg=group(lowered.lg))
+    for i in range(lowered.dim):
+        source = source.replace(f"x[{i}]", f"x{i}")
+    return _compile_trial(source)
+
+
+def _inverted_bound(dim: int, x) -> None:
+    raise InvertedBoundError(dim, np.asarray(x, dtype=float))
+
+
+@functools.lru_cache(maxsize=64)
+def _compile_trial(source: str):
+    """``source`` compiled with no builtins, shared by identical sources."""
+    namespace = {"__builtins__": {}, "range": range, "atan2": math.atan2, "sin": math.sin,
+                 "cos": math.cos, "hypot": math.hypot, "inverted_bound": _inverted_bound}
+    exec(compile(source, "<lowered trial>", "exec"), namespace)
+    return namespace["trial"]
 
 
 def _assess(trial: int, phis: np.ndarray, params: IndexParams, dt: float,

@@ -225,7 +225,13 @@ class TestVerify:
         pytest.param("samples", -5, "falsifier key 'samples' must be an integer >= 0, got -5",
                      id="samples--5-falsifier samples must be >= 0"),
         pytest.param("slack", -10.0, "falsifier key 'slack' must be a finite number >= 0, "
-                     "got -10.0", id="slack--10.0-falsifier slack must be >= 0")])
+                     "got -10.0", id="slack--10.0-falsifier slack must be >= 0"),
+        # a second axis on d once replaced the first, and verify --k 0.5 found
+        # none of the 861 counterexamples and exited 0
+        pytest.param("axes", [*braking_config_dict()["falsifier"]["axes"],
+                              {"var": "d", "range": [5.0, 6.0], "resolution": 2}],
+                     "falsifier axis 2 names state variable 'd' a second time",
+                     id="axes-repeat-d")])
     def test_bad_falsifier_section_exit_four(self, runner, tmp_path, key, value, message):
         raw = braking_config_dict()
         if key == "resolution":

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from sisynth.config import RULES, ConfigError, RunConfig, build_problem, default_unicycle_config
-from sisynth.falsifier import falsify
 from sisynth.feasibility import SolverConfig, check_certificate
 from sisynth.index import K_MIN
 
@@ -304,11 +303,11 @@ class TestTypeSweep:
         *(f"falsifier.axes.{i}.range.{j}={v}" for i in range(3) for j in range(2)
           for v in (-1, 2.5)),
         "model.cos_alpha_min=None", "model.cos_alpha_min=-1"]
-    # These load, but the axes then miss a state variable, which falsify
-    # refuses (verify exits 4): whether the axes cover the state is
-    # falsify's check, made against the built model.
-    MISS_STATE = ["falsifier.axes.0.var='x'", "falsifier.axes.1.angle.1='x'",
-                  "falsifier.axes.2.var='x'"]
+    # Substitutions that put x on two axes are refused at load; they once
+    # loaded and left a state variable unsampled.  (path, the axis that
+    # repeats x)
+    REPEATS = [(("falsifier", "axes", 0, "var"), 1), (("falsifier", "axes", 1, "angle", 1), 1),
+               (("falsifier", "axes", 2, "var"), 2)]
 
     def sweep(self, raw, paths):
         """The substitutions that load, by name, with their config and problem."""
@@ -332,11 +331,11 @@ class TestTypeSweep:
         loaded = self.sweep(default_unicycle_config(), list(_paths(default_unicycle_config())))
         restricted = json.loads(open(RESTRICTED_CONFIG_PATH).read())
         loaded.update(self.sweep(restricted, [("model", "cos_alpha_min"), ("solver", "k_init")]))
-        assert sorted(loaded) == sorted(self.LOADS + self.MISS_STATE)
-        for name in self.MISS_STATE:
-            cfg, p = loaded[name]
-            with pytest.raises(ValueError, match="falsifier axes do not cover state variables"):
-                falsify(p.family, p.params([1.0]), p.system, cfg.falsifier_config())
+        assert sorted(loaded) == sorted(self.LOADS)
+        for path, axis in self.REPEATS:
+            with pytest.raises(ConfigError, match=f"falsifier axis {axis} names state "
+                                                  f"variable 'x' a second time"):
+                RunConfig.from_dict(_substituted(default_unicycle_config(), path, "x"))
 
 
 class TestReadme:

@@ -28,6 +28,7 @@ from sisynth.sim import (
     sym_state,
     trajectory_csv,
 )
+from sisynth.system import STATE_TOL, InvertedBoundError
 
 from conftest import RESTRICTED_CONFIG_PATH, braking_config_dict, world_from_relative
 
@@ -287,8 +288,9 @@ def reference_step(world, u, dt):
 
 def reference_trial(lowered, params, task, dt, trial):
     """One recorded trial at step ``dt`` that evaluates every lowered
-    polynomial on its own, checks the control box separately and lets the
-    world update recompute the relative state."""
+    polynomial on its own, checks the control box separately (an inverted
+    box ends the trial, as in the simulator) and lets the world update
+    recompute the relative state."""
     world, goal = initial_state(task, trial)
     steps = int(round(task.horizon / dt))
     phis, rows, reached_goal, failure = [], [], False, None
@@ -297,15 +299,19 @@ def reference_trial(lowered, params, task, dt, trial):
         x = sym_state(rel)
         phi = [p.evaluate(x) for p in lowered.chain]
         phis.append(phi)
+        lower = [p.evaluate(x) for p in lowered.lower]
+        upper = [p.evaluate(x) for p in lowered.upper]
+        inverted = [i for i, (lo, hi) in enumerate(zip(lower, upper)) if lo > hi + STATE_TOL]
+        if inverted:
+            failure = str(InvertedBoundError(inverted[0], np.asarray(x, dtype=float)))
+            break
+        assert all(lo <= hi for lo, hi in zip(lower, upper))
         px, py = world.position
         if math.hypot(goal[0] - px, goal[1] - py) < GOAL_RADIUS:
             reached_goal = True
             break
         if t == steps:
             break
-        lower = [p.evaluate(x) for p in lowered.lower]
-        upper = [p.evaluate(x) for p in lowered.upper]
-        assert all(lo <= hi for lo, hi in zip(lower, upper))
         u_ref = nominal_control(world.position, world.heading, world.speed, goal,
                                 (lower, upper))
         try:
@@ -390,6 +396,86 @@ class TestFusedStep:
         assert not report.ok
         text = markdown_report(BatchReport(reports=[report]), [K_PINNED])
         assert f"trial 0: {report.failure}" in text
+
+    @pytest.mark.parametrize("k", [K_PINNED, 1.0, 5.6234])
+    def test_generated_loop_matches_reference_by_repr(self, restricted_problem, k):
+        # k = 1.0 runs the filter on many steps and violates after entry
+        p = restricted_problem
+        params = p.params([k])
+        task = dataclasses.replace(p.config.task_config(), trials=3, horizon=10.0)
+        lowered = p.family.lowered(params)
+        batch = run_batch(p.family, params, task, record=True)
+        for got in batch.reports:
+            want = reference_trial(lowered, params, task, p.system.dt, got.trial)
+            for f in dataclasses.fields(TrialReport):
+                assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
+        assert any(row[-1] for r in batch.reports for row in r.rows)
+        if k == 1.0:
+            assert batch.total_violations > 0
+
+    @pytest.mark.parametrize("case, message", [
+        ("infeasible", "safety constraint infeasible at state"),
+        ("collision", "agent at the obstacle center"),
+        ("inverted-box", "control bounds inverted in dimension 0")],
+        ids=["infeasible", "collision", "inverted-box"])
+    def test_failure_mid_trial_matches_reference(self, restricted_problem, case, message):
+        p = restricted_problem
+        params = p.params([K_PINNED])
+        task = dataclasses.replace(p.config.task_config(), trials=3, horizon=4.0)
+        lowered = p.family.lowered(params)
+        d, s, _, v = (Polynomial.variable(var) for var in p.system.state_vars)
+        low = lambda q: q.lower(p.system.state_vars)
+        dt = p.system.dt
+        if case == "infeasible":
+            # active once d <= 3, with a constraint no control can meet
+            zero = low(Polynomial.zero())
+            crafted = dataclasses.replace(lowered, phi=low(Polynomial.constant(3.0) - d),
+                                          lf=zero, lg=(zero, zero))
+        elif case == "collision":
+            # turn at the obstacle and halve the distance every step
+            a, w = low(d * (0.5 / dt**2) - v * (1.0 / dt)), low(s * (-1.0 / dt))
+            crafted = dataclasses.replace(lowered, lower=(a, w), upper=(a, w),
+                                          phi=low(Polynomial.constant(-1.0)))
+        else:
+            # the acceleration floor passes the ceiling once d < 1.5
+            crafted = dataclasses.replace(
+                lowered, lower=(low(Polynomial.constant(250.0) - d * 100.0 - v * 100.0),
+                                *lowered.lower[1:]))
+        failed_at = []
+        for trial in range(task.trials):
+            got = run_trial(p.family, params, task, trial, record=True, lowered=crafted)
+            want = reference_trial(crafted, params, task, dt, trial)
+            for f in dataclasses.fields(TrialReport):
+                assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
+            if got.failure is not None:
+                assert got.failure.startswith(message)
+                failed_at.append(got.steps)
+        assert any(steps > 0 for steps in failed_at)
+
+    def test_inverted_box_checked_before_goal(self, restricted_problem):
+        # LoweredIndex.at raised before the goal test: a trial that starts on
+        # its goal in an inverted box still fails
+        from sisynth import sim
+        p = restricted_problem
+        params = p.params([K_PINNED])
+        lowered = p.family.lowered(params)
+        high = Polynomial.constant(1e3).lower(p.system.state_vars)
+        loop = sim._trial_loop(dataclasses.replace(lowered, lower=(high, *lowered.lower[1:])))
+        phis = []
+        with pytest.raises(InvertedBoundError, match="control bounds inverted in dimension 0"):
+            loop(2.0, 0.0, math.pi, 0.0, (2.0, 0.0), 10, p.system.dt, lowered.eta, False,
+                 phis, [], nominal_control, project, step)
+        assert len(phis) == len(lowered.chain)
+
+    def test_loop_compiled_once_without_builtins(self, restricted_problem):
+        from sisynth import sim
+        p = restricted_problem
+        loop = sim._trial_loop(p.family.lowered(p.params([K_PINNED])))
+        assert loop is sim._trial_loop(p.family.lowered(p.params([K_PINNED])))
+        assert loop is not sim._trial_loop(p.family.lowered(p.params([1.0])))
+        assert loop.__globals__["__builtins__"] == {}
+        assert set(loop.__globals__) == {"__builtins__", "range", "atan2", "sin", "cos", "hypot",
+                                         "inverted_bound", "trial"}
 
 
 class TestBenchmarkHooks:
