@@ -6,7 +6,7 @@ index gain, a QP safety filter, and a navigation simulation harness.
 
 from .config import ConfigError, Problem, RunConfig, build_problem, default_unicycle_config
 from .controller import Infeasible, SafeControlResult, nominal_control, safe_control
-from .falsifier import Counterexample, FalsifierConfig, falsify
+from .falsifier import Counterexamples, FalsifierConfig, falsify
 from .feasibility import (Certificate, DecisionLayout, SolverConfig, SolverFailure,
                           check_certificate, solve)
 from .index import IndexParams, RelativeDegreeError, SafetyIndexFamily, build_chain

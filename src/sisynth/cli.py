@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ConfigError, Problem, RunConfig, build_problem
 from .falsifier import counterexamples_csv, falsify
-from .feasibility import Certificate, SolverFailure, check_certificate, solve
+from .feasibility import Certificate, SolverFailure, check_certificate, layout_mismatch, solve
 from .index import IndexParams
 from .sim import STATE_VARS, markdown_report, run_batch, trajectory_csv
 
@@ -29,8 +29,8 @@ EXIT_SOLVER = 3
 EXIT_CONFIG = 4
 
 
-def _config_error(exc) -> NoReturn:
-    click.echo(f"config error: {exc}", err=True)
+def _config_error(exc, kind: str = "config") -> NoReturn:
+    click.echo(f"{kind} error: {exc}", err=True)
     _sys.exit(EXIT_CONFIG)
 
 
@@ -40,6 +40,19 @@ def _load(config_path: str) -> tuple[RunConfig, Problem]:
         return cfg, build_problem(cfg)
     except ValueError as exc:   # ConfigError, RelativeDegreeError, DegreeOverflowError
         _config_error(exc)
+
+
+def _certificate(path: str, problem: Problem) -> Certificate:
+    """The certificate file at ``path``; exits 4 if it does not parse or its
+    decision variables are not ``problem``'s."""
+    try:
+        with open(path) as fh:
+            cert = Certificate.from_dict(json.load(fh))
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:   # JSONDecodeError too
+        _config_error(f"cannot read {path}: {exc!r}", "certificate")
+    if mismatch := layout_mismatch(cert, problem.layout):
+        _config_error(f"not made for this config: {mismatch}", "certificate")
+    return cert
 
 
 def _outdir(cfg: RunConfig, seed: int, override: str | None) -> Path:
@@ -78,17 +91,13 @@ def main():
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Override the solver seed.")
-@click.option("--tolerance", type=click.FloatRange(min=0), default=None,
-              help="Override the eigenvalue tolerance.")
 @click.option("--output", type=click.Path(file_okay=False), default=None)
-def synth(config_path, seed, tolerance, output):
+def synth(config_path, seed, output):
     """Synthesize index parameters and write a certificate JSON."""
     cfg, problem = _load(config_path)
     solver_cfg = problem.solver_config
     if seed is not None:
         solver_cfg.seed = seed
-    if tolerance is not None:
-        solver_cfg.tolerance = tolerance
     outdir = _outdir(cfg, solver_cfg.seed, output)
 
     start = time.perf_counter()
@@ -134,10 +143,8 @@ def verify(config_path, cert_path, k_values, output):
     clean = True
 
     if cert_path is not None:
-        with open(cert_path) as fh:
-            cert = Certificate.from_dict(json.load(fh))
+        cert = _certificate(cert_path, problem)
         ok, diagnostics = check_certificate(problem.specs, problem.layout, cert,
-                                            tolerance=problem.solver_config.tolerance,
                                             k_min=problem.solver_config.k_min)
         click.echo(f"certificate check: {'pass' if ok else 'FAIL'}")
         for line in diagnostics:
@@ -163,8 +170,7 @@ def verify(config_path, cert_path, k_values, output):
     if cexs:
         csv_path = outdir / "counterexamples.csv"
         counterexamples_csv(cexs, problem.system, str(csv_path))
-        worst = cexs[0]
-        click.echo(f"  worst: state {worst.state}, phidot {worst.worst_phidot:.6g}"
+        click.echo(f"  worst: state {cexs.states[0]}, phidot {cexs.worst_phidot[0]:.6g}"
                    f" (written to {csv_path})")
         clean = False
     _sys.exit(EXIT_OK if clean else EXIT_SAFETY)
@@ -188,8 +194,7 @@ def simulate(config_path, cert_path, trials, seed, trajectories, output):
     if names != STATE_VARS:
         _config_error(f"simulate drives only the unicycle model, whose state variables are "
                       f"{', '.join(STATE_VARS)}; this model has {', '.join(names)}")
-    with open(cert_path) as fh:
-        cert = Certificate.from_dict(json.load(fh))
+    cert = _certificate(cert_path, problem)
     if not cert.valid:
         click.echo("certificate is not valid; refusing to simulate", err=True)
         _sys.exit(EXIT_SAFETY)

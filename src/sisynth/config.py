@@ -2,13 +2,13 @@
 
 Sections: ``model`` (system schema or a named builtin, with the control
 period ``dt``), ``index`` (base index literal, chain order, margin),
-``solver`` (restarts, DR iterations, tolerances, refute-set shaping),
+``solver`` (restarts, DR iterations, the k range, refute-set shaping),
 ``falsifier`` (sampling axes), ``sim`` (trial batch: ``trials``,
 ``horizon``, ``seed``).  Every section is checked against :data:`RULES` at
 load, not cast; :func:`build_problem` parses the polynomial literals.
 Defaults reproduce the standard unicycle study: velocity and steering
-bounds of +/-1, margin 0.1, protective distance 1, dt 0.01, eigenvalue
-tolerance 1e-6, 10 restarts.
+bounds of +/-1, margin 0.1, protective distance 1, dt 0.01, 10 restarts.
+The eigenvalue tolerance and the falsifier slack are module constants.
 """
 
 from __future__ import annotations
@@ -113,8 +113,7 @@ RULES: dict[str, dict[str, Rule]] = {
         "phi0": Rule(lambda v, s: isinstance(v, str), "a polynomial literal (a string)", True),
         "order": _integer(1), "eta": _number(0, strict=True)},
     "solver": {
-        "restarts": _integer(1), "iterations": _integer(1), "tolerance": _number(0),
-        "seed": _integer(0),
+        "restarts": _integer(1), "iterations": _integer(1), "seed": _integer(0),
         # below the index floor, verify and simulate refuse the chain
         "k_min": _number(K_MIN),
         "k_init": Rule(lambda v, s: _is_pair(v) and s.get("k_min", K_MIN) <= v[0] <= v[1],
@@ -128,7 +127,7 @@ RULES: dict[str, dict[str, Rule]] = {
                          v, lambda a: isinstance(a, dict) and ("var" in a) != ("angle" in a)),
                      "a non-empty list of axis objects, each with one of 'var' and 'angle'",
                      True),
-        "samples": _integer(0), "slack": _number(0), "seed": _integer(0)},
+        "samples": _integer(0), "seed": _integer(0)},
     "axis": {"var": Rule(lambda v, s: isinstance(v, str), "a state variable name"),
              "angle": Rule(lambda v, s: _is_pair(v, lambda x: isinstance(x, str)),
                            "a pair [sin, cos] of state variable names"),
@@ -219,7 +218,7 @@ class RunConfig:
 
     def solver_config(self) -> SolverConfig:
         s = self.solver
-        floats = {key: float(s[key]) for key in ("tolerance", "k_min") if key in s}
+        floats = {"k_min": float(s["k_min"])} if "k_min" in s else {}
         if "k_init" in s:
             floats["k_init"] = tuple(map(float, s["k_init"]))
         return SolverConfig(**_given(s, "restarts", "iterations", "seed"), **floats)
@@ -231,7 +230,7 @@ class RunConfig:
                      lo=float(a["range"][0]), hi=float(a["range"][1]), angle="angle" in a,
                      **_given(a, "resolution"))
                 for a in self.falsifier["axes"]]
-        return FalsifierConfig(axes=axes, **_given(self.falsifier, "samples", "slack", "seed"))
+        return FalsifierConfig(axes=axes, **_given(self.falsifier, "samples", "seed"))
 
     def task_config(self) -> TaskConfig:
         return TaskConfig(**self.sim)

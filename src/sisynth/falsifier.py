@@ -18,7 +18,7 @@ import numpy as np
 from .index import IndexParams, SafetyIndexFamily, box_min
 from .system import InvertedBoundError, SymbolicSystem
 
-DEFAULT_SLACK = 1e-6
+SLACK = 1e-6   # a state is a hit when its worst phidot >= -eta - SLACK
 SPACE_TOL = 1e-9
 
 
@@ -52,22 +52,19 @@ class Axis:
 class FalsifierConfig:
     axes: list[Axis]
     samples: int = 10000
-    slack: float = DEFAULT_SLACK
     seed: int = 0
 
-    def __post_init__(self):
-        # a negative or NaN slack would hide counterexamples
-        for key in ("samples", "seed", "slack"):
-            value = getattr(self, key)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"falsifier {key} must be >= 0 and finite, got {value}")
 
+@dataclass(frozen=True, eq=False)
+class Counterexamples:
+    """Falsifier hits as columns, one row per state; ``len`` counts the rows."""
 
-@dataclass
-class Counterexample:
-    state: np.ndarray
-    phi_theta: float
-    worst_phidot: float
+    states: np.ndarray
+    phi_theta: np.ndarray
+    worst_phidot: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.worst_phidot)
 
 
 def _blocks(axes: Sequence[Axis], samples: int, seed: int,
@@ -110,18 +107,18 @@ def _at(values, shape: tuple[int, ...], where: tuple) -> np.ndarray:
 
 
 def falsify(fam: SafetyIndexFamily, params: IndexParams, sys: SymbolicSystem,
-            cfg: FalsifierConfig) -> list[Counterexample]:
+            cfg: FalsifierConfig) -> Counterexamples:
     """All manifold states sampled where the worst-case derivative fails.
 
     Searches the full grid of ``cfg.axes`` and then ``cfg.samples`` random
-    draws, and returns the violations sorted by worst-case derivative, most
-    violating first (ties in grid-then-sample order).  The grid is never
-    materialized as a mesh: every polynomial, space check and box bound is
-    evaluated on per-axis arrays and keeps only the dimensions it depends
-    on; only the final masks are broadcast over the whole grid.  Each point
-    still sees the same float operations as on a flat list of points.  Also
-    audits that the control box never inverts on in-space points, raising
-    :class:`InvertedBoundError` at the first one.
+    draws, and returns the violations as columns sorted by worst-case
+    derivative, most violating first (ties in grid-then-sample order).  The
+    grid is never materialized as a mesh: every polynomial, space check and
+    box bound is evaluated on per-axis arrays and keeps only the dimensions
+    it depends on; only the final masks are broadcast over the whole grid.
+    Each point still sees the same float operations as on a flat list of
+    points.  Also audits that the control box never inverts on in-space
+    points, raising :class:`InvertedBoundError` at the first one.
     """
     blocks = _blocks(cfg.axes, cfg.samples, cfg.seed, sys)
     lowered = fam.lowered(params, sys)
@@ -149,20 +146,18 @@ def falsify(fam: SafetyIndexFamily, params: IndexParams, sys: SymbolicSystem,
         phi = lowered.phi.evaluate(x)
         worst = box_min((lg.evaluate(x) for lg in lowered.lg), lower, upper,
                         lowered.lf.evaluate(x))
-        mask = in_space & (phi >= 0.0) & (worst >= -params.eta - cfg.slack)
+        mask = in_space & (phi >= 0.0) & (worst >= -params.eta - SLACK)
         where = np.unravel_index(np.flatnonzero(np.broadcast_to(mask, shape)), shape)
         found.append((np.stack([_at(v, shape, where) for v in x], axis=1),
                       _at(phi, shape, where), _at(worst, shape, where)))
     states, phi, worst = (np.concatenate(parts) for parts in zip(*found))
-    return [Counterexample(state=states[j], phi_theta=float(phi[j]), worst_phidot=float(worst[j]))
-            for j in np.argsort(-worst, kind="stable")]
+    order = np.argsort(-worst, kind="stable")
+    return Counterexamples(states[order], phi[order], worst[order])
 
 
-def counterexamples_csv(cexs: Sequence[Counterexample], sys: SymbolicSystem,
-                        path: str) -> None:
+def counterexamples_csv(cexs: Counterexamples, sys: SymbolicSystem, path: str) -> None:
+    rows = np.column_stack([cexs.states, cexs.phi_theta, cexs.worst_phidot])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([v.name for v in sys.state_vars] + ["phi_theta", "worst_phidot"])
-        for c in cexs:
-            writer.writerow([f"{x:.12g}" for x in c.state]
-                            + [f"{c.phi_theta:.12g}", f"{c.worst_phidot:.12g}"])
+        writer.writerows([f"{x:.12g}" for x in row] for row in rows.tolist())

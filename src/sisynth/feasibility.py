@@ -37,6 +37,7 @@ from .index import K_MIN
 from .poly import VarId
 from .refute import GramSpec, RefuteCase
 
+TOLERANCE = 1e-6       # a case certifies when its Gram lambda_min >= -TOLERANCE
 JACOBI_TOL = 1e-13
 MAX_SWEEPS = 60
 
@@ -520,7 +521,6 @@ class AffineGramMap:
 class SolverConfig:
     restarts: int = 10
     iterations: int = 1250
-    tolerance: float = 1e-6
     seed: int = 0
     k_min: float = K_MIN
     k_init: tuple[float, float] | None = None   # default (k_min, max(k_min, 1))
@@ -539,7 +539,6 @@ class Certificate:
     decision: np.ndarray
     variable_names: list[str]
     lambda_mins: np.ndarray
-    tolerance: float
     seed: int
     config_hash: str
     restarts: list[dict] = field(default_factory=list)
@@ -548,7 +547,7 @@ class Certificate:
 
     @property
     def valid(self) -> bool:
-        return bool(np.all(self.lambda_mins >= -self.tolerance))
+        return bool(np.all(self.lambda_mins >= -TOLERANCE))
 
     def theta(self, layout: DecisionLayout) -> np.ndarray:
         return self.decision[layout.theta_idx]
@@ -557,7 +556,6 @@ class Certificate:
         return {
             "decision": dict(zip(self.variable_names, self.decision.tolist())),
             "lambda_mins": self.lambda_mins.tolist(),
-            "tolerance": self.tolerance,
             "seed": self.seed,
             "config_hash": self.config_hash,
             "valid": self.valid,
@@ -568,11 +566,9 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":
-        names = list(data["decision"].keys())
         return cls(decision=np.array(list(data["decision"].values()), dtype=float),
-                   variable_names=names,
+                   variable_names=list(data["decision"]),
                    lambda_mins=np.array(data["lambda_mins"], dtype=float),
-                   tolerance=float(data["tolerance"]),
                    seed=int(data["seed"]),
                    config_hash=data.get("config_hash", ""),
                    restarts=data.get("restarts", []),
@@ -641,7 +637,7 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
     def run_dr(x, theta, iterations):
         """DR at index parameters ``theta`` (a k broadcasts) from ``x``'s multipliers."""
         amap = AffineGramMap(grams, layout, np.full(len(layout.theta_idx), theta))
-        y, lams, record = amap.refine(x[amap.free_idx], iterations, config.tolerance)
+        y, lams, record = amap.refine(x[amap.free_idx], iterations, TOLERANCE)
         x = x.copy()
         x[layout.theta_idx] = amap.theta
         x[amap.free_idx] = y
@@ -668,7 +664,7 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
                     break
         return x, {"restart": r, "k": x[layout.theta_idx].tolist(),
                    "lambda_mins": lams.tolist(),
-                   "valid": bool(np.all(lams >= -config.tolerance)),
+                   "valid": bool(np.all(lams >= -TOLERANCE)),
                    "grid": [list(sample) for sample in grid] if searched else [],
                    "runs": runs}
 
@@ -680,7 +676,6 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
         decision=x,
         variable_names=[v.name for v in layout.variables],
         lambda_mins=lams,
-        tolerance=config.tolerance,
         seed=config.seed,
         config_hash=config.digest(),
         restarts=[entry for _, entry in results],
@@ -688,8 +683,8 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
         basis_repr=[[_mono_repr(m) for m in spec.basis] for spec in specs],
     )
     if not cert.valid:
-        # the residual sum max(0, -lambda_min - tolerance)^2 over the cases
-        raise SolverFailure(cert, float(np.sum(np.maximum(0.0, -lams - config.tolerance) ** 2)))
+        # the residual sum max(0, -lambda_min - TOLERANCE)^2 over the cases
+        raise SolverFailure(cert, float(np.sum(np.maximum(0.0, -lams - TOLERANCE) ** 2)))
     return cert
 
 
@@ -699,26 +694,29 @@ def _mono_repr(m) -> str:
     return "*".join(f"{v.name}^{e}" if e > 1 else v.name for v, e in m)
 
 
+def layout_mismatch(cert: Certificate, layout: DecisionLayout) -> str | None:
+    """Why ``cert``'s decision variables are not ``layout``'s, in order, or None."""
+    if len(cert.decision) != layout.size:
+        return f"decision dimension {len(cert.decision)} != layout size {layout.size}"
+    renamed = [(a, v.name) for a, v in zip(cert.variable_names, layout.variables) if a != v.name]
+    return "decision variable %r where the layout has %r" % renamed[0] if renamed else None
+
+
 def check_certificate(specs: Sequence[GramSpec], layout: DecisionLayout,
-                      cert: Certificate, tolerance: float | None = None,
-                      k_min: float = K_MIN) -> tuple[bool, list[str]]:
+                      cert: Certificate, k_min: float = K_MIN) -> tuple[bool, list[str]]:
     """Independent re-check: recompute every Gram matrix and its eigenvalues
     with the in-repo Jacobi eigensolver, not the solver's LAPACK path, in one
     batched call per Gram size.
 
     Verifies that the decision's variable names are the layout's, the sign
     constraints on the decision vector and that each case's minimum
-    eigenvalue clears ``-tolerance`` (by default the certificate's own).
-    Returns a pass flag and per-violation diagnostics.
+    eigenvalue clears ``-TOLERANCE``; the certificate's own ``lambda_mins``
+    are not read.  Returns a pass flag and per-violation diagnostics.
     """
-    tol = cert.tolerance if tolerance is None else tolerance
+    if mismatch := layout_mismatch(cert, layout):
+        return False, [mismatch]
     diagnostics: list[str] = []
     d = cert.decision
-    if len(d) != layout.size:
-        return False, [f"decision dimension {len(d)} != layout size {layout.size}"]
-    renamed = [(a, v.name) for a, v in zip(cert.variable_names, layout.variables) if a != v.name]
-    if renamed:
-        diagnostics.append("decision variable %r where the layout has %r" % renamed[0])
     for i in layout.theta_idx:
         if d[i] < k_min - 1e-12:
             diagnostics.append(f"theta component {layout.variables[i].name} = {d[i]:.3e} below {k_min}")
@@ -730,6 +728,7 @@ def check_certificate(specs: Sequence[GramSpec], layout: DecisionLayout,
     for members, mats in stack.split(stack.flat(d)):
         lam_min[members] = jacobi_eigh_batch(mats)[0][:, 0]
     for c, lam in enumerate(lam_min):
-        if lam < -tol:
-            diagnostics.append(f"case {c}: lambda_min = {lam:.3e} < {-tol:.1e} (margin {lam + tol:.3e})")
+        if lam < -TOLERANCE:
+            diagnostics.append(f"case {c}: lambda_min = {lam:.3e} < {-TOLERANCE:.1e} "
+                               f"(margin {lam + TOLERANCE:.3e})")
     return not diagnostics, diagnostics

@@ -7,7 +7,7 @@ import pytest
 
 from sisynth.config import RunConfig, build_problem, default_unicycle_config
 from sisynth.controller import wrap_angle
-from sisynth.falsifier import SPACE_TOL, Counterexample
+from sisynth.falsifier import SLACK, SPACE_TOL, Counterexamples
 from sisynth.feasibility import solve
 from sisynth.index import box_min
 from sisynth.poly import Polynomial, monomial_mul
@@ -51,11 +51,10 @@ BRAKING_CONFIG = {
     "model": {"state_vars": ["d", "z"], "f": ["-1*z", "0"], "g": [["0"], ["1"]],
               "u_lower": ["-1"], "u_upper": ["1"], "h": ["-1*z^2 + 1"], "dt": 0.1},
     "index": {"phi0": "1 - d", "order": 1, "eta": 0.1},
-    "solver": {"restarts": 3, "iterations": 666, "tolerance": 1e-6,
-               "seed": 0, "k_init": [0.2, 0.5]},
+    "solver": {"restarts": 3, "iterations": 666, "seed": 0, "k_init": [0.2, 0.5]},
     "falsifier": {"axes": [{"var": "d", "range": [-2.0, 2.0], "resolution": 50},
                            {"var": "z", "range": [-1.0, 1.0], "resolution": 50}],
-                  "samples": 1000, "slack": 1e-6, "seed": 0},
+                  "samples": 1000, "seed": 0},
 }
 
 
@@ -138,7 +137,7 @@ def gram_reconstruct(spec) -> Polynomial:
     return out
 
 
-def falsify_reference(fam, params, sys, cfg) -> list[Counterexample]:
+def falsify_reference(fam, params, sys, cfg) -> Counterexamples:
     """The falsifier on a materialized point list, an oracle for
     :func:`sisynth.falsifier.falsify`: the grid's full ``ij`` mesh flattened,
     then the random draws, with every polynomial evaluated at every point."""
@@ -180,7 +179,7 @@ def falsify_reference(fam, params, sys, cfg) -> list[Counterexample]:
             raise InvertedBoundError(i, state(int(np.argmax(bad))))
     phi = points(lowered.phi)
     worst = box_min((points(lg) for lg in lowered.lg), lower, upper, points(lowered.lf))
-    idx = np.nonzero(in_space & (phi >= 0.0) & (worst >= -params.eta - cfg.slack))[0]
-    return [Counterexample(state=state(j), phi_theta=float(phi[j]),
-                           worst_phidot=float(worst[j]))
-            for j in idx[np.argsort(-worst[idx], kind="stable")]]
+    idx = np.nonzero(in_space & (phi >= 0.0) & (worst >= -params.eta - SLACK))[0]
+    idx = idx[np.argsort(-worst[idx], kind="stable")]
+    return Counterexamples(states=np.stack([v[idx] for v in x], axis=1),
+                           phi_theta=phi[idx], worst_phidot=worst[idx])

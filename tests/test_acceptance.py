@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from sisynth.config import RunConfig, build_problem, default_unicycle_config
-from sisynth.falsifier import falsify
-from sisynth.feasibility import SolverFailure, jacobi_eigh_batch, solve
+from sisynth.falsifier import SLACK, falsify
+from sisynth.feasibility import TOLERANCE, SolverFailure, jacobi_eigh_batch, solve
 from sisynth.index import IndexParams
 from sisynth.sim import run_batch
 
@@ -28,7 +28,7 @@ def test_criterion_1_synthesis_reproduction(unicycle_problem):
     """Full-state-space instance, eigenvalue tolerance 1e-6, 10 restarts."""
     p = unicycle_problem
     assert p.solver_config.restarts == 10
-    assert p.solver_config.tolerance == 1e-6
+    assert TOLERANCE == 1e-6
     try:
         cert = solve(p.specs, p.layout, p.solver_config)
         restarts = cert.restarts
@@ -59,7 +59,7 @@ def test_criterion_2_certificate_implies_feasibility(restricted_problem,
     assert cert.valid
     fcfg = p.config.falsifier_config()
     assert [a.resolution for a in fcfg.axes] == [100, 100, 100]
-    assert fcfg.slack == 1e-6
+    assert SLACK == 1e-6
     params = p.params(cert.theta(p.layout))
     cexs = falsify(p.family, params, p.system, fcfg)
     ok = len(cexs) == 0
@@ -74,7 +74,7 @@ def test_criterion_3_infeasibility_detection(unicycle_problem):
     params = IndexParams(k=[0.0], eta=p.config.eta, enforce_min=False)
     direct = worst_case_phidot(p.family, params, [1.0, 0.0, 1.0, 1.0])
     cexs = falsify(p.family, params, p.system, p.config.falsifier_config())
-    found = cexs[0].worst_phidot if cexs else float("-inf")
+    found = cexs.worst_phidot[0] if cexs else float("-inf")
     # the sampled optimum must be within grid resolution of the analytic 1
     ok = direct == 1.0 and found >= 0.999 and found > -p.config.eta
     record(3, "infeasibility detection", ok,

@@ -56,12 +56,17 @@ class TestSynth:
         assert result.exit_code == 3
         assert "residual" in result.output
 
-    def test_negative_tolerance_rejected(self, runner, braking_config_path, tmp_path):
-        result = runner.invoke(main, ["synth", braking_config_path, "--tolerance", "-1",
-                                      "--output", str(tmp_path)])
-        assert result.exit_code != 0
-        assert "Invalid value for '--tolerance'" in result.output
-        assert not (tmp_path / "certificate.json").exists()
+    def test_tolerance_key_exit_four(self, runner, tmp_path):
+        # the tolerance is a constant; "tolerance": 1 once let synth report
+        # 10/10 valid restarts on the unrestricted unicycle, which no k certifies
+        raw = braking_config_dict()
+        raw["solver"]["tolerance"] = 1.0
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        result = runner.invoke(main, ["synth", str(cfg), "--output", str(tmp_path / "out")])
+        assert result.exit_code == 4, result.output
+        assert "solver key 'tolerance' must be absent (unknown key), got 1.0" in result.output
+        assert not (tmp_path / "out" / "certificate.json").exists()
 
     def test_negative_seed_rejected(self, runner, braking_config_path, tmp_path):
         # a negative solver seed once reached numpy and ended synth in a traceback
@@ -198,10 +203,9 @@ class TestVerify:
         decision[p.layout.gamma_idx] = rng.uniform(0, 1, size=len(p.layout.gamma_idx))
         decision[p.layout.theta_idx] = 0.0125
         cert = Certificate(decision=decision, variable_names=[v.name for v in p.layout.variables],
-                           lambda_mins=np.zeros(len(p.specs)), tolerance=1e3, seed=0,
-                           config_hash="")
+                           lambda_mins=np.zeros(len(p.specs)), seed=0, config_hash="")
         path = tmp_path / "lax.json"
-        path.write_text(json.dumps(cert.to_dict()))
+        path.write_text(json.dumps({**cert.to_dict(), "tolerance": 1e3}))
         result = runner.invoke(main, ["verify", RESTRICTED_CONFIG_PATH,
                                       "--certificate", str(path),
                                       "--output", str(tmp_path / "out")])
@@ -224,8 +228,9 @@ class TestVerify:
                      "got 1", id="resolution-1-axis resolution must be >= 2"),
         pytest.param("samples", -5, "falsifier key 'samples' must be an integer >= 0, got -5",
                      id="samples--5-falsifier samples must be >= 0"),
-        pytest.param("slack", -10.0, "falsifier key 'slack' must be a finite number >= 0, "
-                     "got -10.0", id="slack--10.0-falsifier slack must be >= 0"),
+        # slack is a constant, not a key
+        pytest.param("slack", -10.0, "falsifier key 'slack' must be absent (unknown key), "
+                     "got -10.0", id="slack-retired"),
         # a second axis on d once replaced the first, and verify --k 0.5 found
         # none of the 861 counterexamples and exited 0
         pytest.param("axes", [*braking_config_dict()["falsifier"]["axes"],
@@ -264,6 +269,54 @@ class TestVerify:
                                       "--output", str(tmp_path / "out")])
         assert result.exit_code == 4, result.output
         assert f"config error: {message}" in result.output
+
+    def test_stated_tolerance_does_not_change_verdict(self, runner, braking_config_path,
+                                                      synth_run, tmp_path):
+        # k = 0.5 leaves case 0 at lambda_min -1.64; a file that states a lax
+        # tolerance and its own validity gets the verdict of one that does not
+        _, outdir = synth_run
+        data = json.loads((outdir / "certificate.json").read_text())
+        data["decision"]["k"] = 0.5
+        outputs = []
+        for name, stated in [("plain", {}), ("lax", {"tolerance": 2.5, "valid": True})]:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**data, **stated}))
+            result = runner.invoke(main, ["verify", braking_config_path,
+                                          "--certificate", str(path),
+                                          "--output", str(tmp_path / name)])
+            assert result.exit_code == 2, result.output
+            assert "certificate check: FAIL" in result.output
+            outputs.append(result.output)
+        assert outputs[0] == outputs[1].replace(str(tmp_path / "lax"), str(tmp_path / "plain"))
+
+    def test_certificate_not_json_exit_four(self, runner, braking_config_path, tmp_path):
+        # it once ended in a JSONDecodeError traceback with exit 1
+        path = tmp_path / "cert.json"
+        path.write_text("{not json")
+        result = runner.invoke(main, ["verify", braking_config_path, "--certificate", str(path),
+                                      "--output", str(tmp_path / "out")])
+        assert result.exit_code == 4, result.output
+        assert "certificate error: cannot read" in result.output
+        assert "JSONDecodeError" in result.output
+        assert "certificate check" not in result.output
+
+    @pytest.mark.parametrize("edit", ["empty", "k-last"])
+    def test_certificate_of_another_layout_exit_four(self, runner, braking_config_path,
+                                                     synth_run, tmp_path, edit):
+        # an empty decision once failed the check and then ended in an
+        # IndexError traceback when verify read its k
+        _, outdir = synth_run
+        data = json.loads((outdir / "certificate.json").read_text())
+        decision = data["decision"]
+        data["decision"] = {} if edit == "empty" else {
+            **{n: v for n, v in decision.items() if n != "k"}, "k": decision["k"]}
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        result = runner.invoke(main, ["verify", braking_config_path, "--certificate", str(path),
+                                      "--output", str(tmp_path / "out")])
+        assert result.exit_code == 4, result.output
+        assert "certificate error: not made for this config: decision " in result.output
+        assert "certificate check" not in result.output
 
     def test_no_inputs_exit_four(self, runner, braking_config_path, tmp_path):
         result = runner.invoke(main, ["verify", braking_config_path,
@@ -356,6 +409,34 @@ class TestSimulate:
             "--certificate", str(bad), "--output", str(tmp_path)])
         assert result.exit_code == 2
         assert "refusing" in result.output
+
+
+    def test_certificate_without_lambda_mins_exit_four(self, runner, restricted_certificate,
+                                                       tmp_path):
+        # it once ended in a KeyError traceback with exit 1
+        data = restricted_certificate.to_dict()
+        del data["lambda_mins"]
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        result = runner.invoke(main, [
+            "simulate", RESTRICTED_CONFIG_PATH, "--certificate", str(path),
+            "--trials", "1", "--output", str(tmp_path / "out")])
+        assert result.exit_code == 4, result.output
+        assert "certificate error: cannot read" in result.output
+        assert "KeyError('lambda_mins')" in result.output
+        assert not (tmp_path / "out" / "report.md").exists()
+
+    def test_certificate_of_another_config_exit_four(self, runner, synth_run, tmp_path):
+        # the braking certificate once ran the unicycle trials at its k
+        _, outdir = synth_run
+        result = runner.invoke(main, [
+            "simulate", RESTRICTED_CONFIG_PATH,
+            "--certificate", str(outdir / "certificate.json"),
+            "--trials", "1", "--output", str(tmp_path / "out")])
+        assert result.exit_code == 4, result.output
+        assert "certificate error: not made for this config: decision dimension" \
+            in result.output
+        assert not (tmp_path / "out" / "report.md").exists()
 
 
 class TestReport:

@@ -22,13 +22,14 @@ def solver_config(**solver):
 
 class TestSolverConfig:
     def test_round_trip(self):
-        cfg = solver_config(restarts=2, iterations=300, tolerance=0, k_init=[0.5, 0.5])
+        cfg = solver_config(restarts=2, iterations=300, k_init=[0.5, 0.5])
         assert (cfg.restarts, cfg.iterations) == (2, 300)
-        assert cfg.tolerance == 0.0 and cfg.k_init == (0.5, 0.5)
+        assert cfg.k_init == (0.5, 0.5)
 
     @pytest.mark.parametrize("key, value", [
         # a k_init below the k floor once ran the first DR run at a negative k
         ("restarts", 0), ("restarts", True), ("k_init", [-1.0, 0.0]), ("k_init", [5e-5, 1.0]),
+        # tolerance is a constant, not a key: any value is an unknown key
         ("iterations", 0), ("iterations", 2.5), ("tolerance", -1.0),
         ("tolerance", math.inf), ("tolerance", math.nan), ("tolerance", "1e-6"),
         ("k_init", [0.5, 0.2]), ("k_init", [0.2, math.inf]), ("k_init", [0.2]),
@@ -135,8 +136,8 @@ class TestFalsifierSection:
     @pytest.mark.parametrize("edit, message", [
         pytest.param({"seed": -1}, "falsifier key 'seed' must be an integer >= 0, got -1",
                      id="edit0-falsifier seed must be >= 0"),
-        pytest.param({"slack": math.nan}, "falsifier key 'slack' must be a finite number >= 0, "
-                     "got nan", id="edit1-falsifier slack must be >= 0"),
+        pytest.param({"slack": math.nan}, "falsifier key 'slack' must be absent (unknown key), "
+                     "got nan", id="slack-retired"),
         pytest.param({"axes": [{"var": "d", "range": [0.0, 1.0], "resolution": 1}]},
                      RESOLUTION + "1", id="edit2-axis resolution must be >= 2"),
         pytest.param({"axes": [{"var": "d"}]}, RANGE + "nothing", id="edit3-'range'"),
@@ -155,8 +156,6 @@ class TestFalsifierSection:
                      id="seed-float"),
         pytest.param({"seed": True}, "falsifier key 'seed' must be an integer >= 0, got True",
                      id="seed-bool"),
-        pytest.param({"slack": "1e-6"}, "falsifier key 'slack' must be a finite number >= 0, "
-                     "got '1e-6'", id="slack-string"),
         pytest.param({"axes": [{"var": "d", "range": [0.0, 1.0], "resolution": 2.7}]},
                      RESOLUTION + "2.7", id="resolution-float"),
         pytest.param({"axes": [{"var": "d", "range": [0.0, 1.0], "resolution": True}]},
@@ -190,10 +189,10 @@ class TestFalsifierSection:
 
     def test_integers_kept_as_given(self):
         raw = braking_config_dict()
-        raw["falsifier"].update(samples=0, seed=5, slack=0)
+        raw["falsifier"].update(samples=0, seed=5)
         raw["falsifier"]["axes"][0]["resolution"] = 2
         cfg = RunConfig.from_dict(raw).falsifier_config()
-        assert (cfg.samples, cfg.seed, cfg.slack, cfg.axes[0].resolution) == (0, 5, 0.0, 2)
+        assert (cfg.samples, cfg.seed, cfg.axes[0].resolution) == (0, 5, 2)
         assert cfg.axes[1].resolution == 50
 
     def test_zero_samples_allowed(self):
@@ -293,13 +292,13 @@ class TestTypeSweep:
     SUBSTITUTES = [None, True, "x", [], {}, math.nan, -1, 2.5]
 
     # Every substitution that loads is a legitimate value: ordered finite
-    # bounds, a positive dt or eta, a lax tolerance or slack, a sampling range
+    # bounds, a positive dt or eta, a sampling range
     # the user may choose, defaults for a whole section, or a redundant split.
     LOADS = [
         "model.v_min=-1", "model.v_max=-1", "model.v_max=2.5", "model.w_min=-1",
         "model.w_max=-1", "model.w_max=2.5", "model.dt=2.5", "index.eta=2.5", "solver={}",
-        "solver.tolerance=2.5", "solver.aux_splits=[]", "solver.aux_splits.1='x'",
-        "solver.eliminate_nonneg=[]", "falsifier.slack=2.5", "sim={}", "sim.horizon=2.5",
+        "solver.aux_splits=[]", "solver.aux_splits.1='x'", "solver.eliminate_nonneg=[]",
+        "sim={}", "sim.horizon=2.5",
         *(f"falsifier.axes.{i}.range.{j}={v}" for i in range(3) for j in range(2)
           for v in (-1, 2.5)),
         "model.cos_alpha_min=None", "model.cos_alpha_min=-1"]
@@ -348,3 +347,6 @@ class TestReadme:
             for key, rule in rules.items():
                 must = rule.must if isinstance(rule.must, str) else ""
                 assert f"| `{key}` | {must}" in table, (section, key)
+            # and the reverse: a deleted key leaves no row behind
+            for key in re.findall(r"^\| `([^`]+)` \|", table, flags=re.M):
+                assert key in rules, (section, key)

@@ -21,7 +21,7 @@ def paper_falsifier_config(resolution=60, samples=2000):
               Axis(names=("x", "y"), lo=-np.pi, hi=np.pi, resolution=resolution,
                    angle=True),
               Axis(names=("z",), lo=-1.0, hi=1.0, resolution=resolution)],
-        samples=samples, slack=1e-6, seed=0)
+        samples=samples, seed=0)
 
 
 class TestAxis:
@@ -54,7 +54,7 @@ class TestFalsify:
         params = IndexParams(k=[0.0], eta=p.config.eta, enforce_min=False)
         cexs = falsify(p.family, params, p.system, paper_falsifier_config())
         assert cexs
-        assert cexs[0].worst_phidot >= 0.99
+        assert cexs.worst_phidot[0] >= 0.99
         # the analytic worst case: d = 1 (on the boundary), alpha = 0
         # (head-on), v = 1 (max speed) gives phidot exactly 1
         direct = worst_case_phidot(p.family, params, [1.0, 0.0, 1.0, 1.0])
@@ -64,17 +64,17 @@ class TestFalsify:
         p = unicycle_problem
         params = IndexParams(k=[0.0], eta=p.config.eta, enforce_min=False)
         cexs = falsify(p.family, params, p.system, paper_falsifier_config())
-        worst = [c.worst_phidot for c in cexs]
+        worst = cexs.worst_phidot.tolist()
         assert worst == sorted(worst, reverse=True)
 
     def test_counterexamples_on_manifold(self, unicycle_problem):
         p = unicycle_problem
         params = IndexParams(k=[0.0], eta=p.config.eta, enforce_min=False)
-        for c in falsify(p.family, params, p.system, paper_falsifier_config())[:50]:
-            d, x, y, z = c.state
+        cexs = falsify(p.family, params, p.system, paper_falsifier_config())
+        for (d, x, y, z), phi in zip(cexs.states[:50], cexs.phi_theta[:50]):
             assert x * x + y * y == pytest.approx(1.0, abs=1e-9)
             assert -1.0 - 1e-9 <= z <= 1.0 + 1e-9
-            assert c.phi_theta >= 0.0
+            assert phi >= 0.0
 
     def test_refinement_is_monotone(self, unicycle_problem):
         # a finer grid with the coarse grid's points embedded finds at least
@@ -92,7 +92,7 @@ class TestFalsify:
         k = braking_certificate.theta(p.layout)
         params = p.params(k)
         cexs = falsify(p.family, params, p.system, p.config.falsifier_config())
-        assert cexs == []
+        assert len(cexs) == 0
 
     def test_braking_counterexample_below_feasible_band(self, braking_problem):
         # k = 0.5 < 1 + eta cannot brake in time from full closing speed
@@ -100,7 +100,7 @@ class TestFalsify:
         params = IndexParams(k=[0.5], eta=p.config.eta)
         cexs = falsify(p.family, params, p.system, p.config.falsifier_config())
         assert cexs
-        assert cexs[0].worst_phidot >= 1.0 - 0.5 - 1e-9
+        assert cexs.worst_phidot[0] >= 1.0 - 0.5 - 1e-9
 
     def test_missing_axis_rejected(self, braking_problem):
         p = braking_problem
@@ -110,7 +110,8 @@ class TestFalsify:
 
 
 def _records(cexs):
-    return [(c.state.tobytes(), c.phi_theta, c.worst_phidot) for c in cexs]
+    return (cexs.states.shape, cexs.states.tobytes(), cexs.phi_theta.tobytes(),
+            cexs.worst_phidot.tobytes())
 
 
 class TestFactoredGrid:
@@ -192,5 +193,38 @@ class TestCsv:
         assert rows[0] == ["d", "x", "y", "z", "phi_theta", "worst_phidot"]
         assert len(rows) == len(cexs) + 1
         first = [float(v) for v in rows[1]]
-        assert np.allclose(first[:4], cexs[0].state, atol=1e-9)
-        assert first[5] == pytest.approx(cexs[0].worst_phidot, abs=1e-9)
+        assert np.allclose(first[:4], cexs.states[0], atol=1e-9)
+        assert first[5] == pytest.approx(cexs.worst_phidot[0], abs=1e-9)
+
+    @staticmethod
+    def rows_csv(cexs, sys, path):
+        """The CSV written one hit at a time, as ``counterexamples_csv`` wrote
+        it when ``falsify`` returned one object per hit."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([v.name for v in sys.state_vars] + ["phi_theta", "worst_phidot"])
+            for state, phi, worst in zip(cexs.states, cexs.phi_theta, cexs.worst_phidot):
+                writer.writerow([f"{x:.12g}" for x in state]
+                                + [f"{float(phi):.12g}", f"{float(worst):.12g}"])
+
+    @pytest.mark.parametrize("problem, k, enforce_min, count", [
+        ("braking_problem", 0.5, True, 861), ("unicycle_problem", 0.0, False, 126356)],
+        ids=["braking-k0.5", "unrestricted-k0"])
+    def test_bytes_match_reference_rows(self, request, tmp_path, problem, k, enforce_min, count):
+        p = request.getfixturevalue(problem)
+        cfg = p.config.falsifier_config()
+        params = IndexParams(k=[k], eta=p.config.eta, enforce_min=enforce_min)
+        cexs = falsify(p.family, params, p.system, cfg)
+        assert len(cexs) == count
+        counterexamples_csv(cexs, p.system, str(tmp_path / "columns.csv"))
+        self.rows_csv(falsify_reference(p.family, params, p.system, cfg), p.system,
+                      str(tmp_path / "rows.csv"))
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+class TestCounterexamples:
+    def test_empty_record_is_false(self, braking_problem):
+        p = braking_problem
+        cexs = falsify(p.family, p.params([1.5]), p.system, p.config.falsifier_config())
+        assert len(cexs) == 0 and bool(cexs) is False
+        assert cexs.states.shape == (0, 2)

@@ -12,6 +12,7 @@ from sisynth.feasibility import (
     AffineGramMap,
     Certificate,
     DecisionLayout,
+    TOLERANCE,
     GramStack,
     SolverFailure,
     _mono_repr,
@@ -409,7 +410,7 @@ class TestSolve:
         k = cert.theta(p.layout)
         # the instance is feasible exactly for k > 1 + eta = 1.1
         assert k[0] > 1.1
-        assert np.all(cert.lambda_mins >= -p.solver_config.tolerance)
+        assert np.all(cert.lambda_mins >= -TOLERANCE)
         ok, diagnostics = check_certificate(p.specs, p.layout, cert)
         assert ok, diagnostics
 
@@ -438,7 +439,7 @@ class TestSolve:
         assert len(failure.certificate.restarts) == 1
         cert = failure.certificate
         assert failure.residual == float(np.sum(np.maximum(0.0, -cert.lambda_mins
-                                                           - cert.tolerance) ** 2))
+                                                           - TOLERANCE) ** 2))
 
     @staticmethod
     def rank(restart):
@@ -542,7 +543,7 @@ class TestSolve:
         [restart] = cert.restarts
         record = restart["runs"][0]
         assert record["dr_iters"] == 500 and record["stop"] == "budget"
-        assert record["lambda_min"] < -cfg.tolerance
+        assert record["lambda_min"] < -TOLERANCE
         assert restart["valid"] and restart["grid"] and len(restart["runs"]) > 1
 
     def test_certifiable_restart_certifies_in_round_zero(self, restricted_problem):
