@@ -55,6 +55,17 @@ def _certificate(path: str, problem: Problem) -> Certificate:
     return cert
 
 
+def _check(cert: Certificate, problem: Problem) -> bool:
+    """Re-check ``cert`` from its decision vector at the config's k floor,
+    echoing the verdict and its diagnostics; True on pass."""
+    ok, diagnostics = check_certificate(problem.specs, problem.layout, cert,
+                                        k_min=problem.solver_config.k_min)
+    click.echo(f"certificate check: {'pass' if ok else 'FAIL'}")
+    for line in diagnostics:
+        click.echo(f"  {line}", err=True)
+    return ok
+
+
 def _outdir(cfg: RunConfig, seed: int, override: str | None) -> Path:
     path = Path(override) if override else Path("runs") / f"{cfg.digest()}-{seed}"
     path.mkdir(parents=True, exist_ok=True)
@@ -134,6 +145,8 @@ def synth(config_path, seed, output):
 @click.option("--output", type=click.Path(file_okay=False), default=None)
 def verify(config_path, cert_path, k_values, output):
     """Re-check a certificate and run the sampling falsifier."""
+    if cert_path is not None and k_values:
+        _config_error("verify takes --certificate or --k, not both")
     cfg, problem = _load(config_path)
     try:
         fcfg = cfg.falsifier_config()
@@ -144,12 +157,7 @@ def verify(config_path, cert_path, k_values, output):
 
     if cert_path is not None:
         cert = _certificate(cert_path, problem)
-        ok, diagnostics = check_certificate(problem.specs, problem.layout, cert,
-                                            k_min=problem.solver_config.k_min)
-        click.echo(f"certificate check: {'pass' if ok else 'FAIL'}")
-        for line in diagnostics:
-            click.echo(f"  {line}", err=True)
-        clean &= ok
+        clean &= _check(cert, problem)
         k = cert.theta(problem.layout)
         enforce_min = True
     elif k_values:
@@ -197,6 +205,8 @@ def simulate(config_path, cert_path, trials, seed, trajectories, output):
     cert = _certificate(cert_path, problem)
     if not cert.valid:
         click.echo("certificate is not valid; refusing to simulate", err=True)
+        _sys.exit(EXIT_SAFETY)
+    if not _check(cert, problem):
         _sys.exit(EXIT_SAFETY)
 
     if trials is not None:

@@ -10,10 +10,12 @@ crosses the bound.
 
 :func:`project` is the law itself.  It works on plain floats: the values
 it reads at a state, ``L_f phi``, ``L_g phi``, ``phi_theta`` and the control
-box, come from one call of :meth:`~sisynth.index.LoweredIndex.at`, so the
-simulator calls it on every step without building dicts or arrays.
-:func:`safe_control` is the public wrapper that lowers the family for one
-call.
+box, come from the lowered members of
+:class:`~sisynth.index.LoweredIndex`, which the simulator's generated trial
+loop evaluates inline, so it calls ``project`` without building dicts or
+arrays.  :func:`safe_control` is the public wrapper for one state: it reads
+the box from :meth:`~sisynth.system.SymbolicSystem.control_box` and the rest
+from the lowered members.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import Sequence
 import numpy as np
 
 from .index import IndexParams, SafetyIndexFamily, box_min
-from .system import SymbolicSystem
 
 FEAS_TOL = 1e-9
 CRUISE_SPEED = 0.8   # the nominal controller's target speed
@@ -53,7 +54,7 @@ class SafeControlResult:
 
 
 def safe_control(fam: SafetyIndexFamily, params: IndexParams, state: Sequence[float],
-                 u_ref: Sequence[float], sys: SymbolicSystem | None = None) -> SafeControlResult:
+                 u_ref: Sequence[float]) -> SafeControlResult:
     """Project the nominal control onto the safety constraint and box.
 
     Inactive index (``phi_theta < 0``): the nominal control is clamped to the
@@ -61,9 +62,12 @@ def safe_control(fam: SafetyIndexFamily, params: IndexParams, state: Sequence[fl
     ``min ||u - u_ref||^2  s.t.  c.u <= b,  u in box`` exactly, where
     ``c = L_g phi`` and ``b = -eta - L_f phi`` at the current state.
     """
-    lowered = fam.lowered(params, sys)
-    _, lower, upper, lf, c, phi = lowered.at(state)
-    u, active, phidot = project(state, u_ref, lower, upper, lf, c, phi, lowered.eta)
+    lowered = fam.lowered(params)
+    lower, upper = fam.system.control_box(state)
+    u, active, phidot = project(state, u_ref, lower.tolist(), upper.tolist(),
+                                lowered.lf.evaluate(state),
+                                [p.evaluate(state) for p in lowered.lg],
+                                lowered.phi.evaluate(state), lowered.eta)
     return SafeControlResult(u=np.array(u), constraint_active=active, phidot_achieved=phidot)
 
 
@@ -86,8 +90,8 @@ def project(x: Sequence[float], u_ref: Sequence[float], lower: Sequence[float],
 
     ``x`` is the state (named in an :class:`Infeasible` error), ``u_ref``
     the nominal control; ``lower``/``upper``, ``lf``, ``c`` (``L_g phi``)
-    and ``phi`` (``phi_theta``) are the values at ``x`` from
-    :meth:`~sisynth.index.LoweredIndex.at`, and ``eta`` the required decay.
+    and ``phi`` (``phi_theta``) are their values at ``x``, and ``eta`` the
+    required decay.
     Returns the control, whether the index was active, and the achieved
     ``phidot``.
     """

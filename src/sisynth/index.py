@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .poly import LoweredPolynomial, Polynomial, VarId, VarKind, VarRegistry, _compile_lowered
-from .system import STATE_TOL, InvertedBoundError, SymbolicSystem
+from .poly import LoweredPolynomial, Polynomial, VarId, VarKind, VarRegistry
+from .system import SymbolicSystem
 
 K_MIN = 1e-4
 
@@ -92,11 +92,7 @@ class LoweredIndex:
 
     Every member evaluates a state given as a sequence of floats (one trial
     step) or of arrays (a batch of sampled points), ordered as the system's
-    state variables.  ``evaluate`` is one compiled function of a single
-    state that returns every value the safe control law reads, grouped as
-    ``(chain, lower, upper, lf, lg, phi)``; each value is the expression of
-    the member's own ``source``, so it equals the member's ``evaluate`` bit
-    for bit.  Identical indices share one compiled function.
+    state variables.
     """
 
     chain: tuple[LoweredPolynomial, ...]   # numeric members phi_0 .. phi_n
@@ -107,28 +103,6 @@ class LoweredIndex:
     upper: tuple[LoweredPolynomial, ...]
     eta: float
     dim: int                               # state dimension
-    evaluate: Callable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        group = lambda sources: "(" + "".join(s + ", " for s in sources) + ")"
-        source = group([group(p.source for p in self.chain),
-                        group(p.source for p in self.lower),
-                        group(p.source for p in self.upper),
-                        self.lf.source,
-                        group(p.source for p in self.lg),
-                        self.phi.source])
-        object.__setattr__(self, "evaluate", _compile_lowered(source))
-
-    def at(self, x: Sequence[float]) -> tuple:
-        """``(chain, lower, upper, lf, lg, phi)`` at one state, from one
-        compiled call; raises on an inverted control bound."""
-        if len(x) != self.dim:
-            raise ValueError("state dimension mismatch")
-        values = self.evaluate(x)
-        for i, (lo, hi) in enumerate(zip(values[1], values[2])):
-            if lo > hi + STATE_TOL:
-                raise InvertedBoundError(i, np.asarray(x, dtype=float))
-        return values
 
 
 def _elementary_symmetric(values: Sequence[float], m: int) -> float:

@@ -229,10 +229,10 @@ def _trial_loop(lowered: LoweredIndex):
     appends each step's row to ``rows`` with ``record``, and returns whether
     the goal was reached.  Its float operations are those of
     :func:`relative_state`, :func:`sym_state`, the members' own ``source``
-    and :meth:`~sisynth.index.LoweredIndex.at`'s box check, in the same
-    order, so a trial's values match theirs bit for bit.  An inverted box
-    raises :class:`~sisynth.system.InvertedBoundError` after its state's
-    chain values are added to ``phis``.
+    and :meth:`~sisynth.system.SymbolicSystem.control_box`'s inversion check,
+    in the same order, so a trial's values match theirs bit for bit.  An
+    inverted box raises :class:`~sisynth.system.InvertedBoundError` after
+    its state's chain values are added to ``phis``.
     """
     if lowered.dim != len(STATE_VARS):
         raise ValueError("state dimension mismatch")

@@ -118,11 +118,19 @@ def world_from_relative(rel):
                       speed=rel.v)
 
 
+def members_at(lowered, x) -> tuple:
+    """``(chain, lower, upper, lf, lg, phi)`` of a lowered index at the state
+    ``x``, each member evaluated on its own."""
+    each = lambda polys: tuple(p.evaluate(x) for p in polys)
+    return (each(lowered.chain), each(lowered.lower), each(lowered.upper),
+            lowered.lf.evaluate(x), each(lowered.lg), lowered.phi.evaluate(x))
+
+
 def worst_case_phidot(fam, params, state) -> float:
     """Minimum of d(phi_theta)/dt over the control box at ``state``, from the
-    library's own evaluator (``LoweredIndex.at``) and vertex rule
-    (``box_min``), the two the controller and the falsifier run."""
-    _, lower, upper, lf, c, _ = fam.lowered(params).at(state)
+    library's lowered members and vertex rule (``box_min``), the two the
+    controller and the falsifier run."""
+    _, lower, upper, lf, c, _ = members_at(fam.lowered(params), state)
     return float(box_min(c, lower, upper, lf))
 
 

@@ -323,6 +323,17 @@ class TestVerify:
                                       "--output", str(tmp_path)])
         assert result.exit_code == 4
 
+    def test_certificate_with_k_exit_four(self, runner, braking_config_path, synth_run,
+                                          tmp_path):
+        # the certificate fixes k; a --k beside it was once silently dropped
+        _, outdir = synth_run
+        result = runner.invoke(main, ["verify", braking_config_path,
+                                      "--certificate", str(outdir / "certificate.json"),
+                                      "--k", "0.0", "--output", str(tmp_path)])
+        assert result.exit_code == 4, result.output
+        assert "verify takes --certificate or --k, not both" in result.output
+        assert not (tmp_path / "counterexamples.csv").exists()
+
 
 @pytest.fixture(scope="module")
 def restricted_cert_path(restricted_certificate, tmp_path_factory):
@@ -410,6 +421,21 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "refusing" in result.output
 
+
+    def test_tampered_certificate_rechecked(self, runner, restricted_certificate, tmp_path):
+        # the file's own lambda_mins still read valid; the Gram matrices at
+        # its k do not, and once ran their trials
+        data = restricted_certificate.to_dict()
+        data["decision"]["k"] = 1.0
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(data))
+        result = runner.invoke(main, [
+            "simulate", RESTRICTED_CONFIG_PATH, "--certificate", str(path),
+            "--trials", "2", "--output", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "certificate check: FAIL" in result.output
+        assert "Safe Set (%)" not in result.output
+        assert not (tmp_path / "out" / "report.md").exists()
 
     def test_certificate_without_lambda_mins_exit_four(self, runner, restricted_certificate,
                                                        tmp_path):

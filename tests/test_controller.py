@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sisynth.config import RunConfig, build_problem
 from sisynth.controller import (
     FEAS_TOL,
     Infeasible,
@@ -11,6 +12,9 @@ from sisynth.controller import (
 )
 from sisynth.index import IndexParams, LoweredIndex
 from sisynth.poly import Polynomial
+from sisynth.system import InvertedBoundError
+
+from conftest import braking_config_dict, members_at
 
 # |u - u_bisect| <= REFERENCE_TOL * max(1, |u|) against the bisection reference
 REFERENCE_TOL = 1e-9
@@ -174,6 +178,22 @@ class TestSafeControl:
         assert res.constraint_active
         assert res.u[0] == pytest.approx(-1.0, abs=1e-12)
 
+    def test_inverted_bound_raises(self):
+        # the acceleration floor d - 1 passes the ceiling 1 once d > 2
+        cfg = braking_config_dict()
+        cfg["model"]["u_lower"] = ["d - 1"]
+        p = build_problem(RunConfig.from_dict(cfg))
+        params = p.params([2.0])
+        assert safe_control(p.family, params, [0.5, 0.2], [0.0]).constraint_active
+        with pytest.raises(InvertedBoundError, match="inverted in dimension 0") as exc:
+            safe_control(p.family, params, [2.5, 0.2], [0.0])
+        assert exc.value.dim == 0
+
+    def test_state_dimension_mismatch_raises(self, braking_problem):
+        p = braking_problem
+        with pytest.raises(ValueError, match="dimension"):
+            safe_control(p.family, p.params([2.0]), [0.5, 0.2, 0.1], [0.0])
+
 
 class TestNominalControl:
     def test_steers_toward_goal(self):
@@ -211,7 +231,7 @@ class TestExactProjection:
         for _ in range(200 * count):
             alpha = rng.uniform(-np.pi, np.pi)
             x = [rng.uniform(0.3, 1.2), np.sin(alpha), np.cos(alpha), rng.uniform(-1.0, 1.0)]
-            _, lower, upper, lf, c, phi = lowered.at(x)
+            _, lower, upper, lf, c, phi = members_at(lowered, x)
             if phi < 0.0:
                 continue
             b = -lowered.eta - lf
@@ -249,7 +269,7 @@ class TestExactProjection:
         b = -low.eta - lf
         assert dot(c, np.clip(u_ref, lower, upper)) > b + FEAS_TOL
         x = [0.0] * len(c)
-        _, _, _, lf_x, c_x, phi_x = low.at(x)
+        _, _, _, lf_x, c_x, phi_x = members_at(low, x)
         u, active, _ = project(x, u_ref, lower, upper, lf_x, c_x, phi_x, low.eta)
         assert active
         assert dot(c, u) <= b
@@ -279,7 +299,7 @@ class TestExactProjection:
         b = -low.eta - low.lf.evaluate([])
         assert b < -2.0 <= b + FEAS_TOL
         assert bisection_reference([0.0, 0.0], [1.0, 1.0], b, [-1.0, -1.0], [1.0, 1.0]) is None
-        _, _, _, lf, c, phi = low.at([0.0, 0.0])
+        _, _, _, lf, c, phi = members_at(low, [0.0, 0.0])
         with pytest.raises(Infeasible) as exc_info:
             project([0.0, 0.0], [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0], lf, c, phi, low.eta)
         assert exc_info.value.best == pytest.approx(low.lf.evaluate([]) - 2.0, abs=1e-15)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from sisynth.sim import (
 )
 from sisynth.system import STATE_TOL, InvertedBoundError
 
-from conftest import RESTRICTED_CONFIG_PATH, braking_config_dict, world_from_relative
+from conftest import RESTRICTED_CONFIG_PATH, braking_config_dict, members_at, world_from_relative
 
 
 def step_world(world, u, dt):
@@ -376,7 +377,7 @@ class TestFusedStep:
                     continue
                 _, px, py, psi, v, d, alpha, _, a, w = row[:10]
                 x = (d, math.sin(alpha), math.cos(alpha), v)
-                _, lower, upper, lf, c, phi_theta = lowered.at(x)
+                _, lower, upper, lf, c, phi_theta = members_at(lowered, x)
                 u_ref = nominal_control((px, py), psi, v, goal, (lower, upper))
                 u, was_active, _ = project(x, u_ref, lower, upper, lf, c, phi_theta,
                                            lowered.eta)
@@ -453,7 +454,7 @@ class TestFusedStep:
         assert any(steps > 0 for steps in failed_at)
 
     def test_inverted_box_checked_before_goal(self, restricted_problem):
-        # LoweredIndex.at raised before the goal test: a trial that starts on
+        # the box is checked before the goal test: a trial that starts on
         # its goal in an inverted box still fails
         from sisynth import sim
         p = restricted_problem
@@ -487,6 +488,21 @@ class TestBenchmarkHooks:
         for name in ("step", "nominal_control", "safe_control", "run_trial", "run_batch"):
             assert callable(getattr(sim, name))
         assert callable(falsifier.falsify)
+
+    def test_traced_bench_wraps_every_name(self, monkeypatch):
+        # bench/worker.py --trace 1 wraps each name it traces by attribute
+        # lookup, so a deleted name fails here, not only in a traced bench run
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import tracer
+        import worker
+        t = tracer.Tracer()
+        try:
+            worker.install_tracer(t)
+            assert len(t._patches) == len(t.totals) == 17
+            for owner, attr, fn in t._patches:
+                assert getattr(owner, attr).__wrapped__ is fn, attr
+        finally:
+            t.restore()
 
     def test_patched_step_counts_batch_steps(self, restricted_problem, restricted_certificate,
                                              monkeypatch):
