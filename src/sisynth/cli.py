@@ -38,7 +38,7 @@ def _load(config_path: str) -> tuple[RunConfig, Problem]:
     try:
         cfg = RunConfig.load(config_path)
         return cfg, build_problem(cfg)
-    except ValueError as exc:   # ConfigError, RelativeDegreeError, DegreeOverflowError
+    except ValueError as exc:   # ConfigError, RelativeDegreeError
         _config_error(exc)
 
 
@@ -164,6 +164,10 @@ def verify(config_path, cert_path, k_values, output):
         # raw parameters are a falsification probe, so the k floor is not
         # enforced: k = 0 is a legitimate query and must produce its
         # counterexample rather than a config error
+        n = problem.family.order
+        if len(k_values) != n:
+            _config_error(f"--k takes {n} value{'s' * (n > 1)} for this config's index, "
+                          f"got {len(k_values)}")
         k = np.array(k_values)
         enforce_min = False
     else:
@@ -172,7 +176,8 @@ def verify(config_path, cert_path, k_values, output):
     try:
         params = IndexParams(k=k, eta=cfg.eta, enforce_min=enforce_min)
         cexs = falsify(problem.family, params, problem.system, fcfg)
-    except ValueError as exc:   # k below the floor, axes that miss a state variable, inverted box
+    except ValueError as exc:   # k below the floor or with roots not real and positive,
+        # axes that miss a state variable, inverted box
         _config_error(exc)
     click.echo(f"falsifier: {len(cexs)} counterexample(s)")
     if cexs:

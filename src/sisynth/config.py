@@ -1,7 +1,7 @@
 """Run configuration: one JSON file wiring model, index, solver, and harness.
 
 Sections: ``model`` (system schema or a named builtin, with the control
-period ``dt``), ``index`` (base index literal, chain order, margin),
+period ``dt``), ``index`` (base index literal and margin),
 ``solver`` (restarts, DR iterations, the k range, refute-set shaping),
 ``falsifier`` (sampling axes), ``sim`` (trial batch: ``trials``,
 ``horizon``, ``seed``).  Every section is checked against :data:`RULES` at
@@ -111,7 +111,7 @@ RULES: dict[str, dict[str, Rule]] = {
                               "null or a finite number in [-1, 1]")},
     "index": {
         "phi0": Rule(lambda v, s: isinstance(v, str), "a polynomial literal (a string)", True),
-        "order": _integer(1), "eta": _number(0, strict=True)},
+        "eta": _number(0, strict=True)},
     "solver": {
         "restarts": _integer(1), "iterations": _integer(1), "seed": _integer(0),
         # below the index floor, verify and simulate refuse the chain
@@ -120,7 +120,6 @@ RULES: dict[str, dict[str, Rule]] = {
                        lambda s: f"a pair [lo, hi] of finite numbers with "
                                  f"{s.get('k_min', K_MIN)} <= lo <= hi"),
         "product_order": Rule(lambda v, s: _is_int(v) and v in (1, 2), "1 or 2"),
-        "basis_degree": _integer(1),
         "aux_splits": _strings(_LITERALS), "eliminate_nonneg": _strings(_NAMES)},
     "falsifier": {
         "axes": Rule(lambda v, s: bool(v) and _is_list(
@@ -208,10 +207,6 @@ class RunConfig:
     def eta(self) -> float:
         return float(self.index.get("eta", 0.1))
 
-    @property
-    def order(self) -> int:
-        return self.index.get("order", 1)
-
     def digest(self) -> str:
         return hashlib.sha256(
             json.dumps(self.raw, sort_keys=True).encode()).hexdigest()[:12]
@@ -266,7 +261,7 @@ def build_problem(cfg: RunConfig) -> Problem:
         phi0 = parse_polynomial(cfg.index["phi0"], registry)
     except PolynomialParseError as exc:
         raise ConfigError(f"bad phi0 literal: {exc}") from exc
-    fam = build_chain(phi0, cfg.order, sys)
+    fam = build_chain(phi0, sys)
 
     s = cfg.solver
     try:
@@ -283,7 +278,7 @@ def build_problem(cfg: RunConfig) -> Problem:
     specs = []
     for case in cases:
         p0 = build_p0(case, registry, product_order=s.get("product_order", 1))
-        specs.append(build_gram(p0, s.get("basis_degree", 1), registry, kernel_tag=case.label))
+        specs.append(build_gram(p0, registry, kernel_tag=case.label))
     layout = DecisionLayout.build(fam.theta, cases, specs)
     return Problem(config=cfg, system=sys, family=fam, cases=cases, specs=specs,
                    layout=layout, solver_config=cfg.solver_config())

@@ -158,6 +158,6 @@ def falsify(fam: SafetyIndexFamily, params: IndexParams, sys: SymbolicSystem,
 def counterexamples_csv(cexs: Counterexamples, sys: SymbolicSystem, path: str) -> None:
     rows = np.column_stack([cexs.states, cexs.phi_theta, cexs.worst_phidot])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([v.name for v in sys.state_vars] + ["phi_theta", "worst_phidot"])
-        writer.writerows([f"{x:.12g}" for x in row] for row in rows.tolist())
+        csv.writer(fh).writerow([v.name for v in sys.state_vars] + ["phi_theta", "worst_phidot"])
+        row = ",".join(["%.12g"] * rows.shape[1]) + "\r\n"   # csv.writer's dialect
+        fh.write("".join(row % tuple(r) for r in rows.tolist()))

@@ -113,16 +113,17 @@ def _elementary_symmetric(values: Sequence[float], m: int) -> float:
 class IndexParams:
     """Numeric chain parameters.
 
-    ``k`` holds the derivative weights; ``roots`` the (positive) roots of
-    the characteristic polynomial.  For order 1 they coincide.  Construct
-    higher orders through :meth:`from_roots` so the no-overshoot condition
-    holds by construction.
+    ``k`` holds the derivative weights and ``roots`` the roots ``r_j`` of
+    the characteristic polynomial, ``1 + k_1 s + ... + k_n s^n =
+    prod_j (1 + r_j s)``, sorted ascending.  For order 1 they coincide.
+    Above order 1 a ``k`` is refused unless every root is real and positive,
+    the no-overshoot condition on the chain.
     """
 
     k: np.ndarray
     eta: float
-    roots: np.ndarray = field(default=None)  # type: ignore[assignment]
     enforce_min: bool = True
+    roots: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.k = np.atleast_1d(np.asarray(self.k, dtype=float))
@@ -131,55 +132,52 @@ class IndexParams:
         if self.enforce_min and np.any(self.k < K_MIN):
             raise RelativeDegreeError(
                 f"k components below the {K_MIN} floor degenerate the chain: {self.k}")
-        if self.roots is None:
-            if len(self.k) != 1:
-                raise ValueError("orders above 1 must be built with from_roots()")
+        n = len(self.k)
+        if n == 1:
             self.roots = self.k.copy()
-        else:
-            self.roots = np.atleast_1d(np.asarray(self.roots, dtype=float))
-
-    @classmethod
-    def from_roots(cls, roots: Sequence[float], eta: float) -> "IndexParams":
-        roots = np.atleast_1d(np.asarray(roots, dtype=float))
-        if np.any(roots <= 0):
-            raise ValueError("characteristic roots must be positive")
-        k = np.array([_elementary_symmetric(roots, m) for m in range(1, len(roots) + 1)])
-        return cls(k=k, eta=eta, roots=roots)
+            return
+        s = np.roots(np.r_[self.k[::-1], 1.0]) if np.all(np.isfinite(self.k)) else []
+        # a root of multiplicity m is computed to about eps**(1/m) only
+        tol = 10 * np.finfo(float).eps ** (1 / n) * np.abs(s)
+        if len(s) != n or np.any(np.abs(np.imag(s)) > tol) or np.any(np.real(s) >= 0):
+            raise ValueError(f"k = {self.k.tolist()} has characteristic roots that are "
+                             f"not all real and positive")
+        self.roots = np.sort(-1.0 / np.real(s))
 
 
-def build_chain(phi0: Polynomial, n: int, sys: SymbolicSystem,
+def build_chain(phi0: Polynomial, sys: SymbolicSystem,
                 registry: VarRegistry | None = None) -> SafetyIndexFamily:
-    """Construct the order-n family with symbolic Lie derivatives.
+    """Construct the family whose order is the relative degree of phi0.
 
-    The control must not appear in any derivative below order n, and the
-    top derivative must actually see the control.
+    ``L_f`` is applied to phi0 until ``L_g`` of the result is nonzero, at
+    most once per state variable; the number of steps is the order, so the
+    top derivative sees the control and no lower one does.
     """
-    if n < 1:
-        raise ValueError("chain order must be >= 1")
     registry = registry if registry is not None else sys.registry
     if any(v.kind is not VarKind.STATE for v in phi0.variables()):
         raise ValueError("phi0 must involve state variables only")
+    if any(not c.is_zero() for c in lie_g(phi0, sys)):
+        raise RelativeDegreeError("control appears in phi0 derivative of order 0; "
+                                  "expected only at order 1 or above")
 
     derivs = []
     current = phi0
-    for i in range(1, n + 1):
-        if any(not c.is_zero() for c in lie_g(current, sys)):
-            raise RelativeDegreeError(
-                f"control appears in phi0 derivative of order {i - 1}; expected only at order {n}")
+    for _ in sys.state_vars:
         current = lie_f(current, sys)
         derivs.append(current)
+        if any(not c.is_zero() for c in lie_g(current, sys)):
+            break
+    else:
+        raise RelativeDegreeError("L_g phi is identically zero: the control cannot affect the index")
+    n = len(derivs)
 
     theta = [registry.decision(f"k{i}" if n > 1 else "k") for i in range(1, n + 1)]
     phi_theta = phi0
     for kv, dpoly in zip(theta, derivs):
         phi_theta = phi_theta + Polynomial.variable(kv) * dpoly
-
-    Lf = lie_f(phi_theta, sys)
-    Lg = lie_g(phi_theta, sys)
-    if all(c.is_zero() for c in Lg):
-        raise RelativeDegreeError("L_g phi is identically zero: the control cannot affect the index")
     return SafetyIndexFamily(phi0=phi0, order=n, theta=theta, phi0_derivs=derivs,
-                             phi_theta=phi_theta, Lf_phi=Lf, Lg_phi=Lg, system=sys)
+                             phi_theta=phi_theta, Lf_phi=lie_f(phi_theta, sys),
+                             Lg_phi=lie_g(phi_theta, sys), system=sys)
 
 
 def box_min(c: Iterable, lower: Sequence, upper: Sequence, start=0.0):

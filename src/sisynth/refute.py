@@ -20,10 +20,6 @@ from .poly import (Monomial, Polynomial, VarId, VarKind, VarRegistry,
 from .system import SymbolicSystem
 
 
-class DegreeOverflowError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Split:
     """One sign branch: an indicator name and the polynomial it signs."""
@@ -229,9 +225,14 @@ def state_monomials(variables: Sequence[VarId], max_degree: int) -> list[Monomia
     return sorted(out, key=grlex_key)
 
 
-def build_gram(p0: Polynomial, basis_degree: int, registry: VarRegistry | None = None,
+def build_gram(p0: Polynomial, registry: VarRegistry | None = None,
                kernel_tag: str = "") -> GramSpec:
-    """Decompose p0 as ``x^T Q x`` over the state-monomial basis.
+    """Decompose p0 as ``x^T Q x`` over the state monomials of degree up to
+    half p0's state degree, rounded up.
+
+    A larger basis adds only monomials outside half the Newton polytope of
+    p0, and every PSD Gram matrix of p0 is zero on their rows (Reznick,
+    "Extremal PSD forms with few terms", Duke Math. J. 1978).
 
     The coefficient of each state monomial is distributed over the basis
     pairs that produce it: diagonal entries take the full share, symmetric
@@ -244,10 +245,7 @@ def build_gram(p0: Polynomial, basis_degree: int, registry: VarRegistry | None =
     collected = p0.collect_by_state()
     svars = sorted({v for m in collected for v, _ in m}, key=lambda v: v.index)
     max_deg = max((monomial_degree(m) for m in collected), default=0)
-    if max_deg > 2 * basis_degree:
-        raise DegreeOverflowError(
-            f"p0 has state degree {max_deg}, above basis capacity {2 * basis_degree}")
-    basis = state_monomials(svars, basis_degree)
+    basis = state_monomials(svars, (max_deg + 1) // 2)
     n = len(basis)
 
     pairs: dict[Monomial, list[tuple[int, int]]] = {}
@@ -267,9 +265,7 @@ def build_gram(p0: Polynomial, basis_degree: int, registry: VarRegistry | None =
             entries[j][i] = entries[j][i] + half
 
     for m, coeff_poly in collected.items():
-        plist = pairs.get(m)
-        if plist is None:
-            raise DegreeOverflowError(f"state monomial {m} not representable over the basis")
+        plist = pairs[m]
         if len(plist) > 1 and registry is None:
             raise ValueError(f"state monomial {m} has several basis pairs; "
                              "its kernel shares need a registry")

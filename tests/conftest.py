@@ -50,7 +50,7 @@ def restricted_certificate(restricted_problem):
 BRAKING_CONFIG = {
     "model": {"state_vars": ["d", "z"], "f": ["-1*z", "0"], "g": [["0"], ["1"]],
               "u_lower": ["-1"], "u_upper": ["1"], "h": ["-1*z^2 + 1"], "dt": 0.1},
-    "index": {"phi0": "1 - d", "order": 1, "eta": 0.1},
+    "index": {"phi0": "1 - d", "eta": 0.1},
     "solver": {"restarts": 3, "iterations": 666, "seed": 0, "k_init": [0.2, 0.5]},
     "falsifier": {"axes": [{"var": "d", "range": [-2.0, 2.0], "resolution": 50},
                            {"var": "z", "range": [-1.0, 1.0], "resolution": 50}],
@@ -61,6 +61,20 @@ BRAKING_CONFIG = {
 def braking_config_dict() -> dict:
     """A 1-D braking instance: strictly feasible for any k > 1 + eta."""
     return copy.deepcopy(BRAKING_CONFIG)
+
+
+# the braking instance with the speed's rate as a third state and the
+# control on that rate, so phi0 = 1 - d has relative degree 2
+TRIPLE_INTEGRATOR = {
+    "state_vars": ["d", "z", "a"], "f": ["-1*z", "a", "0"], "g": [["0"], ["0"], ["1"]],
+    "u_lower": ["-1"], "u_upper": ["1"], "h": ["-1*z^2 + 1", "-1*a^2 + 1"], "dt": 0.1}
+
+
+def triple_integrator_config_dict() -> dict:
+    raw = braking_config_dict()
+    raw["model"] = copy.deepcopy(TRIPLE_INTEGRATOR)
+    raw["falsifier"]["axes"].append({"var": "a", "range": [-1.0, 1.0], "resolution": 50})
+    return raw
 
 
 @pytest.fixture(scope="session")

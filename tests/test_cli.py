@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from sisynth.cli import main
 from sisynth.config import default_unicycle_config
 from sisynth.feasibility import Certificate
-from conftest import RESTRICTED_CONFIG_PATH, braking_config_dict
+from conftest import RESTRICTED_CONFIG_PATH, braking_config_dict, triple_integrator_config_dict
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +318,14 @@ class TestVerify:
         assert "certificate error: not made for this config: decision " in result.output
         assert "certificate check" not in result.output
 
+    def test_k_count_exit_four(self, runner, braking_config_path, tmp_path):
+        # one value per chain member; a wrong count would otherwise surface
+        # from lowering as a "parameter dimension mismatch"
+        result = runner.invoke(main, ["verify", braking_config_path, "--k", "0.5",
+                                      "--k", "0.3", "--output", str(tmp_path)])
+        assert result.exit_code == 4
+        assert "--k takes 1 value for this config's index, got 2" in result.output
+
     def test_no_inputs_exit_four(self, runner, braking_config_path, tmp_path):
         result = runner.invoke(main, ["verify", braking_config_path,
                                       "--output", str(tmp_path)])
@@ -340,6 +348,33 @@ def restricted_cert_path(restricted_certificate, tmp_path_factory):
     path = tmp_path_factory.mktemp("cert") / "certificate.json"
     path.write_text(json.dumps(restricted_certificate.to_dict()))
     return str(path)
+
+
+class TestOrderTwo:
+    """A triple integrator, whose index chain has order 2, runs end to end;
+    its verify once exited 4 whatever the certificate or k."""
+
+    @pytest.fixture(scope="class")
+    def config_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cfg") / "triple.json"
+        path.write_text(json.dumps(triple_integrator_config_dict()))
+        return str(path)
+
+    def test_synth_then_verify_certificate(self, runner, config_path, tmp_path):
+        result = runner.invoke(main, ["synth", config_path, "--output", str(tmp_path)])
+        assert result.exit_code in (0, 3), result.output
+        result = runner.invoke(main, ["verify", config_path, "--certificate",
+                                      str(tmp_path / "certificate.json"),
+                                      "--output", str(tmp_path / "verify")])
+        assert result.exit_code in (0, 2), result.output
+
+    @pytest.mark.parametrize("k, code", [(["3", "2"], (0, 2)), (["1", "1"], (4,))],
+                             ids=["real-roots", "complex-roots"])
+    def test_verify_k(self, runner, config_path, tmp_path, k, code):
+        # 1 + 3s + 2s^2 = (1 + s)(1 + 2s); 1 + s + s^2 has no real root
+        args = [a for v in k for a in ("--k", v)]
+        result = runner.invoke(main, ["verify", config_path, *args, "--output", str(tmp_path)])
+        assert result.exit_code in code, result.output
 
 
 class TestSimulate:

@@ -84,8 +84,7 @@ class TestSolverConfig:
 class TestCheckedAtLoad:
     """Index and refute-shaping values are checked, not cast, when the config
     loads: a NaN eta once dropped out of every case's derivative condition,
-    a basis_degree of 1.9 ran as 1, and aux_splits "xy" was read letter by
-    letter."""
+    and aux_splits "xy" was read letter by letter."""
 
     @pytest.mark.parametrize("section, key, value", [
         ("index", "eta", math.nan), ("index", "eta", math.inf), ("index", "eta", 0),
@@ -101,6 +100,18 @@ class TestCheckedAtLoad:
         raw = braking_config_dict()
         raw[section][key] = value
         with pytest.raises(ConfigError, match=f"{section} key '{key}' must be"):
+            RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("index", "order", 1), ("solver", "basis_degree", 1), ("solver", "basis_degree", 2)])
+    def test_derived_key_rejected(self, section, key, value):
+        # the chain order is phi0's relative degree and the Gram basis degree
+        # half p0's state degree: even the values the shipped configs gave
+        # are unknown keys, like every value in test_bad_value_rejected
+        raw = braking_config_dict()
+        raw[section][key] = value
+        with pytest.raises(ConfigError, match=rf"{section} key '{key}' must be absent "
+                                              rf"\(unknown key\), got {value!r}"):
             RunConfig.from_dict(raw)
 
     def test_nan_eta_in_json_rejected(self, tmp_path):
@@ -286,7 +297,7 @@ def _paths(node, path=()):
 class TestTypeSweep:
     """Every section and leaf of the shipped configs, replaced by a value of
     another type or range, either loads and builds or is refused with a
-    ValueError (ConfigError, RelativeDegreeError, DegreeOverflowError; every
+    ValueError (ConfigError, RelativeDegreeError; every
     command maps them to exit 4).  No TypeError or AttributeError escapes."""
 
     SUBSTITUTES = [None, True, "x", [], {}, math.nan, -1, 2.5]

@@ -160,7 +160,7 @@ class TestInvertedBound:
             "state_vars": ["d", "z"], "f": ["-1*z", "0"], "g": [["0", "0"], ["1", "1"]],
             "u_lower": ["-1", "0"], "u_upper": ["1", "z^2 - 0.25"],
             "h": ["d", "-1*z^2 + 1"]})
-        fam = build_chain(parse_polynomial("1 - d", sys.registry), 1, sys)
+        fam = build_chain(parse_polynomial("1 - d", sys.registry), sys)
         return fam, IndexParams(k=[1.5], eta=0.1), sys
 
     @pytest.mark.parametrize("resolution", [41, 2], ids=["on-grid", "in-samples"])

@@ -7,14 +7,14 @@ from sisynth.index import IndexParams, RelativeDegreeError, box_min, build_chain
 from sisynth.poly import Polynomial, parse_polynomial
 from sisynth.system import system_from_dict, unicycle_model_dict
 
-from conftest import derivative, worst_case_phidot
+from conftest import TRIPLE_INTEGRATOR, derivative, worst_case_phidot
 
 
 @pytest.fixture(scope="module")
 def uni_family():
     sys = system_from_dict(unicycle_model_dict())
     phi0 = parse_polynomial("1 - d", sys.registry)
-    return build_chain(phi0, 1, sys)
+    return build_chain(phi0, sys)
 
 
 def sym_state(d, alpha, v):
@@ -43,6 +43,18 @@ class TestBuildChain:
         with pytest.raises(RelativeDegreeError):
             IndexParams(k=[0.0], eta=0.1)
 
+    def test_order_is_relative_degree(self, uni_family):
+        assert uni_family.order == 1
+        sys = system_from_dict(TRIPLE_INTEGRATOR)
+        reg = sys.registry
+        fam = build_chain(parse_polynomial("1 - d", reg), sys)
+        assert fam.order == 2
+        assert [v.name for v in fam.theta] == ["k1", "k2"]
+        k1, k2, z, a = (Polynomial.variable(reg[n]) for n in ("k1", "k2", "z", "a"))
+        # phi_2 = 1 - d + k1 * z + k2 * a, and only k2 * a sees the control
+        assert fam.phi_theta == 1 - Polynomial.variable(reg["d"]) + k1 * z + k2 * a
+        assert fam.Lg_phi == [k2]
+
     def test_control_appearing_early_rejected(self):
         spec = {
             "state_vars": ["x"], "f": ["x"], "g": [["1"]],
@@ -50,8 +62,8 @@ class TestBuildChain:
         }
         sys = system_from_dict(spec)
         phi0 = parse_polynomial("x", sys.registry)
-        with pytest.raises(RelativeDegreeError):
-            build_chain(phi0, 2, sys)
+        with pytest.raises(RelativeDegreeError, match="order 0"):
+            build_chain(phi0, sys)
 
     def test_uncontrollable_index_rejected(self):
         spec = {
@@ -61,7 +73,7 @@ class TestBuildChain:
         sys = system_from_dict(spec)
         phi0 = parse_polynomial("x", sys.registry)
         with pytest.raises(RelativeDegreeError, match="identically zero"):
-            build_chain(phi0, 1, sys)
+            build_chain(phi0, sys)
 
 
 class TestIndexParams:
@@ -75,13 +87,23 @@ class TestIndexParams:
         with pytest.raises(ValueError, match="eta must be a finite number > 0"):
             IndexParams(k=[0.1], eta=eta)
 
-    def test_from_roots_elementary_symmetric(self):
-        p = IndexParams.from_roots([2.0, 3.0], eta=0.1)
-        np.testing.assert_allclose(p.k, [5.0, 6.0])
+    @pytest.mark.parametrize("k, roots, rtol", [
+        ([5.0, 6.0], [2.0, 3.0], 1e-12), ([2.0, 1.0], [1.0, 1.0], 1e-12),
+        ([3.0, 3.0, 1.0], [1.0, 1.0, 1.0], 1e-4)], ids=["distinct", "double", "triple"])
+    def test_roots_from_k(self, k, roots, rtol):
+        # 1 + 5s + 6s^2 = (1 + 2s)(1 + 3s), 1 + 2s + s^2 = (1 + s)^2, and a
+        # triple root, which np.roots splits by about eps**(1/3) into the
+        # complex plane
+        p = IndexParams(k=k, eta=0.1)
+        np.testing.assert_allclose(p.roots, roots, rtol=rtol)
+        np.testing.assert_array_equal(p.k, k)
 
-    def test_from_roots_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            IndexParams.from_roots([1.0, -2.0], eta=0.1)
+    @pytest.mark.parametrize("k", [[1.0, 1.0], [-5.0, 6.0], [1.0, 0.0]],
+                             ids=["complex", "negative", "degenerate"])
+    def test_roots_not_real_positive_rejected(self, k):
+        # 1 + s + s^2 has complex roots, 1 - 5s + 6s^2 positive ones, 1 + s one
+        with pytest.raises(ValueError, match="not all real and positive"):
+            IndexParams(k=k, eta=0.1, enforce_min=False)
 
 
 class TestWorstCasePhidot:
@@ -172,6 +194,19 @@ class TestChainNumeric:
         assert len(chain) == 2
         a = uni_family.system.assignment(sym_state(1.0, 0.0, 1.0))
         assert math.isclose(chain[1].evaluate(a), 0.0139, rel_tol=1e-12)
+
+    def test_order_two_top_member_is_phi_theta(self):
+        # roots (1, 2) of k = [3, 2]: phi_1 = phi0 + 1 * phi0', and phi_2
+        # expands to phi0 + 3 * phi0' + 2 * phi0'', the family's phi_theta
+        sys = system_from_dict(TRIPLE_INTEGRATOR)
+        fam = build_chain(parse_polynomial("1 - d", sys.registry), sys)
+        params = IndexParams(k=[3.0, 2.0], eta=0.1)
+        np.testing.assert_allclose(params.roots, [1.0, 2.0], rtol=1e-12)
+        chain = fam.chain_numeric(params)
+        a = sys.assignment(np.array([0.5, 0.3, -0.2]))
+        assert math.isclose(chain[1].evaluate(a), 0.5 + 0.3, rel_tol=1e-12)
+        a.update(zip(fam.theta, params.k))
+        assert math.isclose(chain[2].evaluate(a), fam.phi_theta.evaluate(a), rel_tol=1e-12)
 
     def test_finite_difference_consistency(self, uni_family):
         # phi1 - phi0 along a trajectory approximates k * dphi0/dt

@@ -3,8 +3,7 @@ import pytest
 
 from sisynth.index import build_chain
 from sisynth.poly import Polynomial, VarKind, VarRegistry, monomial, parse_polynomial
-from sisynth.refute import (DegreeOverflowError, build_gram, build_p0, enumerate_cases,
-                            state_monomials)
+from sisynth.refute import build_gram, build_p0, enumerate_cases, state_monomials
 from sisynth.system import system_from_dict, unicycle_model_dict
 
 from conftest import gram_reconstruct, poly_close
@@ -14,7 +13,7 @@ from conftest import gram_reconstruct, poly_close
 def uni_setup():
     sys = system_from_dict(unicycle_model_dict())
     phi0 = parse_polynomial("1 - d", sys.registry)
-    fam = build_chain(phi0, 1, sys)
+    fam = build_chain(phi0, sys)
     reg = sys.registry
     aux = [parse_polynomial("x", reg), parse_polynomial("y", reg)]
     cases = enumerate_cases(fam, sys, eta=0.1, aux_splits=aux,
@@ -35,7 +34,7 @@ class TestEnumerateCases:
         }
         sys = system_from_dict(spec)
         phi0 = parse_polynomial("1 - x", sys.registry)
-        fam = build_chain(phi0, 1, sys)
+        fam = build_chain(phi0, sys)
         cases = enumerate_cases(fam, sys, eta=0.1)
         assert len(cases) == 2
 
@@ -92,7 +91,7 @@ class TestEnumerateCases:
         sys = system_from_dict(unicycle_model_dict())
         reg = sys.registry
         phi0 = parse_polynomial("1 - d", reg)
-        fam = build_chain(phi0, 1, sys)
+        fam = build_chain(phi0, sys)
         with pytest.raises(ValueError, match="eliminate"):
             enumerate_cases(fam, sys, eta=0.1, nonneg_eliminate=[reg["z"]])
 
@@ -142,7 +141,7 @@ class TestBuildGram:
         reg = VarRegistry()
         x, y = reg.state("x"), reg.state("y")
         p0 = (Polynomial.variable(x) + Polynomial.variable(y)) ** 2
-        spec = build_gram(p0, 1)
+        spec = build_gram(p0)
         assert spec.basis == [(), monomial([(x, 1)]), monomial([(y, 1)])]
         Q = np.array([[e.terms.get((), 0.0) for e in row] for row in spec.entries])
         np.testing.assert_allclose(Q, [[0, 0, 0], [0, 1, 1], [0, 1, 1]])
@@ -151,23 +150,25 @@ class TestBuildGram:
     def test_negative_constant(self):
         reg = VarRegistry()
         reg.state("x")
-        spec = build_gram(Polynomial.constant(-1.0), 1)
+        spec = build_gram(Polynomial.constant(-1.0))
         Q = np.array([[e.terms.get((), 0.0) for e in row] for row in spec.entries])
         assert Q[0, 0] == -1.0
         assert np.min(np.linalg.eigvalsh(Q)) < 0
 
-    def test_degree_overflow(self):
+    def test_basis_degree_is_half_state_degree(self):
+        # x^4 once overflowed a degree-1 basis; its basis is [1, x, x^2]
         reg = VarRegistry()
         x = reg.state("x")
-        with pytest.raises(DegreeOverflowError):
-            build_gram(Polynomial.variable(x) ** 4, 1)
+        spec = build_gram(Polynomial.variable(x) ** 4)
+        assert spec.basis == [(), monomial([(x, 1)]), monomial([(x, 2)])]
+        assert spec.entries[2][2] == Polynomial.constant(1.0)
 
     def test_unicycle_entries_are_decision_polynomials(self, uni_setup):
         sys, _, cases = uni_setup
         reg = sys.registry
         case = cases[4]
         p0 = build_p0(case, reg, product_order=1)
-        spec = build_gram(p0, 1)
+        spec = build_gram(p0)
         assert spec.size == 4  # basis [1, x, y, z]
         for row in spec.entries:
             for entry in row:
@@ -191,7 +192,7 @@ class TestBuildGram:
         rng = np.random.default_rng(22)
         case = cases[5]
         p0 = build_p0(case, reg, product_order=1)
-        self._reconstruction(build_gram(p0, 1), rng, 25)
+        self._reconstruction(build_gram(p0), rng, 25)
 
     def test_reconstruction_with_kernel_and_products(self, uni_setup):
         sys, _, cases = uni_setup
@@ -199,6 +200,6 @@ class TestBuildGram:
         rng = np.random.default_rng(23)
         case = cases[6]
         p0 = build_p0(case, reg, product_order=2)
-        spec = build_gram(p0, 2, reg, kernel_tag=case.label)
+        spec = build_gram(p0, reg, kernel_tag=case.label)
         assert spec.kernel_vars
         self._reconstruction(spec, rng, 10)

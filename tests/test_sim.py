@@ -504,6 +504,16 @@ class TestBenchmarkHooks:
         finally:
             t.restore()
 
+    def test_bench_configs_build(self, monkeypatch):
+        # the bench reads unicycle_restricted.json from src/, so a key that
+        # config.py refuses fails here, not only in a bench run
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import worker
+        from sisynth.config import build_problem
+        for workloads in worker.SIZES.values():
+            for size in workloads.values():
+                assert build_problem(worker.make_config(0, size)).specs
+
     def test_patched_step_counts_batch_steps(self, restricted_problem, restricted_certificate,
                                              monkeypatch):
         from sisynth import sim
