@@ -20,7 +20,6 @@ import numpy as np
 from .config import ConfigError, Problem, RunConfig, build_problem
 from .falsifier import counterexamples_csv, falsify
 from .feasibility import Certificate, SolverFailure, check_certificate, layout_mismatch, solve
-from .index import IndexParams
 from .sim import STATE_VARS, markdown_report, run_batch, trajectory_csv
 
 EXIT_OK = 0
@@ -56,10 +55,9 @@ def _certificate(path: str, problem: Problem) -> Certificate:
 
 
 def _check(cert: Certificate, problem: Problem) -> bool:
-    """Re-check ``cert`` from its decision vector at the config's k floor,
+    """Re-check ``cert`` from its decision vector, not its ``lambda_mins``,
     echoing the verdict and its diagnostics; True on pass."""
-    ok, diagnostics = check_certificate(problem.specs, problem.layout, cert,
-                                        k_min=problem.solver_config.k_min)
+    ok, diagnostics = check_certificate(problem.specs, problem.layout, cert)
     click.echo(f"certificate check: {'pass' if ok else 'FAIL'}")
     for line in diagnostics:
         click.echo(f"  {line}", err=True)
@@ -159,25 +157,19 @@ def verify(config_path, cert_path, k_values, output):
         cert = _certificate(cert_path, problem)
         clean &= _check(cert, problem)
         k = cert.theta(problem.layout)
-        enforce_min = True
     elif k_values:
-        # raw parameters are a falsification probe, so the k floor is not
-        # enforced: k = 0 is a legitimate query and must produce its
-        # counterexample rather than a config error
         n = problem.family.order
         if len(k_values) != n:
             _config_error(f"--k takes {n} value{'s' * (n > 1)} for this config's index, "
                           f"got {len(k_values)}")
         k = np.array(k_values)
-        enforce_min = False
     else:
         _config_error("verify needs --certificate or --k")
 
     try:
-        params = IndexParams(k=k, eta=cfg.eta, enforce_min=enforce_min)
-        cexs = falsify(problem.family, params, problem.system, fcfg)
-    except ValueError as exc:   # k below the floor or with roots not real and positive,
-        # axes that miss a state variable, inverted box
+        cexs = falsify(problem.family, problem.params(k), problem.system, fcfg)
+    except ValueError as exc:   # k with roots not real and positive, axes that miss
+        # a state variable, inverted box
         _config_error(exc)
     click.echo(f"falsifier: {len(cexs)} counterexample(s)")
     if cexs:
@@ -208,9 +200,6 @@ def simulate(config_path, cert_path, trials, seed, trajectories, output):
         _config_error(f"simulate drives only the unicycle model, whose state variables are "
                       f"{', '.join(STATE_VARS)}; this model has {', '.join(names)}")
     cert = _certificate(cert_path, problem)
-    if not cert.valid:
-        click.echo("certificate is not valid; refusing to simulate", err=True)
-        _sys.exit(EXIT_SAFETY)
     if not _check(cert, problem):
         _sys.exit(EXIT_SAFETY)
 

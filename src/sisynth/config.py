@@ -1,14 +1,15 @@
 """Run configuration: one JSON file wiring model, index, solver, and harness.
 
 Sections: ``model`` (system schema or a named builtin, with the control
-period ``dt``), ``index`` (base index literal and margin),
-``solver`` (restarts, DR iterations, the k range, refute-set shaping),
-``falsifier`` (sampling axes), ``sim`` (trial batch: ``trials``,
+period ``dt``), ``index`` (base index literal and margin), ``solver``
+(restarts, DR iterations, the range restarts draw k from, refute-set
+shaping), ``falsifier`` (sampling axes), ``sim`` (trial batch: ``trials``,
 ``horizon``, ``seed``).  Every section is checked against :data:`RULES` at
 load, not cast; :func:`build_problem` parses the polynomial literals.
 Defaults reproduce the standard unicycle study: velocity and steering
 bounds of +/-1, margin 0.1, protective distance 1, dt 0.01, 10 restarts.
-The eigenvalue tolerance and the falsifier slack are module constants.
+The eigenvalue tolerance, the falsifier slack and the floor ``K_MIN`` on a
+certified k are module constants.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def _is_strings(value) -> bool:
 
 class Rule(NamedTuple):
     test: Callable[[object, dict], bool]   # (value, its section) -> accepted
-    must: str | Callable[[dict], str]      # what the value must be; a callable reads the section
+    must: str                              # what the value must be
     required: bool = False
 
 
@@ -114,11 +115,9 @@ RULES: dict[str, dict[str, Rule]] = {
         "eta": _number(0, strict=True)},
     "solver": {
         "restarts": _integer(1), "iterations": _integer(1), "seed": _integer(0),
-        # below the index floor, verify and simulate refuse the chain
-        "k_min": _number(K_MIN),
-        "k_init": Rule(lambda v, s: _is_pair(v) and s.get("k_min", K_MIN) <= v[0] <= v[1],
-                       lambda s: f"a pair [lo, hi] of finite numbers with "
-                                 f"{s.get('k_min', K_MIN)} <= lo <= hi"),
+        # restarts draw k from k_init; check_certificate refuses k below K_MIN
+        "k_init": Rule(lambda v, s: _is_pair(v) and K_MIN <= v[0] <= v[1],
+                       f"a pair [lo, hi] of finite numbers with {K_MIN} <= lo <= hi"),
         "product_order": Rule(lambda v, s: _is_int(v) and v in (1, 2), "1 or 2"),
         "aux_splits": _strings(_LITERALS), "eliminate_nonneg": _strings(_NAMES)},
     "falsifier": {
@@ -154,8 +153,7 @@ def check(section: str, spec, label: str | None = None) -> None:
         else:
             ok, got = not rule.required, "nothing"
         if not ok:
-            must = rule.must(spec) if callable(rule.must) else rule.must
-            raise ConfigError(f"{label} key {key!r} must be {must}, got {got}")
+            raise ConfigError(f"{label} key {key!r} must be {rule.must}, got {got}")
 
 
 def _given(spec: dict, *keys: str) -> dict:
@@ -213,10 +211,8 @@ class RunConfig:
 
     def solver_config(self) -> SolverConfig:
         s = self.solver
-        floats = {"k_min": float(s["k_min"])} if "k_min" in s else {}
-        if "k_init" in s:
-            floats["k_init"] = tuple(map(float, s["k_init"]))
-        return SolverConfig(**_given(s, "restarts", "iterations", "seed"), **floats)
+        k_init = {"k_init": tuple(map(float, s["k_init"]))} if "k_init" in s else {}
+        return SolverConfig(**_given(s, "restarts", "iterations", "seed"), **k_init)
 
     def falsifier_config(self) -> FalsifierConfig:
         if self.falsifier is None:

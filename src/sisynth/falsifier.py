@@ -16,10 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from .index import IndexParams, SafetyIndexFamily, box_min
-from .system import InvertedBoundError, SymbolicSystem
+from .system import STATE_TOL, InvertedBoundError, SymbolicSystem
 
 SLACK = 1e-6   # a state is a hit when its worst phidot >= -eta - SLACK
-SPACE_TOL = 1e-9
+SPACE_TOL = 1e-9   # slack of the h >= 0 and zeta == 0 membership tests
 
 
 @dataclass
@@ -136,7 +136,7 @@ def falsify(fam: SafetyIndexFamily, params: IndexParams, sys: SymbolicSystem,
 
     for i in range(sys.nu):
         for (shape, x), (in_space, lower, upper) in zip(blocks, boxes):
-            bad = np.broadcast_to(in_space & (lower[i] > upper[i] + SPACE_TOL), shape)
+            bad = np.broadcast_to(in_space & (lower[i] > upper[i] + STATE_TOL), shape)
             if np.any(bad):
                 where = np.unravel_index(int(np.argmax(bad)), shape)
                 raise InvertedBoundError(i, np.array([_at(v, shape, where) for v in x]))

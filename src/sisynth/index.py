@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .poly import LoweredPolynomial, Polynomial, VarId, VarKind, VarRegistry
+from .poly import LoweredPolynomial, Polynomial, VarId, VarKind
 from .system import SymbolicSystem
 
 K_MIN = 1e-4
@@ -117,21 +117,19 @@ class IndexParams:
     the characteristic polynomial, ``1 + k_1 s + ... + k_n s^n =
     prod_j (1 + r_j s)``, sorted ascending.  For order 1 they coincide.
     Above order 1 a ``k`` is refused unless every root is real and positive,
-    the no-overshoot condition on the chain.
+    the no-overshoot condition on the chain.  The floor ``K_MIN`` on a
+    certified ``k`` is :func:`feasibility.check_certificate`'s to enforce:
+    any other ``k``, such as ``k = 0``, is a legitimate falsification query.
     """
 
     k: np.ndarray
     eta: float
-    enforce_min: bool = True
     roots: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.k = np.atleast_1d(np.asarray(self.k, dtype=float))
         if not (np.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be a finite number > 0, got {self.eta!r}")
-        if self.enforce_min and np.any(self.k < K_MIN):
-            raise RelativeDegreeError(
-                f"k components below the {K_MIN} floor degenerate the chain: {self.k}")
         n = len(self.k)
         if n == 1:
             self.roots = self.k.copy()
@@ -145,15 +143,13 @@ class IndexParams:
         self.roots = np.sort(-1.0 / np.real(s))
 
 
-def build_chain(phi0: Polynomial, sys: SymbolicSystem,
-                registry: VarRegistry | None = None) -> SafetyIndexFamily:
+def build_chain(phi0: Polynomial, sys: SymbolicSystem) -> SafetyIndexFamily:
     """Construct the family whose order is the relative degree of phi0.
 
     ``L_f`` is applied to phi0 until ``L_g`` of the result is nonzero, at
     most once per state variable; the number of steps is the order, so the
     top derivative sees the control and no lower one does.
     """
-    registry = registry if registry is not None else sys.registry
     if any(v.kind is not VarKind.STATE for v in phi0.variables()):
         raise ValueError("phi0 must involve state variables only")
     if any(not c.is_zero() for c in lie_g(phi0, sys)):
@@ -171,7 +167,7 @@ def build_chain(phi0: Polynomial, sys: SymbolicSystem,
         raise RelativeDegreeError("L_g phi is identically zero: the control cannot affect the index")
     n = len(derivs)
 
-    theta = [registry.decision(f"k{i}" if n > 1 else "k") for i in range(1, n + 1)]
+    theta = [sys.registry.decision(f"k{i}" if n > 1 else "k") for i in range(1, n + 1)]
     phi_theta = phi0
     for kv, dpoly in zip(theta, derivs):
         phi_theta = phi_theta + Polynomial.variable(kv) * dpoly

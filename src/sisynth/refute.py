@@ -31,16 +31,8 @@ class Split:
 
 
 @dataclass
-class SignCase:
-    indicators: dict[str, int]
-
-    def __str__(self):
-        return ",".join(f"{n}{'+' if s > 0 else '-'}" for n, s in self.indicators.items())
-
-
-@dataclass
 class RefuteCase:
-    sign_case: SignCase
+    indicators: dict[str, int]              # split name -> its sign, +1 or -1
     gammas: list[Polynomial]
     zetas: list[Polynomial]
     label: str = ""
@@ -145,7 +137,7 @@ def enumerate_cases(fam: SafetyIndexFamily, sys: SymbolicSystem, eta: float,
             gammas.append(indicators[sa.name] * indicators[sb.name] * (sa.poly * sb.poly))
         gammas.extend(sys.constraints_h)
         gammas.append(manifold)
-        cases.append(RefuteCase(sign_case=SignCase(indicators), gammas=gammas,
+        cases.append(RefuteCase(indicators=indicators, gammas=gammas,
                                 zetas=list(sys.identities_zeta),
                                 label="".join("p" if sg > 0 else "n" for sg in signs)))
     return cases

@@ -74,7 +74,7 @@ class SymbolicSystem:
 MODEL_KEYS = {"state_vars", "f", "g", "u_lower", "u_upper", "h", "zeta", "dt"}
 
 
-def system_from_dict(spec: Mapping, registry: VarRegistry | None = None) -> SymbolicSystem:
+def system_from_dict(spec: Mapping) -> SymbolicSystem:
     """Build a system from the JSON model schema.
 
     Schema::
@@ -88,7 +88,7 @@ def system_from_dict(spec: Mapping, registry: VarRegistry | None = None) -> Symb
     unknown = set(spec) - MODEL_KEYS
     if unknown:
         raise ValueError(f"unknown model keys: {sorted(unknown)}")
-    registry = registry if registry is not None else VarRegistry()
+    registry = VarRegistry()
     state_vars = [registry.state(name) for name in spec["state_vars"]]
     parse = lambda s: parse_polynomial(s, registry)
     return SymbolicSystem(

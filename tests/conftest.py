@@ -12,7 +12,7 @@ from sisynth.feasibility import solve
 from sisynth.index import box_min
 from sisynth.poly import Polynomial, monomial_mul
 from sisynth.sim import WorldState
-from sisynth.system import InvertedBoundError
+from sisynth.system import STATE_TOL, InvertedBoundError
 
 RESTRICTED_CONFIG_PATH = str(resources.files("sisynth") / "configs" / "unicycle_restricted.json")
 
@@ -196,7 +196,7 @@ def falsify_reference(fam, params, sys, cfg) -> Counterexamples:
     lower = [points(p) for p in lowered.lower]
     upper = [points(p) for p in lowered.upper]
     for i in range(sys.nu):
-        bad = in_space & (lower[i] > upper[i] + SPACE_TOL)
+        bad = in_space & (lower[i] > upper[i] + STATE_TOL)
         if np.any(bad):
             raise InvertedBoundError(i, state(int(np.argmax(bad))))
     phi = points(lowered.phi)

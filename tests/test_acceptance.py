@@ -71,7 +71,7 @@ def test_criterion_2_certificate_implies_feasibility(restricted_problem,
 def test_criterion_3_infeasibility_detection(unicycle_problem):
     """k = 0 must be falsified at (d=1, alpha=0, v=1) where phidot = 1."""
     p = unicycle_problem
-    params = IndexParams(k=[0.0], eta=p.config.eta, enforce_min=False)
+    params = IndexParams(k=[0.0], eta=p.config.eta)
     direct = worst_case_phidot(p.family, params, [1.0, 0.0, 1.0, 1.0])
     cexs = falsify(p.family, params, p.system, p.config.falsifier_config())
     found = cexs.worst_phidot[0] if cexs else float("-inf")

@@ -194,6 +194,22 @@ class TestVerify:
         assert result.exit_code == 2
         assert "FAIL" in result.output
 
+    def test_certificate_below_k_floor_exit_two(self, runner, braking_config_path,
+                                                synth_run, tmp_path):
+        # IndexParams once refused such a k a second time, after the FAIL
+        # verdict, and verify exited 4 with a config error
+        _, outdir = synth_run
+        data = json.loads((outdir / "certificate.json").read_text())
+        data["decision"]["k"] = 5e-5
+        path = tmp_path / "below_floor.json"
+        path.write_text(json.dumps(data))
+        result = runner.invoke(main, ["verify", braking_config_path,
+                                      "--certificate", str(path),
+                                      "--output", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "certificate check: FAIL" in result.output
+        assert "below 0.0001" in result.output
+
     def test_certificate_tolerance_not_trusted(self, runner, restricted_problem, tmp_path):
         # random multipliers leave negative Gram eigenvalues; a certificate
         # file that states a lax tolerance once passed the check
@@ -443,19 +459,21 @@ class TestSimulate:
         assert "state variables are d, x, y, z; this model has d, z" in result.output
         assert not (tmp_path / "report.md").exists()
 
-    def test_invalid_certificate_refused(self, runner, restricted_certificate,
-                                         tmp_path):
+    def test_stated_invalid_certificate_rechecked(self, runner, restricted_certificate,
+                                                  tmp_path):
+        # the file's lambda_mins say invalid, but its decision certifies; the
+        # stated verdict once refused the trials before the re-check ran
         data = restricted_certificate.to_dict()
         data["lambda_mins"] = [-1.0 for _ in data["lambda_mins"]]
         data["valid"] = False
-        bad = tmp_path / "bad_cert.json"
-        bad.write_text(json.dumps(data))
+        path = tmp_path / "stated_invalid.json"
+        path.write_text(json.dumps(data))
         result = runner.invoke(main, [
-            "simulate", RESTRICTED_CONFIG_PATH,
-            "--certificate", str(bad), "--output", str(tmp_path)])
-        assert result.exit_code == 2
-        assert "refusing" in result.output
-
+            "simulate", RESTRICTED_CONFIG_PATH, "--certificate", str(path),
+            "--trials", "2", "--output", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        assert "certificate check: pass" in result.output
+        assert (tmp_path / "out" / "report.md").exists()
 
     def test_tampered_certificate_rechecked(self, runner, restricted_certificate, tmp_path):
         # the file's own lambda_mins still read valid; the Gram matrices at

@@ -33,7 +33,7 @@ class TestSolverConfig:
         ("iterations", 0), ("iterations", 2.5), ("tolerance", -1.0),
         ("tolerance", math.inf), ("tolerance", math.nan), ("tolerance", "1e-6"),
         ("k_init", [0.5, 0.2]), ("k_init", [0.2, math.inf]), ("k_init", [0.2]),
-        ("k_init", 0.2), ("k_min", 1e-5), ("k_min", math.nan), ("k_min", "1e-3"),
+        ("k_init", 0.2),
         # seeds 1.9 and true once ran as 1, and -1 loaded and then failed in solve
         ("seed", 1.9), ("seed", True), ("seed", -1), ("seed", "0")])
     def test_bad_value_rejected(self, key, value):
@@ -45,16 +45,19 @@ class TestSolverConfig:
         assert solver_config(seed=0).seed == 0
 
     def test_k_min_floor_is_the_index_floor(self):
-        # IndexParams refuses k below K_MIN, so a lower k_min would let solve
-        # and check_certificate accept a certificate that verify and
-        # simulate then refuse (k_min values below it: test_bad_value_rejected)
+        # check_certificate is the one gate on a certified k; its k_min and
+        # the solver's, where the search grid starts, both default to K_MIN
         assert SolverConfig().k_min == K_MIN
         assert inspect.signature(check_certificate).parameters["k_min"].default == K_MIN
-        assert solver_config(k_min=K_MIN).k_min == K_MIN
 
-    def test_k_init_below_configured_k_min_rejected(self):
-        with pytest.raises(ConfigError, match="solver key 'k_init' must be .* 0.3 <= lo"):
-            solver_config(k_min=0.3, k_init=[0.2, 0.5])
+    @pytest.mark.parametrize("value", [1e-5, math.nan, "1e-3"])
+    def test_retired_k_min_key_rejected(self, value):
+        # the k floor is the constant K_MIN, checked by check_certificate alone
+        raw = braking_config_dict()
+        raw["solver"]["k_min"] = value
+        with pytest.raises(ConfigError, match=rf"solver key 'k_min' must be absent "
+                                              rf"\(unknown key\), got {re.escape(repr(value))}"):
+            RunConfig.from_dict(raw)
 
     def test_retired_rounds_key_rejected(self):
         # the search over k replaced the rounds of penalty descent

@@ -51,7 +51,7 @@ class TestFalsify:
         # with k = 0 the index ignores velocity entirely; at full approach
         # speed the worst-case derivative is +1, far above the -0.1 margin
         p = unicycle_problem
-        params = IndexParams(k=[0.0], eta=p.config.eta, enforce_min=False)
+        params = IndexParams(k=[0.0], eta=p.config.eta)
         cexs = falsify(p.family, params, p.system, paper_falsifier_config())
         assert cexs
         assert cexs.worst_phidot[0] >= 0.99
@@ -62,14 +62,14 @@ class TestFalsify:
 
     def test_results_sorted_most_violating_first(self, unicycle_problem):
         p = unicycle_problem
-        params = IndexParams(k=[0.0], eta=p.config.eta, enforce_min=False)
+        params = IndexParams(k=[0.0], eta=p.config.eta)
         cexs = falsify(p.family, params, p.system, paper_falsifier_config())
         worst = cexs.worst_phidot.tolist()
         assert worst == sorted(worst, reverse=True)
 
     def test_counterexamples_on_manifold(self, unicycle_problem):
         p = unicycle_problem
-        params = IndexParams(k=[0.0], eta=p.config.eta, enforce_min=False)
+        params = IndexParams(k=[0.0], eta=p.config.eta)
         cexs = falsify(p.family, params, p.system, paper_falsifier_config())
         for (d, x, y, z), phi in zip(cexs.states[:50], cexs.phi_theta[:50]):
             assert x * x + y * y == pytest.approx(1.0, abs=1e-9)
@@ -80,7 +80,7 @@ class TestFalsify:
         # a finer grid with the coarse grid's points embedded finds at least
         # as many violations (resolutions chosen so grids are nested)
         p = unicycle_problem
-        params = IndexParams(k=[0.0], eta=p.config.eta, enforce_min=False)
+        params = IndexParams(k=[0.0], eta=p.config.eta)
         coarse = falsify(p.family, params, p.system,
                          paper_falsifier_config(resolution=21, samples=0))
         fine = falsify(p.family, params, p.system,
@@ -119,17 +119,17 @@ class TestFactoredGrid:
     evaluates every point of the materialized mesh.  Both must return the
     same counterexamples bit for bit, in the same order."""
 
-    @pytest.mark.parametrize("problem, k, enforce_min, samples, count", [
-        ("restricted_problem", K_PINNED, True, 10000, 0),
-        ("restricted_problem", 1e-4, True, 10000, 51853),
-        ("unicycle_problem", 0.0, False, 10000, 126356),
-        ("restricted_problem", 1e-4, True, 0, 51320)],
+    @pytest.mark.parametrize("problem, k, samples, count", [
+        ("restricted_problem", K_PINNED, 10000, 0),
+        ("restricted_problem", 1e-4, 10000, 51853),
+        ("unicycle_problem", 0.0, 10000, 126356),
+        ("restricted_problem", 1e-4, 0, 51320)],
         ids=["restricted-pinned", "restricted-k1e-4", "unrestricted-k0", "no-samples"])
-    def test_matches_reference(self, request, problem, k, enforce_min, samples, count):
+    def test_matches_reference(self, request, problem, k, samples, count):
         p = request.getfixturevalue(problem)
         cfg = p.config.falsifier_config()
         cfg.samples = samples
-        params = IndexParams(k=[k], eta=p.config.eta, enforce_min=enforce_min)
+        params = IndexParams(k=[k], eta=p.config.eta)
         cexs = falsify(p.family, params, p.system, cfg)
         assert len(cexs) == count
         assert _records(cexs) == _records(falsify_reference(p.family, params, p.system, cfg))
@@ -141,7 +141,7 @@ class TestFactoredGrid:
         # an axis no state variable reads, or one shadowed by a later axis
         # of the same name, still multiplies the grid points
         p = unicycle_problem
-        params = IndexParams(k=[0.0], eta=p.config.eta, enforce_min=False)
+        params = IndexParams(k=[0.0], eta=p.config.eta)
         cfg = paper_falsifier_config(resolution=21, samples=100)
         base = len(falsify(p.family, params, p.system, cfg))
         cfg.axes.insert(1, extra)
@@ -183,7 +183,7 @@ class TestInvertedBound:
 class TestCsv:
     def test_round_trip(self, unicycle_problem, tmp_path):
         p = unicycle_problem
-        params = IndexParams(k=[0.0], eta=p.config.eta, enforce_min=False)
+        params = IndexParams(k=[0.0], eta=p.config.eta)
         cexs = falsify(p.family, params, p.system,
                        paper_falsifier_config(resolution=21, samples=100))
         path = tmp_path / "cex.csv"
@@ -207,13 +207,13 @@ class TestCsv:
                 writer.writerow([f"{x:.12g}" for x in state]
                                 + [f"{float(phi):.12g}", f"{float(worst):.12g}"])
 
-    @pytest.mark.parametrize("problem, k, enforce_min, count", [
-        ("braking_problem", 0.5, True, 861), ("unicycle_problem", 0.0, False, 126356)],
+    @pytest.mark.parametrize("problem, k, count", [
+        ("braking_problem", 0.5, 861), ("unicycle_problem", 0.0, 126356)],
         ids=["braking-k0.5", "unrestricted-k0"])
-    def test_bytes_match_reference_rows(self, request, tmp_path, problem, k, enforce_min, count):
+    def test_bytes_match_reference_rows(self, request, tmp_path, problem, k, count):
         p = request.getfixturevalue(problem)
         cfg = p.config.falsifier_config()
-        params = IndexParams(k=[k], eta=p.config.eta, enforce_min=enforce_min)
+        params = IndexParams(k=[k], eta=p.config.eta)
         cexs = falsify(p.family, params, p.system, cfg)
         assert len(cexs) == count
         counterexamples_csv(cexs, p.system, str(tmp_path / "columns.csv"))

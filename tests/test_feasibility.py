@@ -14,6 +14,7 @@ from sisynth.feasibility import (
     DecisionLayout,
     TOLERANCE,
     GramStack,
+    SolverConfig,
     SolverFailure,
     _mono_repr,
     _sym_eigh,
@@ -23,7 +24,6 @@ from sisynth.feasibility import (
     solve,
 )
 import sisynth
-from sisynth.config import RunConfig, build_problem
 from sisynth.poly import Polynomial, VarId, VarKind
 from sisynth.refute import GramSpec
 
@@ -518,15 +518,13 @@ class TestSolve:
             assert r["runs"][0]["stop"] == "budget" and r["grid"]
             assert r["runs"][-1]["k"] == r["k"]
 
-    def test_default_k_init_starts_at_k_min(self):
+    def test_default_k_init_starts_at_k_min(self, braking_problem):
         # with k_min set and no k_init, restarts once drew k from (1e-4, 1)
-        raw = braking_config_dict()
-        del raw["solver"]["k_init"]
-        raw["solver"]["k_min"] = 0.3
-        p = build_problem(RunConfig.from_dict(raw))
-        assert p.solver_config.k_init == (0.3, 1.0)
+        p = braking_problem
+        cfg = SolverConfig(restarts=3, iterations=666, k_min=0.3)
+        assert cfg.k_init == (0.3, 1.0)
         try:
-            cert = solve(p.specs, p.layout, p.solver_config)
+            cert = solve(p.specs, p.layout, cfg)
         except SolverFailure as exc:
             cert = exc.certificate
         assert len(cert.restarts) == 3

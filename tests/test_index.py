@@ -39,10 +39,6 @@ class TestBuildChain:
         assert fam.Lg_phi[0] == k * y
         assert fam.Lg_phi[1] == -1 * k * z * x
 
-    def test_zero_k_rejected_by_params(self):
-        with pytest.raises(RelativeDegreeError):
-            IndexParams(k=[0.0], eta=0.1)
-
     def test_order_is_relative_degree(self, uni_family):
         assert uni_family.order == 1
         sys = system_from_dict(TRIPLE_INTEGRATOR)
@@ -103,7 +99,7 @@ class TestIndexParams:
     def test_roots_not_real_positive_rejected(self, k):
         # 1 + s + s^2 has complex roots, 1 - 5s + 6s^2 positive ones, 1 + s one
         with pytest.raises(ValueError, match="not all real and positive"):
-            IndexParams(k=k, eta=0.1, enforce_min=False)
+            IndexParams(k=k, eta=0.1)
 
 
 class TestWorstCasePhidot:

@@ -43,7 +43,7 @@ class TestEnumerateCases:
         reg = sys.registry
         x, y, z = (Polynomial.variable(reg[n]) for n in ("x", "y", "z"))
         k = Polynomial.variable(reg["k"])
-        case = next(c for c in cases if all(s > 0 for s in c.sign_case.indicators.values()))
+        case = next(c for c in cases if all(s > 0 for s in c.indicators.values()))
         gammas = case.gammas
         # derivative condition with w = w_max and accel lower bound substituted:
         # yz - k*xz + 100*k*(-1)*y - 100*k*yz + eta
@@ -65,9 +65,9 @@ class TestEnumerateCases:
         k = Polynomial.variable(reg["k"])
         # flip only the y indicator: accel bound switches to the upper bound
         case = next(c for c in cases
-                    if c.sign_case.indicators["s0"] < 0
-                    and c.sign_case.indicators["s1"] > 0
-                    and c.sign_case.indicators["aux0"] > 0)
+                    if c.indicators["s0"] < 0
+                    and c.indicators["s1"] > 0
+                    and c.indicators["aux0"] > 0)
         expected = y * z - k * x * z + 100 * k * y - 100 * k * y * z + 0.1
         assert poly_close(case.gammas[0], expected)
         assert any(g == -1 * y for g in case.gammas[1:])

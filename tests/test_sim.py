@@ -514,6 +514,18 @@ class TestBenchmarkHooks:
             for size in workloads.values():
                 assert build_problem(worker.make_config(0, size)).specs
 
+    def test_bench_short_passes_succeed(self, monkeypatch):
+        # the untraced pass reads names such as SolverConfig.k_min, so a
+        # deleted name or a failing operation fails here, not only in a
+        # bench run
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import worker
+        from sisynth.config import build_problem
+        for workload, size in worker.SIZES["short"].items():
+            problem = build_problem(worker.make_config(0, size))
+            _, _, ops = worker.PASSES[workload](problem, 0, size)
+            assert ops and [name for name, ok in ops if not ok] == [], workload
+
     def test_patched_step_counts_batch_steps(self, restricted_problem, restricted_certificate,
                                              monkeypatch):
         from sisynth import sim
