@@ -18,9 +18,7 @@ import click
 import numpy as np
 
 from .config import ConfigError, Problem, RunConfig, build_problem
-from .falsifier import counterexamples_csv, falsify
 from .feasibility import Certificate, SolverFailure, check_certificate, layout_mismatch, solve
-from .sim import STATE_VARS, markdown_report, run_batch, trajectory_csv
 
 EXIT_OK = 0
 EXIT_SAFETY = 2
@@ -41,15 +39,15 @@ def _load(config_path: str) -> tuple[RunConfig, Problem]:
         _config_error(exc)
 
 
-def _certificate(path: str, problem: Problem) -> Certificate:
-    """The certificate file at ``path``; exits 4 if it does not parse or its
-    decision variables are not ``problem``'s."""
+def _certificate(path: str, problem: Problem | None = None) -> Certificate:
+    """The certificate file at ``path``; exits 4 if it does not parse or,
+    given ``problem``, its decision variables are not ``problem``'s."""
     try:
         with open(path) as fh:
             cert = Certificate.from_dict(json.load(fh))
     except (KeyError, ValueError, TypeError, AttributeError) as exc:   # JSONDecodeError too
         _config_error(f"cannot read {path}: {exc!r}", "certificate")
-    if mismatch := layout_mismatch(cert, problem.layout):
+    if problem is not None and (mismatch := layout_mismatch(cert, problem.layout)):
         _config_error(f"not made for this config: {mismatch}", "certificate")
     return cert
 
@@ -142,7 +140,8 @@ def synth(config_path, seed, output):
               help="Raw index parameters to falsify without a certificate.")
 @click.option("--output", type=click.Path(file_okay=False), default=None)
 def verify(config_path, cert_path, k_values, output):
-    """Re-check a certificate and run the sampling falsifier."""
+    """Re-check a certificate and, if it passes, run the sampling falsifier."""
+    from .falsifier import counterexamples_csv, falsify
     if cert_path is not None and k_values:
         _config_error("verify takes --certificate or --k, not both")
     cfg, problem = _load(config_path)
@@ -151,11 +150,11 @@ def verify(config_path, cert_path, k_values, output):
     except ConfigError as exc:
         _config_error(exc)
     outdir = _outdir(cfg, problem.solver_config.seed, output)
-    clean = True
 
     if cert_path is not None:
         cert = _certificate(cert_path, problem)
-        clean &= _check(cert, problem)
+        if not _check(cert, problem):   # its k may have no real chain to falsify
+            _sys.exit(EXIT_SAFETY)
         k = cert.theta(problem.layout)
     elif k_values:
         n = problem.family.order
@@ -168,8 +167,8 @@ def verify(config_path, cert_path, k_values, output):
 
     try:
         cexs = falsify(problem.family, problem.params(k), problem.system, fcfg)
-    except ValueError as exc:   # k with roots not real and positive, axes that miss
-        # a state variable, inverted box
+    except ValueError as exc:   # a --k with roots not real and positive, axes that
+        # miss a state variable, inverted box
         _config_error(exc)
     click.echo(f"falsifier: {len(cexs)} counterexample(s)")
     if cexs:
@@ -177,8 +176,7 @@ def verify(config_path, cert_path, k_values, output):
         counterexamples_csv(cexs, problem.system, str(csv_path))
         click.echo(f"  worst: state {cexs.states[0]}, phidot {cexs.worst_phidot[0]:.6g}"
                    f" (written to {csv_path})")
-        clean = False
-    _sys.exit(EXIT_OK if clean else EXIT_SAFETY)
+    _sys.exit(EXIT_SAFETY if cexs else EXIT_OK)
 
 
 @main.command()
@@ -193,6 +191,7 @@ def verify(config_path, cert_path, k_values, output):
 @click.option("--output", type=click.Path(file_okay=False), default=None)
 def simulate(config_path, cert_path, trials, seed, trajectories, output):
     """Run the navigation trial batch under the safety filter."""
+    from .sim import STATE_VARS, markdown_report, run_batch, trajectory_csv
     cfg, problem = _load(config_path)
     task = cfg.task_config()   # checked when the config loaded
     names = tuple(v.name for v in problem.system.state_vars)
@@ -235,14 +234,16 @@ def report(output_dir):
     outdir = Path(output_dir)
     cert_path = outdir / "certificate.json"
     if cert_path.exists():
-        with open(cert_path) as fh:
-            data = json.load(fh)
-        click.echo(f"certificate: valid={data['valid']}, seed={data['seed']}, "
-                   f"config={data['config_hash']}")
-        click.echo("  lambda_mins: " + ", ".join(f"{v:.3e}" for v in data["lambda_mins"]))
-        for r in data.get("restarts", []):
-            for line in _restart_lines(r):
-                click.echo(line)
+        cert = _certificate(str(cert_path))
+        try:
+            restarts = [line for r in cert.restarts for line in _restart_lines(r)]
+        except (KeyError, ValueError, TypeError) as exc:   # a restart entry it cannot read
+            _config_error(f"cannot read {cert_path}: {exc!r}", "certificate")
+        click.echo(f"certificate: valid={cert.valid}, seed={cert.seed}, "
+                   f"config={cert.config_hash}")
+        click.echo("  lambda_mins: " + ", ".join(f"{v:.3e}" for v in cert.lambda_mins))
+        for line in restarts:
+            click.echo(line)
     cex_path = outdir / "counterexamples.csv"
     if cex_path.exists():
         lines = cex_path.read_text().strip().splitlines()

@@ -9,7 +9,8 @@ load, not cast; :func:`build_problem` parses the polynomial literals.
 Defaults reproduce the standard unicycle study: velocity and steering
 bounds of +/-1, margin 0.1, protective distance 1, dt 0.01, 10 restarts.
 The eigenvalue tolerance, the falsifier slack and the floor ``K_MIN`` on a
-certified k are module constants.
+certified k are module constants.  Only ``falsifier_config`` and
+``task_config`` import the falsifier and the simulator, which set-up never runs.
 """
 
 from __future__ import annotations
@@ -19,15 +20,17 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .falsifier import Axis, FalsifierConfig
 from .feasibility import DecisionLayout, SolverConfig
 from .index import K_MIN, IndexParams, SafetyIndexFamily, build_chain
 from .poly import PolynomialParseError, parse_polynomial
 from .refute import GramSpec, RefuteCase, build_gram, build_p0, enumerate_cases
-from .sim import TaskConfig
 from .system import SymbolicSystem, system_from_dict, unicycle_model_dict
+
+if TYPE_CHECKING:
+    from .falsifier import FalsifierConfig
+    from .sim import TaskConfig
 
 
 class ConfigError(ValueError):
@@ -215,6 +218,7 @@ class RunConfig:
         return SolverConfig(**_given(s, "restarts", "iterations", "seed"), **k_init)
 
     def falsifier_config(self) -> FalsifierConfig:
+        from .falsifier import Axis, FalsifierConfig
         if self.falsifier is None:
             raise ConfigError("config has no falsifier section")
         axes = [Axis(names=tuple(a["angle"]) if "angle" in a else (a["var"],),
@@ -224,6 +228,7 @@ class RunConfig:
         return FalsifierConfig(axes=axes, **_given(self.falsifier, "samples", "seed"))
 
     def task_config(self) -> TaskConfig:
+        from .sim import TaskConfig
         return TaskConfig(**self.sim)
 
 

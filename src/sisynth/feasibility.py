@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .index import K_MIN
+from .index import K_MIN, chain_roots
 from .poly import VarId
 from .refute import GramSpec, RefuteCase
 
@@ -708,10 +708,10 @@ def check_certificate(specs: Sequence[GramSpec], layout: DecisionLayout,
     with the in-repo Jacobi eigensolver, not the solver's LAPACK path, in one
     batched call per Gram size.
 
-    Verifies that the decision's variable names are the layout's, the sign
-    constraints on the decision vector and that each case's minimum
-    eigenvalue clears ``-TOLERANCE``; the certificate's own ``lambda_mins``
-    are not read.  Returns a pass flag and per-violation diagnostics.
+    Verifies the decision's variable names against the layout, its sign
+    constraints, the real, positive :func:`~sisynth.index.chain_roots` of its k
+    and each case's minimum eigenvalue against ``-TOLERANCE``; the certificate's
+    own ``lambda_mins`` are not read.  Returns a pass flag and one diagnostic per violation.
     """
     if mismatch := layout_mismatch(cert, layout):
         return False, [mismatch]
@@ -720,6 +720,10 @@ def check_certificate(specs: Sequence[GramSpec], layout: DecisionLayout,
     for i in layout.theta_idx:
         if d[i] < k_min - 1e-12:
             diagnostics.append(f"theta component {layout.variables[i].name} = {d[i]:.3e} below {k_min}")
+    try:
+        chain_roots(d[layout.theta_idx])
+    except ValueError as exc:
+        diagnostics.append(str(exc))
     for i in layout.gamma_idx:
         if d[i] < -1e-12:
             diagnostics.append(f"multiplier {layout.variables[i].name} = {d[i]:.3e} is negative")

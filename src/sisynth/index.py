@@ -109,18 +109,28 @@ def _elementary_symmetric(values: Sequence[float], m: int) -> float:
     return float(sum(np.prod(c) for c in combinations(values, m)))
 
 
+def chain_roots(k: np.ndarray) -> np.ndarray:
+    """The roots ``r_j`` of ``1 + k_1 s + ... + k_n s^n = prod_j (1 + r_j s)``,
+    sorted ascending (``k`` itself at order 1).  Above order 1 a ``k`` whose
+    roots are not all real and positive, the chain's no-overshoot condition,
+    raises ``ValueError``."""
+    n = len(k)
+    if n == 1:
+        return k.copy()
+    s = np.roots(np.r_[k[::-1], 1.0]) if np.all(np.isfinite(k)) else []
+    # a root of multiplicity m is computed to about eps**(1/m) only
+    tol = 10 * np.finfo(float).eps ** (1 / n) * np.abs(s)
+    if len(s) != n or np.any(np.abs(np.imag(s)) > tol) or np.any(np.real(s) >= 0):
+        raise ValueError(f"k = {k.tolist()} has characteristic roots that are "
+                         f"not all real and positive")
+    return np.sort(-1.0 / np.real(s))
+
+
 @dataclass
 class IndexParams:
-    """Numeric chain parameters.
-
-    ``k`` holds the derivative weights and ``roots`` the roots ``r_j`` of
-    the characteristic polynomial, ``1 + k_1 s + ... + k_n s^n =
-    prod_j (1 + r_j s)``, sorted ascending.  For order 1 they coincide.
-    Above order 1 a ``k`` is refused unless every root is real and positive,
-    the no-overshoot condition on the chain.  The floor ``K_MIN`` on a
-    certified ``k`` is :func:`feasibility.check_certificate`'s to enforce:
-    any other ``k``, such as ``k = 0``, is a legitimate falsification query.
-    """
+    """Numeric chain parameters: the derivative weights ``k`` and their
+    :func:`chain_roots`.  The floor ``K_MIN`` is ``check_certificate``'s: any
+    other ``k``, such as ``k = 0``, is a legitimate falsification query."""
 
     k: np.ndarray
     eta: float
@@ -130,17 +140,7 @@ class IndexParams:
         self.k = np.atleast_1d(np.asarray(self.k, dtype=float))
         if not (np.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be a finite number > 0, got {self.eta!r}")
-        n = len(self.k)
-        if n == 1:
-            self.roots = self.k.copy()
-            return
-        s = np.roots(np.r_[self.k[::-1], 1.0]) if np.all(np.isfinite(self.k)) else []
-        # a root of multiplicity m is computed to about eps**(1/m) only
-        tol = 10 * np.finfo(float).eps ** (1 / n) * np.abs(s)
-        if len(s) != n or np.any(np.abs(np.imag(s)) > tol) or np.any(np.real(s) >= 0):
-            raise ValueError(f"k = {self.k.tolist()} has characteristic roots that are "
-                             f"not all real and positive")
-        self.roots = np.sort(-1.0 / np.real(s))
+        self.roots = chain_roots(self.k)
 
 
 def build_chain(phi0: Polynomial, sys: SymbolicSystem) -> SafetyIndexFamily:

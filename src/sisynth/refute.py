@@ -37,7 +37,6 @@ class RefuteCase:
     zetas: list[Polynomial]
     label: str = ""
     # populated by build_p0
-    p0: Polynomial | None = None
     zeta_multipliers: list[VarId] = field(default_factory=list)
     gamma_multipliers: list[VarId] = field(default_factory=list)
 
@@ -201,7 +200,6 @@ def build_p0(case: RefuteCase, registry: VarRegistry, product_order: int = 1) ->
         for j in subset:
             term = term * case.gammas[j]
         p0 = p0 - term
-    case.p0 = p0
     return p0
 
 

@@ -1,10 +1,15 @@
 import copy
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sisynth
 from sisynth.config import RunConfig, build_problem, default_unicycle_config
 from sisynth.controller import wrap_angle
 from sisynth.falsifier import SLACK, SPACE_TOL, Counterexamples
@@ -15,6 +20,8 @@ from sisynth.sim import WorldState
 from sisynth.system import STATE_TOL, InvertedBoundError
 
 RESTRICTED_CONFIG_PATH = str(resources.files("sisynth") / "configs" / "unicycle_restricted.json")
+# the directory the suite imports sisynth from
+SRC = str(Path(sisynth.__file__).resolve().parents[1])
 
 # verdict lines from the acceptance gate, echoed in the terminal summary
 ACCEPTANCE_RESULTS: list[str] = []
@@ -86,6 +93,16 @@ def braking_problem():
 def braking_certificate(braking_problem):
     return solve(braking_problem.specs, braking_problem.layout,
                  braking_problem.solver_config)
+
+
+def fresh_python(script: str, **env: str) -> subprocess.Popen:
+    """Start ``script`` in a fresh interpreter that imports sisynth from
+    :data:`SRC`, with ``env`` added to the environment; stdout and stderr
+    are piped as text."""
+    path = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    return subprocess.Popen([sys.executable, "-c", script],
+                            env=dict(os.environ, PYTHONPATH=path, **env),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
 def random_polynomial(rng, variables, max_terms=6, max_degree=3):

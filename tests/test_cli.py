@@ -5,8 +5,8 @@ import pytest
 from click.testing import CliRunner
 
 from sisynth.cli import main
-from sisynth.config import default_unicycle_config
-from sisynth.feasibility import Certificate
+from sisynth.config import RunConfig, build_problem, default_unicycle_config
+from sisynth.feasibility import AffineGramMap, Certificate, GramStack, TOLERANCE
 from conftest import RESTRICTED_CONFIG_PATH, braking_config_dict, triple_integrator_config_dict
 
 
@@ -392,6 +392,32 @@ class TestOrderTwo:
         result = runner.invoke(main, ["verify", config_path, *args, "--output", str(tmp_path)])
         assert result.exit_code in code, result.output
 
+    def test_certificate_with_complex_roots_fails(self, runner, config_path, tmp_path):
+        # DR certifies every case at k = (10, 30), but 1 + 10s + 30s^2 has
+        # complex roots; verify once printed "certificate check: pass" and
+        # then exited 4 with a config error
+        p = build_problem(RunConfig.load(config_path))
+        amap = AffineGramMap(GramStack(p.specs, p.layout), p.layout, np.array([10.0, 30.0]))
+        rng = np.random.default_rng(0)
+        y, lams, record = amap.refine(rng.uniform(-1, 1, size=len(amap.free_idx)),
+                                      iterations=100, tolerance=TOLERANCE)
+        assert record["stop"] == "tolerance"
+        decision = np.empty(p.layout.size)
+        decision[p.layout.theta_idx] = amap.theta
+        decision[amap.free_idx] = y
+        cert = Certificate(decision=decision, variable_names=[v.name for v in p.layout.variables],
+                           lambda_mins=lams, seed=0, config_hash="")
+        path = tmp_path / "certificate.json"
+        path.write_text(json.dumps(cert.to_dict()))
+        result = runner.invoke(main, ["verify", config_path, "--certificate", str(path),
+                                      "--output", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "certificate check: FAIL" in result.output
+        assert "k = [10.0, 30.0] has characteristic roots that are not all real and positive" \
+            in result.output
+        assert "lambda_min" not in result.output   # the Gram matrices pass
+        assert "falsifier" not in result.output
+
 
 class TestSimulate:
     def test_batch_exit_zero(self, runner, restricted_cert_path, tmp_path):
@@ -535,6 +561,18 @@ class TestReport:
         for run in data["restarts"][0]["runs"]:
             assert f"DR at k = [{run['k'][0]:.6g}]: {run['dr_iters']} DR iterations" \
                 in result.output
+
+    @pytest.mark.parametrize("text", [
+        "{}", "{not json",
+        json.dumps({"decision": {"k": 2.0}, "lambda_mins": [0.0], "seed": 0, "restarts": [{}]})],
+        ids=["empty", "not-json", "restart-without-fields"])
+    def test_bad_certificate_exit_four(self, runner, tmp_path, text):
+        # it once ended in a KeyError or JSONDecodeError traceback with exit 1
+        (tmp_path / "certificate.json").write_text(text)
+        result = runner.invoke(main, ["report", str(tmp_path)])
+        assert result.exit_code == 4, result.output
+        assert "certificate error: cannot read" in result.output
+        assert "certificate:" not in result.output
 
     def test_empty_directory(self, runner, tmp_path):
         result = runner.invoke(main, ["report", str(tmp_path)])

@@ -1,9 +1,5 @@
 import json
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,11 +19,10 @@ from sisynth.feasibility import (
     penalty,
     solve,
 )
-import sisynth
 from sisynth.poly import Polynomial, VarId, VarKind
 from sisynth.refute import GramSpec
 
-from conftest import braking_config_dict
+from conftest import braking_config_dict, fresh_python
 
 
 def random_symmetric(rng, n):
@@ -569,32 +564,41 @@ class TestSolve:
                   "try:\n    cert = solve(p.specs, p.layout, cfg)\n"
                   "except SolverFailure as exc:\n    cert = exc.certificate\n"
                   "print(json.dumps(cert.restarts))")
-        src = str(Path(sisynth.__file__).resolve().parents[1])
-        procs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            procs.append(subprocess.Popen([sys.executable, "-c", script], env=env,
-                                          stdout=subprocess.PIPE, text=True))
-        logs = [json.loads(proc.communicate(timeout=300)[0]) for proc in procs]
-        assert all(proc.returncode == 0 for proc in procs)
+        procs = [fresh_python(script, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                              MKL_NUM_THREADS=threads) for threads in ("1", "2")]
+        outputs = [proc.communicate(timeout=300) for proc in procs]
+        assert all(proc.returncode == 0 for proc in procs), [err for _, err in outputs]
+        logs = [json.loads(out) for out, _ in outputs]
         assert any(len(r["runs"]) > 1 for r in logs[0])
         assert logs[0] == logs[1]
 
     def test_solve_does_not_load_scipy(self):
-        # the search over k runs on DR alone, and only minimize imports scipy
-        script = ("import json, sys; from sisynth.config import RunConfig, build_problem; "
-                  "from sisynth.feasibility import solve; "
+        # the search over k runs on DR alone, and only minimize imports scipy;
+        # set-up and synth load neither the falsifier nor the simulator, which
+        # the cli imports only in verify and simulate
+        script = ("import json, sys; from importlib import resources; import sisynth.cli; "
+                  "from sisynth.config import RunConfig, build_problem; "
+                  "from sisynth.feasibility import check_certificate, solve; "
+                  "configs = resources.files('sisynth') / 'configs'; "
+                  "[build_problem(RunConfig.load(str(configs / name))) "
+                  "for name in ('unicycle.json', 'unicycle_restricted.json')]; "
                   f"p = build_problem(RunConfig.from_dict(json.loads({json.dumps(braking_config_dict())!r}))); "
                   "cert = solve(p.specs, p.layout, p.solver_config); "
-                  "print(cert.valid, 'scipy' in sys.modules)")
-        src = str(Path(sisynth.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                             text=True, timeout=300)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["True", "False"]
+                  "ok = check_certificate(p.specs, p.layout, cert)[0]; "
+                  "print(json.dumps([cert.valid, ok, [m for m in ('scipy', 'sisynth.sim', "
+                  "'sisynth.controller', 'sisynth.falsifier') if m in sys.modules]]))")
+        proc = fresh_python(script)
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        assert json.loads(out) == [True, True, []]
+
+    def test_package_import_loads_no_submodule(self):
+        # the package once re-exported 40 names from every stage
+        proc = fresh_python("import json, sys, sisynth; "
+                            "print(json.dumps([m for m in sys.modules if m.startswith('sisynth.')]))")
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert json.loads(out) == []
 
     def test_empty_specs_rejected(self, braking_problem):
         with pytest.raises(ValueError):
