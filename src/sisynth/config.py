@@ -1,13 +1,14 @@
 """Run configuration: one JSON file wiring model, index, solver, and harness.
 
-Sections: ``model`` (system schema or a named builtin, with the control
+Sections: ``model`` (the control-affine system in full, with the control
 period ``dt``), ``index`` (base index literal and margin), ``solver``
 (restarts, DR iterations, the range restarts draw k from, refute-set
 shaping), ``falsifier`` (sampling axes), ``sim`` (trial batch: ``trials``,
 ``horizon``, ``seed``).  Every section is checked against :data:`RULES` at
 load, not cast; :func:`build_problem` parses the polynomial literals.
-Defaults reproduce the standard unicycle study: velocity and steering
-bounds of +/-1, margin 0.1, protective distance 1, dt 0.01, 10 restarts.
+The packaged ``configs/unicycle.json`` states the standard unicycle study:
+velocity and steering bounds of +/-1, margin 0.1, protective distance 1,
+dt 0.01, 10 restarts.
 The eigenvalue tolerance, the falsifier slack and the floor ``K_MIN`` on a
 certified k are module constants.  Only ``falsifier_config`` and
 ``task_config`` import the falsifier and the simulator, which set-up never runs.
@@ -26,7 +27,7 @@ from .feasibility import DecisionLayout, SolverConfig
 from .index import K_MIN, IndexParams, SafetyIndexFamily, build_chain
 from .poly import PolynomialParseError, parse_polynomial
 from .refute import GramSpec, RefuteCase, build_gram, build_p0, enumerate_cases
-from .system import SymbolicSystem, system_from_dict, unicycle_model_dict
+from .system import SymbolicSystem, system_from_dict
 
 if TYPE_CHECKING:
     from .falsifier import FalsifierConfig
@@ -73,17 +74,6 @@ def _number(lo: float, strict: bool = False) -> Rule:
                 f"a finite number {'>' if strict else '>='} {lo}")
 
 
-def _at_most(other: str, default: float) -> Rule:
-    # when other is given, its own rule, checked later, compares the two
-    return Rule(lambda v, s: _is_finite(v) and (other in s or v <= default),
-                f"a finite number <= {other}")
-
-
-def _at_least(other: str, default: float) -> Rule:
-    return Rule(lambda v, s: _is_finite(v) and v >= s.get(other, default),
-                f"a finite number >= {other}")
-
-
 def _strings(must: str, required: bool = False) -> Rule:
     return Rule(lambda v, s: _is_strings(v), must, required)
 
@@ -94,25 +84,20 @@ def _object(required: bool = False) -> Rule:
 
 _LITERALS = "a list of polynomial literals (strings)"
 _NAMES = "a list of state variable names (strings)"
-_DT = _number(0, strict=True)
 
 RULES: dict[str, dict[str, Rule]] = {
     "config": {"model": _object(True), "index": _object(True), "solver": _object(),
                "falsifier": _object(), "sim": _object()},
-    # a model given in full; system_from_dict checks the dimensions
-    "model": {"state_vars": _strings(_NAMES, True), "f": _strings(_LITERALS, True),
+    # system_from_dict checks the dimensions; a repeated state variable
+    # would add its rows into one another in every Lie derivative
+    "model": {"state_vars": Rule(lambda v, s: _is_strings(v) and len(set(v)) == len(v),
+                                 "a list of distinct state variable names (strings)", True),
+              "f": _strings(_LITERALS, True),
               "g": Rule(lambda v, s: _is_list(v, _is_strings),
                         "a list of rows, each a list of polynomial literals (strings)", True),
               "u_lower": _strings(_LITERALS, True), "u_upper": _strings(_LITERALS, True),
-              "h": _strings(_LITERALS), "zeta": _strings(_LITERALS), "dt": _DT},
-    # the builtin model: the options of unicycle_model_dict
-    "unicycle": {
-        "builtin": Rule(lambda v, s: v == "unicycle", '"unicycle"', True),
-        "v_min": _at_most("v_max", 1.0), "v_max": _at_least("v_min", -1.0),
-        "w_min": _at_most("w_max", 1.0), "w_max": _at_least("w_min", -1.0), "dt": _DT,
-        # cos(alpha) lies in [-1, 1]: a bound above 1 empties the state space
-        "cos_alpha_min": Rule(lambda v, s: v is None or (_is_finite(v) and -1 <= v <= 1),
-                              "null or a finite number in [-1, 1]")},
+              "h": _strings(_LITERALS), "zeta": _strings(_LITERALS),
+              "dt": _number(0, strict=True)},
     "index": {
         "phi0": Rule(lambda v, s: isinstance(v, str), "a polynomial literal (a string)", True),
         "eta": _number(0, strict=True)},
@@ -134,8 +119,7 @@ RULES: dict[str, dict[str, Rule]] = {
                            "a pair [sin, cos] of state variable names"),
              "range": Rule(lambda v, s: _is_pair(v), "a pair [lo, hi] of finite numbers", True),
              "resolution": _integer(2)},
-    "sim": {"trials": _integer(0), "horizon": _number(0), "seed": _integer(0),
-            "dt": Rule(lambda v, s: False, "absent (the simulator steps at model.dt)")},
+    "sim": {"trials": _integer(0), "horizon": _number(0), "seed": _integer(0)},
 }
 
 
@@ -177,9 +161,7 @@ class RunConfig:
         """Check every section against :data:`RULES`, and refuse a state
         variable named by two falsifier axes; the values are kept as given."""
         check("config", raw)
-        model = raw["model"]
-        check("unicycle" if "builtin" in model else "model", model, "model")
-        for section in ("index", "solver", "falsifier", "sim"):
+        for section in ("model", "index", "solver", "falsifier", "sim"):
             if section in raw:
                 check(section, raw[section])
         falsifier = raw.get("falsifier")
@@ -192,7 +174,7 @@ class RunConfig:
                     raise ConfigError(f"falsifier axis {i} names state variable {name!r} "
                                       f"a second time")
                 sampled.add(name)
-        return cls(raw=raw, model=model, index=raw["index"], solver=raw.get("solver", {}),
+        return cls(raw=raw, model=raw["model"], index=raw["index"], solver=raw.get("solver", {}),
                    falsifier=falsifier, sim=raw.get("sim", {}))
 
     @classmethod
@@ -250,11 +232,8 @@ class Problem:
 
 def build_problem(cfg: RunConfig) -> Problem:
     """Assemble system, index chain, refute cases, and Gram specs."""
-    model = cfg.model
-    if "builtin" in model:
-        model = unicycle_model_dict(**{k: v for k, v in model.items() if k != "builtin"})
     try:
-        sys = system_from_dict(model)
+        sys = system_from_dict(cfg.model)
     except ValueError as exc:
         raise ConfigError(f"bad model section: {exc}") from exc
     registry = sys.registry

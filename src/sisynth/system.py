@@ -71,9 +71,6 @@ class SymbolicSystem:
         return lower, upper
 
 
-MODEL_KEYS = {"state_vars", "f", "g", "u_lower", "u_upper", "h", "zeta", "dt"}
-
-
 def system_from_dict(spec: Mapping) -> SymbolicSystem:
     """Build a system from the JSON model schema.
 
@@ -85,9 +82,6 @@ def system_from_dict(spec: Mapping) -> SymbolicSystem:
          "u_lower": [...], "u_upper": [...],
          "h": [...], "zeta": [...], "dt": 0.01}
     """
-    unknown = set(spec) - MODEL_KEYS
-    if unknown:
-        raise ValueError(f"unknown model keys: {sorted(unknown)}")
     registry = VarRegistry()
     state_vars = [registry.state(name) for name in spec["state_vars"]]
     parse = lambda s: parse_polynomial(s, registry)
@@ -102,28 +96,3 @@ def system_from_dict(spec: Mapping) -> SymbolicSystem:
         identities_zeta=[parse(s) for s in spec.get("zeta", [])],
         dt=float(spec.get("dt", 0.01)),
     )
-
-
-def unicycle_model_dict(v_min=-1.0, v_max=1.0, w_min=-1.0, w_max=1.0, dt=0.01,
-                        cos_alpha_min: float | None = None) -> dict:
-    """Second-order unicycle in relative coordinates.
-
-    State is ``[d, x, y, z] = [distance, sin(alpha), cos(alpha), v]`` with
-    controls ``[a, w]``.  Acceleration limits depend on the current speed so
-    that v stays in ``[v_min, v_max]`` over one simulator step of dt.  Passing
-    ``cos_alpha_min`` adds the heading restriction ``cos(alpha) >= cos_alpha_min``
-    to the admissible state space.
-    """
-    h = [f"-1*z^2 + {v_min + v_max}*z - {v_min * v_max}"]
-    if cos_alpha_min is not None:
-        h.append(f"y - {cos_alpha_min}")
-    return {
-        "state_vars": ["d", "x", "y", "z"],
-        "f": ["-1*z*y", "0", "0", "0"],
-        "g": [["0", "0"], ["0", "y"], ["0", "-1*x"], ["1", "0"]],
-        "u_lower": [f"{v_min / dt} - {1.0 / dt}*z", str(w_min)],
-        "u_upper": [f"{v_max / dt} - {1.0 / dt}*z", str(w_max)],
-        "h": h,
-        "zeta": ["x^2 + y^2 - 1"],
-        "dt": dt,
-    }

@@ -104,11 +104,11 @@ class TestSynth:
                                       "--output", str(tmp_path / "out")])
         assert result.exit_code == 4
 
-    @pytest.mark.parametrize("builtin", [True, False], ids=["unicycle", "custom"])
+    @pytest.mark.parametrize("unicycle", [True, False], ids=["unicycle", "custom"])
     @pytest.mark.parametrize("dt", [0, -0.01, "0.01", True], ids=["0", "-0.01", "str", "bool"])
-    def test_bad_model_dt_exit_four(self, runner, tmp_path, builtin, dt):
-        # dt = 0 once divided by zero in the unicycle's box formula
-        if builtin:
+    def test_bad_model_dt_exit_four(self, runner, tmp_path, unicycle, dt):
+        # dt = 0 once divided by zero in the builtin unicycle's box formula
+        if unicycle:
             raw = json.loads(open(RESTRICTED_CONFIG_PATH).read())
         else:
             raw = braking_config_dict()
@@ -120,9 +120,26 @@ class TestSynth:
         assert result.exit_code == 4, result.output
         assert "model key 'dt' must be a finite number > 0" in result.output
 
+    @pytest.mark.parametrize("model, message", [
+        ({"builtin": "unicycle", "dt": 0.01},
+         "model key 'builtin' must be absent (unknown key), got 'unicycle'"),
+        ({"state_vars": ["d", "z", "z"], "f": ["-1*z", "0", "1"], "g": [["0"], ["1"], ["0"]],
+          "u_lower": ["-1"], "u_upper": ["1"]},
+         "model key 'state_vars' must be a list of distinct state variable names (strings), "
+         "got ['d', 'z', 'z']")],
+        ids=["builtin", "repeated-state-variable"])
+    def test_refused_model_exit_four(self, runner, tmp_path, model, message):
+        raw = braking_config_dict()
+        raw["model"] = model
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        result = runner.invoke(main, ["synth", str(cfg), "--output", str(tmp_path / "out")])
+        assert result.exit_code == 4, result.output
+        assert message in result.output
+
     @pytest.mark.parametrize("section, edit, message", [
         pytest.param("sim", {"dt": 0.05},
-                     "sim key 'dt' must be absent (the simulator steps at model.dt), got 0.05",
+                     "sim key 'dt' must be absent (unknown key), got 0.05",
                      id="sim-edit0-bad sim section: unknown sim keys: ['dt']"),
         pytest.param("falsifier", {"samples": -5},
                      "falsifier key 'samples' must be an integer >= 0, got -5",
@@ -469,7 +486,7 @@ class TestSimulate:
             "simulate", str(cfg), "--certificate", restricted_cert_path,
             "--trials", "1", "--output", str(tmp_path / "out")])
         assert result.exit_code == 4, result.output
-        assert "sim key 'dt' must be absent (the simulator steps at model.dt)" in result.output
+        assert "sim key 'dt' must be absent (unknown key), got 0.05" in result.output
         assert not (tmp_path / "out" / "report.md").exists()
 
     def test_model_without_unicycle_state_exit_four(self, runner, braking_config_path,

@@ -126,7 +126,7 @@ class TestCheckedAtLoad:
 
 class TestModelDt:
     """The control period has one home, the model: ``dt`` must be a finite
-    number > 0 for the builtin and for a model given in full."""
+    number > 0, in the unicycle config and in the braking model alike."""
 
     @pytest.mark.parametrize("dt", [0, -0.01, math.inf, math.nan, "0.01", True],
                              ids=["0", "-0.01", "inf", "nan", "str", "bool"])
@@ -216,52 +216,49 @@ class TestFalsifierSection:
 
 
 class TestModelSection:
-    """The builtin unicycle's options, and a model given in full, go through
-    the rule table: a string once reached the text unicycle_model_dict
-    formats ("cos_alpha_min": "x" added y - x >= 0), true loaded as 1, and
-    an inverted steering box ended verify in a traceback."""
+    """A model is given in full and goes through the rule table: an unknown
+    key (the retired builtin schema's among them), a value of the wrong type
+    or a repeated state variable is refused at load, and mismatched
+    dimensions when the problem is built."""
 
     @pytest.mark.parametrize("edit, message", [
-        ({"v_min": True}, "model key 'v_min' must be a finite number <= v_max, got True"),
-        ({"w_min": "-1 - 0*x"},
-         "model key 'w_min' must be a finite number <= w_max, got '-1 - 0*x'"),
+        ({"v_min": True}, "model key 'v_min' must be absent (unknown key), got True"),
+        ({"w_min": "-1 - 0*x"}, "model key 'w_min' must be absent (unknown key), got '-1 - 0*x'"),
         ({"dt": "0.01"}, "model key 'dt' must be a finite number > 0, got '0.01'"),
-        ({"cos_alpha_min": "x"},
-         "model key 'cos_alpha_min' must be null or a finite number in [-1, 1], got 'x'"),
-        ({"cos_alpha_min": 1.5},
-         "model key 'cos_alpha_min' must be null or a finite number in [-1, 1], got 1.5"),
-        ({"w_min": 1, "w_max": -1}, "model key 'w_max' must be a finite number >= w_min, got -1"),
-        ({"v_max": -2.0}, "model key 'v_max' must be a finite number >= v_min, got -2.0"),
-        ({"v_max": "x"}, "model key 'v_max' must be a finite number >= v_min, got 'x'"),
-        ({"builtin": "bicycle"}, "model key 'builtin' must be \"unicycle\", got 'bicycle'"),
-        ({"f": ["0"]}, "model key 'f' must be absent (unknown key), got ['0']")],
+        ({"cos_alpha_min": "x"}, "model key 'cos_alpha_min' must be absent (unknown key), got 'x'"),
+        ({"cos_alpha_min": 1.5}, "model key 'cos_alpha_min' must be absent (unknown key), got 1.5"),
+        ({"w_min": 1, "w_max": -1}, "model key 'w_min' must be absent (unknown key), got 1"),
+        ({"v_max": -2.0}, "model key 'v_max' must be absent (unknown key), got -2.0"),
+        ({"v_max": "x"}, "model key 'v_max' must be absent (unknown key), got 'x'"),
+        ({"builtin": "unicycle"}, "model key 'builtin' must be absent (unknown key), "
+                                  "got 'unicycle'"),
+        ({"f": ["0"]}, "bad model section: f dimension mismatch")],
         ids=["v_min-bool", "w_min-literal", "dt-string", "cos_alpha_min-string",
              "cos_alpha_min-above-1", "w-inverted", "v_max-below-default-v_min", "v_max-string",
              "unknown-builtin", "full-model-key"])
     def test_bad_unicycle_option_rejected(self, edit, message):
+        # the unicycle is written out in full: the builtin schema's options,
+        # whatever their value, are unknown keys, and its model keys are
+        # the full model's
         raw = default_unicycle_config()
         raw["model"].update(edit)
         with pytest.raises(ConfigError, match=re.escape(message) + "$"):
-            RunConfig.from_dict(raw)
-
-    @pytest.mark.parametrize("key, value", [("v_min", 2.0), ("w_min", 1.5)])
-    def test_lower_bound_above_default_upper_rejected(self, key, value):
-        # with the upper bound left at its default 1.0, the box inverts
-        raw = default_unicycle_config()
-        del raw["model"][key.replace("min", "max")]
-        raw["model"][key] = value
-        with pytest.raises(ConfigError, match=f"model key '{key}' must be a finite number <= "):
-            RunConfig.from_dict(raw)
+            build_problem(RunConfig.from_dict(raw))
 
     @pytest.mark.parametrize("edit, message", [
         ({"f": ["-1*z", 0]},
          "model key 'f' must be a list of polynomial literals (strings), got ['-1*z', 0]"),
         ({"g": [["0"], [1]]}, "model key 'g' must be a list of rows, each a list of "
                               "polynomial literals (strings), got [['0'], [1]]"),
-        ({"state_vars": None},
-         "model key 'state_vars' must be a list of state variable names (strings), got None"),
+        ({"state_vars": None}, "model key 'state_vars' must be a list of distinct state "
+                               "variable names (strings), got None"),
+        # a repeated name once loaded, and each of its rows added into the
+        # Lie derivatives: L_f phi came out as z + k, not z
+        ({"state_vars": ["d", "z", "z"], "f": ["-1*z", "0", "1"], "g": [["0"], ["1"], ["0"]]},
+         "model key 'state_vars' must be a list of distinct state variable names (strings), "
+         "got ['d', 'z', 'z']"),
         ({"v_min": -1.0}, "model key 'v_min' must be absent (unknown key), got -1.0")],
-        ids=["f-number", "g-number", "state_vars-null", "unicycle-key"])
+        ids=["f-number", "g-number", "state_vars-null", "state_vars-repeated", "unicycle-key"])
     def test_bad_full_model_rejected(self, edit, message):
         raw = braking_config_dict()
         raw["model"].update(edit)
@@ -305,17 +302,20 @@ class TestTypeSweep:
 
     SUBSTITUTES = [None, True, "x", [], {}, math.nan, -1, 2.5]
 
-    # Every substitution that loads is a legitimate value: ordered finite
-    # bounds, a positive dt or eta, a sampling range
-    # the user may choose, defaults for a whole section, or a redundant split.
+    # Every substitution that loads is a legitimate value: another
+    # polynomial literal in the model (the g entries of d's row are not
+    # among them: a control there makes phi0's relative degree 0), no
+    # constraints or identities, a positive dt or eta, a sampling range the
+    # user may choose, defaults for a whole section, or a redundant split.
     LOADS = [
-        "model.v_min=-1", "model.v_max=-1", "model.v_max=2.5", "model.w_min=-1",
-        "model.w_max=-1", "model.w_max=2.5", "model.dt=2.5", "index.eta=2.5", "solver={}",
+        *(f"model.{key}.{i}='x'" for key, n in (("f", 4), ("u_lower", 2), ("u_upper", 2),
+                                                  ("h", 2), ("zeta", 1)) for i in range(n)),
+        *(f"model.g.{i}.{j}='x'" for i in range(1, 4) for j in range(2)),
+        "model.h=[]", "model.zeta=[]", "model.dt=2.5", "index.eta=2.5", "solver={}",
         "solver.aux_splits=[]", "solver.aux_splits.1='x'", "solver.eliminate_nonneg=[]",
         "sim={}", "sim.horizon=2.5",
         *(f"falsifier.axes.{i}.range.{j}={v}" for i in range(3) for j in range(2)
-          for v in (-1, 2.5)),
-        "model.cos_alpha_min=None", "model.cos_alpha_min=-1"]
+          for v in (-1, 2.5))]
     # Substitutions that put x on two axes are refused at load; they once
     # loaded and left a state variable unsampled.  (path, the axis that
     # repeats x)
@@ -343,7 +343,7 @@ class TestTypeSweep:
     def test_shipped_configs(self):
         loaded = self.sweep(default_unicycle_config(), list(_paths(default_unicycle_config())))
         restricted = json.loads(open(RESTRICTED_CONFIG_PATH).read())
-        loaded.update(self.sweep(restricted, [("model", "cos_alpha_min"), ("solver", "k_init")]))
+        loaded.update(self.sweep(restricted, [("model", "h", 1), ("solver", "k_init")]))
         assert sorted(loaded) == sorted(self.LOADS)
         for path, axis in self.REPEATS:
             with pytest.raises(ConfigError, match=f"falsifier axis {axis} names state "

@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from sisynth.config import default_unicycle_config
 from sisynth.index import IndexParams, RelativeDegreeError, box_min, build_chain
 from sisynth.poly import Polynomial, parse_polynomial
-from sisynth.system import system_from_dict, unicycle_model_dict
+from sisynth.system import system_from_dict
 
 from conftest import TRIPLE_INTEGRATOR, derivative, worst_case_phidot
 
 
 @pytest.fixture(scope="module")
 def uni_family():
-    sys = system_from_dict(unicycle_model_dict())
+    sys = system_from_dict(default_unicycle_config()["model"])
     phi0 = parse_polynomial("1 - d", sys.registry)
     return build_chain(phi0, sys)
 

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
+from sisynth.config import default_unicycle_config
 from sisynth.index import build_chain
 from sisynth.poly import Polynomial, VarKind, VarRegistry, monomial, parse_polynomial
 from sisynth.refute import build_gram, build_p0, enumerate_cases, state_monomials
-from sisynth.system import system_from_dict, unicycle_model_dict
+from sisynth.system import system_from_dict
 
 from conftest import gram_reconstruct, poly_close
 
 
 @pytest.fixture
 def uni_setup():
-    sys = system_from_dict(unicycle_model_dict())
+    sys = system_from_dict(default_unicycle_config()["model"])
     phi0 = parse_polynomial("1 - d", sys.registry)
     fam = build_chain(phi0, sys)
     reg = sys.registry
@@ -88,7 +89,7 @@ class TestEnumerateCases:
             assert covered >= 1
 
     def test_elimination_requires_negative_linear(self):
-        sys = system_from_dict(unicycle_model_dict())
+        sys = system_from_dict(default_unicycle_config()["model"])
         reg = sys.registry
         phi0 = parse_polynomial("1 - d", reg)
         fam = build_chain(phi0, sys)

@@ -145,7 +145,10 @@ class TestModelStep:
         from conftest import RESTRICTED_CONFIG_PATH
         from sisynth.config import RunConfig, build_problem
         cfg = RunConfig.load(RESTRICTED_CONFIG_PATH)
-        return build_problem(dataclasses.replace(cfg, model={**cfg.model, "dt": 0.02}))
+        # the acceleration box is written for its period: (-1 - z)/0.02, (1 - z)/0.02
+        model = {**cfg.model, "dt": 0.02, "u_lower": ["-50.0 - 50.0*z", "-1.0"],
+                 "u_upper": ["50.0 - 50.0*z", "1.0"]}
+        return build_problem(dataclasses.replace(cfg, model=model))
 
     def test_steps_follow_model_dt(self, coarse):
         assert coarse.system.dt == 0.02

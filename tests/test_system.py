@@ -1,15 +1,27 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
+from sisynth.config import ConfigError, RunConfig, default_unicycle_config
 from sisynth.sim import RelativeState, WorldState, relative_state, step
-from sisynth.system import STATE_TOL, InvertedBoundError, system_from_dict, unicycle_model_dict
+from sisynth.system import STATE_TOL, InvertedBoundError, system_from_dict
 
 from conftest import derivative, world_from_relative
 
 
+def shipped_models() -> dict[str, dict]:
+    """The model section of every packaged config, by file name."""
+    configs = resources.files("sisynth") / "configs"
+    return {path.name: json.loads(path.read_text())["model"]
+            for path in sorted(configs.iterdir(), key=lambda p: p.name)
+            if path.name.endswith(".json")}
+
+
 @pytest.fixture(scope="module")
 def uni():
-    return system_from_dict(unicycle_model_dict())
+    return system_from_dict(default_unicycle_config()["model"])
 
 
 def sym_state(d, alpha, v):
@@ -70,61 +82,70 @@ class TestInStateSpace:
         assert not in_state_space(uni, np.array([2.0, 0.6, 0.9, 0.5]))
 
     def test_heading_restriction(self):
-        sys = system_from_dict(unicycle_model_dict(cos_alpha_min=0.2))
+        sys = system_from_dict(shipped_models()["unicycle_restricted.json"])
         assert in_state_space(sys, sym_state(2.0, 0.5, 0.5))
         assert not in_state_space(sys, sym_state(2.0, 2.0, 0.5))
 
 
 class TestSymbolicNumericAgreement:
-    """The symbolic model against the simulator and the config's box formula."""
+    """The model section of every packaged config against the simulator and
+    the unicycle's box formula at that section's dt."""
 
-    def test_dynamics_match(self, uni):
+    def test_dynamics_match(self):
         # f + g u against a small-dt finite difference of the simulator's
         # world-frame step, read back in relative coordinates
         dt = 1e-8
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            d = rng.uniform(0.2, 5)
-            alpha = rng.uniform(-np.pi, np.pi)
-            v = rng.uniform(-1, 1)
-            lower, upper = uni.control_box(sym_state(d, alpha, v))
-            u = rng.uniform(lower, upper)
-            sym = derivative(uni, sym_state(d, alpha, v), u)
-            world = world_from_relative(RelativeState(d=d, v=v, alpha=alpha,
-                                                      beta=rng.uniform(-np.pi, np.pi)))
-            rel0 = relative_state(world)
-            px, py, psi, v1 = step((*world.position, world.heading, world.speed),
-                                   rel0.d, rel0.alpha, u, dt)
-            rel1 = relative_state(WorldState(position=(px, py), heading=psi, speed=v1))
-            fd = (np.array(sym_state(rel1.d, rel1.alpha, rel1.v))
-                  - np.array(sym_state(rel0.d, rel0.alpha, rel0.v))) / dt
-            # [d_dot, sin(alpha)_dot, cos(alpha)_dot, v_dot]; the difference
-            # is first order in dt (worst about 4.4e-6 over these draws)
-            np.testing.assert_allclose(sym, fd, rtol=0.0, atol=1e-5)
+        for name, model in shipped_models().items():
+            sys = system_from_dict(model)
+            rng = np.random.default_rng(11)
+            for _ in range(1000):
+                d = rng.uniform(0.2, 5)
+                alpha = rng.uniform(-np.pi, np.pi)
+                v = rng.uniform(-1, 1)
+                lower, upper = sys.control_box(sym_state(d, alpha, v))
+                u = rng.uniform(lower, upper)
+                sym = derivative(sys, sym_state(d, alpha, v), u)
+                world = world_from_relative(RelativeState(d=d, v=v, alpha=alpha,
+                                                          beta=rng.uniform(-np.pi, np.pi)))
+                rel0 = relative_state(world)
+                px, py, psi, v1 = step((*world.position, world.heading, world.speed),
+                                       rel0.d, rel0.alpha, u, dt)
+                rel1 = relative_state(WorldState(position=(px, py), heading=psi, speed=v1))
+                fd = (np.array(sym_state(rel1.d, rel1.alpha, rel1.v))
+                      - np.array(sym_state(rel0.d, rel0.alpha, rel0.v))) / dt
+                # [d_dot, sin(alpha)_dot, cos(alpha)_dot, v_dot]; the
+                # difference is first order in dt (worst about 4.4e-6 here)
+                np.testing.assert_allclose(sym, fd, rtol=0.0, atol=1e-5, err_msg=name)
 
-    def test_control_boxes_match(self, uni):
-        # the default model's speed-dependent box: a in [(v_min - v)/dt,
-        # (v_max - v)/dt], w in [w_min, w_max]
-        v_min, v_max, w_min, w_max, dt = -1.0, 1.0, -1.0, 1.0, 0.01
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            d = rng.uniform(0.2, 5)
-            alpha = rng.uniform(-np.pi, np.pi)
-            v = rng.uniform(-1, 1)
-            ls, us = uni.control_box(sym_state(d, alpha, v))
-            np.testing.assert_allclose(ls, [(v_min - v) / dt, w_min], atol=1e-9)
-            np.testing.assert_allclose(us, [(v_max - v) / dt, w_max], atol=1e-9)
+    def test_control_boxes_match(self):
+        # the speed-dependent box that keeps v in [v_min, v_max] over one
+        # step of the model's dt: a in [(v_min - v)/dt, (v_max - v)/dt],
+        # w in [w_min, w_max]
+        v_min, v_max, w_min, w_max = -1.0, 1.0, -1.0, 1.0
+        for name, model in shipped_models().items():
+            sys, dt = system_from_dict(model), model["dt"]
+            rng = np.random.default_rng(13)
+            for _ in range(100):
+                d = rng.uniform(0.2, 5)
+                alpha = rng.uniform(-np.pi, np.pi)
+                v = rng.uniform(-1, 1)
+                ls, us = sys.control_box(sym_state(d, alpha, v))
+                np.testing.assert_allclose(ls, [(v_min - v) / dt, w_min], atol=1e-9,
+                                           err_msg=name)
+                np.testing.assert_allclose(us, [(v_max - v) / dt, w_max], atol=1e-9,
+                                           err_msg=name)
 
 
 class TestSchema:
     def test_unknown_keys_rejected(self):
-        spec = unicycle_model_dict()
-        spec["extra"] = 1
-        with pytest.raises(ValueError, match="unknown model keys"):
-            system_from_dict(spec)
+        raw = default_unicycle_config()
+        raw["model"]["extra"] = 1
+        with pytest.raises(ConfigError,
+                           match=r"model key 'extra' must be absent \(unknown key\), got 1$"):
+            RunConfig.from_dict(raw)
 
     def test_dimension_mismatch_rejected(self):
-        spec = unicycle_model_dict()
+        spec = default_unicycle_config()["model"]
         spec["f"] = spec["f"][:-1]
         with pytest.raises(ValueError, match="f dimension"):
             system_from_dict(spec)
