@@ -89,6 +89,16 @@ def _restart_lines(r: dict) -> list[str]:
     return lines
 
 
+def _mirror_line(cert: Certificate) -> str:
+    """How many refute cases DR solved, and the mirror pairs whose partner
+    was filled in from its representative, by flipped state variable."""
+    n = len(cert.lambda_mins)
+    solved = n - sum(len(pairs) for pairs in cert.mirror_pairs.values())
+    return f"  solved {solved} of {n} cases; " + "; ".join(
+        f"mirror {s} → −{s}: " + ", ".join(f"{a}↔{b}" for a, b in pairs)
+        for s, pairs in cert.mirror_pairs.items())
+
+
 @click.group()
 def main():
     """Safety index synthesis and safe-control validation toolkit."""
@@ -237,12 +247,13 @@ def report(output_dir):
         cert = _certificate(str(cert_path))
         try:
             restarts = [line for r in cert.restarts for line in _restart_lines(r)]
-        except (KeyError, ValueError, TypeError) as exc:   # a restart entry it cannot read
+            mirror = [_mirror_line(cert)] if cert.mirror_pairs else []
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:   # an entry it cannot read
             _config_error(f"cannot read {cert_path}: {exc!r}", "certificate")
         click.echo(f"certificate: valid={cert.valid}, seed={cert.seed}, "
                    f"config={cert.config_hash}")
         click.echo("  lambda_mins: " + ", ".join(f"{v:.3e}" for v in cert.lambda_mins))
-        for line in restarts:
+        for line in mirror + restarts:
             click.echo(line)
     cex_path = outdir / "counterexamples.csv"
     if cex_path.exists():

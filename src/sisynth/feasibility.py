@@ -18,6 +18,12 @@ pruned entries become affine equalities on the multipliers, solved once per
 DR run, and DR iterates on the kept blocks only.  Candidates are still
 judged on the full Gram matrices.
 
+Refute cases that mirror each other under one state variable's sign flip
+(:class:`MirrorPairs`) are solved once per pair: DR runs on the
+representatives, and each partner's variables are filled in from its
+representative's, which makes its Gram matrix ``D Q D``.
+:func:`check_certificate` still re-checks every case.
+
 The solver's eigendecompositions run on LAPACK (``np.linalg.eigh``).  The
 in-repo Jacobi eigensolver (:func:`jacobi_eigh_batch`) serves
 :func:`check_certificate`, so a certificate is re-checked by an eigensolver
@@ -158,6 +164,16 @@ class DecisionLayout:
     def index_of(self) -> dict[VarId, int]:
         return {v: i for i, v in enumerate(self.variables)}
 
+    def subset(self, keep: np.ndarray) -> "DecisionLayout":
+        """The layout of the variables at the ascending indices ``keep``,
+        which hold every index parameter."""
+        pos = np.full(self.size, -1, dtype=int)
+        pos[keep] = np.arange(len(keep))
+        kept = lambda idx: pos[idx[np.isin(idx, keep)]]
+        return DecisionLayout(variables=[self.variables[i] for i in keep],
+                              theta_idx=pos[self.theta_idx], gamma_idx=kept(self.gamma_idx),
+                              zeta_idx=kept(self.zeta_idx), kernel_idx=kept(self.kernel_idx))
+
 
 class GramStack:
     """Every case's Gram matrix lowered to one term table for numeric evaluation.
@@ -237,6 +253,124 @@ class GramStack:
         g = np.bincount(self.factors.ravel(), weights=(w[:, None] * others).ravel(),
                         minlength=self.nvars + 1)
         return g[:-1]
+
+
+def _case_tables(grams: GramStack, layout: DecisionLayout) -> list[tuple]:
+    """Each case's upper-triangle Gram terms as arrays sorted by key: ``(key,
+    coefficient, i, j, rank, own variables, gamma)``.  ``own variables`` are
+    the layout indices of the case's own decision variables, ascending, and
+    ``gamma`` flags its gamma multipliers; a term's ``rank`` is 1 + the
+    position of its own variable there (0 for none).  ``key`` encodes the
+    entry ``(i, j)``, the term's index-parameter factors and its rank, so it
+    is unique within a case."""
+    is_theta, is_gamma = np.zeros(grams.nvars + 1, dtype=bool), np.zeros(grams.nvars, dtype=bool)
+    is_theta[layout.theta_idx] = is_gamma[layout.gamma_idx] = True
+    theta = is_theta[grams.factors]
+    own = ~theta & (grams.factors != grams.nvars)
+    if np.any(own.sum(axis=1) > 1):
+        raise ValueError("Gram entries must be affine in the multipliers")
+    var = np.where(own, grams.factors, -1).max(axis=1)
+    # the index-parameter factors, read as digits: 0 for any other factor
+    base = len(layout.theta_idx) + 1
+    th = np.where(theta, grams.factors + 1, 0) @ base ** np.arange(grams.factors.shape[1])
+    entry = grams.positions - grams.case_offsets[grams.term_case]   # i * n + j
+    tables = []
+    for c, n in enumerate(grams.sizes):
+        sel = np.flatnonzero(grams.term_case == c)
+        variables = np.unique(var[sel][var[sel] >= 0])
+        rank = np.where(var[sel] >= 0, np.searchsorted(variables, var[sel]) + 1, 0)
+        key = (entry[sel] * (th.max() + 1) + th[sel]) * (len(variables) + 1) + rank
+        order = np.argsort(key)
+        i, j = np.divmod(entry[sel][order], n)
+        tables.append((key[order], grams.coeffs[sel][order], i, j, rank[order], variables,
+                       is_gamma[variables]))
+    return tables
+
+
+def _mirror_map(ta: tuple, tb: tuple, d: np.ndarray) -> np.ndarray | None:
+    """The signs of the map that sends the k-th own variable of case ``a``
+    onto the k-th of case ``b`` (tables :func:`_case_tables`) and turns
+    ``diag(d) Q_a diag(d)`` into ``Q_b`` exactly, gamma multipliers onto
+    gamma multipliers at sign +1; None if that map does not."""
+    key_a, coeff_a, i, j, rank, vars_a, gamma = ta
+    key_b, coeff_b, *_, vars_b, gamma_b = tb
+    if (len(vars_a) != len(vars_b) or not np.array_equal(key_a, key_b)
+            or not np.array_equal(gamma, gamma_b)):
+        return None
+    flipped = coeff_a * d[i] * d[j]
+    sign = np.ones(len(vars_a) + 1)   # by rank; rank 0, no own variable, keeps +1
+    sign[rank[rank > 0]] = np.where(coeff_b == flipped, 1.0, -1.0)[rank > 0]
+    sign[1:][gamma] = 1.0
+    return sign[1:] if np.array_equal(coeff_b, sign[rank] * flipped) else None
+
+
+def mirror_signs(basis: Sequence, s: VarId) -> list[int]:
+    """The diagonal of ``D = diag((-1)^{deg_s m})`` over the basis ``m``."""
+    return [(-1) ** sum(e for v, e in m if v == s) for m in basis]
+
+
+@dataclass
+class MirrorPairs:
+    """Refute cases that map onto each other under one state variable's sign flip.
+
+    Case ``b`` mirrors case ``a`` under ``s -> -s`` when both have the same
+    Gram basis ``m`` and a signed one-to-one map of ``a``'s own decision
+    variables onto ``b``'s, with the index parameters fixed and every gamma
+    multiplier at sign +1, turns ``D Q_a D`` into ``Q_b`` entry by entry,
+    exactly, where ``D = diag((-1)^{deg_s m})``.  The map sends the k-th own
+    variable of ``a`` onto the k-th of ``b``, in layout order, as
+    ``build_problem`` creates every case's variables in the same order.
+    Then ``Q_b = D Q_a D`` is PSD with ``Q_a`` and has its eigenvalues, so
+    :func:`solve` runs DR on the representatives ``a`` only and fills each
+    partner ``b`` from the map (Gatermann & Parrilo, "Symmetry groups,
+    semidefinite programs, and sums of squares", J. Pure Appl. Algebra 2004).
+    """
+
+    pairs: list[tuple[int, int, str]]   # (representative, partner, flipped state variable)
+    src: np.ndarray    # partner variable dst[i] is sign[i] * variable src[i]
+    dst: np.ndarray
+    sign: np.ndarray
+
+    @classmethod
+    def find(cls, grams: GramStack, specs: Sequence[GramSpec],
+             layout: DecisionLayout) -> "MirrorPairs":
+        """Pair the cases of ``grams`` greedily: state variables in
+        registration order, then each unpaired case with the first later
+        unpaired case that mirrors it."""
+        tables = _case_tables(grams, layout)
+        pairs, maps, paired = [], [], set()
+        for s in sorted({v for spec in specs for m in spec.basis for v, _ in m}):
+            for a in range(len(specs)):
+                if a in paired:
+                    continue
+                d = np.array(mirror_signs(specs[a].basis, s), dtype=float)
+                for b in range(a + 1, len(specs)):
+                    if b in paired or specs[b].basis != specs[a].basis:
+                        continue
+                    if (sign := _mirror_map(tables[a], tables[b], d)) is not None:
+                        pairs.append((a, b, s.name))
+                        maps.append((tables[a][5], tables[b][5], sign))
+                        paired |= {a, b}
+                        break
+        src, dst, sign = (np.concatenate([np.empty(0, dtype=float if k == 2 else int)]
+                                         + [m[k] for m in maps]) for k in range(3))
+        return cls(pairs, src, dst, sign)
+
+    @property
+    def partners(self) -> np.ndarray:
+        return np.array([b for _, b, _ in self.pairs], dtype=int)
+
+    def fill(self, x: np.ndarray) -> np.ndarray:
+        """``x`` with each partner variable set from its representative's."""
+        x[self.dst] = self.sign * x[self.src]
+        return x
+
+    def by_variable(self) -> dict[str, list[list[int]]]:
+        """``{flipped state variable: [[representative, partner], ...]}``."""
+        out: dict[str, list[list[int]]] = {}
+        for a, b, s in self.pairs:
+            out.setdefault(s, []).append([a, b])
+        return out
 
 
 def _sym_eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -544,6 +678,8 @@ class Certificate:
     restarts: list[dict] = field(default_factory=list)
     matrices: list[np.ndarray] = field(default_factory=list)
     basis_repr: list[list[str]] = field(default_factory=list)
+    # {flipped state variable: [[representative, partner], ...]} (see MirrorPairs)
+    mirror_pairs: dict[str, list[list[int]]] = field(default_factory=dict)
 
     @property
     def valid(self) -> bool:
@@ -559,6 +695,7 @@ class Certificate:
             "seed": self.seed,
             "config_hash": self.config_hash,
             "valid": self.valid,
+            **({"mirror_pairs": self.mirror_pairs} if self.mirror_pairs else {}),
             "restarts": self.restarts,
             "basis": self.basis_repr,
             "matrices": [m.tolist() for m in self.matrices],
@@ -573,7 +710,8 @@ class Certificate:
                    config_hash=data.get("config_hash", ""),
                    restarts=data.get("restarts", []),
                    matrices=[np.array(m) for m in data.get("matrices", [])],
-                   basis_repr=data.get("basis", []))
+                   basis_repr=data.get("basis", []),
+                   mirror_pairs=data.get("mirror_pairs", {}))
 
 
 class SolverFailure(RuntimeError):
@@ -618,6 +756,15 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
           config: SolverConfig) -> Certificate:
     """Search for a decision vector making every Gram matrix PSD.
 
+    DR, the grid and the candidate checks run on the representatives of the
+    cases' mirror pairs (:class:`MirrorPairs`; every case when there are
+    none).  Restarts draw over the full layout, and after each DR run every
+    partner is filled in from its representative, so its Gram matrix is
+    ``D Q D``; a representative's ``lambda_min`` is the one DR judged, and a
+    partner's is computed from its filled-in Gram matrix.  A DR run stops,
+    and keeps its best iterate, by the representatives' worst
+    ``lambda_min``.
+
     Each seeded restart runs DR for ``config.iterations`` iterations at its
     sampled index parameters.  If that run ends on ``budget``, it runs DR
     from the same multipliers at the ``SEARCH_RUNS`` best points of the
@@ -627,20 +774,35 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
     record of each of its DR runs.  Its ``k`` and ``lambda_mins`` come from
     its last run.  The restart returned ranks highest by ``(valid,
     reduced_lambda_min of its last run)``; ties go to the lower index.
-    Raises :class:`SolverFailure` with that restart when none certifies.
+    The certificate records the pairs (``mirror_pairs``).  Raises
+    :class:`SolverFailure` with that restart when none certifies.
     """
     if not specs:
         raise ValueError("no Gram specs to solve")
     grams = GramStack(specs, layout)
+    mirror = MirrorPairs.find(grams, specs, layout)
+    reps = np.setdiff1d(np.arange(len(specs)), mirror.partners)
+    keep = np.setdiff1d(np.arange(layout.size), mirror.dst)   # the representatives' layout
+    rep_layout, rep_grams = layout, grams
+    if mirror.pairs:
+        rep_layout = layout.subset(keep)
+        rep_grams = GramStack([specs[c] for c in reps], rep_layout)
     grid: list[list[float]] = []   # [k, lambda_min] per grid point, filled on first use
 
     def run_dr(x, theta, iterations):
         """DR at index parameters ``theta`` (a k broadcasts) from ``x``'s multipliers."""
-        amap = AffineGramMap(grams, layout, np.full(len(layout.theta_idx), theta))
-        y, lams, record = amap.refine(x[amap.free_idx], iterations, TOLERANCE)
+        amap = AffineGramMap(rep_grams, rep_layout, np.full(len(layout.theta_idx), theta))
+        y, rep_lams, record = amap.refine(x[keep][amap.free_idx], iterations, TOLERANCE)
         x = x.copy()
         x[layout.theta_idx] = amap.theta
-        x[amap.free_idx] = y
+        x[keep[amap.free_idx]] = y
+        mirror.fill(x)
+        lams = np.empty(len(specs))
+        lams[reps] = rep_lams
+        if mirror.pairs:
+            for members, mats in grams.split(grams.flat(x)):
+                filled = np.isin(members, mirror.partners)
+                lams[members[filled]] = np.linalg.eigvalsh(mats[filled])[:, 0]
         return x, lams, record
 
     def run_restart(r):
@@ -681,6 +843,7 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
         restarts=[entry for _, entry in results],
         matrices=grams.matrices(x),
         basis_repr=[[_mono_repr(m) for m in spec.basis] for spec in specs],
+        mirror_pairs=mirror.by_variable(),
     )
     if not cert.valid:
         # the residual sum max(0, -lambda_min - TOLERANCE)^2 over the cases

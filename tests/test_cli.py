@@ -579,6 +579,19 @@ class TestReport:
             assert f"DR at k = [{run['k'][0]:.6g}]: {run['dr_iters']} DR iterations" \
                 in result.output
 
+    def test_prints_mirror_pairs(self, runner, restricted_certificate, tmp_path):
+        data = restricted_certificate.to_dict()
+        (tmp_path / "certificate.json").write_text(json.dumps(data))
+        result = runner.invoke(main, ["report", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert "\n  solved 4 of 8 cases; mirror x → −x: 0↔3, 1↔2, 4↔7, 5↔6\n" in result.output
+        # a certificate written before the pairing reads as having no pairs
+        del data["mirror_pairs"]
+        (tmp_path / "certificate.json").write_text(json.dumps(data))
+        result = runner.invoke(main, ["report", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert "certificate: valid=True" in result.output and "mirror" not in result.output
+
     @pytest.mark.parametrize("text", [
         "{}", "{not json",
         json.dumps({"decision": {"k": 2.0}, "lambda_mins": [0.0], "seed": 0, "restarts": [{}]})],

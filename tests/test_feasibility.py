@@ -1,28 +1,34 @@
 import json
 from dataclasses import replace
+from itertools import permutations
 
 import numpy as np
 import pytest
 
+from sisynth.config import RunConfig, build_problem
 from sisynth.feasibility import (
     AffineGramMap,
     Certificate,
     DecisionLayout,
     TOLERANCE,
     GramStack,
+    MirrorPairs,
     SolverConfig,
     SolverFailure,
+    _case_tables,
+    _mirror_map,
     _mono_repr,
     _sym_eigh,
     check_certificate,
     jacobi_eigh_batch,
+    mirror_signs,
     penalty,
     solve,
 )
 from sisynth.poly import Polynomial, VarId, VarKind
 from sisynth.refute import GramSpec
 
-from conftest import braking_config_dict, fresh_python
+from conftest import braking_config_dict, fresh_python, triple_integrator_config_dict
 
 
 def random_symmetric(rng, n):
@@ -468,15 +474,18 @@ class TestSolve:
     def test_logged_lambda_mins_match_full_grams(self, instance, overrides, request,
                                                  monkeypatch):
         p = request.getfixturevalue(instance)
-        outputs = {}   # refine's decision, by the id of its record
+        outputs = {}   # refine's decision with the partners filled in, by the id of its record
         refine = AffineGramMap.refine
+        grams = GramStack(p.specs, p.layout)
+        mirror = MirrorPairs.find(grams, p.specs, p.layout)
+        keep = np.setdiff1d(np.arange(p.layout.size), mirror.dst)   # DR's layout
 
         def recording(amap, *args, **kwargs):
             y, lams, record = refine(amap, *args, **kwargs)
             x = np.empty(p.layout.size)
             x[p.layout.theta_idx] = amap.theta
-            x[amap.free_idx] = y
-            outputs[id(record)] = x
+            x[keep[amap.free_idx]] = y
+            outputs[id(record)] = mirror.fill(x)
             return y, lams, record
 
         monkeypatch.setattr(AffineGramMap, "refine", recording)
@@ -484,7 +493,6 @@ class TestSolve:
             cert = solve(p.specs, p.layout, replace(p.solver_config, **overrides))
         except SolverFailure as exc:
             cert = exc.certificate
-        grams = GramStack(p.specs, p.layout)
         assert all(id(record) in outputs for r in cert.restarts for record in r["runs"])
         for r in cert.restarts:
             x = outputs[id(r["runs"][-1])]
@@ -603,6 +611,147 @@ class TestSolve:
     def test_empty_specs_rejected(self, braking_problem):
         with pytest.raises(ValueError):
             solve([], braking_problem.layout, braking_problem.solver_config)
+
+
+class TestMirrorPairs:
+    """Cases that mirror each other under one state variable's sign flip: DR
+    solves the representatives, and each partner is filled in as D Q D."""
+
+    PAIRS = [(0, 3, "x"), (1, 2, "x"), (4, 7, "x"), (5, 6, "x")]
+
+    @staticmethod
+    def mirror(p):
+        grams = GramStack(p.specs, p.layout)
+        return grams, MirrorPairs.find(grams, p.specs, p.layout)
+
+    @pytest.mark.parametrize("instance", ["unicycle_problem", "restricted_problem"])
+    def test_unicycle_pairs_under_x_only(self, instance, request):
+        p = request.getfixturevalue(instance)
+        grams, mirror = self.mirror(p)
+        assert mirror.pairs == self.PAIRS
+        # every ordered pair of cases that mirror each other, under every
+        # state variable of the basis
+        tables = _case_tables(grams, p.layout)
+        flips = sorted({v for spec in p.specs for m in spec.basis for v, _ in m})
+        assert [s.name for s in flips] == ["x", "y", "z"]
+        found = {(a, b, s.name) for s in flips for a, b in permutations(range(len(p.specs)), 2)
+                 if _mirror_map(tables[a], tables[b],
+                                np.array(mirror_signs(p.specs[a].basis, s), dtype=float))
+                 is not None}
+        assert found == {pair for a, b, s in self.PAIRS for pair in ((a, b, s), (b, a, s))}
+
+    @pytest.mark.parametrize("instance", ["unicycle_problem", "restricted_problem"])
+    def test_partner_is_d_q_d(self, instance, request):
+        p = request.getfixturevalue(instance)
+        grams, mirror = self.mirror(p)
+        # one-to-one, every gamma onto a gamma at sign +1
+        assert len(set(mirror.dst.tolist())) == len(mirror.dst)
+        gamma = np.isin(mirror.dst, p.layout.gamma_idx)
+        assert np.array_equal(gamma, np.isin(mirror.src, p.layout.gamma_idx))
+        assert np.all(mirror.sign[gamma] == 1.0)
+        x = mirror.fill(np.random.default_rng(5).uniform(-1, 1, size=p.layout.size))
+        Q = grams.matrices(x)
+        for a, b, s in mirror.pairs:
+            flipped = next(v for m in p.specs[a].basis for v, _ in m if v.name == s)
+            d = np.array(mirror_signs(p.specs[a].basis, flipped), dtype=float)
+            np.testing.assert_allclose(Q[b], d[:, None] * Q[a] * d[None, :], rtol=0.0,
+                                       atol=1e-12 * np.abs(Q[a]).max())
+
+    def test_no_pairs_without_a_mirror(self, braking_problem):
+        triple = build_problem(RunConfig.from_dict(triple_integrator_config_dict()))
+        for p in (braking_problem, triple):
+            assert self.mirror(p)[1].pairs == []
+
+    def test_solve_records_pairs(self, restricted_certificate, braking_certificate):
+        pairs = {"x": [[0, 3], [1, 2], [4, 7], [5, 6]]}
+        assert restricted_certificate.mirror_pairs == pairs
+        data = json.loads(json.dumps(restricted_certificate.to_dict()))
+        assert data["mirror_pairs"] == pairs
+        assert Certificate.from_dict(data).mirror_pairs == pairs
+        # a certificate without pairs writes no field, and one without the
+        # field reads as having none
+        assert "mirror_pairs" not in braking_certificate.to_dict()
+        del data["mirror_pairs"]
+        assert Certificate.from_dict(data).mirror_pairs == {}
+
+    @staticmethod
+    def check(p, cert, x):
+        return check_certificate(p.specs, p.layout, replace(cert, decision=x))
+
+    def test_flipped_sign_of_d_fails_check(self, restricted_problem, restricted_certificate):
+        p, cert = restricted_problem, restricted_certificate
+        assert self.check(p, cert, cert.decision)[0]
+        grams, mirror = self.mirror(p)
+        entries = {}   # the Gram entries (i, j) each variable enters
+        for _, _, rows, cols, rank, variables, _ in _case_tables(grams, p.layout):
+            for i, j, k in zip(rows, cols, rank):
+                if k:
+                    entries.setdefault(variables[k - 1], set()).add((i, j))
+        for r in range(p.specs[0].size):
+            # D with its r-th sign flipped negates every partner variable in
+            # an off-diagonal entry of row r
+            flip = [any((i == r) != (j == r) for i, j in entries[w]) for w in mirror.dst]
+            x = cert.decision.copy()
+            x[mirror.dst] = np.where(flip, -1.0, 1.0) * mirror.sign * x[mirror.src]
+            assert not self.check(p, cert, x)[0], r
+
+    def test_flipped_partner_variable_fails_check(self, restricted_problem,
+                                                  restricted_certificate):
+        p, cert = restricted_problem, restricted_certificate
+        grams, mirror = self.mirror(p)
+        owner = {v: c for c, table in enumerate(_case_tables(grams, p.layout)) for v in table[5]}
+        for _, b, _ in mirror.pairs:
+            # the partner's largest multiplier or kernel share that is not a gamma
+            w = max((w for w in mirror.dst if owner[w] == b and w not in p.layout.gamma_idx),
+                    key=lambda w: abs(cert.decision[w]))
+            x = cert.decision.copy()
+            x[w] = -x[w]
+            ok, diagnostics = self.check(p, cert, x)
+            assert not ok and any(line.startswith(f"case {b}: lambda_min") for line in diagnostics)
+
+    def test_wrong_pair_fails_check(self, restricted_problem, restricted_certificate):
+        # fill case 2 from case 0 through the map that pairs 0 with 3
+        p, cert = restricted_problem, restricted_certificate
+        _, mirror = self.mirror(p)
+        index = {v.name: i for i, v in enumerate(p.layout.variables)}
+        three, two = (f"_{p.cases[c].label}_" for c in (3, 2))
+        x = cert.decision.copy()
+        for v, w, sign in zip(mirror.src, mirror.dst, mirror.sign):
+            name = p.layout.variables[w].name
+            if three in name:
+                x[index[name.replace(three, two)]] = sign * x[v]
+        ok, diagnostics = self.check(p, cert, x)
+        assert not ok and any(line.startswith("case 2: lambda_min") for line in diagnostics)
+
+    @pytest.mark.parametrize("instance, k", [("unicycle_problem", 0.0125),
+                                             ("restricted_problem", TestZeroFace.K_CERTIFIABLE)])
+    def test_representatives_iterate_as_in_all_cases_run(self, instance, k, request,
+                                                         monkeypatch):
+        # at a fixed budget, DR on the representatives alone reaches the
+        # all-cases run's values of their variables at every candidate
+        # check, bit for bit
+        p = request.getfixturevalue(instance)
+        grams, mirror = self.mirror(p)
+        keep = np.setdiff1d(np.arange(p.layout.size), mirror.dst)
+        reps = np.setdiff1d(np.arange(len(p.specs)), mirror.partners)
+        rep_layout = p.layout.subset(keep)
+        rep_grams = GramStack([p.specs[c] for c in reps], rep_layout)
+        x0 = np.random.default_rng(3).uniform(0.0, 1.0, size=p.layout.size)
+        checked = []   # (map, free decision) per candidate check
+        candidate = AffineGramMap.candidate
+        monkeypatch.setattr(AffineGramMap, "candidate",
+                            lambda amap, y: checked.append((amap, y.copy())) or candidate(amap, y))
+        full = AffineGramMap(grams, p.layout, np.array([k]))
+        rep = AffineGramMap(rep_grams, rep_layout, np.array([k]))
+        for amap, x in ((full, x0), (rep, x0[keep])):
+            # a tolerance of -inf never certifies, so both runs spend the budget
+            record = amap.refine(x[amap.free_idx], 300, -np.inf)[2]
+            assert record["dr_iters"] == 300
+        runs = [[y for amap, y in checked if amap is m] for m in (full, rep)]
+        assert len(runs[0]) == len(runs[1]) == 1 + 300 // 5 + 1
+        cols = np.searchsorted(full.free_idx, keep[rep.free_idx])
+        for y_full, y_rep in zip(*runs):
+            assert np.array_equal(y_full[cols], y_rep)
 
 
 class TestCertificate:

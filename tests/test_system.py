@@ -61,6 +61,20 @@ class TestControlBox:
             sys.control_box([2.0])
         assert exc.value.dim == 0
 
+    def test_one_step_keeps_speed_in_h(self):
+        # one step v + dt * v_dot at either acceleration bound, from any speed
+        # that h allows, stays in h: a box left at dt = 0.01 under dt = 0.05
+        # takes v = 0 to -5
+        for name, model in shipped_models().items():
+            sys, dt = system_from_dict(model), model["dt"]
+            assert not in_state_space(sys, sym_state(2.0, 0.0, 1.01)), name
+            for v in np.linspace(-1.0, 1.0, 201):
+                state = sym_state(2.0, 0.0, v)
+                assert in_state_space(sys, state), (name, v)
+                for u in sys.control_box(state):
+                    v_next = v + dt * derivative(sys, state, u)[3]
+                    assert in_state_space(sys, sym_state(2.0, 0.0, v_next)), (name, v, u)
+
     def test_never_inverted_on_random_in_space_states(self, uni):
         rng = np.random.default_rng(7)
         for _ in range(200):
