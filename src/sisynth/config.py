@@ -60,26 +60,26 @@ def _is_strings(value) -> bool:
 
 
 class Rule(NamedTuple):
-    test: Callable[[object, dict], bool]   # (value, its section) -> accepted
+    test: Callable[[object], bool]   # value -> accepted
     must: str                              # what the value must be
     required: bool = False
 
 
 def _integer(lo: int) -> Rule:
-    return Rule(lambda v, s: _is_int(v) and v >= lo, f"an integer >= {lo}")
+    return Rule(lambda v: _is_int(v) and v >= lo, f"an integer >= {lo}")
 
 
 def _number(lo: float, strict: bool = False) -> Rule:
-    return Rule(lambda v, s: _is_finite(v) and (v > lo if strict else v >= lo),
+    return Rule(lambda v: _is_finite(v) and (v > lo if strict else v >= lo),
                 f"a finite number {'>' if strict else '>='} {lo}")
 
 
 def _strings(must: str, required: bool = False) -> Rule:
-    return Rule(lambda v, s: _is_strings(v), must, required)
+    return Rule(_is_strings, must, required)
 
 
 def _object(required: bool = False) -> Rule:
-    return Rule(lambda v, s: isinstance(v, dict), "a JSON object", required)
+    return Rule(lambda v: isinstance(v, dict), "a JSON object", required)
 
 
 _LITERALS = "a list of polynomial literals (strings)"
@@ -90,34 +90,34 @@ RULES: dict[str, dict[str, Rule]] = {
                "falsifier": _object(), "sim": _object()},
     # system_from_dict checks the dimensions; a repeated state variable
     # would add its rows into one another in every Lie derivative
-    "model": {"state_vars": Rule(lambda v, s: _is_strings(v) and len(set(v)) == len(v),
+    "model": {"state_vars": Rule(lambda v: _is_strings(v) and len(set(v)) == len(v),
                                  "a list of distinct state variable names (strings)", True),
               "f": _strings(_LITERALS, True),
-              "g": Rule(lambda v, s: _is_list(v, _is_strings),
+              "g": Rule(lambda v: _is_list(v, _is_strings),
                         "a list of rows, each a list of polynomial literals (strings)", True),
               "u_lower": _strings(_LITERALS, True), "u_upper": _strings(_LITERALS, True),
               "h": _strings(_LITERALS), "zeta": _strings(_LITERALS),
               "dt": _number(0, strict=True)},
     "index": {
-        "phi0": Rule(lambda v, s: isinstance(v, str), "a polynomial literal (a string)", True),
+        "phi0": Rule(lambda v: isinstance(v, str), "a polynomial literal (a string)", True),
         "eta": _number(0, strict=True)},
     "solver": {
         "restarts": _integer(1), "iterations": _integer(1), "seed": _integer(0),
         # restarts draw k from k_init; check_certificate refuses k below K_MIN
-        "k_init": Rule(lambda v, s: _is_pair(v) and K_MIN <= v[0] <= v[1],
+        "k_init": Rule(lambda v: _is_pair(v) and K_MIN <= v[0] <= v[1],
                        f"a pair [lo, hi] of finite numbers with {K_MIN} <= lo <= hi"),
-        "product_order": Rule(lambda v, s: _is_int(v) and v in (1, 2), "1 or 2"),
+        "product_order": Rule(lambda v: _is_int(v) and v in (1, 2), "1 or 2"),
         "aux_splits": _strings(_LITERALS), "eliminate_nonneg": _strings(_NAMES)},
     "falsifier": {
-        "axes": Rule(lambda v, s: bool(v) and _is_list(
+        "axes": Rule(lambda v: bool(v) and _is_list(
                          v, lambda a: isinstance(a, dict) and ("var" in a) != ("angle" in a)),
                      "a non-empty list of axis objects, each with one of 'var' and 'angle'",
                      True),
         "samples": _integer(0), "seed": _integer(0)},
-    "axis": {"var": Rule(lambda v, s: isinstance(v, str), "a state variable name"),
-             "angle": Rule(lambda v, s: _is_pair(v, lambda x: isinstance(x, str)),
+    "axis": {"var": Rule(lambda v: isinstance(v, str), "a state variable name"),
+             "angle": Rule(lambda v: _is_pair(v, lambda x: isinstance(x, str)),
                            "a pair [sin, cos] of state variable names"),
-             "range": Rule(lambda v, s: _is_pair(v), "a pair [lo, hi] of finite numbers", True),
+             "range": Rule(_is_pair, "a pair [lo, hi] of finite numbers", True),
              "resolution": _integer(2)},
     "sim": {"trials": _integer(0), "horizon": _number(0), "seed": _integer(0)},
 }
@@ -136,7 +136,7 @@ def check(section: str, spec, label: str | None = None) -> None:
             raise ConfigError(f"{label} key {key!r} must be absent (unknown key), got {value!r}")
     for key, rule in rules.items():
         if key in spec:
-            ok, got = rule.test(spec[key], spec), repr(spec[key])
+            ok, got = rule.test(spec[key]), repr(spec[key])
         else:
             ok, got = not rule.required, "nothing"
         if not ok:

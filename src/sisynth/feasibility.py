@@ -20,9 +20,9 @@ judged on the full Gram matrices.
 
 Refute cases that mirror each other under one state variable's sign flip
 (:class:`MirrorPairs`) are solved once per pair: DR runs on the
-representatives, and each partner's variables are filled in from its
-representative's, which makes its Gram matrix ``D Q D``.
-:func:`check_certificate` still re-checks every case.
+representatives, over the one layout and :class:`GramStack`, and each
+partner's variables are filled in from its representative's, which makes its
+Gram matrix ``D Q D``.  :func:`check_certificate` still re-checks every case.
 
 The solver's eigendecompositions run on LAPACK (``np.linalg.eigh``).  The
 in-repo Jacobi eigensolver (:func:`jacobi_eigh_batch`) serves
@@ -163,16 +163,6 @@ class DecisionLayout:
 
     def index_of(self) -> dict[VarId, int]:
         return {v: i for i, v in enumerate(self.variables)}
-
-    def subset(self, keep: np.ndarray) -> "DecisionLayout":
-        """The layout of the variables at the ascending indices ``keep``,
-        which hold every index parameter."""
-        pos = np.full(self.size, -1, dtype=int)
-        pos[keep] = np.arange(len(keep))
-        kept = lambda idx: pos[idx[np.isin(idx, keep)]]
-        return DecisionLayout(variables=[self.variables[i] for i in keep],
-                              theta_idx=pos[self.theta_idx], gamma_idx=kept(self.gamma_idx),
-                              zeta_idx=kept(self.zeta_idx), kernel_idx=kept(self.kernel_idx))
 
 
 class GramStack:
@@ -330,6 +320,7 @@ class MirrorPairs:
     src: np.ndarray    # partner variable dst[i] is sign[i] * variable src[i]
     dst: np.ndarray
     sign: np.ndarray
+    representatives: np.ndarray   # every case that is no partner, ascending
 
     @classmethod
     def find(cls, grams: GramStack, specs: Sequence[GramSpec],
@@ -354,7 +345,8 @@ class MirrorPairs:
                         break
         src, dst, sign = (np.concatenate([np.empty(0, dtype=float if k == 2 else int)]
                                          + [m[k] for m in maps]) for k in range(3))
-        return cls(pairs, src, dst, sign)
+        reps = np.setdiff1d(np.arange(len(specs)), [b for _, b, _ in pairs])
+        return cls(pairs, src, dst, sign, reps)
 
     @property
     def partners(self) -> np.ndarray:
@@ -446,6 +438,9 @@ class AffineGramMap:
     decision coordinates (multipliers and kernel shares).  Refute cases
     share only the index parameters, so each case is a block of its own
     (:class:`_Block`) over its own columns; blocks of equal shape are stacked.
+    Blocks are built for ``cases`` (every case by default) over the whole
+    layout's columns: :meth:`lift` zeroes an unselected case's columns and
+    :meth:`candidate` reports its ``lambda_min`` as ``+inf``.
 
     A basis monomial whose Gram diagonal is the zero polynomial
     (:attr:`GramStack.pruned`) forces its whole row and column of a PSD
@@ -459,7 +454,8 @@ class AffineGramMap:
     blocks.  :meth:`candidate` still judges the full matrices.
     """
 
-    def __init__(self, grams: GramStack, layout: DecisionLayout, theta: np.ndarray):
+    def __init__(self, grams: GramStack, layout: DecisionLayout, theta: np.ndarray,
+                 cases: Sequence[int] | None = None):
         nv = layout.size
         self.theta = np.asarray(theta, dtype=float)
         self.ncases = len(grams.sizes)
@@ -499,8 +495,8 @@ class AffineGramMap:
         # per case: its Gram entries row-major, then one sign row per gamma
         gamma_case = owner[self.gamma_pos]
         shapes: dict[tuple, list[tuple[int, np.ndarray]]] = {}
-        for c, n in enumerate(grams.sizes):
-            cols = np.flatnonzero(owner == c)
+        for c in range(self.ncases) if cases is None else cases:
+            n, cols = grams.sizes[c], np.flatnonzero(owner == c)
             nr = n * n + np.count_nonzero(gamma_case == c)
             shapes.setdefault((n, nr, len(cols), tuple(grams.pruned[c].tolist())),
                               []).append((c, cols))
@@ -569,8 +565,8 @@ class AffineGramMap:
         return w
 
     def lift(self, w: np.ndarray) -> np.ndarray:
-        """The free decision ``y = y_p + N w`` on the face."""
-        y = np.empty(len(self.free_idx))
+        """The free decision ``y = y_p + N w`` on the face, 0 off the selected cases."""
+        y = np.zeros(len(self.free_idx))
         for blk in self._blocks:
             wb = w[blk.w].reshape(len(blk.C), -1, 1)
             y[blk.C] = blk.yp + np.matmul(blk.N, wb)[..., 0]
@@ -596,11 +592,11 @@ class AffineGramMap:
         return out
 
     def candidate(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Clip the sign constraints and report each case's minimum
-        eigenvalue of the full Gram matrix."""
+        """Clip the sign constraints and report each selected case's minimum
+        eigenvalue of the full Gram matrix, ``+inf`` for the others."""
         y = y.copy()
         y[self.gamma_pos] = np.maximum(y[self.gamma_pos], 0.0)
-        lams = np.empty(self.ncases)
+        lams = np.full(self.ncases, np.inf)
         for blk in self._blocks:
             lams[blk.cases] = _sym_eigh(blk.matrices(y))[0][:, 0]
         return y, lams
@@ -622,12 +618,13 @@ class AffineGramMap:
         The iteration starts from the point of the face nearest ``y``.  Every
         ``DR_CHECK_EVERY`` iterations the affine-side point is lifted to a
         free decision and judged by :meth:`candidate`.  Returns the best free
-        decision, its per-case minimum eigenvalues and a record ``{"k",
-        "dr_iters", "stop", "lambda_min", "reduced_lambda_min"}``: ``k`` is
-        the pinned index parameters, ``stop`` is ``tolerance`` (the iterate
-        certifies) or ``budget`` (``iterations`` ran out), ``lambda_min`` the
-        worst of those eigenvalues, and ``reduced_lambda_min`` the kept
-        blocks' worst minimum eigenvalue.
+        decision, its minimum eigenvalues per case (as :meth:`candidate`) and
+        a record ``{"k", "dr_iters", "stop", "lambda_min",
+        "reduced_lambda_min"}``: ``k`` is the pinned index parameters,
+        ``stop`` is ``tolerance`` (the iterate certifies) or ``budget``
+        (``iterations`` ran out), ``lambda_min`` the worst of those
+        eigenvalues, and ``reduced_lambda_min`` the kept blocks' worst
+        minimum eigenvalue.
         """
         y_best, lams_best = self.candidate(y)
         lam_best = float(lams_best.min())
@@ -756,13 +753,13 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
           config: SolverConfig) -> Certificate:
     """Search for a decision vector making every Gram matrix PSD.
 
-    DR, the grid and the candidate checks run on the representatives of the
+    Each DR run's :class:`AffineGramMap` selects the representatives of the
     cases' mirror pairs (:class:`MirrorPairs`; every case when there are
-    none).  Restarts draw over the full layout, and after each DR run every
-    partner is filled in from its representative, so its Gram matrix is
-    ``D Q D``; a representative's ``lambda_min`` is the one DR judged, and a
-    partner's is computed from its filled-in Gram matrix.  A DR run stops,
-    and keeps its best iterate, by the representatives' worst
+    none), so DR, the grid and the candidate checks run on them only.  After
+    each DR run every partner is filled in from its representative, so its
+    Gram matrix is ``D Q D``; a representative's ``lambda_min`` is the one DR
+    judged, and a partner's is computed from its filled-in Gram matrix.  A DR
+    run stops, and keeps its best iterate, by the representatives' worst
     ``lambda_min``.
 
     Each seeded restart runs DR for ``config.iterations`` iterations at its
@@ -781,28 +778,20 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
         raise ValueError("no Gram specs to solve")
     grams = GramStack(specs, layout)
     mirror = MirrorPairs.find(grams, specs, layout)
-    reps = np.setdiff1d(np.arange(len(specs)), mirror.partners)
-    keep = np.setdiff1d(np.arange(layout.size), mirror.dst)   # the representatives' layout
-    rep_layout, rep_grams = layout, grams
-    if mirror.pairs:
-        rep_layout = layout.subset(keep)
-        rep_grams = GramStack([specs[c] for c in reps], rep_layout)
     grid: list[list[float]] = []   # [k, lambda_min] per grid point, filled on first use
 
     def run_dr(x, theta, iterations):
         """DR at index parameters ``theta`` (a k broadcasts) from ``x``'s multipliers."""
-        amap = AffineGramMap(rep_grams, rep_layout, np.full(len(layout.theta_idx), theta))
-        y, rep_lams, record = amap.refine(x[keep][amap.free_idx], iterations, TOLERANCE)
+        amap = AffineGramMap(grams, layout, np.full(len(layout.theta_idx), theta),
+                             mirror.representatives)
+        y, lams, record = amap.refine(x[amap.free_idx], iterations, TOLERANCE)
         x = x.copy()
         x[layout.theta_idx] = amap.theta
-        x[keep[amap.free_idx]] = y
+        x[amap.free_idx] = y
         mirror.fill(x)
-        lams = np.empty(len(specs))
-        lams[reps] = rep_lams
-        if mirror.pairs:
-            for members, mats in grams.split(grams.flat(x)):
-                filled = np.isin(members, mirror.partners)
-                lams[members[filled]] = np.linalg.eigvalsh(mats[filled])[:, 0]
+        for members, mats in grams.split(grams.flat(x)):
+            filled = np.isin(members, mirror.partners)
+            lams[members[filled]] = np.linalg.eigvalsh(mats[filled])[:, 0]
         return x, lams, record
 
     def run_restart(r):
@@ -871,15 +860,20 @@ def check_certificate(specs: Sequence[GramSpec], layout: DecisionLayout,
     with the in-repo Jacobi eigensolver, not the solver's LAPACK path, in one
     batched call per Gram size.
 
-    Verifies the decision's variable names against the layout, its sign
-    constraints, the real, positive :func:`~sisynth.index.chain_roots` of its k
-    and each case's minimum eigenvalue against ``-TOLERANCE``; the certificate's
-    own ``lambda_mins`` are not read.  Returns a pass flag and one diagnostic per violation.
+    Verifies the decision's variable names against the layout, that every
+    value is finite, its sign constraints, the real, positive
+    :func:`~sisynth.index.chain_roots` of its k and each case's minimum
+    eigenvalue against ``-TOLERANCE``; the certificate's own ``lambda_mins``
+    are not read.  Returns a pass flag and one diagnostic per violation.
     """
     if mismatch := layout_mismatch(cert, layout):
         return False, [mismatch]
-    diagnostics: list[str] = []
     d = cert.decision
+    # every comparison with NaN is false, so each test below would pass it
+    diagnostics = [f"decision variable {layout.variables[i].name} = {d[i]} is not finite"
+                   for i in np.flatnonzero(~np.isfinite(d))]
+    if diagnostics:
+        return False, diagnostics
     for i in layout.theta_idx:
         if d[i] < k_min - 1e-12:
             diagnostics.append(f"theta component {layout.variables[i].name} = {d[i]:.3e} below {k_min}")
@@ -895,7 +889,7 @@ def check_certificate(specs: Sequence[GramSpec], layout: DecisionLayout,
     for members, mats in stack.split(stack.flat(d)):
         lam_min[members] = jacobi_eigh_batch(mats)[0][:, 0]
     for c, lam in enumerate(lam_min):
-        if lam < -TOLERANCE:
+        if not lam >= -TOLERANCE:
             diagnostics.append(f"case {c}: lambda_min = {lam:.3e} < {-TOLERANCE:.1e} "
                                f"(margin {lam + TOLERANCE:.3e})")
     return not diagnostics, diagnostics

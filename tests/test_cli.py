@@ -227,6 +227,21 @@ class TestVerify:
         assert "certificate check: FAIL" in result.output
         assert "below 0.0001" in result.output
 
+    def test_nan_decision_exit_two(self, runner, braking_config_path, synth_run, tmp_path):
+        # json.load reads NaN, and the re-check once passed it: every test
+        # in it was a comparison, and each is false for NaN
+        _, outdir = synth_run
+        data = json.loads((outdir / "certificate.json").read_text())
+        data["decision"]["pg_p_1"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))
+        result = runner.invoke(main, ["verify", braking_config_path,
+                                      "--certificate", str(path),
+                                      "--output", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "certificate check: FAIL" in result.output
+        assert "decision variable pg_p_1 = nan is not finite" in result.output
+
     def test_certificate_tolerance_not_trusted(self, runner, restricted_problem, tmp_path):
         # random multipliers leave negative Gram eigenvalues; a certificate
         # file that states a lax tolerance once passed the check
@@ -531,6 +546,18 @@ class TestSimulate:
         assert result.exit_code == 2, result.output
         assert "certificate check: FAIL" in result.output
         assert "Safe Set (%)" not in result.output
+        assert not (tmp_path / "out" / "report.md").exists()
+
+    def test_nan_multiplier_exit_two(self, runner, restricted_certificate, tmp_path):
+        data = restricted_certificate.to_dict()
+        data["decision"]["pg_ppp_1"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))
+        result = runner.invoke(main, [
+            "simulate", RESTRICTED_CONFIG_PATH, "--certificate", str(path),
+            "--trials", "2", "--output", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "decision variable pg_ppp_1 = nan is not finite" in result.output
         assert not (tmp_path / "out" / "report.md").exists()
 
     def test_certificate_without_lambda_mins_exit_four(self, runner, restricted_certificate,

@@ -478,13 +478,12 @@ class TestSolve:
         refine = AffineGramMap.refine
         grams = GramStack(p.specs, p.layout)
         mirror = MirrorPairs.find(grams, p.specs, p.layout)
-        keep = np.setdiff1d(np.arange(p.layout.size), mirror.dst)   # DR's layout
 
         def recording(amap, *args, **kwargs):
             y, lams, record = refine(amap, *args, **kwargs)
             x = np.empty(p.layout.size)
             x[p.layout.theta_idx] = amap.theta
-            x[keep[amap.free_idx]] = y
+            x[amap.free_idx] = y
             outputs[id(record)] = mirror.fill(x)
             return y, lams, record
 
@@ -612,6 +611,35 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve([], braking_problem.layout, braking_problem.solver_config)
 
+    @pytest.mark.parametrize("instance, cases", [("restricted_problem", [0, 1, 4, 5]),
+                                                 ("braking_problem", None)])
+    def test_one_stack_and_maps_over_the_representatives(self, instance, cases, request,
+                                                          monkeypatch):
+        # the representatives run on the stack and layout of the whole
+        # problem; a config without pairs takes the same path
+        p = request.getfixturevalue(instance)
+        cases = list(range(len(p.specs))) if cases is None else cases
+        stacks, selected = [], []
+        stack_init, amap_init = GramStack.__init__, AffineGramMap.__init__
+
+        def counting(grams, *args):
+            stacks.append(grams)
+            stack_init(grams, *args)
+
+        def recording(amap, *args):
+            amap_init(amap, *args)
+            lams = amap.candidate(np.zeros(len(amap.free_idx)))[1]
+            selected.append(np.flatnonzero(np.isfinite(lams)).tolist())
+
+        monkeypatch.setattr(GramStack, "__init__", counting)
+        monkeypatch.setattr(AffineGramMap, "__init__", recording)
+        try:
+            solve(p.specs, p.layout, replace(p.solver_config, restarts=1))
+        except SolverFailure:
+            pass
+        assert len(stacks) == 1
+        assert selected and all(s == cases for s in selected)
+
 
 class TestMirrorPairs:
     """Cases that mirror each other under one state variable's sign flip: DR
@@ -732,26 +760,34 @@ class TestMirrorPairs:
         # check, bit for bit
         p = request.getfixturevalue(instance)
         grams, mirror = self.mirror(p)
-        keep = np.setdiff1d(np.arange(p.layout.size), mirror.dst)
-        reps = np.setdiff1d(np.arange(len(p.specs)), mirror.partners)
-        rep_layout = p.layout.subset(keep)
-        rep_grams = GramStack([p.specs[c] for c in reps], rep_layout)
         x0 = np.random.default_rng(3).uniform(0.0, 1.0, size=p.layout.size)
-        checked = []   # (map, free decision) per candidate check
+        checked = []   # (map, free decision, lambda_mins) per candidate check
         candidate = AffineGramMap.candidate
-        monkeypatch.setattr(AffineGramMap, "candidate",
-                            lambda amap, y: checked.append((amap, y.copy())) or candidate(amap, y))
+
+        def recording(amap, y):
+            y, lams = candidate(amap, y)
+            checked.append((amap, y, lams))
+            return y, lams
+
+        monkeypatch.setattr(AffineGramMap, "candidate", recording)
         full = AffineGramMap(grams, p.layout, np.array([k]))
-        rep = AffineGramMap(rep_grams, rep_layout, np.array([k]))
-        for amap, x in ((full, x0), (rep, x0[keep])):
+        rep = AffineGramMap(grams, p.layout, np.array([k]), mirror.representatives)
+        assert np.array_equal(rep.free_idx, full.free_idx)
+        for amap in (full, rep):
             # a tolerance of -inf never certifies, so both runs spend the budget
-            record = amap.refine(x[amap.free_idx], 300, -np.inf)[2]
+            record = amap.refine(x0[amap.free_idx], 300, -np.inf)[2]
             assert record["dr_iters"] == 300
-        runs = [[y for amap, y in checked if amap is m] for m in (full, rep)]
+        runs = [[c for c in checked if c[0] is m] for m in (full, rep)]
         assert len(runs[0]) == len(runs[1]) == 1 + 300 // 5 + 1
-        cols = np.searchsorted(full.free_idx, keep[rep.free_idx])
-        for y_full, y_rep in zip(*runs):
-            assert np.array_equal(y_full[cols], y_rep)
+        cols = ~np.isin(full.free_idx, mirror.dst)   # the representatives' columns
+        for (_, y_full, lams_full), (_, y_rep, lams_rep) in zip(*runs):
+            assert np.array_equal(y_full[cols], y_rep[cols])
+            assert np.array_equal(lams_full[mirror.representatives],
+                                  lams_rep[mirror.representatives])
+            assert np.all(lams_rep[mirror.partners] == np.inf)
+        # every iterate after the start is lifted from the face: zero on the
+        # partners' columns
+        assert all(np.all(y[~cols] == 0.0) for _, y, _ in runs[1][1:])
 
 
 class TestCertificate:
@@ -784,6 +820,31 @@ class TestCertificate:
         first = p.layout.variables[0].name
         assert f"decision variable {tampered.variable_names[0]!r} where the layout has " \
             f"{first!r}" in diagnostics
+
+    @pytest.mark.parametrize("names, value", [(["k"], np.nan), (["k"], np.inf),
+                                              (["pg_p_1"], np.nan), (None, np.nan)])
+    def test_non_finite_value_fails_check(self, braking_problem, braking_certificate, names,
+                                          value):
+        # every other test of the re-check is a comparison, and each is false
+        # for NaN; an infinite k leaves NaN eigenvalues
+        p, cert = braking_problem, braking_certificate
+        names = names or cert.variable_names   # None: every value
+        d = cert.decision.copy()
+        d[[cert.variable_names.index(n) for n in names]] = value
+        ok, diagnostics = check_certificate(p.specs, p.layout, replace(cert, decision=d))
+        assert not ok
+        assert diagnostics == [f"decision variable {n} = {value} is not finite" for n in names]
+
+    def test_nan_lambda_min_fails_check(self, braking_problem, braking_certificate):
+        # a finite multiplier whose Gram matrix overflows has no eigenvalues
+        # to compare
+        p, cert = braking_problem, braking_certificate
+        d = cert.decision.copy()
+        d[cert.variable_names.index("pg_p_1")] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok, diagnostics = check_certificate(p.specs, p.layout, replace(cert, decision=d))
+        assert not ok
+        assert any(line.startswith("case 0: lambda_min = nan") for line in diagnostics)
 
     def test_negative_multiplier_flagged(self, braking_problem, braking_certificate):
         p, cert = braking_problem, braking_certificate
