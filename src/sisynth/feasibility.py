@@ -24,8 +24,11 @@ representatives, over the one layout and :class:`GramStack`, and each
 partner's variables are filled in from its representative's, which makes its
 Gram matrix ``D Q D``.  :func:`check_certificate` still re-checks every case.
 
-The solver's eigendecompositions run on LAPACK (``np.linalg.eigh``).  The
-in-repo Jacobi eigensolver (:func:`jacobi_eigh_batch`) serves
+Each eigensolver runs where its output is read.  The DR cone step needs
+eigenvectors, and ``reduced_lambda_min`` ranks the restarts, so both run
+LAPACK ``np.linalg.eigh``.  The candidate checks and a mirror partner's
+``lambda_min`` read only eigenvalues, so they run ``np.linalg.eigvalsh``.
+The in-repo Jacobi eigensolver (:func:`jacobi_eigh_batch`) serves
 :func:`check_certificate`, so a certificate is re-checked by an eigensolver
 independent of the one that found it.
 """
@@ -365,9 +368,9 @@ class MirrorPairs:
         return out
 
 
-def _sym_eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK eigendecomposition of a stack of matrices, symmetrized."""
-    return np.linalg.eigh(0.5 * (mats + mats.transpose(0, 2, 1)))
+def _sym(mats: np.ndarray) -> np.ndarray:
+    """The symmetric parts of a stack of matrices."""
+    return 0.5 * (mats + mats.transpose(0, 2, 1))
 
 
 def _face_solutions(E: np.ndarray, e: np.ndarray):
@@ -405,9 +408,9 @@ class _Block(NamedTuple):
     row-major, then the sign rows of its gamma multipliers) as ``A y + b``;
     ``n`` is the Gram size.  On the zero face the free decision is
     ``y = yp + N w``, and the ``kept`` rows of the block are ``Af w + bf``,
-    with least-squares projector ``P``.  ``v`` and ``w`` are the block's
-    slices of the face-packed vector and of the face coordinates; ``k`` is
-    the kept Gram size.
+    with least-squares projector ``P``; ``k`` is the kept Gram size.  The
+    block's Douglas-Rachford points are its kept rows, ``(cases, rows, 1)``
+    like ``bf``.
     """
     cases: np.ndarray
     C: np.ndarray
@@ -421,13 +424,34 @@ class _Block(NamedTuple):
     Af: np.ndarray
     bf: np.ndarray
     P: np.ndarray
-    v: slice
-    w: slice
 
     def matrices(self, y: np.ndarray) -> np.ndarray:
         """The cases' full Gram matrices at free decision ``y``, ``(cases, n, n)``."""
         rows = np.matmul(self.A, y[self.C][..., None])[..., 0] + self.b
         return rows[:, :self.n * self.n].reshape(-1, self.n, self.n)
+
+    def restrict(self, y: np.ndarray) -> np.ndarray:
+        """The kept rows at the point of the face nearest the free decision ``y``."""
+        w = np.matmul(self.N.transpose(0, 2, 1), (y[self.C] - self.yp)[..., None])
+        return np.matmul(self.Af, w) + self.bf
+
+    def cone(self, z: np.ndarray) -> np.ndarray:
+        """Projection of the kept rows ``z`` onto the PSD cone of the kept
+        block and the nonnegative sign rows."""
+        kk = self.k * self.k
+        w, V = np.linalg.eigh(_sym(z[:, :kk, 0].reshape(-1, self.k, self.k)))
+        x = np.maximum(z, 0.0)
+        x[:, :kk, 0] = np.einsum("bij,bj,bkj->bik", V, np.maximum(w, 0.0), V).reshape(-1, kk)
+        return x
+
+    def affine(self, v: np.ndarray) -> np.ndarray:
+        """Projection of the kept rows ``v`` onto the image ``Af w + bf`` of the face."""
+        return np.matmul(self.Af, np.matmul(self.P, v - self.bf)) + self.bf
+
+    def lift(self, v: np.ndarray) -> np.ndarray:
+        """The cases' free decisions ``yp + N w`` at the least-squares face
+        coordinates ``w`` of the kept rows ``v``, ``(cases, columns)``."""
+        return self.yp + np.matmul(self.N, np.matmul(self.P, v - self.bf))[..., 0]
 
 
 class AffineGramMap:
@@ -439,8 +463,8 @@ class AffineGramMap:
     share only the index parameters, so each case is a block of its own
     (:class:`_Block`) over its own columns; blocks of equal shape are stacked.
     Blocks are built for ``cases`` (every case by default) over the whole
-    layout's columns: :meth:`lift` zeroes an unselected case's columns and
-    :meth:`candidate` reports its ``lambda_min`` as ``+inf``.
+    layout's columns: :meth:`refine` leaves an unselected case's columns at
+    0, and :meth:`candidate` reports its ``lambda_min`` as ``+inf``.
 
     A basis monomial whose Gram diagonal is the zero polynomial
     (:attr:`GramStack.pruned`) forces its whole row and column of a PSD
@@ -448,8 +472,8 @@ class AffineGramMap:
     case's columns, solved by one batched SVD as ``y = y_p + N w``
     (:func:`_face_solutions`); a case with nothing pruned has ``N = I`` and
     ``y_p = 0``.  The Douglas-Rachford iteration of :meth:`refine` runs on
-    the face: :meth:`apply` and :meth:`project` map face coordinates ``w``
-    to the kept Gram entries and sign rows and back, so both feasibility
+    the face, each block on its own kept Gram entries and sign rows: the
+    affine side projects them onto ``Af w + bf``, so both feasibility
     projections stay exact and the cone side eigendecomposes only the kept
     blocks.  :meth:`candidate` still judges the full matrices.
     """
@@ -503,7 +527,6 @@ class AffineGramMap:
         case_slot = np.empty(self.ncases, dtype=np.intp)   # case's index in its block
         col_slot = np.empty(nfree, dtype=np.intp)          # column's index in its block
         self._blocks: list[_Block] = []
-        v_off = w_off = 0
         for (n, nr, nc, pruned), members in sorted(shapes.items()):
             cases = np.array([c for c, _ in members], dtype=np.intp)
             C = np.array([cols for _, cols in members], dtype=np.intp).reshape(len(cases), nc)
@@ -538,58 +561,10 @@ class AffineGramMap:
                 # (Af^T Af)^-1 Af^T = L^-T L^-1 Af^T, so each projection is one matmul
                 Li = _lower_inverse(L)
                 P = np.matmul(Li.transpose(0, 2, 1), np.matmul(Li, Af.transpose(0, 2, 1)))
-                bf = b[sel][:, kept] + np.matmul(Ak, yp[..., None])[..., 0]
-                dv, dw = Af.shape[0] * Af.shape[1], Af.shape[0] * Af.shape[2]
+                bf = b[sel][:, kept, None] + np.matmul(Ak, yp[..., None])
                 self._blocks.append(_Block(
                     cases=cases[sel], C=C[sel], A=A[sel], b=b[sel], n=n, kept=kept,
-                    k=n - len(pruned), N=N, yp=yp, Af=Af, bf=bf, P=P,
-                    v=slice(v_off, v_off + dv), w=slice(w_off, w_off + dw)))
-                v_off, w_off = v_off + dv, w_off + dw
-        self.face_rows, self.face_dim = v_off, w_off
-
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        """The kept Gram entries and sign rows ``Af w + bf`` at face coordinates
-        ``w``, packed block by block."""
-        out = np.empty(self.face_rows)
-        for blk in self._blocks:
-            wb = w[blk.w].reshape(len(blk.C), -1, 1)
-            out[blk.v] = (np.matmul(blk.Af, wb)[..., 0] + blk.bf).ravel()
-        return out
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        """The least-squares face coordinates ``argmin_w |Af w + bf - v|``."""
-        w = np.empty(self.face_dim)
-        for blk in self._blocks:
-            vb = v[blk.v].reshape(len(blk.C), -1)
-            w[blk.w] = np.matmul(blk.P, (vb - blk.bf)[..., None]).ravel()
-        return w
-
-    def lift(self, w: np.ndarray) -> np.ndarray:
-        """The free decision ``y = y_p + N w`` on the face, 0 off the selected cases."""
-        y = np.zeros(len(self.free_idx))
-        for blk in self._blocks:
-            wb = w[blk.w].reshape(len(blk.C), -1, 1)
-            y[blk.C] = blk.yp + np.matmul(blk.N, wb)[..., 0]
-        return y
-
-    def restrict(self, y: np.ndarray) -> np.ndarray:
-        """Face coordinates of the point of the face nearest the free decision ``y``."""
-        w = np.empty(self.face_dim)
-        for blk in self._blocks:
-            w[blk.w] = np.matmul(blk.N.transpose(0, 2, 1), (y[blk.C] - blk.yp)[..., None]).ravel()
-        return w
-
-    def _cone(self, z: np.ndarray) -> np.ndarray:
-        """Projection of face-packed ``z`` onto the PSD cone of every kept
-        block and the nonnegative sign rows."""
-        out = np.empty_like(z)
-        for blk in self._blocks:
-            kk = blk.k * blk.k
-            zb, xb = z[blk.v].reshape(len(blk.C), -1), out[blk.v].reshape(len(blk.C), -1)
-            w, V = _sym_eigh(zb[:, :kk].reshape(-1, blk.k, blk.k))
-            xb[:, :kk] = np.einsum("bij,bj,bkj->bik", V, np.maximum(w, 0.0), V).reshape(-1, kk)
-            xb[:, kk:] = np.maximum(zb[:, kk:], 0.0)
-        return out
+                    k=n - len(pruned), N=N, yp=yp, Af=Af, bf=bf, P=P))
 
     def candidate(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Clip the sign constraints and report each selected case's minimum
@@ -598,7 +573,7 @@ class AffineGramMap:
         y[self.gamma_pos] = np.maximum(y[self.gamma_pos], 0.0)
         lams = np.full(self.ncases, np.inf)
         for blk in self._blocks:
-            lams[blk.cases] = _sym_eigh(blk.matrices(y))[0][:, 0]
+            lams[blk.cases] = np.linalg.eigvalsh(_sym(blk.matrices(y)))[:, 0]
         return y, lams
 
     def reduced_lambda_min(self, y: np.ndarray) -> float:
@@ -606,7 +581,8 @@ class AffineGramMap:
         worst = []
         for blk in self._blocks:
             kept = blk.matrices(y).reshape(len(blk.C), -1)[:, blk.kept[:blk.k ** 2]]
-            worst.append(float(_sym_eigh(kept.reshape(-1, blk.k, blk.k))[0][:, 0].min()))
+            w = np.linalg.eigh(_sym(kept.reshape(-1, blk.k, blk.k)))[0]
+            worst.append(float(w[:, 0].min()))
         return min(worst)
 
     def refine(self, y: np.ndarray, iterations: int, tolerance: float
@@ -615,29 +591,35 @@ class AffineGramMap:
         the PSD cone of the kept blocks (with the nonnegative sign rows) and
         the affine image of the face, keeping the best sign-feasible iterate.
 
-        The iteration starts from the point of the face nearest ``y``.  Every
-        ``DR_CHECK_EVERY`` iterations the affine-side point is lifted to a
-        free decision and judged by :meth:`candidate`.  Returns the best free
-        decision, its minimum eigenvalues per case (as :meth:`candidate`) and
-        a record ``{"k", "dr_iters", "stop", "lambda_min",
-        "reduced_lambda_min"}``: ``k`` is the pinned index parameters,
-        ``stop`` is ``tolerance`` (the iterate certifies) or ``budget``
-        (``iterations`` ran out), ``lambda_min`` the worst of those
-        eigenvalues, and ``reduced_lambda_min`` the kept blocks' worst
-        minimum eigenvalue.
+        Each block iterates its own kept rows: the iteration starts from the
+        point of the face nearest ``y`` (:meth:`_Block.restrict`), and a step
+        is :meth:`_Block.cone`, then :meth:`_Block.affine` of the reflection.
+        Every ``DR_CHECK_EVERY`` iterations the cone-side points are lifted
+        to a free decision (:meth:`_Block.lift`, 0 off the selected cases) and
+        judged by :meth:`candidate`.  Returns the best free decision, its
+        minimum eigenvalues per case (as :meth:`candidate`) and a record
+        ``{"k", "dr_iters", "stop", "lambda_min", "reduced_lambda_min"}``:
+        ``k`` is the pinned index parameters, ``stop`` is ``tolerance`` (the
+        iterate certifies) or ``budget`` (``iterations`` ran out),
+        ``lambda_min`` the worst of those eigenvalues, and
+        ``reduced_lambda_min`` the kept blocks' worst minimum eigenvalue.
         """
         y_best, lams_best = self.candidate(y)
         lam_best = float(lams_best.min())
         it, stop = -1, "tolerance"
         if lam_best < -tolerance:
-            z = self.apply(self.restrict(y))
+            z = [blk.restrict(y) for blk in self._blocks]
             stop = "budget"
             for it in range(iterations):
-                xc = self._cone(z)
-                xl = self.apply(self.project(2.0 * xc - z))
-                z = z + DR_RELAXATION * (xl - xc)
-                if it % DR_CHECK_EVERY == 0 or it == iterations - 1:
-                    y_cand, lams = self.candidate(self.lift(self.project(xc)))
+                check = it % DR_CHECK_EVERY == 0 or it == iterations - 1
+                y_cand = np.zeros(len(self.free_idx)) if check else None
+                for i, blk in enumerate(self._blocks):
+                    xc = blk.cone(z[i])
+                    z[i] = z[i] + DR_RELAXATION * (blk.affine(2.0 * xc - z[i]) - xc)
+                    if check:
+                        y_cand[blk.C] = blk.lift(xc)
+                if check:
+                    y_cand, lams = self.candidate(y_cand)
                     if lams.min() > lam_best:
                         y_best, lams_best, lam_best = y_cand, lams, float(lams.min())
                         if lam_best >= -tolerance:
@@ -886,10 +868,15 @@ def check_certificate(specs: Sequence[GramSpec], layout: DecisionLayout,
             diagnostics.append(f"multiplier {layout.variables[i].name} = {d[i]:.3e} is negative")
     stack = GramStack(specs, layout)
     lam_min = np.empty(len(specs))
-    for members, mats in stack.split(stack.flat(d)):
-        lam_min[members] = jacobi_eigh_batch(mats)[0][:, 0]
+    # finite values can still overflow a Gram entry; its eigenvalues are then
+    # NaN, which the diagnostics below report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for members, mats in stack.split(stack.flat(d)):
+            lam_min[members] = jacobi_eigh_batch(mats)[0][:, 0]
     for c, lam in enumerate(lam_min):
-        if not lam >= -TOLERANCE:
+        if np.isnan(lam):
+            diagnostics.append(f"case {c}: lambda_min = nan is not a number")
+        elif lam < -TOLERANCE:
             diagnostics.append(f"case {c}: lambda_min = {lam:.3e} < {-TOLERANCE:.1e} "
                                f"(margin {lam + TOLERANCE:.3e})")
     return not diagnostics, diagnostics

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 from itertools import permutations
 
@@ -7,6 +8,8 @@ import pytest
 
 from sisynth.config import RunConfig, build_problem
 from sisynth.feasibility import (
+    DR_CHECK_EVERY,
+    DR_RELAXATION,
     AffineGramMap,
     Certificate,
     DecisionLayout,
@@ -18,7 +21,7 @@ from sisynth.feasibility import (
     _case_tables,
     _mirror_map,
     _mono_repr,
-    _sym_eigh,
+    _sym,
     check_certificate,
     jacobi_eigh_batch,
     mirror_signs,
@@ -163,12 +166,15 @@ class TestSolverAndCheckerEigensolvers:
 
     @staticmethod
     def _assert_agree(amap, y):
+        y, lams = amap.candidate(y)
         for blk in amap._blocks:
             mats = blk.matrices(y)
-            w, _ = _sym_eigh(mats)
-            wj, _ = jacobi_eigh_batch(0.5 * (mats + mats.transpose(0, 2, 1)))
+            w, _ = np.linalg.eigh(_sym(mats))
+            wj, _ = jacobi_eigh_batch(_sym(mats))
             scale = np.abs(mats).max(axis=(1, 2))[:, None]
             assert np.all(np.abs(w - wj) <= 1e-12 * scale)
+            # the candidate checks read eigvalsh's minimum eigenvalue
+            assert np.all(np.abs(lams[blk.cases] - wj[:, 0]) <= 1e-12 * scale[:, 0])
 
     def test_agree_at_random_decision(self, restricted_problem):
         p = restricted_problem
@@ -191,11 +197,70 @@ class TestSolverAndCheckerEigensolvers:
         self._assert_agree(amap, y)
 
 
-def dense_affine_map(amap):
-    """``A`` and ``b`` of the face map ``apply(w) = A w + b``, read back column
-    by column."""
-    b = amap.apply(np.zeros(amap.face_dim))
-    return np.stack([amap.apply(e) - b for e in np.eye(amap.face_dim)], axis=1), b
+def packed_refine_reference(amap, y, iterations):
+    """An oracle for :meth:`AffineGramMap.refine` at a tolerance of -inf:
+    the DR loop on one face-packed vector, every block's kept rows end to
+    end, with the candidates judged by ``eigh``.  Returns ``(decision,
+    lambda_mins)`` of every candidate check, the starting ``y`` first."""
+    blocks = amap._blocks
+    rows = np.cumsum([0] + [blk.Af.shape[0] * blk.Af.shape[1] for blk in blocks])
+    cols = np.cumsum([0] + [blk.Af.shape[0] * blk.Af.shape[2] for blk in blocks])
+    vs = [slice(a, b) for a, b in zip(rows, rows[1:])]
+    ws = [slice(a, b) for a, b in zip(cols, cols[1:])]
+
+    def apply(w):
+        out = np.empty(rows[-1])
+        for blk, v, wb in zip(blocks, vs, ws):
+            out[v] = (np.matmul(blk.Af, w[wb].reshape(len(blk.C), -1, 1))[..., 0]
+                      + blk.bf[..., 0]).ravel()
+        return out
+
+    def project(v):
+        w = np.empty(cols[-1])
+        for blk, vb, wb in zip(blocks, vs, ws):
+            vv = v[vb].reshape(len(blk.C), -1)
+            w[wb] = np.matmul(blk.P, (vv - blk.bf[..., 0])[..., None]).ravel()
+        return w
+
+    def lift(w):
+        out = np.zeros(len(amap.free_idx))
+        for blk, wb in zip(blocks, ws):
+            out[blk.C] = blk.yp + np.matmul(blk.N, w[wb].reshape(len(blk.C), -1, 1))[..., 0]
+        return out
+
+    def restrict(y):
+        w = np.empty(cols[-1])
+        for blk, wb in zip(blocks, ws):
+            w[wb] = np.matmul(blk.N.transpose(0, 2, 1), (y[blk.C] - blk.yp)[..., None]).ravel()
+        return w
+
+    def cone(z):
+        out = np.empty_like(z)
+        for blk, v in zip(blocks, vs):
+            kk = blk.k * blk.k
+            zb, xb = z[v].reshape(len(blk.C), -1), out[v].reshape(len(blk.C), -1)
+            w, V = np.linalg.eigh(_sym(zb[:, :kk].reshape(-1, blk.k, blk.k)))
+            xb[:, :kk] = np.einsum("bij,bj,bkj->bik", V, np.maximum(w, 0.0), V).reshape(-1, kk)
+            xb[:, kk:] = np.maximum(zb[:, kk:], 0.0)
+        return out
+
+    def candidate(y):
+        y = y.copy()
+        y[amap.gamma_pos] = np.maximum(y[amap.gamma_pos], 0.0)
+        lams = np.full(amap.ncases, np.inf)
+        for blk in blocks:
+            lams[blk.cases] = np.linalg.eigh(_sym(blk.matrices(y)))[0][:, 0]
+        return y, lams
+
+    checks = [candidate(y)]
+    z = apply(restrict(y))
+    for it in range(iterations):
+        xc = cone(z)
+        xl = apply(project(2.0 * xc - z))
+        z = z + DR_RELAXATION * (xl - xc)
+        if it % DR_CHECK_EVERY == 0 or it == iterations - 1:
+            checks.append(candidate(lift(project(xc))))
+    return checks
 
 
 class TestAffineGramMap:
@@ -231,13 +296,50 @@ class TestAffineGramMap:
         p = request.getfixturevalue(instance)
         grams = GramStack(p.specs, p.layout)
         amap = AffineGramMap(grams, p.layout, np.array([0.0125]))
-        A, b = dense_affine_map(amap)
         rng = np.random.default_rng(8)
-        for _ in range(3):
-            v = rng.normal(size=len(b))
-            want = np.linalg.lstsq(A, v - b, rcond=None)[0]
-            assert np.allclose(amap.project(v), want, rtol=0.0,
-                               atol=1e-12 * max(1.0, np.abs(want).max()))
+        for blk in amap._blocks:
+            for _ in range(3):
+                v = rng.normal(size=blk.bf.shape)
+                want = np.stack([np.linalg.lstsq(Af, r, rcond=None)[0]
+                                 for Af, r in zip(blk.Af, v - blk.bf)])
+                assert np.allclose(np.matmul(blk.P, v - blk.bf), want, rtol=0.0,
+                                   atol=1e-12 * max(1.0, np.abs(want).max()))
+                # the affine side of a DR step lands on Af w + bf at those w
+                image = np.matmul(blk.Af, want) + blk.bf
+                assert np.allclose(blk.affine(v), image, rtol=0.0,
+                                   atol=1e-12 * max(1.0, np.abs(image).max()))
+
+    @pytest.mark.parametrize("instance, k", [("restricted_problem", 0.012783492724500072),
+                                             ("unicycle_problem", 0.0125),
+                                             ("braking_problem", 1.5),
+                                             ("triple_integrator", 2.0)])
+    def test_refine_matches_packed_reference(self, instance, k, request, monkeypatch):
+        # each block iterates its own arrays with the reference's operations,
+        # so every candidate decision is bit-equal; only the eigensolver of
+        # the check differs (eigvalsh against eigh)
+        p = build_problem(RunConfig.from_dict(triple_integrator_config_dict())) \
+            if instance == "triple_integrator" else request.getfixturevalue(instance)
+        grams = GramStack(p.specs, p.layout)
+        amap = AffineGramMap(grams, p.layout, np.array([k]),
+                             MirrorPairs.find(grams, p.specs, p.layout).representatives)
+        y = np.random.default_rng(4).uniform(0.0, 1.0, size=len(amap.free_idx))
+        checked = []
+        candidate = AffineGramMap.candidate
+
+        def recording(amap, y):
+            checked.append(candidate(amap, y))
+            return checked[-1]
+
+        monkeypatch.setattr(AffineGramMap, "candidate", recording)
+        record = amap.refine(y, 300, -np.inf)[2]
+        reference = packed_refine_reference(amap, y, 300)
+        assert record["dr_iters"] == 300 and len(checked) == len(reference) == 1 + 300 // 5 + 1
+        for (y_new, lams_new), (y_ref, lams_ref) in zip(checked, reference):
+            assert np.array_equal(y_new, y_ref), instance
+            assert np.array_equal(np.isinf(lams_new), np.isinf(lams_ref))
+            for blk in amap._blocks:
+                scale = np.abs(blk.matrices(y_ref)).max(axis=(1, 2))
+                assert np.all(np.abs(lams_new[blk.cases] - lams_ref[blk.cases]) <= 1e-12 * scale)
 
     def test_shared_multiplier_rejected(self):
         k = VarId(0, "k", VarKind.DECISION)
@@ -319,7 +421,7 @@ class TestZeroFace:
         for blk in amap._blocks:
             assert np.array_equal(blk.N, np.broadcast_to(np.eye(blk.N.shape[1]), blk.N.shape))
             assert np.array_equal(blk.yp, np.zeros_like(blk.yp))
-            assert np.array_equal(blk.Af, blk.A) and np.array_equal(blk.bf, blk.b)
+            assert np.array_equal(blk.Af, blk.A) and np.array_equal(blk.bf[..., 0], blk.b)
 
     def test_restricted_face_dimension(self, restricted_problem):
         p = restricted_problem
@@ -357,7 +459,9 @@ class TestZeroFace:
         _, grams, amap, *_ = refined
         rng = np.random.default_rng(12)
         for _ in range(5):
-            y = amap.lift(rng.uniform(-1, 1, size=amap.face_dim))
+            y = np.zeros(len(amap.free_idx))
+            for blk in amap._blocks:
+                y[blk.C] = blk.lift(rng.uniform(-1, 1, size=blk.bf.shape))
             assert np.abs(self.pruned_entries(grams, amap, y)).max() <= 1e-12
 
     def test_refine_output_lies_on_face(self, refined):
@@ -841,10 +945,11 @@ class TestCertificate:
         p, cert = braking_problem, braking_certificate
         d = cert.decision.copy()
         d[cert.variable_names.index("pg_p_1")] = 1e308
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             ok, diagnostics = check_certificate(p.specs, p.layout, replace(cert, decision=d))
         assert not ok
-        assert any(line.startswith("case 0: lambda_min = nan") for line in diagnostics)
+        assert "case 0: lambda_min = nan is not a number" in diagnostics
 
     def test_negative_multiplier_flagged(self, braking_problem, braking_certificate):
         p, cert = braking_problem, braking_certificate
