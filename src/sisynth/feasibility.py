@@ -440,7 +440,7 @@ class _Block(NamedTuple):
         block and the nonnegative sign rows."""
         kk = self.k * self.k
         w, V = np.linalg.eigh(_sym(z[:, :kk, 0].reshape(-1, self.k, self.k)))
-        x = np.maximum(z, 0.0)
+        x = np.maximum(z, 0.0)   # the sign rows; the Gram rows are rebuilt below
         x[:, :kk, 0] = np.einsum("bij,bj,bkj->bik", V, np.maximum(w, 0.0), V).reshape(-1, kk)
         return x
 
