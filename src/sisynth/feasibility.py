@@ -30,7 +30,8 @@ LAPACK ``np.linalg.eigh``.  The candidate checks and a mirror partner's
 ``lambda_min`` read only eigenvalues, so they run ``np.linalg.eigvalsh``.
 The in-repo Jacobi eigensolver (:func:`jacobi_eigh_batch`) serves
 :func:`check_certificate`, so a certificate is re-checked by an eigensolver
-independent of the one that found it.
+independent of the one that found it.  Each of its rounds rotates disjoint
+index pairs, so the round is one rotation matrix applied by ``np.matmul``.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ DR_RELAXATION = 1.8     # Douglas-Rachford over-relaxation
 DR_CHECK_EVERY = 5      # DR iterations between candidate checks
 K_MAX = 100.0           # top of the search grid over k, which starts at k_min
 GRID_POINTS = 25        # log-spaced grid points
+GRID_DECIMALS = 12      # grid lambda_min are ranked rounded to this many decimals,
+                        # so rounding noise in DR cannot reorder tied points
 GRID_ITERATIONS = 200   # DR iterations per grid point
 SEARCH_RUNS = 2         # full-budget DR runs at the best grid points
 MULT_INIT = (0.0, 1.0)  # sampling ranges of a restart's gamma multipliers
@@ -81,13 +84,35 @@ def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
+def _rotation_plans(nb: int, n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per round-robin round: a ``(nb, n, n)`` rotation matrix ``J`` that is
+    zero but for the unpaired diagonal entry (odd ``n``), the flat slots of
+    its ``(p,p)``, ``(q,q)``, ``(p,q)``, ``(q,p)`` entries, and the flat
+    gather index of ``a_pq``, ``a_pp``, ``a_qq`` in an ``n × n`` matrix."""
+    rounds = _round_robin_rounds(n)
+    ps, qs = (np.array([r[i] for r in rounds]) for i in (0, 1))   # (rounds, pairs)
+    J = np.zeros((len(rounds), nb, n, n))
+    if n % 2:
+        # the one index each round leaves out: all indices' sum less the paired ones
+        unpaired = n * (n - 1) // 2 - ps.sum(axis=1) - qs.sum(axis=1)
+        J[np.arange(len(rounds)), :, unpaired, unpaired] = 1.0
+    pp, qq, pq, qp = ps * (n + 1), qs * (n + 1), ps * n + qs, qs * n + ps
+    return list(zip(J, np.concatenate([pp, qq, pq, qp], axis=1),
+                    np.concatenate([pq, pp, qq], axis=1)))
+
+
 def jacobi_eigh_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompositions of a stack of symmetric matrices by Jacobi rotations.
 
-    Applies rounds of disjoint rotation pairs to all matrices at once.
-    Returns eigenvalues sorted ascending, shape (B, n), and matching
-    orthonormal eigenvector columns, shape (B, n, n).  Deterministic: fixed
-    schedule, fixed rotation convention.
+    Each round of a sweep rotates a fixed set of disjoint index pairs (a
+    round-robin schedule).  Disjoint rotations commute, so a round is one
+    orthogonal matrix ``J`` per stacked matrix, applied to all of them at once
+    as ``A ← Jᵀ (A J)`` and ``V ← V J`` by ``np.matmul``; the rotated
+    ``(p,q)`` entries are then set to zero.  Sweeps stop once every matrix's
+    off-diagonal norm is at most ``JACOBI_TOL`` times its largest entry, or
+    after ``MAX_SWEEPS``.  Returns eigenvalues sorted ascending, shape (B,
+    n), and matching orthonormal eigenvector columns, shape (B, n, n).
+    Deterministic: fixed schedule, fixed rotation convention.
     """
     A = np.array(mats, dtype=float)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
@@ -97,36 +122,32 @@ def jacobi_eigh_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n == 1:
         return A[:, :, 0], V
     scale = np.maximum(np.max(np.abs(A), axis=(1, 2)), 1e-300)
-    rounds = _round_robin_rounds(n)
+    plans = _rotation_plans(nb, n)
     tril = np.tril_indices(n, -1)
-    for _ in range(MAX_SWEEPS):
-        off = np.sqrt(np.sum(A[:, tril[0], tril[1]] ** 2, axis=1))
-        if np.all(off <= JACOBI_TOL * scale):
-            break
-        for ps, qs in rounds:
-            apq = A[:, ps, qs]
-            active = np.abs(apq) > 1e-300
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                theta = (A[:, qs, qs] - A[:, ps, ps]) / np.where(active, 2.0 * apq, 1.0)
+    m = n // 2   # pairs per round
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(MAX_SWEEPS):
+            off = np.sqrt(np.sum(A[:, tril[0], tril[1]] ** 2, axis=1))
+            if np.all(off <= JACOBI_TOL * scale):
+                break
+            for J, slots, gather in plans:
+                g = A.reshape(nb, n * n)[:, gather]
+                apq, app, aqq = g[:, :m], g[:, m:2 * m], g[:, 2 * m:]
+                active = np.abs(apq) > 1e-300
+                # keep theta == 0 -> t = 1: when 2·a_pq overflows, theta reads
+                # 0, and a zero rotation would let the zeroing below delete a_pq
+                theta = (aqq - app) / np.where(active, 2.0 * apq, 1.0)
                 t = np.where(theta == 0.0, 1.0,
                              np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0)))
-            t = np.where(active, t, 0.0)
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            cb, sb = c[:, None, :], s[:, None, :]
-            Ap, Aq = A[:, :, ps], A[:, :, qs]
-            A[:, :, ps] = cb * Ap - sb * Aq
-            A[:, :, qs] = sb * Ap + cb * Aq
-            cb, sb = c[:, :, None], s[:, :, None]
-            Ap, Aq = A[:, ps, :], A[:, qs, :]
-            A[:, ps, :] = cb * Ap - sb * Aq
-            A[:, qs, :] = sb * Ap + cb * Aq
-            A[:, ps, qs] = np.where(active, 0.0, A[:, ps, qs])
-            A[:, qs, ps] = np.where(active, 0.0, A[:, qs, ps])
-            cb, sb = c[:, None, :], s[:, None, :]
-            Vp, Vq = V[:, :, ps], V[:, :, qs]
-            V[:, :, ps] = cb * Vp - sb * Vq
-            V[:, :, qs] = sb * Vp + cb * Vq
+                t = np.where(active, t, 0.0)
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                J.reshape(nb, n * n)[:, slots] = np.concatenate([c, c, s, -s], axis=1)
+                A = np.matmul(J.transpose(0, 2, 1), np.matmul(A, J))
+                V = np.matmul(V, J)
+                flat, zeroed = A.reshape(nb, n * n), slots[2 * m:]
+                flat[:, zeroed] = np.where(np.concatenate([active, active], axis=1), 0.0,
+                                           flat[:, zeroed])
     w = np.diagonal(A, axis1=1, axis2=2).copy()
     order = np.argsort(w, axis=1, kind="stable")
     w_sorted = np.take_along_axis(w, order, axis=1)
@@ -747,12 +768,14 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
     Each seeded restart runs DR for ``config.iterations`` iterations at its
     sampled index parameters.  If that run ends on ``budget``, it runs DR
     from the same multipliers at the ``SEARCH_RUNS`` best points of the
-    grid over k, one at a time until one certifies.  The grid is run once
-    per solve, from the first searching restart's multipliers.  A restart's
-    log entry holds the grid samples ``[k, lambda_min]`` it read and the
-    record of each of its DR runs.  Its ``k`` and ``lambda_mins`` come from
-    its last run.  The restart returned ranks highest by ``(valid,
-    reduced_lambda_min of its last run)``; ties go to the lower index.
+    grid over k, one at a time until one certifies.  The points rank by
+    ``lambda_min`` rounded to ``GRID_DECIMALS``; ties go to the lower k.
+    The grid is run once per solve, from the first searching restart's
+    multipliers.  A restart's log entry holds the grid samples ``[k,
+    lambda_min]`` it read and the record of each of its DR runs.  Its ``k``
+    and ``lambda_mins`` come from its last run.  The restart returned ranks
+    highest by ``(valid, reduced_lambda_min of its last run)``; ties go to
+    the lower index.
     The certificate records the pairs (``mirror_pairs``).  Raises
     :class:`SolverFailure` with that restart when none certifies.
     """
@@ -790,7 +813,8 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
             if not grid:
                 grid.extend([float(k), run_dr(x0, k, GRID_ITERATIONS)[2]["lambda_min"]]
                             for k in np.geomspace(config.k_min, K_MAX, GRID_POINTS))
-            for k, _ in sorted(grid, key=lambda sample: -sample[1])[:SEARCH_RUNS]:
+            ranked = sorted(grid, key=lambda sample: -round(sample[1], GRID_DECIMALS))
+            for k, _ in ranked[:SEARCH_RUNS]:
                 x, lams, record = run_dr(x0, k, config.iterations)
                 runs.append(record)
                 if record["stop"] == "tolerance":
@@ -869,10 +893,13 @@ def check_certificate(specs: Sequence[GramSpec], layout: DecisionLayout,
     stack = GramStack(specs, layout)
     lam_min = np.empty(len(specs))
     # finite values can still overflow a Gram entry; its eigenvalues are then
-    # NaN, which the diagnostics below report
+    # NaN, which the diagnostics below report.  A case with any NaN eigenvalue
+    # reads lambda_min = NaN: the ascending sort puts NaN last, so column 0
+    # alone could show a number
     with np.errstate(over="ignore", invalid="ignore"):
         for members, mats in stack.split(stack.flat(d)):
-            lam_min[members] = jacobi_eigh_batch(mats)[0][:, 0]
+            w = jacobi_eigh_batch(mats)[0]
+            lam_min[members] = np.where(np.isnan(w).any(axis=1), np.nan, w[:, 0])
     for c, lam in enumerate(lam_min):
         if np.isnan(lam):
             diagnostics.append(f"case {c}: lambda_min = nan is not a number")

@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 
 from sisynth.config import RunConfig, build_problem
+from sisynth import feasibility
 from sisynth.feasibility import (
     DR_CHECK_EVERY,
     DR_RELAXATION,
+    GRID_ITERATIONS,
+    JACOBI_TOL,
+    MAX_SWEEPS,
     AffineGramMap,
     Certificate,
     DecisionLayout,
@@ -21,6 +25,7 @@ from sisynth.feasibility import (
     _case_tables,
     _mirror_map,
     _mono_repr,
+    _round_robin_rounds,
     _sym,
     check_certificate,
     jacobi_eigh_batch,
@@ -37,6 +42,52 @@ from conftest import braking_config_dict, fresh_python, triple_integrator_config
 def random_symmetric(rng, n):
     M = rng.normal(size=(n, n))
     return 0.5 * (M + M.T)
+
+
+def jacobi_reference(mats):
+    """An oracle for :func:`jacobi_eigh_batch`: the same round-robin Jacobi
+    sweeps, with each round's rotations applied elementwise to the rotated
+    columns, then rows, of ``A`` and the columns of ``V``."""
+    A = np.array(mats, dtype=float)
+    nb, n, _ = A.shape
+    V = np.broadcast_to(np.eye(n), A.shape).copy()
+    if n == 1:
+        return A[:, :, 0], V
+    scale = np.maximum(np.max(np.abs(A), axis=(1, 2)), 1e-300)
+    rounds = _round_robin_rounds(n)
+    tril = np.tril_indices(n, -1)
+    for _ in range(MAX_SWEEPS):
+        off = np.sqrt(np.sum(A[:, tril[0], tril[1]] ** 2, axis=1))
+        if np.all(off <= JACOBI_TOL * scale):
+            break
+        for ps, qs in rounds:
+            apq = A[:, ps, qs]
+            active = np.abs(apq) > 1e-300
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                theta = (A[:, qs, qs] - A[:, ps, ps]) / np.where(active, 2.0 * apq, 1.0)
+                t = np.where(theta == 0.0, 1.0,
+                             np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0)))
+            t = np.where(active, t, 0.0)
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            cb, sb = c[:, None, :], s[:, None, :]
+            Ap, Aq = A[:, :, ps], A[:, :, qs]
+            A[:, :, ps] = cb * Ap - sb * Aq
+            A[:, :, qs] = sb * Ap + cb * Aq
+            cb, sb = c[:, :, None], s[:, :, None]
+            Ap, Aq = A[:, ps, :], A[:, qs, :]
+            A[:, ps, :] = cb * Ap - sb * Aq
+            A[:, qs, :] = sb * Ap + cb * Aq
+            A[:, ps, qs] = np.where(active, 0.0, A[:, ps, qs])
+            A[:, qs, ps] = np.where(active, 0.0, A[:, qs, ps])
+            cb, sb = c[:, None, :], s[:, None, :]
+            Vp, Vq = V[:, :, ps], V[:, :, qs]
+            V[:, :, ps] = cb * Vp - sb * Vq
+            V[:, :, qs] = sb * Vp + cb * Vq
+    w = np.diagonal(A, axis1=1, axis2=2).copy()
+    order = np.argsort(w, axis=1, kind="stable")
+    return (np.take_along_axis(w, order, axis=1),
+            np.take_along_axis(V, order[:, None, :], axis=2))
 
 
 class TestJacobiEigensolver:
@@ -73,6 +124,70 @@ class TestJacobiEigensolver:
             (w,), _ = jacobi_eigh_batch(mats[i][None])
             assert np.allclose(wb[i], w, atol=1e-10)
             assert np.allclose(Vb[i] @ np.diag(wb[i]) @ Vb[i].T, mats[i], atol=1e-10)
+
+    @staticmethod
+    def reference_stacks(restricted_problem, braking_problem, braking_certificate):
+        """(name, stack) pairs: certificate Gram stacks of the shipped
+        instances, random matrices of every size up to 12 and edge cases."""
+        stacks = []
+        for seed in (0, 1):
+            p = restricted_problem
+            cert = solve(p.specs, p.layout, replace(p.solver_config, seed=seed, restarts=1))
+            grams = GramStack(p.specs, p.layout)
+            stacks += [(f"restricted seed {seed}", mats)
+                       for _, mats in grams.split(grams.flat(cert.decision))]
+        grams = GramStack(braking_problem.specs, braking_problem.layout)
+        stacks += [("braking", mats)
+                   for _, mats in grams.split(grams.flat(braking_certificate.decision))]
+        p = build_problem(RunConfig.from_dict(triple_integrator_config_dict()))
+        grams = GramStack(p.specs, p.layout)
+        d = np.random.default_rng(9).uniform(-1.0, 1.0, size=p.layout.size)
+        d[p.layout.theta_idx] = 2.0
+        stacks += [("triple integrator", mats) for _, mats in grams.split(grams.flat(d))]
+        rng = np.random.default_rng(21)
+        stacks += [(f"random n={n}", np.stack([random_symmetric(rng, n) for _ in range(5)]))
+                   for n in range(1, 13)]
+        pruned = random_symmetric(rng, 7)
+        pruned[3, :] = pruned[:, 3] = 0.0   # a pruned basis monomial's row
+        stacks += [("zero", np.zeros((2, 6, 6))),
+                   ("diagonal", np.diag([3.0, -1.0, 0.0, 2.0])[None]),
+                   ("zero row", pruned[None])]
+        return stacks
+
+    def test_matches_elementwise_reference(self, restricted_problem, braking_problem,
+                                           braking_certificate):
+        # the matmul rounds sum in another order than the elementwise ones,
+        # so eigenvalues agree to rounding, not bit for bit
+        for name, mats in self.reference_stacks(restricted_problem, braking_problem,
+                                                braking_certificate):
+            w, V = jacobi_eigh_batch(mats)
+            w_ref, _ = jacobi_reference(mats)
+            scale = np.abs(mats).max(axis=(1, 2))
+            assert np.all(np.abs(w - w_ref) <= 1e-12 * scale[:, None]), name
+            for M, wi, Vi in zip(mats, w, V):
+                rel = np.linalg.norm(Vi @ np.diag(wi) @ Vi.T - M) / max(np.linalg.norm(M), 1e-30)
+                assert rel <= 1e-8, name
+
+    def test_overflow_reads_nan_in_both_kernels(self, braking_problem, braking_certificate):
+        p, cert = braking_problem, braking_certificate
+        d = cert.decision.copy()
+        d[cert.variable_names.index("pg_p_1")] = 1e308
+        grams = GramStack(p.specs, p.layout)
+        with np.errstate(over="ignore", invalid="ignore"):
+            [(members, mats)] = [(m, q) for m, q in grams.split(grams.flat(d)) if 0 in m]
+            w, _ = jacobi_eigh_batch(mats)
+            w_ref, _ = jacobi_reference(mats)
+        row = list(members).index(0)
+        assert np.all(np.isnan(w[row])) and np.all(np.isnan(w_ref[row]))
+
+    def test_overflowing_angle_still_rotates(self):
+        # 2·a_pq overflows, so theta reads 0; the rotation must be the 45° one,
+        # since a zero rotation would zero a_pq and leave a PSD diagonal
+        mats = np.array([[[1.0, 1e308], [1e308, 1.0]]])
+        with np.errstate(over="ignore"):   # the reference's off-diagonal norm
+            results = (jacobi_eigh_batch(mats), jacobi_reference(mats))
+        for w, _ in results:
+            assert w[0] == pytest.approx([-1e308, 1e308])
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
@@ -624,6 +739,28 @@ class TestSolve:
             assert r["runs"][0]["stop"] == "budget" and r["grid"]
             assert r["runs"][-1]["k"] == r["k"]
 
+    def test_grid_ranking_ignores_rounding_noise(self, braking_problem, braking_certificate,
+                                                 monkeypatch):
+        # every braking grid point at k >= 1.78 reads lambda_min = 0.0
+        # exactly; lowering each by a last-bit amount that shrinks with k
+        # must leave them tied, so the search still runs the lowest k first
+        refine = AffineGramMap.refine
+
+        def noisy(amap, y, iterations, tolerance):
+            y, lams, record = refine(amap, y, iterations, tolerance)
+            if iterations == GRID_ITERATIONS:
+                record["lambda_min"] -= 1e-15 / (1.0 + amap.theta[0])
+            return y, lams, record
+
+        monkeypatch.setattr(AffineGramMap, "refine", noisy)
+        p = braking_problem
+        cert = solve(p.specs, p.layout, p.solver_config)
+        want = braking_certificate.theta(p.layout).tolist()
+        assert want == pytest.approx([1.7782794100389228])
+        assert cert.theta(p.layout).tolist() == want
+        assert cert.restarts[0]["grid"] and all(r["k"] == want for r in cert.restarts
+                                                if r["valid"])
+
     def test_default_k_init_starts_at_k_min(self, braking_problem):
         # with k_min set and no k_init, restarts once drew k from (1e-4, 1)
         p = braking_problem
@@ -950,6 +1087,22 @@ class TestCertificate:
             ok, diagnostics = check_certificate(p.specs, p.layout, replace(cert, decision=d))
         assert not ok
         assert "case 0: lambda_min = nan is not a number" in diagnostics
+
+    def test_nan_anywhere_in_spectrum_fails_check(self, braking_problem, braking_certificate,
+                                                  monkeypatch):
+        # the ascending sort puts NaN last, so column 0 alone would read 0
+        p, cert = braking_problem, braking_certificate
+
+        def nan_tail(mats):
+            w = np.full(mats.shape[:2], np.nan)
+            w[:, 0] = 0.0
+            return w, np.broadcast_to(np.eye(mats.shape[1]), mats.shape).copy()
+
+        monkeypatch.setattr(feasibility, "jacobi_eigh_batch", nan_tail)
+        ok, diagnostics = check_certificate(p.specs, p.layout, cert)
+        assert not ok
+        assert diagnostics == [f"case {c}: lambda_min = nan is not a number"
+                               for c in range(len(p.specs))]
 
     def test_negative_multiplier_flagged(self, braking_problem, braking_certificate):
         p, cert = braking_problem, braking_certificate
