@@ -12,10 +12,13 @@ log-spaced k over ``[k_min, K_MAX]`` give each point's best ``lambda_min``
 after ``GRID_ITERATIONS`` DR iterations, with every index parameter set to
 k, and full-budget DR runs at the best of them.
 
+With the index parameters pinned, every Gram entry is affine in the other
+decision variables.  :func:`solve` lowers that affine map
+(:class:`AffineGramMap`) once, and each DR run evaluates it at its own k.
 A basis monomial whose Gram diagonal is the zero polynomial forces its row
 and column of a PSD matrix to zero, so DR runs on that zero face: the
-pruned entries become affine equalities on the multipliers, solved once per
-DR run, and DR iterates on the kept blocks only.  Candidates are still
+pruned entries become affine equalities on the multipliers, solved at each
+DR run's k, and DR iterates on the kept blocks only.  Candidates are still
 judged on the full Gram matrices.
 
 Refute cases that mirror each other under one state variable's sign flip
@@ -269,6 +272,17 @@ class GramStack:
         return g[:-1]
 
 
+def _own_variables(grams: GramStack, layout: DecisionLayout) -> np.ndarray:
+    """Each term's one factor that is no index parameter, as a layout index
+    (-1 for none): with the index parameters pinned, every Gram entry must
+    be affine in the other decision variables."""
+    # a factor that is neither an index parameter nor the constant-1 slot
+    own = ~np.isin(grams.factors, np.append(layout.theta_idx, grams.nvars))
+    if np.any(own.sum(axis=1) > 1):
+        raise ValueError("Gram entries must be affine in the multipliers")
+    return np.where(own, grams.factors, -1).max(axis=1)
+
+
 def _case_tables(grams: GramStack, layout: DecisionLayout) -> list[tuple]:
     """Each case's upper-triangle Gram terms as arrays sorted by key: ``(key,
     coefficient, i, j, rank, own variables, gamma)``.  ``own variables`` are
@@ -280,10 +294,7 @@ def _case_tables(grams: GramStack, layout: DecisionLayout) -> list[tuple]:
     is_theta, is_gamma = np.zeros(grams.nvars + 1, dtype=bool), np.zeros(grams.nvars, dtype=bool)
     is_theta[layout.theta_idx] = is_gamma[layout.gamma_idx] = True
     theta = is_theta[grams.factors]
-    own = ~theta & (grams.factors != grams.nvars)
-    if np.any(own.sum(axis=1) > 1):
-        raise ValueError("Gram entries must be affine in the multipliers")
-    var = np.where(own, grams.factors, -1).max(axis=1)
+    var = _own_variables(grams, layout)
     # the index-parameter factors, read as digits: 0 for any other factor
     base = len(layout.theta_idx) + 1
     th = np.where(theta, grams.factors + 1, 0) @ base ** np.arange(grams.factors.shape[1])
@@ -487,6 +498,14 @@ class AffineGramMap:
     layout's columns: :meth:`refine` leaves an unselected case's columns at
     0, and :meth:`candidate` reports its ``lambda_min`` as ``+inf``.
 
+    The constructor builds what does not depend on the index parameters:
+    the free columns and their owner cases, the block shapes, the kept rows
+    and the face entries, and for each Gram entry slot of a block its place
+    in ``A`` or ``b`` and its term.  :meth:`at` pins the index parameters:
+    it evaluates the terms, scatters them into every block's ``A`` and
+    ``b``, and solves the zero face.  :meth:`candidate`, :meth:`refine` and
+    :meth:`reduced_lambda_min` read the blocks of the last :meth:`at`.
+
     A basis monomial whose Gram diagonal is the zero polynomial
     (:attr:`GramStack.pruned`) forces its whole row and column of a PSD
     matrix to zero.  Those entries are affine equalities ``E y = e`` on the
@@ -499,30 +518,20 @@ class AffineGramMap:
     blocks.  :meth:`candidate` still judges the full matrices.
     """
 
-    def __init__(self, grams: GramStack, layout: DecisionLayout, theta: np.ndarray,
+    def __init__(self, grams: GramStack, layout: DecisionLayout,
                  cases: Sequence[int] | None = None):
         nv = layout.size
-        self.theta = np.asarray(theta, dtype=float)
+        self._grams, self._theta_idx = grams, layout.theta_idx
         self.ncases = len(grams.sizes)
-        pinned = np.zeros(nv + 1, dtype=bool)
-        pinned[layout.theta_idx] = True
-        pinned[nv] = True   # the constant-1 slot
-        self.free_idx = np.flatnonzero(~pinned)
+        self.free_idx = np.setdiff1d(np.arange(nv), layout.theta_idx)
         free_pos = np.full(nv + 1, -1, dtype=np.intp)
         free_pos[self.free_idx] = np.arange(len(self.free_idx))
         self.gamma_pos = free_pos[layout.gamma_idx]
 
-        pin = np.zeros(nv + 1)
-        pin[nv] = 1.0
-        pin[layout.theta_idx] = self.theta
-        free = ~pinned[grams.factors]
-        if np.any(free.sum(axis=1) > 1):
-            raise ValueError("Gram entries must be affine in the multipliers")
-        cval = grams.coeffs * np.prod(np.where(free, 1.0, pin[grams.factors]), axis=1)
-        col = np.max(np.where(free, free_pos[grams.factors], -1), axis=1)
-        # one (case, row, column, value) per Gram entry slot
+        # one (case, row, column) per Gram entry slot; a term without an own
+        # variable reads -1, and free_pos[-1] (the constant-1 slot's) is -1
         case, row = grams.term_case[grams.source], grams.slot_entry
-        col, cval = col[grams.source], cval[grams.source]
+        col = free_pos[_own_variables(grams, layout)][grams.source]
         nfree, linear = len(self.free_idx), col >= 0
 
         # a free column belongs to the one case whose Gram entries it enters
@@ -547,28 +556,45 @@ class AffineGramMap:
                               []).append((c, cols))
         case_slot = np.empty(self.ncases, dtype=np.intp)   # case's index in its block
         col_slot = np.empty(nfree, dtype=np.intp)          # column's index in its block
-        self._blocks: list[_Block] = []
+        # per block shape: (cases, C, n, kept Gram size, shape of [A | b],
+        # kept rows, upper-triangle face entries, flat index into [A | b] and
+        # term of each scattered value)
+        self._shapes: list[tuple] = []
         for (n, nr, nc, pruned), members in sorted(shapes.items()):
             cases = np.array([c for c, _ in members], dtype=np.intp)
             C = np.array([cols for _, cols in members], dtype=np.intp).reshape(len(cases), nc)
             case_slot[cases] = np.arange(len(cases))
             col_slot[C] = np.arange(nc)
+            # [A | b] is (cases, rows, nc + 1): a slot lands in its column, or
+            # in b without one, and each sign row reads a 1 at its gamma's
+            # column, the value :meth:`at` appends past the term table's end
             mine = np.isin(case, cases)
-            lin, const = mine & linear, mine & ~linear
-            A = np.bincount((case_slot[case[lin]] * nr + row[lin]) * nc + col_slot[col[lin]],
-                            weights=cval[lin], minlength=len(cases) * nr * nc
-                            ).reshape(len(cases), nr, nc)
+            scatter = (case_slot[case[mine]] * nr + row[mine]) * (nc + 1) + np.where(
+                linear[mine], col_slot[col[mine]], nc)
             s, j = np.nonzero(np.isin(C, self.gamma_pos))
-            A[s, n * n + np.tile(np.arange(nr - n * n), len(cases)), j] = 1.0
-            b = np.bincount(case_slot[case[const]] * nr + row[const], weights=cval[const],
-                            minlength=len(cases) * nr).reshape(len(cases), nr)
+            signs = (s * nr + n * n + np.tile(np.arange(nr - n * n), len(cases))) * (nc + 1) + j
             on_face = np.zeros((n, n), dtype=bool)
             on_face[list(pruned)] = True
             on_face[:, list(pruned)] = True
             kept = np.concatenate([np.flatnonzero(~on_face), np.arange(n * n, nr)])
+            term = np.append(grams.source[mine], np.full(len(signs), len(grams.coeffs)))
+            self._shapes.append((cases, C, n, n - len(pruned), (len(cases), nr, nc + 1), kept,
+                                 np.flatnonzero(np.triu(on_face)), np.append(scatter, signs), term))
+
+    def at(self, theta: np.ndarray) -> "AffineGramMap":
+        """Pin the index parameters at ``theta``: evaluate every block's ``A``
+        and ``b``, solve its zero face and build its projections.  Returns
+        the map."""
+        self.theta = np.asarray(theta, dtype=float)
+        pin = np.ones(self._grams.nvars + 1)   # 1 at every factor but the index parameters
+        pin[self._theta_idx] = self.theta
+        vals = np.append(self._grams.coeffs * np.prod(pin[self._grams.factors], axis=1), 1.0)
+        self._blocks: list[_Block] = []
+        for cases, C, n, k, dims, kept, face, scatter, term in self._shapes:
+            Ab = np.bincount(scatter, weights=vals[term], minlength=np.prod(dims)).reshape(dims)
+            A, b = Ab[..., :-1], Ab[..., -1]
             # upper-triangle entries on the face; an entry that is zero in
             # every case (such as a pruned diagonal) constrains nothing
-            face = np.flatnonzero(np.triu(on_face))
             face = face[np.any(A[:, face] != 0.0, axis=(0, 2)) | np.any(b[:, face] != 0.0, axis=0)]
             for sel, N, yp in _face_solutions(A[:, face], -b[:, face]):
                 Ak = A[sel][:, kept]
@@ -585,7 +611,8 @@ class AffineGramMap:
                 bf = b[sel][:, kept, None] + np.matmul(Ak, yp[..., None])
                 self._blocks.append(_Block(
                     cases=cases[sel], C=C[sel], A=A[sel], b=b[sel], n=n, kept=kept,
-                    k=n - len(pruned), N=N, yp=yp, Af=Af, bf=bf, P=P))
+                    k=k, N=N, yp=yp, Af=Af, bf=bf, P=P))
+        return self
 
     def candidate(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Clip the sign constraints and report each selected case's minimum
@@ -610,7 +637,8 @@ class AffineGramMap:
                ) -> tuple[np.ndarray, np.ndarray, dict]:
         """Douglas-Rachford feasibility iteration on the zero face, between
         the PSD cone of the kept blocks (with the nonnegative sign rows) and
-        the affine image of the face, keeping the best sign-feasible iterate.
+        the affine image of the face, keeping the best sign-feasible iterate,
+        at the index parameters of the last :meth:`at`.
 
         Each block iterates its own kept rows: the iteration starts from the
         point of the face nearest ``y`` (:meth:`_Block.restrict`), and a step
@@ -756,14 +784,15 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
           config: SolverConfig) -> Certificate:
     """Search for a decision vector making every Gram matrix PSD.
 
-    Each DR run's :class:`AffineGramMap` selects the representatives of the
-    cases' mirror pairs (:class:`MirrorPairs`; every case when there are
-    none), so DR, the grid and the candidate checks run on them only.  After
-    each DR run every partner is filled in from its representative, so its
-    Gram matrix is ``D Q D``; a representative's ``lambda_min`` is the one DR
-    judged, and a partner's is computed from its filled-in Gram matrix.  A DR
-    run stops, and keeps its best iterate, by the representatives' worst
-    ``lambda_min``.
+    One :class:`AffineGramMap` is built per solve, over the representatives
+    of the cases' mirror pairs (:class:`MirrorPairs`; every case when there
+    are none), and each DR run pins it at its k (:meth:`AffineGramMap.at`),
+    so DR, the grid and the candidate checks run on the representatives
+    only.  After each DR run every partner is filled in from its
+    representative, so its Gram matrix is ``D Q D``; a representative's
+    ``lambda_min`` is the one DR judged, and a partner's is computed from
+    its filled-in Gram matrix.  A DR run stops, and keeps its best iterate,
+    by the representatives' worst ``lambda_min``.
 
     Each seeded restart runs DR for ``config.iterations`` iterations at its
     sampled index parameters.  If that run ends on ``budget``, it runs DR
@@ -783,12 +812,12 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
         raise ValueError("no Gram specs to solve")
     grams = GramStack(specs, layout)
     mirror = MirrorPairs.find(grams, specs, layout)
+    amap = AffineGramMap(grams, layout, mirror.representatives)
     grid: list[list[float]] = []   # [k, lambda_min] per grid point, filled on first use
 
     def run_dr(x, theta, iterations):
         """DR at index parameters ``theta`` (a k broadcasts) from ``x``'s multipliers."""
-        amap = AffineGramMap(grams, layout, np.full(len(layout.theta_idx), theta),
-                             mirror.representatives)
+        amap.at(np.full(len(layout.theta_idx), theta))
         y, lams, record = amap.refine(x[amap.free_idx], iterations, TOLERANCE)
         x = x.copy()
         x[layout.theta_idx] = amap.theta

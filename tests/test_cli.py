@@ -429,7 +429,7 @@ class TestOrderTwo:
         # complex roots; verify once printed "certificate check: pass" and
         # then exited 4 with a config error
         p = build_problem(RunConfig.load(config_path))
-        amap = AffineGramMap(GramStack(p.specs, p.layout), p.layout, np.array([10.0, 30.0]))
+        amap = AffineGramMap(GramStack(p.specs, p.layout), p.layout).at(np.array([10.0, 30.0]))
         rng = np.random.default_rng(0)
         y, lams, record = amap.refine(rng.uniform(-1, 1, size=len(amap.free_idx)),
                                       iterations=100, tolerance=TOLERANCE)

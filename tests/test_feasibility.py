@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 from dataclasses import replace
@@ -12,6 +13,7 @@ from sisynth.feasibility import (
     DR_CHECK_EVERY,
     DR_RELAXATION,
     GRID_ITERATIONS,
+    GRID_POINTS,
     JACOBI_TOL,
     MAX_SWEEPS,
     AffineGramMap,
@@ -22,7 +24,10 @@ from sisynth.feasibility import (
     MirrorPairs,
     SolverConfig,
     SolverFailure,
+    _Block,
     _case_tables,
+    _face_solutions,
+    _lower_inverse,
     _mirror_map,
     _mono_repr,
     _round_robin_rounds,
@@ -296,7 +301,7 @@ class TestSolverAndCheckerEigensolvers:
         grams = GramStack(p.specs, p.layout)
         d = np.random.default_rng(6).uniform(-1, 1, size=p.layout.size)
         d[p.layout.theta_idx] = 0.0125
-        amap = AffineGramMap(grams, p.layout, d[p.layout.theta_idx])
+        amap = AffineGramMap(grams, p.layout).at(d[p.layout.theta_idx])
         self._assert_agree(amap, d[amap.free_idx])
         lams = penalty(grams, d, 0.0)[2]
         jac = [jacobi_eigh_batch(Q[None])[0][0, 0] for Q in grams.matrices(d)]
@@ -305,7 +310,7 @@ class TestSolverAndCheckerEigensolvers:
     def test_agree_at_dr_iterate(self, restricted_problem):
         p = restricted_problem
         grams = GramStack(p.specs, p.layout)
-        amap = AffineGramMap(grams, p.layout, np.array([0.0125]))
+        amap = AffineGramMap(grams, p.layout).at(np.array([0.0125]))
         rng = np.random.default_rng(7)
         y, _, _ = amap.refine(rng.uniform(-1, 1, size=len(amap.free_idx)),
                               iterations=60, tolerance=1e-12)
@@ -378,6 +383,71 @@ def packed_refine_reference(amap, y, iterations):
     return checks
 
 
+def affine_map_reference(grams, layout, theta, cases):
+    """An oracle for :meth:`AffineGramMap.at`: the blocks of the map over
+    ``cases`` at ``theta``, built in one pass at ``theta`` that scatters
+    ``A`` and ``b`` by separate ``bincount`` calls and sets the sign rows'
+    ones by assignment."""
+    nv = layout.size
+    ncases = len(grams.sizes)
+    pinned = np.zeros(nv + 1, dtype=bool)
+    pinned[layout.theta_idx] = True
+    pinned[nv] = True
+    free_idx = np.flatnonzero(~pinned)
+    free_pos = np.full(nv + 1, -1, dtype=np.intp)
+    free_pos[free_idx] = np.arange(len(free_idx))
+    gamma_pos = free_pos[layout.gamma_idx]
+    pin = np.zeros(nv + 1)
+    pin[nv] = 1.0
+    pin[layout.theta_idx] = theta
+    free = ~pinned[grams.factors]
+    cval = grams.coeffs * np.prod(np.where(free, 1.0, pin[grams.factors]), axis=1)
+    col = np.max(np.where(free, free_pos[grams.factors], -1), axis=1)
+    case, row = grams.term_case[grams.source], grams.slot_entry
+    col, cval = col[grams.source], cval[grams.source]
+    nfree, linear = len(free_idx), col >= 0
+    owner = np.full(nfree, -1, dtype=np.intp)
+    owner[col[linear]] = case[linear]
+    gamma_case = owner[gamma_pos]
+    shapes = {}
+    for c in cases:
+        n, cols = grams.sizes[c], np.flatnonzero(owner == c)
+        nr = n * n + np.count_nonzero(gamma_case == c)
+        shapes.setdefault((n, nr, len(cols), tuple(grams.pruned[c].tolist())),
+                          []).append((c, cols))
+    case_slot = np.empty(ncases, dtype=np.intp)
+    col_slot = np.empty(nfree, dtype=np.intp)
+    blocks = []
+    for (n, nr, nc, pruned), members in sorted(shapes.items()):
+        cs = np.array([c for c, _ in members], dtype=np.intp)
+        C = np.array([cols for _, cols in members], dtype=np.intp).reshape(len(cs), nc)
+        case_slot[cs] = np.arange(len(cs))
+        col_slot[C] = np.arange(nc)
+        mine = np.isin(case, cs)
+        lin, const = mine & linear, mine & ~linear
+        A = np.bincount((case_slot[case[lin]] * nr + row[lin]) * nc + col_slot[col[lin]],
+                        weights=cval[lin], minlength=len(cs) * nr * nc).reshape(len(cs), nr, nc)
+        sc, j = np.nonzero(np.isin(C, gamma_pos))
+        A[sc, n * n + np.tile(np.arange(nr - n * n), len(cs)), j] = 1.0
+        b = np.bincount(case_slot[case[const]] * nr + row[const], weights=cval[const],
+                        minlength=len(cs) * nr).reshape(len(cs), nr)
+        on_face = np.zeros((n, n), dtype=bool)
+        on_face[list(pruned)] = True
+        on_face[:, list(pruned)] = True
+        kept = np.concatenate([np.flatnonzero(~on_face), np.arange(n * n, nr)])
+        face = np.flatnonzero(np.triu(on_face))
+        face = face[np.any(A[:, face] != 0.0, axis=(0, 2)) | np.any(b[:, face] != 0.0, axis=0)]
+        for sel, N, yp in _face_solutions(A[:, face], -b[:, face]):
+            Ak = A[sel][:, kept]
+            Af = np.matmul(Ak, N)
+            Li = _lower_inverse(np.linalg.cholesky(np.matmul(Af.transpose(0, 2, 1), Af)))
+            P = np.matmul(Li.transpose(0, 2, 1), np.matmul(Li, Af.transpose(0, 2, 1)))
+            bf = b[sel][:, kept, None] + np.matmul(Ak, yp[..., None])
+            blocks.append(_Block(cases=cs[sel], C=C[sel], A=A[sel], b=b[sel], n=n, kept=kept,
+                                 k=n - len(pruned), N=N, yp=yp, Af=Af, bf=bf, P=P))
+    return blocks
+
+
 class TestAffineGramMap:
     def test_affine_map_matches_matrices(self, request):
         rng = np.random.default_rng(5)
@@ -387,7 +457,7 @@ class TestAffineGramMap:
             p = request.getfixturevalue(instance)
             grams = GramStack(p.specs, p.layout)
             theta = rng.uniform(lo, hi, size=len(p.layout.theta_idx))
-            amap = AffineGramMap(grams, p.layout, theta)
+            amap = AffineGramMap(grams, p.layout).at(theta)
             for _ in range(5):
                 x = rng.uniform(-1, 1, size=p.layout.size)
                 x[p.layout.theta_idx] = theta
@@ -410,7 +480,7 @@ class TestAffineGramMap:
     def test_projection_matches_lstsq(self, instance, request):
         p = request.getfixturevalue(instance)
         grams = GramStack(p.specs, p.layout)
-        amap = AffineGramMap(grams, p.layout, np.array([0.0125]))
+        amap = AffineGramMap(grams, p.layout).at(np.array([0.0125]))
         rng = np.random.default_rng(8)
         for blk in amap._blocks:
             for _ in range(3):
@@ -435,8 +505,9 @@ class TestAffineGramMap:
         p = build_problem(RunConfig.from_dict(triple_integrator_config_dict())) \
             if instance == "triple_integrator" else request.getfixturevalue(instance)
         grams = GramStack(p.specs, p.layout)
-        amap = AffineGramMap(grams, p.layout, np.array([k]),
-                             MirrorPairs.find(grams, p.specs, p.layout).representatives)
+        amap = AffineGramMap(grams, p.layout,
+                             MirrorPairs.find(grams, p.specs, p.layout).representatives
+                             ).at(np.array([k]))
         y = np.random.default_rng(4).uniform(0.0, 1.0, size=len(amap.free_idx))
         checked = []
         candidate = AffineGramMap.candidate
@@ -456,6 +527,44 @@ class TestAffineGramMap:
                 scale = np.abs(blk.matrices(y_ref)).max(axis=(1, 2))
                 assert np.all(np.abs(lams_new[blk.cases] - lams_ref[blk.cases]) <= 1e-12 * scale)
 
+    @pytest.mark.parametrize("instance, overrides", [
+        # a budget-bound first run, then the grid and the search over k
+        ("restricted_problem", {"restarts": 1, "iterations": 500, "seed": 1,
+                                "k_init": (0.02, 0.021)}),
+        ("unicycle_problem", {"restarts": 2, "iterations": 500}),
+        ("braking_problem", {}),
+        ("triple_integrator", {})])
+    def test_blocks_match_per_theta_reference(self, instance, overrides, request, monkeypatch):
+        # the map built once per solve, pinned at each k a solve visits,
+        # holds the blocks that a constructor at that k builds, bit for bit
+        p = build_problem(RunConfig.from_dict(triple_integrator_config_dict())) \
+            if instance == "triple_integrator" else request.getfixturevalue(instance)
+        grams = GramStack(p.specs, p.layout)
+        reps = MirrorPairs.find(grams, p.specs, p.layout).representatives
+        thetas = []
+        at = AffineGramMap.at
+
+        def compared(amap, theta):
+            at(amap, theta)
+            thetas.append(amap.theta.tolist())
+            reference = affine_map_reference(grams, p.layout, amap.theta, reps)
+            assert len(amap._blocks) == len(reference)
+            for blk, ref in zip(amap._blocks, reference):
+                for name, value, want in zip(_Block._fields, blk, ref):
+                    assert np.array_equal(value, want), (instance, thetas[-1], name)
+            return amap
+
+        monkeypatch.setattr(AffineGramMap, "at", compared)
+        try:
+            cert = solve(p.specs, p.layout, replace(p.solver_config, **overrides))
+        except SolverFailure as exc:
+            cert = exc.certificate
+        # each restart's runs, and the grid once
+        grid = next(([k for k, _ in r["grid"]] for r in cert.restarts if r["grid"]), [])
+        assert len(thetas) == len(grid) + sum(len(r["runs"]) for r in cert.restarts)
+        assert len(grid) == GRID_POINTS
+        assert all([k] * len(p.layout.theta_idx) in thetas for k in grid)
+
     def test_shared_multiplier_rejected(self):
         k = VarId(0, "k", VarKind.DECISION)
         a, b = VarId(1, "a", VarKind.DECISION), VarId(2, "b", VarKind.DECISION)
@@ -467,7 +576,22 @@ class TestAffineGramMap:
                                 gamma_idx=np.array([], dtype=int),
                                 zeta_idx=np.array([1, 2]), kernel_idx=np.array([], dtype=int))
         with pytest.raises(ValueError, match="a enters the Gram matrices of more than one"):
-            AffineGramMap(GramStack(specs, layout), layout, np.array([1.0]))
+            AffineGramMap(GramStack(specs, layout), layout).at(np.array([1.0]))
+
+    def test_product_of_multipliers_rejected(self):
+        k = VarId(0, "k", VarKind.DECISION)
+        a, b = VarId(1, "a", VarKind.DECISION), VarId(2, "b", VarKind.DECISION)
+        # one 1x1 Gram entry a * b: no k makes it affine in the multipliers
+        spec = GramSpec(basis=[()], entries=[[Polynomial({((a, 1), (b, 1)): 1.0})]],
+                        p0=Polynomial.zero())
+        layout = DecisionLayout(variables=[k, a, b], theta_idx=np.array([0]),
+                                gamma_idx=np.array([], dtype=int),
+                                zeta_idx=np.array([1, 2]), kernel_idx=np.array([], dtype=int))
+        message = "^Gram entries must be affine in the multipliers$"
+        with pytest.raises(ValueError, match=message):
+            solve([spec], layout, SolverConfig(restarts=1))
+        with pytest.raises(ValueError, match=message):
+            AffineGramMap(GramStack([spec], layout), layout)
 
     def test_dependent_columns_rejected(self):
         k = VarId(0, "k", VarKind.DECISION)
@@ -479,7 +603,7 @@ class TestAffineGramMap:
                                 gamma_idx=np.array([], dtype=int),
                                 zeta_idx=np.array([1, 2]), kernel_idx=np.array([], dtype=int))
         with pytest.raises(ValueError, match="linearly dependent"):
-            AffineGramMap(GramStack([spec], layout), layout, np.array([1.0]))
+            AffineGramMap(GramStack([spec], layout), layout).at(np.array([1.0]))
 
     def test_unused_multiplier_rejected(self):
         k = VarId(0, "k", VarKind.DECISION)
@@ -491,12 +615,12 @@ class TestAffineGramMap:
                                 gamma_idx=np.array([2]), zeta_idx=np.array([1]),
                                 kernel_idx=np.array([], dtype=int))
         with pytest.raises(ValueError, match="b enters no Gram matrix"):
-            AffineGramMap(GramStack([spec], layout), layout, np.array([1.0]))
+            AffineGramMap(GramStack([spec], layout), layout).at(np.array([1.0]))
 
     def test_candidate_clips_sign_constraints(self, braking_problem):
         p = braking_problem
         grams = GramStack(p.specs, p.layout)
-        amap = AffineGramMap(grams, p.layout, np.array([1.5]))
+        amap = AffineGramMap(grams, p.layout).at(np.array([1.5]))
         y = -np.ones(len(amap.free_idx))
         y_clipped, lams = amap.candidate(y)
         assert np.all(y_clipped[amap.gamma_pos] >= 0.0)
@@ -505,7 +629,7 @@ class TestAffineGramMap:
     def test_refine_certifies_feasible_instance(self, braking_problem):
         p = braking_problem
         grams = GramStack(p.specs, p.layout)
-        amap = AffineGramMap(grams, p.layout, np.array([2.0]))
+        amap = AffineGramMap(grams, p.layout).at(np.array([2.0]))
         rng = np.random.default_rng(9)
         y, lams, record = amap.refine(rng.uniform(-1, 1, size=len(amap.free_idx)),
                                       iterations=2000, tolerance=1e-8)
@@ -532,7 +656,7 @@ class TestZeroFace:
         grams = GramStack(p.specs, p.layout)
         assert all(len(pruned) == 0 for pruned in grams.pruned)
         # nothing pruned: the face is the whole space, y = 0 + I w
-        amap = AffineGramMap(grams, p.layout, np.array([0.0125]))
+        amap = AffineGramMap(grams, p.layout).at(np.array([0.0125]))
         for blk in amap._blocks:
             assert np.array_equal(blk.N, np.broadcast_to(np.eye(blk.N.shape[1]), blk.N.shape))
             assert np.array_equal(blk.yp, np.zeros_like(blk.yp))
@@ -540,8 +664,8 @@ class TestZeroFace:
 
     def test_restricted_face_dimension(self, restricted_problem):
         p = restricted_problem
-        amap = AffineGramMap(GramStack(p.specs, p.layout), p.layout,
-                             np.array([self.K_CERTIFIABLE]))
+        amap = AffineGramMap(GramStack(p.specs, p.layout), p.layout).at(
+            np.array([self.K_CERTIFIABLE]))
         # 56 free columns per case, 22 independent face equalities
         assert [(blk.A.shape, blk.Af.shape, blk.k) for blk in amap._blocks] == \
             [((8, 136, 56), (8, 72, 34), 6)]
@@ -550,7 +674,7 @@ class TestZeroFace:
     def refined(self, restricted_problem):
         p = restricted_problem
         grams = GramStack(p.specs, p.layout)
-        amap = AffineGramMap(grams, p.layout, np.array([self.K_CERTIFIABLE]))
+        amap = AffineGramMap(grams, p.layout).at(np.array([self.K_CERTIFIABLE]))
         rng = np.random.default_rng(10)
         y, lams, record = amap.refine(rng.uniform(-1, 1, size=len(amap.free_idx)),
                                       iterations=3000, tolerance=1e-6)
@@ -616,7 +740,7 @@ class TestZeroFace:
 
     def test_unrestricted_reduced_equals_full(self, unicycle_problem):
         p = unicycle_problem
-        amap = AffineGramMap(GramStack(p.specs, p.layout), p.layout, np.array([0.0125]))
+        amap = AffineGramMap(GramStack(p.specs, p.layout), p.layout).at(np.array([0.0125]))
         rng = np.random.default_rng(11)
         _, lams, record = amap.refine(rng.uniform(-1, 1, size=len(amap.free_idx)),
                                       iterations=50, tolerance=1e-6)
@@ -853,33 +977,49 @@ class TestSolve:
             solve([], braking_problem.layout, braking_problem.solver_config)
 
     @pytest.mark.parametrize("instance, cases", [("restricted_problem", [0, 1, 4, 5]),
-                                                 ("braking_problem", None)])
+                                                 ("braking_problem", None),
+                                                 ("unicycle_problem", [0, 1, 4, 5])])
     def test_one_stack_and_maps_over_the_representatives(self, instance, cases, request,
                                                           monkeypatch):
         # the representatives run on the stack and layout of the whole
-        # problem; a config without pairs takes the same path
+        # problem, and a config without pairs takes the same path; one map
+        # is built per solve and pinned at the k of each DR run
         p = request.getfixturevalue(instance)
         cases = list(range(len(p.specs))) if cases is None else cases
-        stacks, selected = [], []
-        stack_init, amap_init = GramStack.__init__, AffineGramMap.__init__
+        stacks, maps, selected = [], [], []
+        stack_init, amap_init, at = GramStack.__init__, AffineGramMap.__init__, AffineGramMap.at
 
         def counting(grams, *args):
             stacks.append(grams)
             stack_init(grams, *args)
 
-        def recording(amap, *args):
+        def counting_maps(amap, *args):
+            maps.append(amap)
             amap_init(amap, *args)
+
+        def recording(amap, theta):
+            at(amap, theta)
             lams = amap.candidate(np.zeros(len(amap.free_idx)))[1]
             selected.append(np.flatnonzero(np.isfinite(lams)).tolist())
+            return amap
 
         monkeypatch.setattr(GramStack, "__init__", counting)
-        monkeypatch.setattr(AffineGramMap, "__init__", recording)
+        monkeypatch.setattr(AffineGramMap, "__init__", counting_maps)
+        monkeypatch.setattr(AffineGramMap, "at", recording)
+        # unicycle.json at 2 restarts x 500 iterations spends the first run's
+        # budget, so it also runs the grid and the search over k
+        overrides = {"restarts": 2, "iterations": 500} if instance == "unicycle_problem" \
+            else {"restarts": 1}
         try:
-            solve(p.specs, p.layout, replace(p.solver_config, restarts=1))
-        except SolverFailure:
-            pass
-        assert len(stacks) == 1
-        assert selected and all(s == cases for s in selected)
+            cert = solve(p.specs, p.layout, replace(p.solver_config, **overrides))
+        except SolverFailure as exc:
+            cert = exc.certificate
+        assert len(stacks) == len(maps) == 1
+        runs = sum(len(r["runs"]) for r in cert.restarts)
+        grid = GRID_POINTS if any(r["grid"] for r in cert.restarts) else 0
+        assert len(selected) == runs + grid and all(s == cases for s in selected)
+        if instance == "unicycle_problem":
+            assert grid and len(selected) > 1 + GRID_POINTS
 
 
 class TestMirrorPairs:
@@ -1011,8 +1151,8 @@ class TestMirrorPairs:
             return y, lams
 
         monkeypatch.setattr(AffineGramMap, "candidate", recording)
-        full = AffineGramMap(grams, p.layout, np.array([k]))
-        rep = AffineGramMap(grams, p.layout, np.array([k]), mirror.representatives)
+        full = AffineGramMap(grams, p.layout).at(np.array([k]))
+        rep = AffineGramMap(grams, p.layout, mirror.representatives).at(np.array([k]))
         assert np.array_equal(rep.free_idx, full.free_idx)
         for amap in (full, rep):
             # a tolerance of -inf never certifies, so both runs spend the budget
@@ -1040,6 +1180,24 @@ class TestCertificate:
         assert np.allclose(loaded.lambda_mins, cert.lambda_mins)
         ok, _ = check_certificate(p.specs, p.layout, loaded)
         assert ok
+
+    # sha256 prefixes of each certificate.json; a change that moves them on
+    # purpose updates them and says why
+    CERTIFICATE_DIGESTS = {"braking": "9daa1134407826d9",
+                           "restricted, 4 restarts": "01582e9337a774c0",
+                           "triple integrator": "bcd74656ff20fc32"}
+
+    def test_certificate_bytes(self, braking_certificate, restricted_certificate):
+        triple = build_problem(RunConfig.from_dict(triple_integrator_config_dict()))
+        with pytest.raises(SolverFailure) as exc_info:
+            solve(triple.specs, triple.layout, triple.solver_config)
+        certs = {"braking": braking_certificate, "restricted, 4 restarts": restricted_certificate,
+                 "triple integrator": exc_info.value.certificate}
+        digests = {name: hashlib.sha256(json.dumps(cert.to_dict(), indent=2).encode())
+                   .hexdigest()[:16] for name, cert in certs.items()}
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert digests == self.CERTIFICATE_DIGESTS, \
+            f"numpy {np.__version__} with BLAS {blas.get('name')} {blas.get('version')}"
 
     def test_tampered_certificate_fails_check(self, braking_problem, braking_certificate):
         p, cert = braking_problem, braking_certificate
