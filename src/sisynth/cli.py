@@ -1,9 +1,11 @@
 """Command-line front end: synth, verify, simulate, report.
 
 Exit codes: 0 success, 2 safety failure or counterexample found, 3 solver
-failed to certify, 4 configuration error.  All artifacts land in an output
-directory named by config hash and seed, so reruns with identical inputs
-overwrite identical paths.
+failed to certify, 4 configuration error.  The config file sets every seed
+and trial count, and its hash covers them all, so ``synth``, ``verify`` and
+``simulate`` of one config write to one default output directory,
+``runs/<config hash>``, and reruns with identical inputs overwrite identical
+paths.  The older ``runs/<config hash>-<seed>`` directories are not read.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ def _check(cert: Certificate, problem: Problem) -> bool:
     return ok
 
 
-def _outdir(cfg: RunConfig, seed: int, override: str | None) -> Path:
-    path = Path(override) if override else Path("runs") / f"{cfg.digest()}-{seed}"
+def _outdir(cfg: RunConfig, override: str | None) -> Path:
+    path = Path(override) if override else Path("runs") / cfg.digest()
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -106,20 +108,15 @@ def main():
 
 @main.command()
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--seed", type=click.IntRange(min=0), default=None,
-              help="Override the solver seed.")
 @click.option("--output", type=click.Path(file_okay=False), default=None)
-def synth(config_path, seed, output):
+def synth(config_path, output):
     """Synthesize index parameters and write a certificate JSON."""
     cfg, problem = _load(config_path)
-    solver_cfg = problem.solver_config
-    if seed is not None:
-        solver_cfg.seed = seed
-    outdir = _outdir(cfg, solver_cfg.seed, output)
+    outdir = _outdir(cfg, output)
 
     start = time.perf_counter()
     try:
-        cert = solve(problem.specs, problem.layout, solver_cfg)
+        cert = solve(problem.specs, problem.layout, problem.solver_config)
         failure = None
     except SolverFailure as exc:
         cert = exc.certificate
@@ -159,7 +156,7 @@ def verify(config_path, cert_path, k_values, output):
         fcfg = cfg.falsifier_config()
     except ConfigError as exc:
         _config_error(exc)
-    outdir = _outdir(cfg, problem.solver_config.seed, output)
+    outdir = _outdir(cfg, output)
 
     if cert_path is not None:
         cert = _certificate(cert_path, problem)
@@ -193,13 +190,9 @@ def verify(config_path, cert_path, k_values, output):
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--certificate", "cert_path", type=click.Path(exists=True, dir_okay=False),
               required=True)
-@click.option("--trials", type=click.IntRange(min=0), default=None,
-              help="Override the trial count.")
-@click.option("--seed", type=click.IntRange(min=0), default=None,
-              help="Override the simulation seed.")
 @click.option("--trajectories", is_flag=True, help="Write per-trial trajectory CSVs.")
 @click.option("--output", type=click.Path(file_okay=False), default=None)
-def simulate(config_path, cert_path, trials, seed, trajectories, output):
+def simulate(config_path, cert_path, trajectories, output):
     """Run the navigation trial batch under the safety filter."""
     from .sim import STATE_VARS, markdown_report, run_batch, trajectory_csv
     cfg, problem = _load(config_path)
@@ -212,11 +205,7 @@ def simulate(config_path, cert_path, trials, seed, trajectories, output):
     if not _check(cert, problem):
         _sys.exit(EXIT_SAFETY)
 
-    if trials is not None:
-        task.trials = trials
-    if seed is not None:
-        task.seed = seed
-    outdir = _outdir(cfg, task.seed, output)
+    outdir = _outdir(cfg, output)
 
     k = cert.theta(problem.layout)
     params = problem.params(k)

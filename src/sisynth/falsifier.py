@@ -74,10 +74,18 @@ def _blocks(axes: Sequence[Axis], samples: int, seed: int,
 
     The first block is the grid.  Each axis's ``linspace`` sits on its own
     dimension, an angle axis takes its sine and cosine of those values only,
-    and the grid's shape has one dimension per axis, so an axis no state
-    variable reads still multiplies the points.  The random draws follow as
-    a second block of flat columns.
+    and the grid's shape has one dimension per axis.  The random draws follow
+    as a second block of flat columns.  Every state variable needs an axis,
+    and every axis must name state variables only.
     """
+    state = [v.name for v in sys.state_vars]
+    missing = [name for name in state if not any(name in a.names for a in axes)]
+    if missing:
+        raise ValueError(f"falsifier axes do not cover state variables: {missing}")
+    for i, a in enumerate(axes):
+        for name in a.names:
+            if name not in state:
+                raise ValueError(f"falsifier axis {i} names {name!r}, not a state variable")
     n = len(axes)
     grid = [np.linspace(a.lo, a.hi, a.resolution).reshape([-1 if j == i else 1 for j in range(n)])
             for i, a in enumerate(axes)]
@@ -94,9 +102,6 @@ def _blocks(axes: Sequence[Axis], samples: int, seed: int,
                 by_name[a.names[1]] = np.cos(vals)
             else:
                 by_name[a.names[0]] = vals
-        missing = [v.name for v in sys.state_vars if v.name not in by_name]
-        if missing:
-            raise ValueError(f"falsifier axes do not cover state variables: {missing}")
         out.append((shape, tuple(by_name[v.name] for v in sys.state_vars)))
     return out
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,17 @@ from conftest import RESTRICTED_CONFIG_PATH, braking_config_dict, triple_integra
 @pytest.fixture(scope="module")
 def runner():
     return CliRunner()
+
+
+def sim_config(tmp_path, raw=None, **sim) -> str:
+    """Write ``raw``, by default a copy of the restricted config, with
+    ``sim`` merged into its sim section, and return the file's path; the
+    config is the one place that sets the trial count and seed."""
+    raw = raw or json.loads(open(RESTRICTED_CONFIG_PATH).read())
+    raw.setdefault("sim", {}).update(sim)
+    path = tmp_path / "sim_config.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -67,14 +79,6 @@ class TestSynth:
         assert result.exit_code == 4, result.output
         assert "solver key 'tolerance' must be absent (unknown key), got 1.0" in result.output
         assert not (tmp_path / "out" / "certificate.json").exists()
-
-    def test_negative_seed_rejected(self, runner, braking_config_path, tmp_path):
-        # a negative solver seed once reached numpy and ended synth in a traceback
-        result = runner.invoke(main, ["synth", braking_config_path, "--seed", "-1",
-                                      "--output", str(tmp_path)])
-        assert result.exit_code != 0
-        assert "Invalid value for '--seed'" in result.output
-        assert not (tmp_path / "certificate.json").exists()
 
     def test_negative_config_seed_exit_four(self, runner, tmp_path):
         raw = braking_config_dict()
@@ -304,8 +308,12 @@ class TestVerify:
     @pytest.mark.parametrize("edit, message", [
         ({"falsifier": {"axes": [{"var": "d", "range": [-2.0, 2.0]}]}},
          "falsifier axes do not cover state variables: ['z']"),
+        # a stray axis once multiplied the grid and repeated each grid hit
+        ({"falsifier": {"axes": [*braking_config_dict()["falsifier"]["axes"],
+                                 {"var": "typo", "range": [0.0, 1.0], "resolution": 3}]}},
+         "falsifier axis 2 names 'typo', not a state variable"),
         ({"model": {"u_lower": ["1"], "u_upper": ["-1"]}}, "control bounds inverted")],
-        ids=["axes-miss-state", "inverted-box"])
+        ids=["axes-miss-state", "axes-stray-name", "inverted-box"])
     def test_falsify_refusal_exit_four(self, runner, tmp_path, edit, message):
         # falsify's own refusals once ended verify in a traceback with exit 1
         raw = braking_config_dict()
@@ -454,9 +462,9 @@ class TestOrderTwo:
 class TestSimulate:
     def test_batch_exit_zero(self, runner, restricted_cert_path, tmp_path):
         result = runner.invoke(main, [
-            "simulate", RESTRICTED_CONFIG_PATH,
+            "simulate", sim_config(tmp_path, trials=2),
             "--certificate", restricted_cert_path,
-            "--trials", "2", "--trajectories", "--output", str(tmp_path)])
+            "--trajectories", "--output", str(tmp_path)])
         assert result.exit_code == 0, result.output
         assert (tmp_path / "report.md").exists()
         assert (tmp_path / "trajectory_000.csv").exists()
@@ -465,54 +473,28 @@ class TestSimulate:
 
     def test_zero_trials_warns(self, runner, restricted_cert_path, tmp_path):
         result = runner.invoke(main, [
-            "simulate", RESTRICTED_CONFIG_PATH,
-            "--certificate", restricted_cert_path,
-            "--trials", "0", "--output", str(tmp_path)])
+            "simulate", sim_config(tmp_path, trials=0),
+            "--certificate", restricted_cert_path, "--output", str(tmp_path)])
         assert result.exit_code == 0
         assert "vacuous" in result.output
-
-    def test_negative_trials_rejected(self, runner, restricted_cert_path, tmp_path):
-        result = runner.invoke(main, [
-            "simulate", RESTRICTED_CONFIG_PATH,
-            "--certificate", restricted_cert_path,
-            "--trials", "-3", "--output", str(tmp_path)])
-        assert result.exit_code != 0
-        assert "Invalid value for '--trials'" in result.output
-        assert not (tmp_path / "report.md").exists()
-
-    def test_negative_seed_rejected(self, runner, restricted_cert_path, tmp_path):
-        # numpy refuses a negative seed, which once ended simulate in a traceback
-        result = runner.invoke(main, [
-            "simulate", RESTRICTED_CONFIG_PATH,
-            "--certificate", restricted_cert_path,
-            "--seed", "-3", "--output", str(tmp_path)])
-        assert result.exit_code != 0
-        assert "Invalid value for '--seed'" in result.output
-        assert not (tmp_path / "report.md").exists()
 
     def test_sim_dt_exit_four(self, runner, restricted_cert_path, tmp_path):
         # the step is the model's dt; a second dt in sim once let the
         # simulator step past the control period the box is derived for
-        raw = json.loads(open(RESTRICTED_CONFIG_PATH).read())
-        raw["sim"]["dt"] = 0.05
-        cfg = tmp_path / "sim_dt.json"
-        cfg.write_text(json.dumps(raw))
         result = runner.invoke(main, [
-            "simulate", str(cfg), "--certificate", restricted_cert_path,
-            "--trials", "1", "--output", str(tmp_path / "out")])
+            "simulate", sim_config(tmp_path, trials=1, dt=0.05),
+            "--certificate", restricted_cert_path, "--output", str(tmp_path / "out")])
         assert result.exit_code == 4, result.output
         assert "sim key 'dt' must be absent (unknown key), got 0.05" in result.output
         assert not (tmp_path / "out" / "report.md").exists()
 
-    def test_model_without_unicycle_state_exit_four(self, runner, braking_config_path,
-                                                    synth_run, tmp_path):
+    def test_model_without_unicycle_state_exit_four(self, runner, synth_run, tmp_path):
         # the braking model's certificate is valid, but run_trial builds the
         # unicycle state; it once ended in a state dimension mismatch
         _, outdir = synth_run
         result = runner.invoke(main, [
-            "simulate", braking_config_path,
-            "--certificate", str(outdir / "certificate.json"),
-            "--trials", "1", "--output", str(tmp_path)])
+            "simulate", sim_config(tmp_path, braking_config_dict(), trials=1),
+            "--certificate", str(outdir / "certificate.json"), "--output", str(tmp_path)])
         assert result.exit_code == 4, result.output
         assert "state variables are d, x, y, z; this model has d, z" in result.output
         assert not (tmp_path / "report.md").exists()
@@ -527,8 +509,8 @@ class TestSimulate:
         path = tmp_path / "stated_invalid.json"
         path.write_text(json.dumps(data))
         result = runner.invoke(main, [
-            "simulate", RESTRICTED_CONFIG_PATH, "--certificate", str(path),
-            "--trials", "2", "--output", str(tmp_path / "out")])
+            "simulate", sim_config(tmp_path, trials=2), "--certificate", str(path),
+            "--output", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
         assert "certificate check: pass" in result.output
         assert (tmp_path / "out" / "report.md").exists()
@@ -541,8 +523,8 @@ class TestSimulate:
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(data))
         result = runner.invoke(main, [
-            "simulate", RESTRICTED_CONFIG_PATH, "--certificate", str(path),
-            "--trials", "2", "--output", str(tmp_path / "out")])
+            "simulate", sim_config(tmp_path, trials=2), "--certificate", str(path),
+            "--output", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         assert "certificate check: FAIL" in result.output
         assert "Safe Set (%)" not in result.output
@@ -554,8 +536,8 @@ class TestSimulate:
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(data))
         result = runner.invoke(main, [
-            "simulate", RESTRICTED_CONFIG_PATH, "--certificate", str(path),
-            "--trials", "2", "--output", str(tmp_path / "out")])
+            "simulate", sim_config(tmp_path, trials=2), "--certificate", str(path),
+            "--output", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         assert "decision variable pg_ppp_1 = nan is not finite" in result.output
         assert not (tmp_path / "out" / "report.md").exists()
@@ -568,8 +550,8 @@ class TestSimulate:
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(data))
         result = runner.invoke(main, [
-            "simulate", RESTRICTED_CONFIG_PATH, "--certificate", str(path),
-            "--trials", "1", "--output", str(tmp_path / "out")])
+            "simulate", sim_config(tmp_path, trials=1), "--certificate", str(path),
+            "--output", str(tmp_path / "out")])
         assert result.exit_code == 4, result.output
         assert "certificate error: cannot read" in result.output
         assert "KeyError('lambda_mins')" in result.output
@@ -579,9 +561,9 @@ class TestSimulate:
         # the braking certificate once ran the unicycle trials at its k
         _, outdir = synth_run
         result = runner.invoke(main, [
-            "simulate", RESTRICTED_CONFIG_PATH,
+            "simulate", sim_config(tmp_path, trials=1),
             "--certificate", str(outdir / "certificate.json"),
-            "--trials", "1", "--output", str(tmp_path / "out")])
+            "--output", str(tmp_path / "out")])
         assert result.exit_code == 4, result.output
         assert "certificate error: not made for this config: decision dimension" \
             in result.output
@@ -634,3 +616,50 @@ class TestReport:
     def test_empty_directory(self, runner, tmp_path):
         result = runner.invoke(main, ["report", str(tmp_path)])
         assert "no artifacts found" in result.output
+
+
+class TestOneDirectory:
+    """The config file sets every seed and trial count, so synth, verify and
+    simulate of one config write to one directory, ``runs/<config hash>``."""
+
+    def test_one_study_one_directory(self, runner, tmp_path):
+        # with sim.seed 1 the certificate once went to runs/<hash>-0 and the
+        # trial report to runs/<hash>-1, and report on the first showed no trials
+        raw = json.loads(open(RESTRICTED_CONFIG_PATH).read())
+        raw["solver"]["restarts"] = 1
+        raw["sim"].update(seed=1, trials=1, horizon=1.0)
+        for axis in raw["falsifier"]["axes"]:
+            axis["resolution"] = 5
+        raw["falsifier"]["samples"] = 100
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            Path("study.json").write_text(json.dumps(raw))
+            outdir = Path("runs") / RunConfig.load("study.json").digest()
+            result = runner.invoke(main, ["synth", "study.json"])
+            assert result.exit_code == 0, result.output
+            result = runner.invoke(main, ["verify", "study.json", "--k", "0.0"])
+            assert result.exit_code == 2, result.output
+            result = runner.invoke(main, ["simulate", "study.json",
+                                          "--certificate", str(outdir / "certificate.json")])
+            assert result.exit_code == 0, result.output
+            assert list(Path("runs").iterdir()) == [outdir]
+            assert sorted(p.name for p in outdir.iterdir()) == \
+                ["certificate.json", "counterexamples.csv", "report.md"]
+            result = runner.invoke(main, ["report", str(outdir)])
+            assert result.exit_code == 0, result.output
+            assert "certificate: valid=True, seed=0" in result.output
+            assert f"counterexamples: 9 (see {outdir / 'counterexamples.csv'})" in result.output
+            assert "# Simulation batch report" in result.output
+            assert "- trials: 1\n" in result.output
+
+    @pytest.mark.parametrize("command, flag", [("synth", "--seed"), ("simulate", "--seed"),
+                                               ("simulate", "--trials")])
+    def test_retired_flag_refused(self, runner, restricted_cert_path, tmp_path, command, flag):
+        # each restated a config value and moved the run to another directory
+        args = [command, RESTRICTED_CONFIG_PATH, flag, "1"]
+        if command == "simulate":
+            args += ["--certificate", restricted_cert_path]
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, result.output
+            assert "No such option" in result.output and flag in result.output
+            assert not list(Path().iterdir())

@@ -108,6 +108,16 @@ class TestFalsify:
         with pytest.raises(ValueError, match="do not cover"):
             falsify(p.family, p.params([1.5]), p.system, cfg)
 
+    def test_axis_of_no_state_variable_rejected(self, braking_problem):
+        # a stray axis once multiplied the grid, so each grid hit came back
+        # once per value of that axis
+        p = braking_problem
+        cfg = FalsifierConfig(axes=[Axis(names=("d",), lo=0.0, hi=1.0, resolution=5),
+                                    Axis(names=("z",), lo=-1.0, hi=1.0, resolution=5),
+                                    Axis(names=("typo",), lo=0.0, hi=1.0, resolution=3)])
+        with pytest.raises(ValueError, match="falsifier axis 2 names 'typo', not a state variable"):
+            falsify(p.family, p.params([1.5]), p.system, cfg)
+
 
 def _records(cexs):
     return (cexs.states.shape, cexs.states.tobytes(), cexs.phi_theta.tobytes(),
@@ -134,12 +144,11 @@ class TestFactoredGrid:
         assert len(cexs) == count
         assert _records(cexs) == _records(falsify_reference(p.family, params, p.system, cfg))
 
-    @pytest.mark.parametrize("extra", [
-        Axis(names=("w",), lo=0.0, hi=1.0, resolution=3),
-        Axis(names=("z",), lo=-0.5, hi=0.5, resolution=4)], ids=["non-state", "duplicate"])
+    @pytest.mark.parametrize("extra", [Axis(names=("z",), lo=-0.5, hi=0.5, resolution=4)],
+                             ids=["duplicate"])
     def test_extra_axis_enlarges_grid(self, unicycle_problem, extra):
-        # an axis no state variable reads, or one shadowed by a later axis
-        # of the same name, still multiplies the grid points
+        # an axis shadowed by a later axis of the same name still multiplies
+        # the grid points; the config refuses such a pair at load
         p = unicycle_problem
         params = IndexParams(k=[0.0], eta=p.config.eta)
         cfg = paper_falsifier_config(resolution=21, samples=100)

@@ -1185,14 +1185,22 @@ class TestCertificate:
     # purpose updates them and says why
     CERTIFICATE_DIGESTS = {"braking": "9daa1134407826d9",
                            "restricted, 4 restarts": "01582e9337a774c0",
-                           "triple integrator": "bcd74656ff20fc32"}
+                           "triple integrator": "bcd74656ff20fc32",
+                           "unicycle, 2 restarts x 500": "facb41e5053b3630"}
 
-    def test_certificate_bytes(self, braking_certificate, restricted_certificate):
+    def test_certificate_bytes(self, braking_certificate, restricted_certificate,
+                               unicycle_problem):
         triple = build_problem(RunConfig.from_dict(triple_integrator_config_dict()))
-        with pytest.raises(SolverFailure) as exc_info:
+        with pytest.raises(SolverFailure) as triple_failure:
             solve(triple.specs, triple.layout, triple.solver_config)
+        # the one pinned solve that runs the grid and the search on a config
+        # with mirror pairs
+        p = unicycle_problem
+        with pytest.raises(SolverFailure) as unicycle_failure:
+            solve(p.specs, p.layout, replace(p.solver_config, restarts=2, iterations=500))
         certs = {"braking": braking_certificate, "restricted, 4 restarts": restricted_certificate,
-                 "triple integrator": exc_info.value.certificate}
+                 "triple integrator": triple_failure.value.certificate,
+                 "unicycle, 2 restarts x 500": unicycle_failure.value.certificate}
         digests = {name: hashlib.sha256(json.dumps(cert.to_dict(), indent=2).encode())
                    .hexdigest()[:16] for name, cert in certs.items()}
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
