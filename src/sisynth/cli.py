@@ -6,6 +6,9 @@ and trial count, and its hash covers them all, so ``synth``, ``verify`` and
 ``simulate`` of one config write to one default output directory,
 ``runs/<config hash>``, and reruns with identical inputs overwrite identical
 paths.  The older ``runs/<config hash>-<seed>`` directories are not read.
+A certificate's ``config_hash`` is that config hash, whatever ``--output``
+says.  ``verify`` removes the directory's ``counterexamples.csv`` on every
+run and writes a new one only when it finds counterexamples.
 """
 
 from __future__ import annotations
@@ -123,6 +126,7 @@ def synth(config_path, output):
         failure = exc
     elapsed = time.perf_counter() - start
 
+    cert.config_hash = cfg.digest()
     cert_path = outdir / "certificate.json"
     with open(cert_path, "w") as fh:
         json.dump(cert.to_dict(), fh, indent=2)
@@ -135,7 +139,7 @@ def synth(config_path, output):
     click.echo("per-case lambda_min: " + ", ".join(f"{v:.3e}" for v in cert.lambda_mins))
     click.echo(f"certificate written to {cert_path}")
     if failure is not None:
-        click.echo(f"no valid certificate; best residual {failure.residual:.3e}", err=True)
+        click.echo(str(failure), err=True)
         _sys.exit(EXIT_SOLVER)
 
 
@@ -157,6 +161,8 @@ def verify(config_path, cert_path, k_values, output):
     except ConfigError as exc:
         _config_error(exc)
     outdir = _outdir(cfg, output)
+    csv_path = outdir / "counterexamples.csv"
+    csv_path.unlink(missing_ok=True)   # a clean or failed re-check leaves no older rows
 
     if cert_path is not None:
         cert = _certificate(cert_path, problem)
@@ -179,7 +185,6 @@ def verify(config_path, cert_path, k_values, output):
         _config_error(exc)
     click.echo(f"falsifier: {len(cexs)} counterexample(s)")
     if cexs:
-        csv_path = outdir / "counterexamples.csv"
         counterexamples_csv(cexs, problem.system, str(csv_path))
         click.echo(f"  worst: state {cexs.states[0]}, phidot {cexs.worst_phidot[0]:.6g}"
                    f" (written to {csv_path})")

@@ -39,8 +39,6 @@ index pairs, so the round is one rotation matrix applied by ``np.matmul``.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -691,18 +689,19 @@ class SolverConfig:
         if self.k_init is None:
             self.k_init = (self.k_min, max(self.k_min, 1.0))
 
-    def digest(self) -> str:
-        payload = json.dumps(self.__dict__, sort_keys=True, default=str)
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
-
 
 @dataclass
 class Certificate:
+    """A decision vector and each refute case's Gram ``lambda_min`` at it,
+    with the solver seed, the restart log, the Gram matrices, their bases and
+    the mirror pairs.  ``config_hash`` is empty as :func:`solve` returns it;
+    ``sisynth synth`` sets it to the run config's hash, the name of its
+    default run directory."""
     decision: np.ndarray
     variable_names: list[str]
     lambda_mins: np.ndarray
     seed: int
-    config_hash: str
+    config_hash: str = ""
     restarts: list[dict] = field(default_factory=list)
     matrices: list[np.ndarray] = field(default_factory=list)
     basis_repr: list[list[str]] = field(default_factory=list)
@@ -743,12 +742,15 @@ class Certificate:
 
 
 class SolverFailure(RuntimeError):
-    """No restart certified; carries the best attempt and its residual."""
+    """No restart certified; carries the best restart's certificate, and the
+    message names its worst case (the lowest index on a tie) and that case's
+    ``lambda_min``."""
 
-    def __init__(self, certificate: Certificate, residual: float):
-        super().__init__(f"feasibility search failed; best residual {residual:.3e}")
+    def __init__(self, certificate: Certificate):
+        case = int(np.argmin(certificate.lambda_mins))
+        super().__init__(f"feasibility search failed; worst lambda_min "
+                         f"{certificate.lambda_mins[case]:.3e} in case {case}")
         self.certificate = certificate
-        self.residual = residual
 
 
 def penalty(grams: GramStack, d: np.ndarray,
@@ -857,21 +859,18 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
     results = [run_restart(r) for r in range(config.restarts)]
     x, best = max(results, key=lambda res: (res[1]["valid"],
                                             res[1]["runs"][-1]["reduced_lambda_min"]))
-    lams = np.array(best["lambda_mins"])
     cert = Certificate(
         decision=x,
         variable_names=[v.name for v in layout.variables],
-        lambda_mins=lams,
+        lambda_mins=np.array(best["lambda_mins"]),
         seed=config.seed,
-        config_hash=config.digest(),
         restarts=[entry for _, entry in results],
         matrices=grams.matrices(x),
         basis_repr=[[_mono_repr(m) for m in spec.basis] for spec in specs],
         mirror_pairs=mirror.by_variable(),
     )
     if not cert.valid:
-        # the residual sum max(0, -lambda_min - TOLERANCE)^2 over the cases
-        raise SolverFailure(cert, float(np.sum(np.maximum(0.0, -lams - TOLERANCE) ** 2)))
+        raise SolverFailure(cert)
     return cert
 
 

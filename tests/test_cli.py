@@ -66,7 +66,7 @@ class TestSynth:
         result = runner.invoke(main, ["synth", str(cfg),
                                       "--output", str(tmp_path / "out")])
         assert result.exit_code == 3
-        assert "residual" in result.output
+        assert "worst lambda_min" in result.output
 
     def test_tolerance_key_exit_four(self, runner, tmp_path):
         # the tolerance is a constant; "tolerance": 1 once let synth report
@@ -646,10 +646,19 @@ class TestOneDirectory:
                 ["certificate.json", "counterexamples.csv", "report.md"]
             result = runner.invoke(main, ["report", str(outdir)])
             assert result.exit_code == 0, result.output
-            assert "certificate: valid=True, seed=0" in result.output
+            # the certificate names the config that made it, not its solver fields alone
+            assert f"certificate: valid=True, seed=0, config={outdir.name}\n" in result.output
             assert f"counterexamples: 9 (see {outdir / 'counterexamples.csv'})" in result.output
             assert "# Simulation batch report" in result.output
             assert "- trials: 1\n" in result.output
+            # a clean re-check removes the rows the k = 0 run left
+            result = runner.invoke(main, ["verify", "study.json",
+                                          "--certificate", str(outdir / "certificate.json")])
+            assert result.exit_code == 0, result.output
+            assert not (outdir / "counterexamples.csv").exists()
+            result = runner.invoke(main, ["report", str(outdir)])
+            assert result.exit_code == 0, result.output
+            assert "counterexamples:" not in result.output
 
     @pytest.mark.parametrize("command, flag", [("synth", "--seed"), ("simulate", "--seed"),
                                                ("simulate", "--trials")])
