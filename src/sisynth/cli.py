@@ -1,7 +1,10 @@
 """Command-line front end: synth, verify, simulate, report.
 
 Exit codes: 0 success, 2 safety failure or counterexample found, 3 solver
-failed to certify, 4 configuration error.  The config file sets every seed
+failed to certify, 4 configuration or usage error.  A usage error that click
+refuses (an unknown command or option, a missing or malformed argument)
+exits 4 with click's message, not click's own code 2, so a typo is not read
+as a counterexample.  The config file sets every seed
 and trial count, and its hash covers them all, so ``synth``, ``verify`` and
 ``simulate`` of one config write to one default output directory,
 ``runs/<config hash>``, and reruns with identical inputs overwrite identical
@@ -104,7 +107,26 @@ def _mirror_line(cert: Certificate) -> str:
         for s, pairs in cert.mirror_pairs.items())
 
 
-@click.group()
+def _usage_exits_config(call, *args, **kwargs):
+    """``call``'s result; a click usage error it raises exits 4, not 2."""
+    try:
+        return call(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_CONFIG
+        raise
+
+
+class _Group(click.Group):
+    """A group whose usage errors, its own and its commands', exit 4."""
+
+    def make_context(self, *args, **kwargs):
+        return _usage_exits_config(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _usage_exits_config(super().invoke, ctx)
+
+
+@click.group(cls=_Group)
 def main():
     """Safety index synthesis and safe-control validation toolkit."""
 

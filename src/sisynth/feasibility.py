@@ -23,9 +23,11 @@ judged on the full Gram matrices.
 
 Refute cases that mirror each other under one state variable's sign flip
 (:class:`MirrorPairs`) are solved once per pair: DR runs on the
-representatives, over the one layout and :class:`GramStack`, and each
-partner's variables are filled in from its representative's, which makes its
-Gram matrix ``D Q D``.  :func:`check_certificate` still re-checks every case.
+representatives, over the one layout and :class:`GramStack`.  After a
+restart's last DR run, each partner's variables are filled in from its
+representative's, which makes its Gram matrix ``D Q D``, and the Gram
+matrices are evaluated once to judge the partners.
+:func:`check_certificate` still re-checks every case.
 
 Each eigensolver runs where its output is read.  The DR cone step needs
 eigenvectors, and ``reduced_lambda_min`` ranks the restarts, so both run
@@ -296,7 +298,7 @@ def _case_tables(grams: GramStack, layout: DecisionLayout) -> list[tuple]:
     # the index-parameter factors, read as digits: 0 for any other factor
     base = len(layout.theta_idx) + 1
     th = np.where(theta, grams.factors + 1, 0) @ base ** np.arange(grams.factors.shape[1])
-    entry = grams.positions - grams.case_offsets[grams.term_case]   # i * n + j
+    entry = grams.slot_entry[:len(grams.coeffs)]   # each term's i * n + j
     tables = []
     for c, n in enumerate(grams.sizes):
         sel = np.flatnonzero(grams.term_case == c)
@@ -790,11 +792,14 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
     of the cases' mirror pairs (:class:`MirrorPairs`; every case when there
     are none), and each DR run pins it at its k (:meth:`AffineGramMap.at`),
     so DR, the grid and the candidate checks run on the representatives
-    only.  After each DR run every partner is filled in from its
-    representative, so its Gram matrix is ``D Q D``; a representative's
-    ``lambda_min`` is the one DR judged, and a partner's is computed from
-    its filled-in Gram matrix.  A DR run stops, and keeps its best iterate,
-    by the representatives' worst ``lambda_min``.
+    only.  A DR run stops, and keeps its best iterate, by the
+    representatives' worst ``lambda_min``.  After a restart's last DR run,
+    its decision is assembled from that run's k and free decision, every
+    partner is filled in from its representative, so its Gram matrix is
+    ``D Q D``, and the Gram matrices are evaluated once: a
+    representative's ``lambda_min`` is the one DR judged, and a partner's
+    is computed from its filled-in Gram matrix.  Grid points and
+    superseded search runs fill and judge no partner.
 
     Each seeded restart runs DR for ``config.iterations`` iterations at its
     sampled index parameters.  If that run ends on ``budget``, it runs DR
@@ -817,39 +822,39 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
     amap = AffineGramMap(grams, layout, mirror.representatives)
     grid: list[list[float]] = []   # [k, lambda_min] per grid point, filled on first use
 
-    def run_dr(x, theta, iterations):
-        """DR at index parameters ``theta`` (a k broadcasts) from ``x``'s multipliers."""
+    def run_dr(y, theta, iterations):
+        """DR from free decision ``y`` at index parameters ``theta`` (a k broadcasts)."""
         amap.at(np.full(len(layout.theta_idx), theta))
-        y, lams, record = amap.refine(x[amap.free_idx], iterations, TOLERANCE)
-        x = x.copy()
-        x[layout.theta_idx] = amap.theta
+        return amap.refine(y, iterations, TOLERANCE)
+
+    def run_restart(r):
+        rng = np.random.default_rng([config.seed, r])
+        x = np.empty(layout.size)
+        x[layout.theta_idx] = rng.uniform(*config.k_init, size=len(layout.theta_idx))
+        x[layout.gamma_idx] = rng.uniform(*MULT_INIT, size=len(layout.gamma_idx))
+        for idx in (layout.zeta_idx, layout.kernel_idx):
+            x[idx] = rng.uniform(*FREE_INIT, size=len(idx))
+
+        y0 = x[amap.free_idx]
+        y, lams, record = run_dr(y0, x[layout.theta_idx], config.iterations)
+        runs, searched = [record], record["stop"] == "budget"
+        if searched:
+            if not grid:
+                grid.extend([float(k), run_dr(y0, k, GRID_ITERATIONS)[2]["lambda_min"]]
+                            for k in np.geomspace(config.k_min, K_MAX, GRID_POINTS))
+            ranked = sorted(grid, key=lambda sample: -round(sample[1], GRID_DECIMALS))
+            for k, _ in ranked[:SEARCH_RUNS]:
+                y, lams, record = run_dr(y0, k, config.iterations)
+                runs.append(record)
+                if record["stop"] == "tolerance":
+                    break
+        # the last run's decision, whose partners are filled and judged once
+        x[layout.theta_idx] = record["k"]
         x[amap.free_idx] = y
         mirror.fill(x)
         for members, mats in grams.split(grams.flat(x)):
             filled = np.isin(members, mirror.partners)
             lams[members[filled]] = np.linalg.eigvalsh(mats[filled])[:, 0]
-        return x, lams, record
-
-    def run_restart(r):
-        rng = np.random.default_rng([config.seed, r])
-        x0 = np.empty(layout.size)
-        x0[layout.theta_idx] = rng.uniform(*config.k_init, size=len(layout.theta_idx))
-        x0[layout.gamma_idx] = rng.uniform(*MULT_INIT, size=len(layout.gamma_idx))
-        for idx in (layout.zeta_idx, layout.kernel_idx):
-            x0[idx] = rng.uniform(*FREE_INIT, size=len(idx))
-
-        x, lams, record = run_dr(x0, x0[layout.theta_idx], config.iterations)
-        runs, searched = [record], record["stop"] == "budget"
-        if searched:
-            if not grid:
-                grid.extend([float(k), run_dr(x0, k, GRID_ITERATIONS)[2]["lambda_min"]]
-                            for k in np.geomspace(config.k_min, K_MAX, GRID_POINTS))
-            ranked = sorted(grid, key=lambda sample: -round(sample[1], GRID_DECIMALS))
-            for k, _ in ranked[:SEARCH_RUNS]:
-                x, lams, record = run_dr(x0, k, config.iterations)
-                runs.append(record)
-                if record["stop"] == "tolerance":
-                    break
         return x, {"restart": r, "k": x[layout.theta_idx].tolist(),
                    "lambda_mins": lams.tolist(),
                    "valid": bool(np.all(lams >= -TOLERANCE)),

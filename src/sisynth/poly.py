@@ -201,13 +201,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(monomial_degree(m) for m in self.terms)
-
     def variables(self) -> set[VarId]:
         out = set()
         for m in self.terms:
@@ -223,8 +216,8 @@ class Polynomial:
         for m, c in self.terms.items():
             for i, (mv, e) in enumerate(m):
                 if mv == v:
+                    # m less one power of v is still sorted and merged
                     rest = m[:i] + ((mv, e - 1),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
-                    rest = monomial(rest)
                     out[rest] = out.get(rest, 0.0) + c * e
                     break
         return Polynomial(out)

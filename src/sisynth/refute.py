@@ -11,7 +11,7 @@ squares, checked through positive semidefiniteness of a Gram matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Sequence
 
 from .index import SafetyIndexFamily
@@ -81,6 +81,8 @@ def enumerate_cases(fam: SafetyIndexFamily, sys: SymbolicSystem, eta: float,
                     nonneg_eliminate: Sequence[VarId] = ()) -> list[RefuteCase]:
     """Build one refute case per assignment of the sign indicators.
 
+    There is one indicator per distinct split polynomial: control
+    coefficients and aux splits that sign the same polynomial share it.
     Each case collects, in order: the bound-substituted worst-case
     derivative condition, one sign constraint per split, products of
     declared auxiliary split pairs, the state-space constraints, and the
@@ -90,39 +92,27 @@ def enumerate_cases(fam: SafetyIndexFamily, sys: SymbolicSystem, eta: float,
     substituting zero (which can only enlarge the refute set).
     """
     theta = fam.theta
-    splits: list[Split] = []
+    table: dict[tuple, Split] = {}   # by _poly_key, in first-use order
 
-    def merge(poly: Polynomial, name_hint: str, dim: int | None, orientation: int) -> None:
+    def merge(poly: Polynomial, name: str, dim: int | None = None, orientation: int = 1) -> Split:
+        """The split of ``poly``, made under ``name`` on first use; a control
+        ``dim`` joins it with its ``orientation``."""
         key = _poly_key(poly)
-        for idx, s in enumerate(splits):
-            if _poly_key(s.poly) == key:
-                if dim is not None:
-                    splits[idx] = Split(s.name, s.poly,
-                                        s.control_dims + (dim,),
-                                        s.orientations + (orientation,))
-                return
-        dims = (dim,) if dim is not None else ()
-        orients = (orientation,) if dim is not None else ()
-        splits.append(Split(name_hint, poly, dims, orients))
+        s = table.get(key) or Split(name, poly)
+        if dim is not None:
+            s = Split(s.name, s.poly, s.control_dims + (dim,), s.orientations + (orientation,))
+        table[key] = s
+        return s
 
     for i, lg in enumerate(fam.Lg_phi):
         if lg.is_zero():
             continue
         norm = _single_term_split(lg, theta)
-        if norm is None:
-            merge(lg, f"Lg{i}", i, 1)
-        else:
-            poly, orientation = norm
-            merge(poly, f"s{i}", i, orientation)
-
-    aux_list: list[Split] = []
-    for j, poly in enumerate(aux_splits):
-        key = _poly_key(poly)
-        existing = next((s for s in splits if _poly_key(s.poly) == key), None)
-        if existing is None:
-            merge(poly, f"aux{j}", None, 1)
-            existing = splits[-1]
-        aux_list.append(existing)
+        poly, orientation = norm or (lg, 1)
+        merge(poly, f"{'s' if norm else 'Lg'}{i}", i, orientation)
+    # an aux split on a control split's polynomial is that split
+    aux_list = [merge(poly, f"aux{j}") for j, poly in enumerate(aux_splits)]
+    splits = list(table.values())
 
     manifold = _eliminate_nonneg(fam.phi_theta, nonneg_eliminate)
 
@@ -205,14 +195,8 @@ def build_p0(case: RefuteCase, registry: VarRegistry, product_order: int = 1) ->
 
 def state_monomials(variables: Sequence[VarId], max_degree: int) -> list[Monomial]:
     """All monomials of total degree <= max_degree, graded-lex ordered."""
-    out: list[Monomial] = [()]
-    for _ in range(max_degree):
-        grown = set(out)
-        for m in out:
-            for v in variables:
-                grown.add(monomial_mul(m, ((v, 1),)))
-        out = list(grown)
-    return sorted(out, key=grlex_key)
+    return sorted({monomial((v, 1) for v in combo) for d in range(max_degree + 1)
+                   for combo in combinations_with_replacement(variables, d)}, key=grlex_key)
 
 
 def build_gram(p0: Polynomial, registry: VarRegistry | None = None,

@@ -669,6 +669,24 @@ class TestOneDirectory:
             args += ["--certificate", restricted_cert_path]
         with runner.isolated_filesystem(temp_dir=tmp_path):
             result = runner.invoke(main, args)
-            assert result.exit_code == 2, result.output
+            assert result.exit_code == 4, result.output
             assert "No such option" in result.output and flag in result.output
+            assert not list(Path().iterdir())
+
+
+class TestUsageError:
+    @pytest.mark.parametrize("args, message", [
+        (["bogus"], "No such command 'bogus'"),
+        (["verify", RESTRICTED_CONFIG_PATH, "--bogus", "1"], "No such option '--bogus'"),
+        (["synth", "nonexistent.json"], "File 'nonexistent.json' does not exist"),
+        (["verify", RESTRICTED_CONFIG_PATH, "--k", "abc"], "'--k': 'abc' is not a valid float"),
+        (["simulate", RESTRICTED_CONFIG_PATH], "Missing option '--certificate'"),
+    ], ids=["command", "option", "missing-config", "malformed-k", "missing-certificate"])
+    def test_exit_four(self, runner, tmp_path, args, message):
+        # click exits 2 on a usage error, the code for a safety failure, so a
+        # script could not tell a typo from a counterexample
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 4, result.output
+            assert "Error: " in result.output and message in result.output
             assert not list(Path().iterdir())

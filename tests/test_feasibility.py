@@ -987,8 +987,9 @@ class TestSolve:
         # is built per solve and pinned at the k of each DR run
         p = request.getfixturevalue(instance)
         cases = list(range(len(p.specs))) if cases is None else cases
-        stacks, maps, selected = [], [], []
+        stacks, maps, selected, evaluations = [], [], [], []
         stack_init, amap_init, at = GramStack.__init__, AffineGramMap.__init__, AffineGramMap.at
+        flat = GramStack.flat
 
         def counting(grams, *args):
             stacks.append(grams)
@@ -1004,7 +1005,12 @@ class TestSolve:
             selected.append(np.flatnonzero(np.isfinite(lams)).tolist())
             return amap
 
+        def evaluating(grams, d):
+            evaluations.append(d)
+            return flat(grams, d)
+
         monkeypatch.setattr(GramStack, "__init__", counting)
+        monkeypatch.setattr(GramStack, "flat", evaluating)
         monkeypatch.setattr(AffineGramMap, "__init__", counting_maps)
         monkeypatch.setattr(AffineGramMap, "at", recording)
         # unicycle.json at 2 restarts x 500 iterations spends the first run's
@@ -1021,6 +1027,10 @@ class TestSolve:
         assert len(selected) == runs + grid and all(s == cases for s in selected)
         if instance == "unicycle_problem":
             assert grid and len(selected) > 1 + GRID_POINTS
+        # each restart evaluates its Gram matrices once, after its last DR
+        # run, to judge its partners, and the certificate's matrices once more;
+        # grid points and superseded search runs evaluate none
+        assert len(evaluations) == len(cert.restarts) + 1
 
 
 class TestMirrorPairs:

