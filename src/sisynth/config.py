@@ -20,7 +20,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .feasibility import DecisionLayout, SolverConfig
@@ -82,16 +81,21 @@ def _object(required: bool = False) -> Rule:
     return Rule(lambda v: isinstance(v, dict), "a JSON object", required)
 
 
+def _names(required: bool = False) -> Rule:
+    # a repeated state variable would add its rows into one another in every
+    # Lie derivative; a repeated eliminated one would be substituted twice,
+    # and the second pass would call it nonlinear
+    return Rule(lambda v: _is_strings(v) and len(set(v)) == len(v),
+                "a list of distinct state variable names (strings)", required)
+
+
 _LITERALS = "a list of polynomial literals (strings)"
-_NAMES = "a list of state variable names (strings)"
 
 RULES: dict[str, dict[str, Rule]] = {
     "config": {"model": _object(True), "index": _object(True), "solver": _object(),
                "falsifier": _object(), "sim": _object()},
-    # system_from_dict checks the dimensions; a repeated state variable
-    # would add its rows into one another in every Lie derivative
-    "model": {"state_vars": Rule(lambda v: _is_strings(v) and len(set(v)) == len(v),
-                                 "a list of distinct state variable names (strings)", True),
+    # system_from_dict checks the dimensions
+    "model": {"state_vars": _names(True),
               "f": _strings(_LITERALS, True),
               "g": Rule(lambda v: _is_list(v, _is_strings),
                         "a list of rows, each a list of polynomial literals (strings)", True),
@@ -107,7 +111,7 @@ RULES: dict[str, dict[str, Rule]] = {
         "k_init": Rule(lambda v: _is_pair(v) and K_MIN <= v[0] <= v[1],
                        f"a pair [lo, hi] of finite numbers with {K_MIN} <= lo <= hi"),
         "product_order": Rule(lambda v: _is_int(v) and v in (1, 2), "1 or 2"),
-        "aux_splits": _strings(_LITERALS), "eliminate_nonneg": _strings(_NAMES)},
+        "aux_splits": _strings(_LITERALS), "eliminate_nonneg": _names()},
     "falsifier": {
         "axes": Rule(lambda v: bool(v) and _is_list(
                          v, lambda a: isinstance(a, dict) and ("var" in a) != ("angle" in a)),
@@ -263,8 +267,3 @@ def build_problem(cfg: RunConfig) -> Problem:
     return Problem(config=cfg, system=sys, family=fam, cases=cases, specs=specs,
                    layout=layout, solver_config=cfg.solver_config())
 
-
-def default_unicycle_config() -> dict:
-    """The standard study setup, the packaged ``configs/unicycle.json``, as
-    a plain config dictionary."""
-    return json.loads((resources.files("sisynth") / "configs" / "unicycle.json").read_text())

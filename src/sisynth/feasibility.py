@@ -22,12 +22,13 @@ DR run's k, and DR iterates on the kept blocks only.  Candidates are still
 judged on the full Gram matrices.
 
 Refute cases that mirror each other under one state variable's sign flip
-(:class:`MirrorPairs`) are solved once per pair: DR runs on the
-representatives, over the one layout and :class:`GramStack`.  After a
-restart's last DR run, each partner's variables are filled in from its
-representative's, which makes its Gram matrix ``D Q D``, and the Gram
-matrices are evaluated once to judge the partners.
-:func:`check_certificate` still re-checks every case.
+(:class:`MirrorPairs`, read off the refute sets where
+:meth:`DecisionLayout.build` lays out their variables) are solved once per
+pair: DR runs on the representatives, over the one layout and
+:class:`GramStack`.  After a restart's last DR run, each partner's
+variables are filled in from its representative's, which makes its Gram
+matrix ``D Q D``, and the Gram matrices are evaluated once to judge the
+partners.  :func:`check_certificate` still re-checks every case.
 
 Each eigensolver runs where its output is read.  The DR cone step needs
 eigenvectors, and ``reduced_lambda_min`` ranks the restarts, so both run
@@ -158,31 +159,104 @@ def jacobi_eigh_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w_sorted, V_sorted
 
 
+def mirror_signs(monomials: Sequence, s: VarId) -> list[int]:
+    """``(-1)^{deg_s m}`` for each monomial ``m``: over a Gram basis, the
+    diagonal of ``D``; over a spec's kernel monomials, each share's sign."""
+    return [(-1) ** sum(e for v, e in m if v == s) for m in monomials]
+
+
+@dataclass
+class MirrorPairs:
+    """Refute cases that map onto each other under one state variable's sign flip.
+
+    Case ``b`` mirrors case ``a`` under ``s -> -s`` when ``b``'s gammas and
+    zetas are ``a``'s with ``s`` negated, in order
+    (:meth:`~sisynth.refute.RefuteCase.mirrored`).  Then ``p0_b`` is
+    ``p0_a`` under ``s -> -s`` with the k-th multiplier of ``a`` renamed to
+    the k-th of ``b``, so both have the same Gram basis ``m``, and with
+    ``D = diag((-1)^{deg_s m})``, ``Q_b = D Q_a D`` when every multiplier
+    maps at sign +1 and every kernel share at ``(-1)^{deg_s m}`` of the
+    state monomial ``m`` it splits.  ``Q_b`` is then PSD with ``Q_a`` and
+    has its eigenvalues, so :func:`solve` runs DR on the representatives
+    ``a`` only and fills each partner ``b`` from the map (Gatermann &
+    Parrilo, "Symmetry groups, semidefinite programs, and sums of squares",
+    J. Pure Appl. Algebra 2004).  :meth:`DecisionLayout.build` finds the
+    pairs; a layout built directly has none.
+    """
+
+    # (representative, partner, flipped state variable) per pair
+    pairs: list[tuple[int, int, str]] = field(default_factory=list)
+    # partner variable dst[i] is sign[i] * variable src[i]
+    src: list[int] = field(default_factory=list)
+    dst: list[int] = field(default_factory=list)
+    sign: list[int] = field(default_factory=list)
+
+    @property
+    def partners(self) -> list[int]:
+        return [b for _, b, _ in self.pairs]
+
+    def fill(self, x: np.ndarray) -> np.ndarray:
+        """``x`` with each partner variable set from its representative's."""
+        x[self.dst] = np.multiply(self.sign, x[self.src])
+        return x
+
+    def by_variable(self) -> dict[str, list[list[int]]]:
+        """``{flipped state variable: [[representative, partner], ...]}``."""
+        out: dict[str, list[list[int]]] = {}
+        for a, b, s in self.pairs:
+            out.setdefault(s, []).append([a, b])
+        return out
+
+
 @dataclass
 class DecisionLayout:
-    """Global ordering of decision variables across all refute cases."""
+    """Global ordering of decision variables across all refute cases, and
+    the cases' mirror pairs."""
 
     variables: list[VarId]
     theta_idx: np.ndarray
     gamma_idx: np.ndarray
     zeta_idx: np.ndarray
     kernel_idx: np.ndarray
+    mirror: MirrorPairs = field(default_factory=MirrorPairs)
 
     @classmethod
     def build(cls, theta: Sequence[VarId], cases: Sequence[RefuteCase],
               specs: Sequence[GramSpec]) -> "DecisionLayout":
+        """Each case's zeta multipliers, gamma multipliers and kernel shares
+        after the index parameters ``theta``.  The cases pair greedily: state
+        variables in registration order, then each unpaired case with the
+        first later unpaired case that mirrors it (:class:`MirrorPairs`)."""
         variables = list(theta)
-        zeta, gamma, kernel = [], [], []
+        zeta, gamma, kernel, own = [], [], [], []
         for case, spec in zip(cases, specs):
+            start = len(variables)
             for idx, group in ((zeta, case.zeta_multipliers), (gamma, case.gamma_multipliers),
                                (kernel, spec.kernel_vars)):
                 idx.extend(range(len(variables), len(variables) + len(group)))
                 variables.extend(group)
+            own.append(list(range(start, len(variables))))
+        mirror, paired = MirrorPairs(), set()
+        for s in sorted({v for spec in specs for m in spec.basis for v, _ in m}):
+            for a in range(len(cases)):
+                if a in paired:
+                    continue
+                image = cases[a].mirrored(s)
+                b = next((b for b in range(a + 1, len(cases)) if b not in paired
+                          and (cases[b].gammas, cases[b].zetas) == image), None)
+                if b is not None:
+                    mirror.pairs.append((a, b, s.name))
+                    mirror.src += own[a]
+                    mirror.dst += own[b]
+                    kernel_signs = mirror_signs(specs[a].kernel_monomials, s)
+                    mirror.sign += [1] * (len(own[a]) - len(kernel_signs)) + kernel_signs
+                    paired |= {a, b}
         return cls(variables=variables,
                    theta_idx=np.arange(len(theta)),
                    gamma_idx=np.array(gamma, dtype=int),
                    zeta_idx=np.array(zeta, dtype=int),
-                   kernel_idx=np.array(kernel, dtype=int))
+                   kernel_idx=np.array(kernel, dtype=int),
+                   mirror=mirror)
 
     @property
     def size(self) -> int:
@@ -281,123 +355,6 @@ def _own_variables(grams: GramStack, layout: DecisionLayout) -> np.ndarray:
     if np.any(own.sum(axis=1) > 1):
         raise ValueError("Gram entries must be affine in the multipliers")
     return np.where(own, grams.factors, -1).max(axis=1)
-
-
-def _case_tables(grams: GramStack, layout: DecisionLayout) -> list[tuple]:
-    """Each case's upper-triangle Gram terms as arrays sorted by key: ``(key,
-    coefficient, i, j, rank, own variables, gamma)``.  ``own variables`` are
-    the layout indices of the case's own decision variables, ascending, and
-    ``gamma`` flags its gamma multipliers; a term's ``rank`` is 1 + the
-    position of its own variable there (0 for none).  ``key`` encodes the
-    entry ``(i, j)``, the term's index-parameter factors and its rank, so it
-    is unique within a case."""
-    is_theta, is_gamma = np.zeros(grams.nvars + 1, dtype=bool), np.zeros(grams.nvars, dtype=bool)
-    is_theta[layout.theta_idx] = is_gamma[layout.gamma_idx] = True
-    theta = is_theta[grams.factors]
-    var = _own_variables(grams, layout)
-    # the index-parameter factors, read as digits: 0 for any other factor
-    base = len(layout.theta_idx) + 1
-    th = np.where(theta, grams.factors + 1, 0) @ base ** np.arange(grams.factors.shape[1])
-    entry = grams.slot_entry[:len(grams.coeffs)]   # each term's i * n + j
-    tables = []
-    for c, n in enumerate(grams.sizes):
-        sel = np.flatnonzero(grams.term_case == c)
-        variables = np.unique(var[sel][var[sel] >= 0])
-        rank = np.where(var[sel] >= 0, np.searchsorted(variables, var[sel]) + 1, 0)
-        key = (entry[sel] * (th.max() + 1) + th[sel]) * (len(variables) + 1) + rank
-        order = np.argsort(key)
-        i, j = np.divmod(entry[sel][order], n)
-        tables.append((key[order], grams.coeffs[sel][order], i, j, rank[order], variables,
-                       is_gamma[variables]))
-    return tables
-
-
-def _mirror_map(ta: tuple, tb: tuple, d: np.ndarray) -> np.ndarray | None:
-    """The signs of the map that sends the k-th own variable of case ``a``
-    onto the k-th of case ``b`` (tables :func:`_case_tables`) and turns
-    ``diag(d) Q_a diag(d)`` into ``Q_b`` exactly, gamma multipliers onto
-    gamma multipliers at sign +1; None if that map does not."""
-    key_a, coeff_a, i, j, rank, vars_a, gamma = ta
-    key_b, coeff_b, *_, vars_b, gamma_b = tb
-    if (len(vars_a) != len(vars_b) or not np.array_equal(key_a, key_b)
-            or not np.array_equal(gamma, gamma_b)):
-        return None
-    flipped = coeff_a * d[i] * d[j]
-    sign = np.ones(len(vars_a) + 1)   # by rank; rank 0, no own variable, keeps +1
-    sign[rank[rank > 0]] = np.where(coeff_b == flipped, 1.0, -1.0)[rank > 0]
-    sign[1:][gamma] = 1.0
-    return sign[1:] if np.array_equal(coeff_b, sign[rank] * flipped) else None
-
-
-def mirror_signs(basis: Sequence, s: VarId) -> list[int]:
-    """The diagonal of ``D = diag((-1)^{deg_s m})`` over the basis ``m``."""
-    return [(-1) ** sum(e for v, e in m if v == s) for m in basis]
-
-
-@dataclass
-class MirrorPairs:
-    """Refute cases that map onto each other under one state variable's sign flip.
-
-    Case ``b`` mirrors case ``a`` under ``s -> -s`` when both have the same
-    Gram basis ``m`` and a signed one-to-one map of ``a``'s own decision
-    variables onto ``b``'s, with the index parameters fixed and every gamma
-    multiplier at sign +1, turns ``D Q_a D`` into ``Q_b`` entry by entry,
-    exactly, where ``D = diag((-1)^{deg_s m})``.  The map sends the k-th own
-    variable of ``a`` onto the k-th of ``b``, in layout order, as
-    ``build_problem`` creates every case's variables in the same order.
-    Then ``Q_b = D Q_a D`` is PSD with ``Q_a`` and has its eigenvalues, so
-    :func:`solve` runs DR on the representatives ``a`` only and fills each
-    partner ``b`` from the map (Gatermann & Parrilo, "Symmetry groups,
-    semidefinite programs, and sums of squares", J. Pure Appl. Algebra 2004).
-    """
-
-    pairs: list[tuple[int, int, str]]   # (representative, partner, flipped state variable)
-    src: np.ndarray    # partner variable dst[i] is sign[i] * variable src[i]
-    dst: np.ndarray
-    sign: np.ndarray
-    representatives: np.ndarray   # every case that is no partner, ascending
-
-    @classmethod
-    def find(cls, grams: GramStack, specs: Sequence[GramSpec],
-             layout: DecisionLayout) -> "MirrorPairs":
-        """Pair the cases of ``grams`` greedily: state variables in
-        registration order, then each unpaired case with the first later
-        unpaired case that mirrors it."""
-        tables = _case_tables(grams, layout)
-        pairs, maps, paired = [], [], set()
-        for s in sorted({v for spec in specs for m in spec.basis for v, _ in m}):
-            for a in range(len(specs)):
-                if a in paired:
-                    continue
-                d = np.array(mirror_signs(specs[a].basis, s), dtype=float)
-                for b in range(a + 1, len(specs)):
-                    if b in paired or specs[b].basis != specs[a].basis:
-                        continue
-                    if (sign := _mirror_map(tables[a], tables[b], d)) is not None:
-                        pairs.append((a, b, s.name))
-                        maps.append((tables[a][5], tables[b][5], sign))
-                        paired |= {a, b}
-                        break
-        src, dst, sign = (np.concatenate([np.empty(0, dtype=float if k == 2 else int)]
-                                         + [m[k] for m in maps]) for k in range(3))
-        reps = np.setdiff1d(np.arange(len(specs)), [b for _, b, _ in pairs])
-        return cls(pairs, src, dst, sign, reps)
-
-    @property
-    def partners(self) -> np.ndarray:
-        return np.array([b for _, b, _ in self.pairs], dtype=int)
-
-    def fill(self, x: np.ndarray) -> np.ndarray:
-        """``x`` with each partner variable set from its representative's."""
-        x[self.dst] = self.sign * x[self.src]
-        return x
-
-    def by_variable(self) -> dict[str, list[list[int]]]:
-        """``{flipped state variable: [[representative, partner], ...]}``."""
-        out: dict[str, list[list[int]]] = {}
-        for a, b, s in self.pairs:
-            out.setdefault(s, []).append([a, b])
-        return out
 
 
 def _sym(mats: np.ndarray) -> np.ndarray:
@@ -789,8 +746,8 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
     """Search for a decision vector making every Gram matrix PSD.
 
     One :class:`AffineGramMap` is built per solve, over the representatives
-    of the cases' mirror pairs (:class:`MirrorPairs`; every case when there
-    are none), and each DR run pins it at its k (:meth:`AffineGramMap.at`),
+    of the mirror pairs the layout records (``layout.mirror``; every case
+    when there are none), and each DR run pins it at its k (:meth:`AffineGramMap.at`),
     so DR, the grid and the candidate checks run on the representatives
     only.  A DR run stops, and keeps its best iterate, by the
     representatives' worst ``lambda_min``.  After a restart's last DR run,
@@ -818,8 +775,9 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
     if not specs:
         raise ValueError("no Gram specs to solve")
     grams = GramStack(specs, layout)
-    mirror = MirrorPairs.find(grams, specs, layout)
-    amap = AffineGramMap(grams, layout, mirror.representatives)
+    mirror = layout.mirror
+    partners = mirror.partners
+    amap = AffineGramMap(grams, layout, [c for c in range(len(specs)) if c not in partners])
     grid: list[list[float]] = []   # [k, lambda_min] per grid point, filled on first use
 
     def run_dr(y, theta, iterations):
@@ -853,7 +811,7 @@ def solve(specs: Sequence[GramSpec], layout: DecisionLayout,
         x[amap.free_idx] = y
         mirror.fill(x)
         for members, mats in grams.split(grams.flat(x)):
-            filled = np.isin(members, mirror.partners)
+            filled = np.isin(members, partners)
             lams[members[filled]] = np.linalg.eigvalsh(mats[filled])[:, 0]
         return x, {"restart": r, "k": x[layout.theta_idx].tolist(),
                    "lambda_mins": lams.tolist(),

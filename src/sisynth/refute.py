@@ -40,6 +40,12 @@ class RefuteCase:
     zeta_multipliers: list[VarId] = field(default_factory=list)
     gamma_multipliers: list[VarId] = field(default_factory=list)
 
+    def mirrored(self, s: VarId) -> tuple[list[Polynomial], list[Polynomial]]:
+        """The gammas and zetas under ``s -> -s``: a case whose own equal
+        them, in order, is this case's mirror image."""
+        flip = {s: -Polynomial.variable(s)}
+        return [g.subs(flip) for g in self.gammas], [z.subs(flip) for z in self.zetas]
+
 
 @dataclass
 class GramSpec:
@@ -47,6 +53,8 @@ class GramSpec:
     entries: list[list[Polynomial]]        # symmetric, decision-only coefficients
     p0: Polynomial
     kernel_vars: list[VarId] = field(default_factory=list)
+    # the state monomial each kernel share splits
+    kernel_monomials: list[Monomial] = field(default_factory=list)
 
     @property
     def size(self) -> int:
@@ -229,6 +237,7 @@ def build_gram(p0: Polynomial, registry: VarRegistry | None = None,
 
     entries = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
     kernel_vars: list[VarId] = []
+    kernel_monomials: list[Monomial] = []
 
     def deposit(i: int, j: int, share: Polynomial) -> None:
         if i == j:
@@ -247,9 +256,11 @@ def build_gram(p0: Polynomial, registry: VarRegistry | None = None,
         for i, j in plist[1:]:
             kv = registry.decision(f"q_{kernel_tag}_{len(kernel_vars)}")
             kernel_vars.append(kv)
+            kernel_monomials.append(m)
             share = Polynomial.variable(kv)
             deposit(i, j, share)
             remainder = remainder - share
         deposit(*plist[0], remainder)
 
-    return GramSpec(basis=basis, entries=entries, p0=p0, kernel_vars=kernel_vars)
+    return GramSpec(basis=basis, entries=entries, p0=p0, kernel_vars=kernel_vars,
+                    kernel_monomials=kernel_monomials)

@@ -274,7 +274,9 @@ def _assess(trial: int, phis: np.ndarray, params: IndexParams, dt: float,
         eps_disc = SLACK_FACTOR * float(np.max(np.abs(np.diff(phis, axis=0))))
     else:
         eps_disc = SLACK_FACTOR * dt
-    in_safe = np.all(phis <= 0.0, axis=1)
+    # member[:, j]: members j..n all <= 0, by one reversed running AND
+    member = np.logical_and.accumulate((phis <= 0.0)[:, ::-1], axis=1)[:, ::-1]
+    in_safe = member[:, 0]
     entry_idx = int(np.argmax(in_safe)) if np.any(in_safe) else None
     landed = entry_idx is not None
     first_entry_time = entry_idx * dt if landed else None
@@ -288,10 +290,10 @@ def _assess(trial: int, phis: np.ndarray, params: IndexParams, dt: float,
 
     fi_failures = []
     for m in range(n + 1):
-        member = np.all(phis[:, n - m:] <= 0.0, axis=1)
-        if not np.any(member):
+        suffix = member[:, n - m]
+        if not np.any(suffix):
             continue
-        e = int(np.argmax(member))
+        e = int(np.argmax(suffix))
         post = phis[e:, n - m:]
         bad = np.argwhere(post > eps_disc)
         for s, j in bad:

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import sisynth
-from sisynth.config import RunConfig, build_problem, default_unicycle_config
+from sisynth.config import RunConfig, build_problem
 from sisynth.controller import wrap_angle
 from sisynth.falsifier import SLACK, SPACE_TOL, Counterexamples
 from sisynth.feasibility import solve
@@ -25,6 +26,12 @@ SRC = str(Path(sisynth.__file__).resolve().parents[1])
 
 # verdict lines from the acceptance gate, echoed in the terminal summary
 ACCEPTANCE_RESULTS: list[str] = []
+
+
+def default_unicycle_config() -> dict:
+    """The standard study setup, the packaged ``configs/unicycle.json``, as
+    a plain config dictionary."""
+    return json.loads((resources.files("sisynth") / "configs" / "unicycle.json").read_text())
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -7,13 +7,14 @@ in conftest so they appear in the normal pytest output.
 import numpy as np
 import pytest
 
-from sisynth.config import RunConfig, build_problem, default_unicycle_config
+from sisynth.config import RunConfig, build_problem
 from sisynth.falsifier import SLACK, falsify
 from sisynth.feasibility import TOLERANCE, SolverFailure, jacobi_eigh_batch, solve
 from sisynth.index import IndexParams
 from sisynth.sim import run_batch
 
-from conftest import ACCEPTANCE_RESULTS, gram_reconstruct, worst_case_phidot
+from conftest import (ACCEPTANCE_RESULTS, default_unicycle_config, gram_reconstruct,
+                      worst_case_phidot)
 from test_controller import kkt_residual
 
 

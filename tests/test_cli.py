@@ -6,9 +6,10 @@ import pytest
 from click.testing import CliRunner
 
 from sisynth.cli import main
-from sisynth.config import RunConfig, build_problem, default_unicycle_config
+from sisynth.config import RunConfig, build_problem
 from sisynth.feasibility import AffineGramMap, Certificate, GramStack, TOLERANCE
-from conftest import RESTRICTED_CONFIG_PATH, braking_config_dict, triple_integrator_config_dict
+from conftest import (RESTRICTED_CONFIG_PATH, braking_config_dict, default_unicycle_config,
+                      triple_integrator_config_dict)
 
 
 @pytest.fixture(scope="module")
@@ -163,8 +164,13 @@ class TestSynth:
     @pytest.mark.parametrize("section, key, value, message", [
         ("index", "phi0", 1, "index key 'phi0' must be a polynomial literal (a string), got 1"),
         ("model", "f", ["-1*z", 0],
-         "model key 'f' must be a list of polynomial literals (strings), got ['-1*z', 0]")],
-        ids=["phi0", "model-f"])
+         "model key 'f' must be a list of polynomial literals (strings), got ['-1*z', 0]"),
+        # a repeated name was once eliminated twice, and the second pass
+        # called it nonlinear
+        ("solver", "eliminate_nonneg", ["d", "d"],
+         "solver key 'eliminate_nonneg' must be a list of distinct state variable names "
+         "(strings), got ['d', 'd']")],
+        ids=["phi0", "model-f", "eliminate-repeated"])
     def test_number_for_literal_exit_four(self, runner, tmp_path, section, key, value, message):
         # a number where a polynomial literal belongs once ended in a TypeError
         raw = braking_config_dict()

@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from sisynth.config import RULES, ConfigError, RunConfig, build_problem, default_unicycle_config
+from sisynth.config import RULES, ConfigError, RunConfig, build_problem
 from sisynth.feasibility import SolverConfig, check_certificate
 from sisynth.index import K_MIN
 
-from conftest import RESTRICTED_CONFIG_PATH, braking_config_dict
+from conftest import RESTRICTED_CONFIG_PATH, braking_config_dict, default_unicycle_config
 
 
 def solver_config(**solver):

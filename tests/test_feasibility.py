@@ -21,14 +21,11 @@ from sisynth.feasibility import (
     DecisionLayout,
     TOLERANCE,
     GramStack,
-    MirrorPairs,
     SolverConfig,
     SolverFailure,
     _Block,
-    _case_tables,
     _face_solutions,
     _lower_inverse,
-    _mirror_map,
     _mono_repr,
     _round_robin_rounds,
     _sym,
@@ -42,6 +39,11 @@ from sisynth.poly import Polynomial, VarId, VarKind
 from sisynth.refute import GramSpec
 
 from conftest import braking_config_dict, fresh_python, triple_integrator_config_dict
+
+
+def representatives(p):
+    """The cases of ``p`` that are no mirror partner, ascending."""
+    return [c for c in range(len(p.specs)) if c not in p.layout.mirror.partners]
 
 
 def random_symmetric(rng, n):
@@ -505,9 +507,7 @@ class TestAffineGramMap:
         p = build_problem(RunConfig.from_dict(triple_integrator_config_dict())) \
             if instance == "triple_integrator" else request.getfixturevalue(instance)
         grams = GramStack(p.specs, p.layout)
-        amap = AffineGramMap(grams, p.layout,
-                             MirrorPairs.find(grams, p.specs, p.layout).representatives
-                             ).at(np.array([k]))
+        amap = AffineGramMap(grams, p.layout, representatives(p)).at(np.array([k]))
         y = np.random.default_rng(4).uniform(0.0, 1.0, size=len(amap.free_idx))
         checked = []
         candidate = AffineGramMap.candidate
@@ -540,7 +540,7 @@ class TestAffineGramMap:
         p = build_problem(RunConfig.from_dict(triple_integrator_config_dict())) \
             if instance == "triple_integrator" else request.getfixturevalue(instance)
         grams = GramStack(p.specs, p.layout)
-        reps = MirrorPairs.find(grams, p.specs, p.layout).representatives
+        reps = representatives(p)
         thetas = []
         at = AffineGramMap.at
 
@@ -587,6 +587,7 @@ class TestAffineGramMap:
         layout = DecisionLayout(variables=[k, a, b], theta_idx=np.array([0]),
                                 gamma_idx=np.array([], dtype=int),
                                 zeta_idx=np.array([1, 2]), kernel_idx=np.array([], dtype=int))
+        assert layout.mirror.pairs == []   # a layout built directly has none
         message = "^Gram entries must be affine in the multipliers$"
         with pytest.raises(ValueError, match=message):
             solve([spec], layout, SolverConfig(restarts=1))
@@ -821,14 +822,13 @@ class TestSolve:
         outputs = {}   # refine's decision with the partners filled in, by the id of its record
         refine = AffineGramMap.refine
         grams = GramStack(p.specs, p.layout)
-        mirror = MirrorPairs.find(grams, p.specs, p.layout)
 
         def recording(amap, *args, **kwargs):
             y, lams, record = refine(amap, *args, **kwargs)
             x = np.empty(p.layout.size)
             x[p.layout.theta_idx] = amap.theta
             x[amap.free_idx] = y
-            outputs[id(record)] = mirror.fill(x)
+            outputs[id(record)] = p.layout.mirror.fill(x)
             return y, lams, record
 
         monkeypatch.setattr(AffineGramMap, "refine", recording)
@@ -1040,47 +1040,70 @@ class TestMirrorPairs:
     PAIRS = [(0, 3, "x"), (1, 2, "x"), (4, 7, "x"), (5, 6, "x")]
 
     @staticmethod
-    def mirror(p):
-        grams = GramStack(p.specs, p.layout)
-        return grams, MirrorPairs.find(grams, p.specs, p.layout)
+    def entries(p):
+        """The Gram entries ``(case, i, j)`` each decision variable enters,
+        by layout index."""
+        index, out = p.layout.index_of(), {}
+        for c, spec in enumerate(p.specs):
+            for i, row in enumerate(spec.entries):
+                for j, entry in enumerate(row):
+                    for v in entry.variables():
+                        out.setdefault(index[v], set()).add((c, i, j))
+        return out
 
     @pytest.mark.parametrize("instance", ["unicycle_problem", "restricted_problem"])
     def test_unicycle_pairs_under_x_only(self, instance, request):
         p = request.getfixturevalue(instance)
-        grams, mirror = self.mirror(p)
-        assert mirror.pairs == self.PAIRS
+        assert p.layout.mirror.pairs == self.PAIRS
         # every ordered pair of cases that mirror each other, under every
         # state variable of the basis
-        tables = _case_tables(grams, p.layout)
         flips = sorted({v for spec in p.specs for m in spec.basis for v, _ in m})
         assert [s.name for s in flips] == ["x", "y", "z"]
         found = {(a, b, s.name) for s in flips for a, b in permutations(range(len(p.specs)), 2)
-                 if _mirror_map(tables[a], tables[b],
-                                np.array(mirror_signs(p.specs[a].basis, s), dtype=float))
-                 is not None}
+                 if (p.cases[b].gammas, p.cases[b].zetas) == p.cases[a].mirrored(s)}
         assert found == {pair for a, b, s in self.PAIRS for pair in ((a, b, s), (b, a, s))}
 
     @pytest.mark.parametrize("instance", ["unicycle_problem", "restricted_problem"])
     def test_partner_is_d_q_d(self, instance, request):
         p = request.getfixturevalue(instance)
-        grams, mirror = self.mirror(p)
+        grams, mirror = GramStack(p.specs, p.layout), p.layout.mirror
         # one-to-one, every gamma onto a gamma at sign +1
-        assert len(set(mirror.dst.tolist())) == len(mirror.dst)
+        assert len(set(mirror.dst)) == len(mirror.dst)
         gamma = np.isin(mirror.dst, p.layout.gamma_idx)
         assert np.array_equal(gamma, np.isin(mirror.src, p.layout.gamma_idx))
-        assert np.all(mirror.sign[gamma] == 1.0)
-        x = mirror.fill(np.random.default_rng(5).uniform(-1, 1, size=p.layout.size))
-        Q = grams.matrices(x)
-        for a, b, s in mirror.pairs:
-            flipped = next(v for m in p.specs[a].basis for v, _ in m if v.name == s)
-            d = np.array(mirror_signs(p.specs[a].basis, flipped), dtype=float)
-            np.testing.assert_allclose(Q[b], d[:, None] * Q[a] * d[None, :], rtol=0.0,
-                                       atol=1e-12 * np.abs(Q[a]).max())
+        assert np.all(np.asarray(mirror.sign)[gamma] == 1)
+        for seed in range(5):
+            x = mirror.fill(np.random.default_rng(seed).uniform(-1, 1, size=p.layout.size))
+            Q = grams.matrices(x)
+            for a, b, s in mirror.pairs:
+                flipped = next(v for m in p.specs[a].basis for v, _ in m if v.name == s)
+                d = np.array(mirror_signs(p.specs[a].basis, flipped), dtype=float)
+                assert np.array_equal(Q[b], d[:, None] * Q[a] * d[None, :]), (seed, a, b)
+
+    @pytest.mark.parametrize("edit", ["coefficient", "swap", "odd zeta"])
+    def test_rule_refuses(self, restricted_problem, edit):
+        # case 3 mirrors case 0 until one gamma coefficient changes or two
+        # gammas trade places; a zeta odd in x leaves no pair at all
+        p = restricted_problem
+        cases = [replace(case, gammas=list(case.gammas)) for case in p.cases]
+        x = next(v for m in p.specs[0].basis for v, _ in m if v.name == "x")
+        if edit == "coefficient":
+            g = cases[3].gammas[1]
+            m = next(iter(g.terms))
+            cases[3].gammas[1] = g + Polynomial({m: 0.5 * g.terms[m]})
+        elif edit == "swap":
+            gammas = cases[3].gammas
+            assert gammas[1] != gammas[2]
+            gammas[1], gammas[2] = gammas[2], gammas[1]
+        else:
+            cases = [replace(case, zetas=case.zetas + [Polynomial.variable(x)]) for case in cases]
+        pairs = DecisionLayout.build(p.family.theta, cases, p.specs).mirror.pairs
+        assert pairs == ([] if edit == "odd zeta" else self.PAIRS[1:])
 
     def test_no_pairs_without_a_mirror(self, braking_problem):
         triple = build_problem(RunConfig.from_dict(triple_integrator_config_dict()))
         for p in (braking_problem, triple):
-            assert self.mirror(p)[1].pairs == []
+            assert p.layout.mirror.pairs == []
 
     def test_solve_records_pairs(self, restricted_certificate, braking_certificate):
         pairs = {"x": [[0, 3], [1, 2], [4, 7], [5, 6]]}
@@ -1101,16 +1124,11 @@ class TestMirrorPairs:
     def test_flipped_sign_of_d_fails_check(self, restricted_problem, restricted_certificate):
         p, cert = restricted_problem, restricted_certificate
         assert self.check(p, cert, cert.decision)[0]
-        grams, mirror = self.mirror(p)
-        entries = {}   # the Gram entries (i, j) each variable enters
-        for _, _, rows, cols, rank, variables, _ in _case_tables(grams, p.layout):
-            for i, j, k in zip(rows, cols, rank):
-                if k:
-                    entries.setdefault(variables[k - 1], set()).add((i, j))
+        mirror, entries = p.layout.mirror, self.entries(p)
         for r in range(p.specs[0].size):
             # D with its r-th sign flipped negates every partner variable in
             # an off-diagonal entry of row r
-            flip = [any((i == r) != (j == r) for i, j in entries[w]) for w in mirror.dst]
+            flip = [any((i == r) != (j == r) for _, i, j in entries[w]) for w in mirror.dst]
             x = cert.decision.copy()
             x[mirror.dst] = np.where(flip, -1.0, 1.0) * mirror.sign * x[mirror.src]
             assert not self.check(p, cert, x)[0], r
@@ -1118,11 +1136,11 @@ class TestMirrorPairs:
     def test_flipped_partner_variable_fails_check(self, restricted_problem,
                                                   restricted_certificate):
         p, cert = restricted_problem, restricted_certificate
-        grams, mirror = self.mirror(p)
-        owner = {v: c for c, table in enumerate(_case_tables(grams, p.layout)) for v in table[5]}
+        mirror = p.layout.mirror
+        owner = {w: {c for c, _, _ in cells} for w, cells in self.entries(p).items()}
         for _, b, _ in mirror.pairs:
             # the partner's largest multiplier or kernel share that is not a gamma
-            w = max((w for w in mirror.dst if owner[w] == b and w not in p.layout.gamma_idx),
+            w = max((w for w in mirror.dst if owner[w] == {b} and w not in p.layout.gamma_idx),
                     key=lambda w: abs(cert.decision[w]))
             x = cert.decision.copy()
             x[w] = -x[w]
@@ -1132,7 +1150,7 @@ class TestMirrorPairs:
     def test_wrong_pair_fails_check(self, restricted_problem, restricted_certificate):
         # fill case 2 from case 0 through the map that pairs 0 with 3
         p, cert = restricted_problem, restricted_certificate
-        _, mirror = self.mirror(p)
+        mirror = p.layout.mirror
         index = {v.name: i for i, v in enumerate(p.layout.variables)}
         three, two = (f"_{p.cases[c].label}_" for c in (3, 2))
         x = cert.decision.copy()
@@ -1151,7 +1169,7 @@ class TestMirrorPairs:
         # all-cases run's values of their variables at every candidate
         # check, bit for bit
         p = request.getfixturevalue(instance)
-        grams, mirror = self.mirror(p)
+        grams, mirror, reps = GramStack(p.specs, p.layout), p.layout.mirror, representatives(p)
         x0 = np.random.default_rng(3).uniform(0.0, 1.0, size=p.layout.size)
         checked = []   # (map, free decision, lambda_mins) per candidate check
         candidate = AffineGramMap.candidate
@@ -1163,7 +1181,7 @@ class TestMirrorPairs:
 
         monkeypatch.setattr(AffineGramMap, "candidate", recording)
         full = AffineGramMap(grams, p.layout).at(np.array([k]))
-        rep = AffineGramMap(grams, p.layout, mirror.representatives).at(np.array([k]))
+        rep = AffineGramMap(grams, p.layout, reps).at(np.array([k]))
         assert np.array_equal(rep.free_idx, full.free_idx)
         for amap in (full, rep):
             # a tolerance of -inf never certifies, so both runs spend the budget
@@ -1174,8 +1192,7 @@ class TestMirrorPairs:
         cols = ~np.isin(full.free_idx, mirror.dst)   # the representatives' columns
         for (_, y_full, lams_full), (_, y_rep, lams_rep) in zip(*runs):
             assert np.array_equal(y_full[cols], y_rep[cols])
-            assert np.array_equal(lams_full[mirror.representatives],
-                                  lams_rep[mirror.representatives])
+            assert np.array_equal(lams_full[reps], lams_rep[reps])
             assert np.all(lams_rep[mirror.partners] == np.inf)
         # every iterate after the start is lifted from the face: zero on the
         # partners' columns

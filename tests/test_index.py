@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from sisynth.config import default_unicycle_config
 from sisynth.index import IndexParams, RelativeDegreeError, box_min, build_chain
 from sisynth.poly import Polynomial, parse_polynomial
 from sisynth.system import system_from_dict
 
-from conftest import TRIPLE_INTEGRATOR, derivative, worst_case_phidot
+from conftest import TRIPLE_INTEGRATOR, default_unicycle_config, derivative, worst_case_phidot
 
 
 @pytest.fixture(scope="module")

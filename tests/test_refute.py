@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from sisynth.config import default_unicycle_config
 from sisynth.index import build_chain
 from sisynth.poly import Polynomial, VarKind, VarRegistry, monomial, parse_polynomial
 from sisynth.refute import build_gram, build_p0, enumerate_cases, state_monomials
 from sisynth.system import system_from_dict
 
-from conftest import gram_reconstruct, poly_close
+from conftest import default_unicycle_config, gram_reconstruct, poly_close
 
 
 @pytest.fixture

@@ -4,11 +4,11 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from sisynth.config import ConfigError, RunConfig, default_unicycle_config
+from sisynth.config import ConfigError, RunConfig
 from sisynth.sim import RelativeState, WorldState, relative_state, step
 from sisynth.system import STATE_TOL, InvertedBoundError, system_from_dict
 
-from conftest import derivative, world_from_relative
+from conftest import default_unicycle_config, derivative, world_from_relative
 
 
 def shipped_models() -> dict[str, dict]:
